@@ -60,6 +60,8 @@ from .fracnorm import norm_report
 from .grids import SamplePath, TimeGrid
 from .skorokhod import reflect
 from .solver import (
+    BlowUpError,
+    PicardConvergenceError,
     Problem,
     SolverConfig,
     check_invariants,
@@ -98,7 +100,6 @@ class RunConfig:
     problem: Problem
     solver: SolverConfig
     paths: int
-    seed: int
     directory: str
     formats: tuple
     hurst: float | None
@@ -249,7 +250,6 @@ def load_config(path: str | Path, steps_per_delay: int | None = None) -> RunConf
         problem=problem,
         solver=solver,
         paths=get("mc", "paths", int),
-        seed=get("mc", "seed", int),
         directory=cp["output"]["directory"],
         formats=formats,
         hurst=hurst,
@@ -318,8 +318,7 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     paths = args.paths if args.paths is not None else cfg.paths
     if args.seed is not None:
-        cfg = dataclasses.replace(cfg, solver=dataclasses.replace(cfg.solver, seed=args.seed),
-                                  seed=args.seed)
+        cfg = dataclasses.replace(cfg, solver=dataclasses.replace(cfg.solver, seed=args.seed))
     if cfg.hurst is None:
         raise ConfigError("problem.hurst is required to sample drivers")
     outdir = _resolve_outdir(cfg.directory, args.out)
@@ -406,14 +405,14 @@ def cmd_converge(args) -> int:
     if cfg.hurst is None:
         raise ConfigError("problem.hurst is required to sample the shared driver")
     p = cfg.problem
-    g_fine = sample_circulant(driver_grid(p, finest), cfg.hurst, p.m, seed=cfg.seed)
+    g_fine = sample_circulant(driver_grid(p, finest), cfg.hurst, p.m, seed=cfg.solver.seed)
     table = convergence_study(p, g_fine, levels, cfg.solver)
     payload = {
         "levels": table.levels,
         "errors": table.errors,
         "empirical_order": table.empirical_order,
         "finest": finest,
-        "seed": cfg.seed,
+        "seed": cfg.solver.seed,
     }
     if args.out:
         out = Path(args.out)
@@ -428,7 +427,7 @@ def cmd_audit(args) -> int:
     d = cfg.problem.d
     box = ([args.box_lo] * d, [args.box_hi] * d)
     report = hypothesis_audit(cfg.problem.coeffs, box,
-                              n_samples=args.samples, seed=cfg.seed,
+                              n_samples=args.samples, seed=cfg.solver.seed,
                               delay=cfg.problem.r)
     payload = dataclasses.asdict(report)
     if args.out:
@@ -515,7 +514,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, BlowUpError, PicardConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

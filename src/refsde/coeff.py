@@ -362,27 +362,26 @@ class CoefficientSet:
                    params=params, meta=meta or DeclaredMeta())
 
 
-def _drift_env(t, hist: HistoryView, delay: float, d: int) -> dict:
-    current = hist.current()
-    delayed = hist.at(t - delay)
-    sups = hist.sup_abs()
+def eval_drift(c: CoefficientSet, t, x, x_delayed, sups) -> np.ndarray:
+    """Drift vector b(t, x(t), x(t - r), sup |x|).
+
+    x, x_delayed and sups are one state row of shape (d,) with scalar t,
+    or a batch of shape (K, d) with t of shape (K,); the result has the
+    shape of x.
+    """
     env = {"t": t}
-    for i in range(d):
-        env[f"x{i + 1}"] = current[i]
-        env[f"xd{i + 1}"] = delayed[i]
-        env[f"s{i + 1}"] = sups[i]
-    return env
-
-
-def eval_drift(c: CoefficientSet, t: float, hist: HistoryView, delay: float) -> np.ndarray:
-    """Drift vector b(t, x-history); causal by construction of HistoryView."""
-    env = _drift_env(t, hist, delay, c.d)
-    out = np.empty(c.d)
+    for i in range(c.d):
+        env[f"x{i + 1}"] = x.T[i]
+        env[f"xd{i + 1}"] = x_delayed.T[i]
+        env[f"s{i + 1}"] = sups.T[i]
+    out = np.empty_like(x)
     for i, expr in enumerate(c.drift):
-        v = eval_expr(expr, env, c.params)
-        if not np.isfinite(v):
-            raise ValueError(f"drift component {i + 1} evaluated to {v} at t={t}")
-        out[i] = v
+        out.T[i] = eval_expr(expr, env, c.params)
+    if np.count_nonzero(np.isfinite(out)) < out.size:  # cheaper than all() on one row
+        rows = out.reshape(-1, c.d)
+        k, i = np.argwhere(~np.isfinite(rows))[0]
+        t_k = np.broadcast_to(t, rows.shape[:1])[k]
+        raise ValueError(f"drift component {i + 1} evaluated to {rows[k, i]} at t={t_k}")
     return out
 
 
@@ -393,21 +392,16 @@ def eval_diffusion(c: CoefficientSet, t, x_delayed) -> np.ndarray:
     t of shape (K,) with x_delayed (K, d) gives a (K, d, m) batch.
     """
     x_delayed = np.asarray(x_delayed, dtype=float)
-    batched = x_delayed.ndim == 2
     env = {"t": t}
     for i in range(c.d):
-        env[f"xd{i + 1}"] = x_delayed[:, i] if batched else x_delayed[i]
-    shape = (len(np.atleast_1d(t)), c.d, c.m) if batched else (c.d, c.m)
-    out = np.empty(shape)
+        env[f"xd{i + 1}"] = x_delayed.T[i]
+    out = np.empty(x_delayed.shape + (c.m,))
     for i, row in enumerate(c.diffusion):
         for j, expr in enumerate(row):
             v = eval_expr(expr, env, c.params)
             if not np.all(np.isfinite(v)):
                 raise ValueError(f"diffusion entry ({i + 1},{j + 1}) evaluated non-finite at t={t}")
-            if batched:
-                out[:, i, j] = v
-            else:
-                out[i, j] = v
+            out.T[j, i] = v
     return out
 
 
@@ -488,14 +482,18 @@ def hypothesis_audit(c: CoefficientSet, box, n_samples: int = 200, seed: int = 0
     # (H2).1 drift Lipschitz over random histories inside the box
     hist_grid = np.linspace(-delay, t_max, 17)
     k_min = int(np.searchsorted(hist_grid, 0.0))  # keep t - delay on the grid
+
+    def drift_on(t, h):
+        return eval_drift(c, t, h.current(), h.at(t - delay), h.sup_abs())
+
     lip = 0.0
     for _ in range(max(1, n_samples // 4)):
         hx = _random_history(rng, lo, hi, hist_grid)
         hy = _random_history(rng, lo, hi, hist_grid)
         k = int(rng.integers(max(k_min, 1), len(hist_grid)))
         t = float(hist_grid[k])
-        bx = eval_drift(c, t, HistoryView(hx, hist_grid, k), delay)
-        by = eval_drift(c, t, HistoryView(hy, hist_grid, k), delay)
+        bx = drift_on(t, HistoryView(hx, hist_grid, k))
+        by = drift_on(t, HistoryView(hy, hist_grid, k))
         denom = float(np.abs(hx[: k + 1] - hy[: k + 1]).max())
         if denom > 1e-12:
             lip = max(lip, float(np.linalg.norm(bx - by)) / denom)
@@ -505,7 +503,7 @@ def hypothesis_audit(c: CoefficientSet, box, n_samples: int = 200, seed: int = 0
     taus = np.linspace(0.0, t_max, 65)
     b0 = np.array([
         np.linalg.norm(
-            eval_drift(c, float(tau), HistoryView(zeros, np.linspace(tau - delay, tau, 17), 16), delay)
+            drift_on(float(tau), HistoryView(zeros, np.linspace(tau - delay, tau, 17), 16))
         )
         for tau in taus
     ])

@@ -38,9 +38,13 @@ def _check_admissible(z: SamplePath) -> None:
         )
 
 
-def regulator_values(z: np.ndarray) -> np.ndarray:
-    """Running maximum of the negative part, columnwise, as a raw array."""
-    return np.maximum.accumulate(np.maximum(-z, 0.0), axis=0)
+def regulator_values(z: np.ndarray, y_prev=0.0) -> np.ndarray:
+    """Running maximum of the negative part, columnwise, as a raw array.
+
+    y_prev is the regulator's value before z[0]; a solver that reflects
+    one delay interval at a time passes the previous interval's end value.
+    """
+    return np.maximum(y_prev, np.maximum.accumulate(np.maximum(-z, 0.0), axis=0))
 
 
 def regulator(z: SamplePath) -> SamplePath:

@@ -24,7 +24,7 @@ import numpy as np
 from .coeff import CoefficientSet, eval_diffusion, eval_drift
 from .fbm import sample_circulant, _hurst_value
 from .grids import SamplePath, TimeGrid
-from .young import HistoryView
+from .skorokhod import regulator_values
 
 __all__ = [
     "Problem",
@@ -185,48 +185,47 @@ def _package(p: Problem, g: SamplePath, grid: TimeGrid, x, y, z, iters, residual
     )
 
 
-def _batched_diffusion_increments(p: Problem, times, x, dg, i0: int, i1: int, offset: int) -> np.ndarray:
+def _start(p: Problem, g: SamplePath, cfg: SolverConfig):
+    """Grid on [-r, T], the arrays x, y, z and running sups of |x| filled on
+    [-r, 0] from the initial segment, and the driver increments."""
+    _check_setup(p, g, cfg)
+    n_r = cfg.steps_per_delay
+    grid = _full_grid(p, n_r)
+    x = np.zeros((grid.n_steps + 1, p.d))
+    x[: n_r + 1] = p.eta.values
+    z = x.copy()
+    y = np.zeros_like(x)
+    sups = np.empty_like(x)
+    np.maximum.accumulate(np.abs(p.eta.values), axis=0, out=sups[: n_r + 1])
+    return grid, x, y, z, sups, np.diff(g.values, axis=0)
+
+
+def _batched_diffusion_increments(p: Problem, times, x, dg, i0: int, i1: int, n_r: int) -> np.ndarray:
     """Left-point diffusion increments sigma(t_j, x(t_j - r)) dg_j on [i0, i1).
 
     The delayed argument lies in the already-fixed part of the path, so
     the whole interval is evaluated in one batch.
     """
-    n_r = offset
     idx = np.arange(i0, i1)
     sig = eval_diffusion(p.coeffs, times[idx], x[idx - n_r])  # (K, d, m)
-    return np.einsum("kdm,km->kd", sig, dg[idx - offset])
+    return np.einsum("kdm,km->kd", sig, dg[idx - n_r])
 
 
 def solve_euler(p: Problem, g: SamplePath, cfg: SolverConfig) -> ReflectedSolution:
     """Explicit scheme: left-point drift and diffusion, incremental reflection."""
-    _check_setup(p, g, cfg)
+    grid, x, y, z, sups, dg = _start(p, g, cfg)
     n_r = cfg.steps_per_delay
-    grid = _full_grid(p, n_r)
     times = grid.times
     dt = grid.dt
-    offset = n_r
-    total = grid.n_steps
-    d = p.d
-
-    x = np.zeros((total + 1, d))
-    z = np.zeros((total + 1, d))
-    y = np.zeros((total + 1, d))
-    x[: offset + 1] = p.eta.values
-    z[: offset + 1] = p.eta.values
-    sups = np.empty((total + 1, d))
-    np.maximum.accumulate(np.abs(p.eta.values), axis=0, out=sups[: offset + 1])
-
-    dg = np.diff(g.values, axis=0)
-    for interval in range(p.n_intervals):
-        i0 = offset + interval * n_r
+    for i0 in range(n_r, grid.n_steps, n_r):
         i1 = i0 + n_r
-        sig_dg = _batched_diffusion_increments(p, times, x, dg, i0, i1, offset)
+        sig_dg = _batched_diffusion_increments(p, times, x, dg, i0, i1, n_r)
         for k in range(i0, i1):
-            hist = HistoryView(x, times, k, sup_cache=sups)
-            b = eval_drift(p.coeffs, float(times[k]), hist, p.r)
+            b = eval_drift(p.coeffs, float(times[k]), x[k], x[k - n_r], sups[k])
             z[k + 1] = z[k] + b * dt + sig_dg[k - i0]
-            if not np.all(np.isfinite(z[k + 1])):
-                raise BlowUpError(k + 1 - offset, float(times[k + 1]))
+            if np.count_nonzero(np.isfinite(z[k + 1])) < p.d:
+                raise BlowUpError(k + 1 - n_r, float(times[k + 1]))
+            # one step of regulator_values; calling it per step costs more than the step
             y[k + 1] = np.maximum(y[k], np.maximum(-z[k + 1], 0.0))
             x[k + 1] = z[k + 1] + y[k + 1]
             sups[k + 1] = np.maximum(sups[k], np.abs(x[k + 1]))
@@ -247,53 +246,35 @@ def solve_picard(p: Problem, g: SamplePath, cfg: SolverConfig) -> ReflectedSolut
     Per delay interval the diffusion Young term is frozen (left-point, its
     argument is the previous interval's solution) and the map
     u -> eta(0) + drift integral + Young term + regulator is iterated to a
-    sup-norm fixed point from the configured initial iterate.
+    sup-norm fixed point from the configured initial iterate.  Each
+    iteration evaluates the drift on the whole interval in one batch.
     """
-    _check_setup(p, g, cfg)
+    grid, x, y, z, sups, dg = _start(p, g, cfg)
     n_r = cfg.steps_per_delay
-    grid = _full_grid(p, n_r)
     times = grid.times
     dt = grid.dt
-    offset = n_r
-    total = grid.n_steps
-    d = p.d
-
-    x = np.zeros((total + 1, d))
-    z = np.zeros((total + 1, d))
-    y = np.zeros((total + 1, d))
-    x[: offset + 1] = p.eta.values
-    z[: offset + 1] = p.eta.values
-    sups = np.empty((total + 1, d))
-    np.maximum.accumulate(np.abs(p.eta.values), axis=0, out=sups[: offset + 1])
-
-    dg = np.diff(g.values, axis=0)
     iters: list[int] = []
     residuals: list[float] = []
     for interval in range(p.n_intervals):
-        i0 = offset + interval * n_r
+        i0 = (interval + 1) * n_r
         i1 = i0 + n_r
-        incr = _batched_diffusion_increments(p, times, x, dg, i0, i1, offset)
-        young_cum = np.zeros((n_r + 1, d))
+        incr = _batched_diffusion_increments(p, times, x, dg, i0, i1, n_r)
+        young_cum = np.zeros((n_r + 1, p.d))
         np.cumsum(incr, axis=0, out=young_cum[1:])
+        t_int = times[i0 : i1 + 1]
+        x_delayed = x[i0 - n_r : i0 + 1]
 
         u = _initial_iterate(cfg.initial_iterate, x, i0, n_r, dt)
         u[0] = x[i0]
-        y_prev = y[i0]
-        residual = np.inf
-        n_iter = 0
         for n_iter in range(1, cfg.picard_max_iter + 1):
-            x[i0 : i1 + 1] = u
-            np.maximum.accumulate(np.maximum(sups[i0 - 1], np.abs(u)), axis=0, out=sups[i0 : i1 + 1])
-            bvals = np.empty((n_r + 1, d))
-            for j in range(n_r + 1):
-                hist = HistoryView(x, times, i0 + j, sup_cache=sups)
-                bvals[j] = eval_drift(p.coeffs, float(times[i0 + j]), hist, p.r)
-            drift_cum = np.zeros((n_r + 1, d))
-            np.cumsum(0.5 * dt * (bvals[:-1] + bvals[1:]), axis=0, out=drift_cum[1:])
+            u_sups = np.maximum.accumulate(np.maximum(sups[i0 - 1], np.abs(u)), axis=0)
+            b = eval_drift(p.coeffs, t_int, u, x_delayed, u_sups)
+            drift_cum = np.zeros((n_r + 1, p.d))
+            np.cumsum(0.5 * dt * (b[:-1] + b[1:]), axis=0, out=drift_cum[1:])
             z_int = z[i0] + drift_cum + young_cum
             if not np.all(np.isfinite(z_int)):
-                raise BlowUpError(i1 - offset, float(times[i1]))
-            y_int = np.maximum(y_prev, np.maximum.accumulate(np.maximum(-z_int, 0.0), axis=0))
+                raise BlowUpError(i1 - n_r, float(times[i1]))
+            y_int = regulator_values(z_int, y[i0])
             u_new = z_int + y_int
             residual = float(np.max(np.abs(u_new - u)))
             u = u_new
@@ -301,11 +282,9 @@ def solve_picard(p: Problem, g: SamplePath, cfg: SolverConfig) -> ReflectedSolut
                 break
         else:
             raise PicardConvergenceError(interval, residual, cfg.picard_max_iter)
-        if residual > cfg.picard_tol:
-            raise PicardConvergenceError(interval, residual, cfg.picard_max_iter)
         x[i0 : i1 + 1] = u
-        z[i0 : i1 + 1] = z[i0] + drift_cum + young_cum
-        y[i0 : i1 + 1] = np.maximum(y_prev, np.maximum.accumulate(np.maximum(-z[i0 : i1 + 1], 0.0), axis=0))
+        z[i0 : i1 + 1] = z_int
+        y[i0 : i1 + 1] = y_int
         np.maximum.accumulate(np.maximum(sups[i0 - 1], np.abs(u)), axis=0, out=sups[i0 : i1 + 1])
         iters.append(n_iter)
         residuals.append(residual)
@@ -343,7 +322,7 @@ def solve_stochastic(p: Problem, cfg: SolverConfig, n_paths: int) -> MonteCarloR
         try:
             g = sample_circulant(grid, p.H, p.m, seed=(cfg.seed, i))
             solutions[i] = solve(p, g, cfg)
-        except Exception as exc:  # collected, reported per path
+        except (BlowUpError, PicardConvergenceError, ValueError) as exc:  # reported per path
             failures[i] = exc
     return MonteCarloResult(solutions=solutions, failures=failures)
 
@@ -402,7 +381,7 @@ def check_invariants(sol: ReflectedSolution, x_floor: float = -1e-12) -> dict:
     y = sol.y.values
     z = sol.z.values
     dy = np.diff(y[t0_idx:], axis=0)
-    regul = np.maximum.accumulate(np.maximum(-z[t0_idx:], 0.0), axis=0)
+    regul = regulator_values(z[t0_idx:])
     residual = float(np.max((x[t0_idx:-1] * dy).sum(axis=0), initial=0.0))
     total_increase = float(np.max(y[-1] - y[t0_idx]))
     bound = 10.0 * grid.dt * float(np.abs(x).max()) * max(total_increase, grid.dt)

@@ -91,12 +91,10 @@ def young_integral(f, g: SamplePath, scheme: str = "trapezoid") -> IndefiniteInt
 class HistoryView:
     """Causal window onto a path: values are visible only up to t_max."""
 
-    def __init__(self, path_values: np.ndarray, times: np.ndarray, k_max: int,
-                 sup_cache: np.ndarray | None = None):
+    def __init__(self, path_values: np.ndarray, times: np.ndarray, k_max: int):
         self._values = path_values
         self._times = times
         self._k_max = k_max
-        self._sups = sup_cache
 
     @property
     def t_max(self) -> float:
@@ -121,8 +119,6 @@ class HistoryView:
 
     def sup_abs(self) -> np.ndarray:
         """Componentwise running sup of |x| over the visible window."""
-        if self._sups is not None:
-            return self._sups[self._k_max]
         return np.abs(self._values[: self._k_max + 1]).max(axis=0)
 
 

@@ -196,6 +196,33 @@ class TestConvergeCmd:
         assert all(e > 0 for e in table["errors"])
 
 
+class TestSolverErrors:
+    def test_picard_nonconvergence_exit_one(self, tmp_path, capsys):
+        body = Path(bundled("nonlinear_b.cfg")).read_text().replace(
+            "picard_max_iter = 100", "picard_max_iter = 1")
+        rc = main(["converge", write_config(tmp_path, body), "--levels", "16,32,64"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: Picard iteration")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_blow_up_exit_one(self, tmp_path, capsys):
+        # a finite drift of 1e308 pushes z past the float range before t = 2
+        body = MINIMAL.format(out=tmp_path).replace("horizon = 1.0", "horizon = 2.0").replace(
+            "drift = xd1", "drift = 1e308")
+        rc = main(["converge", write_config(tmp_path, body), "--levels", "8,16,32"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: non-finite state")
+
+
+class TestReadme:
+    def test_config_block_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = load_config(write_config(tmp_path, block))
+        assert cfg.directory == "out_linear_a"
+        assert cfg.solver.seed == 20260826
+
+
 class TestAuditCmd:
     def test_runs_and_reports(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MINIMAL.format(out=tmp_path))

@@ -111,23 +111,27 @@ def history_of(values, t0=-1.0, t1=0.0):
     return HistoryView(values, times, len(values) - 1)
 
 
+def drift_at(c, t, hist, delay):
+    return eval_drift(c, t, hist.current(), hist.at(t - delay), hist.sup_abs())
+
+
 class TestEvaluation:
     def test_drift_cos_at_zero(self):
         c = nonlinear_coeffs()
         hist = history_of(np.zeros((11, 1)))
-        assert eval_drift(c, 0.0, hist, 1.0)[0] == pytest.approx(1.0)
+        assert drift_at(c, 0.0, hist, 1.0)[0] == pytest.approx(1.0)
 
     def test_drift_delayed_initial_segment(self):
         # drift xd1 with eta(t) = t + r evaluates to eta(-r) = 0 at t = 0
         c = linear_coeffs()
         times = np.linspace(-1.0, 0.0, 11)
         hist = HistoryView((times + 1.0)[:, None], times, 10)
-        assert eval_drift(c, 0.0, hist, 1.0)[0] == pytest.approx(0.0)
+        assert drift_at(c, 0.0, hist, 1.0)[0] == pytest.approx(0.0)
 
     def test_zero_drift(self):
         c = CoefficientSet.from_strings(["0", "0"], [["1"], ["1"]])
         hist = history_of(np.zeros((5, 2)))
-        assert np.all(eval_drift(c, 0.0, hist, 1.0) == 0.0)
+        assert np.all(drift_at(c, 0.0, hist, 1.0) == 0.0)
 
     def test_diffusion_constant_matrix(self):
         c = CoefficientSet.from_strings(["0"], [["2.5", "-1"]])
@@ -152,11 +156,22 @@ class TestEvaluation:
         for k in range(3):
             assert np.allclose(batch[k], eval_diffusion(c, float(ts[k]), xs[k]))
 
+    def test_drift_batch_matches_rows(self):
+        c = CoefficientSet.from_strings(["cos(x1) + xd2 * s1", "2", "t * x3 - s2"],
+                                        [["1"], ["1"], ["1"]])
+        rng = np.random.default_rng(0)
+        ts = np.array([0.1, 0.5, 0.9, 1.3])
+        x, xd, sups = rng.uniform(0.0, 2.0, (3, 4, 3))
+        batch = eval_drift(c, ts, x, xd, sups)
+        assert batch.shape == (4, 3)
+        for k in range(4):
+            assert np.array_equal(batch[k], eval_drift(c, float(ts[k]), x[k], xd[k], sups[k]))
+
     def test_non_finite_drift_named(self):
         c = CoefficientSet.from_strings(["1 / t"], [["1"]])
         hist = history_of(np.zeros((5, 1)))
         with pytest.raises(ValueError, match="component 1"):
-            eval_drift(c, 0.0, hist, 1.0)
+            drift_at(c, 0.0, hist, 1.0)
 
     def test_causality_enforced(self):
         # a drift functional that tries to read the future blows up via HistoryView

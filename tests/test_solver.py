@@ -1,11 +1,17 @@
+import hashlib
+from dataclasses import replace
+from importlib import resources
+
 import numpy as np
 import pytest
-from dataclasses import replace
 
+from refsde import solver
+from refsde.cli import load_config
 from refsde.coeff import CoefficientSet
 from refsde.fbm import sample_circulant
 from refsde.grids import SamplePath, TimeGrid
 from refsde.solver import (
+    BlowUpError,
     PicardConvergenceError,
     Problem,
     SolverConfig,
@@ -226,3 +232,91 @@ class TestProblemValidation:
             SolverConfig(steps_per_delay=2)
         with pytest.raises(ValueError):
             SolverConfig(scheme="rk4")
+
+
+# SHA-256 of the bytes of x, y and z per path, Picard iterations and final
+# residuals (float.hex), for the bundled configs at n_r = 64 with 2 paths.
+GOLDEN = {
+    ("linear_a.cfg", "constant"): [
+        (("a71c5097720c7288f85c5c7a75a834820ee9795cd33349029ffc66dd0cc81a21",
+          "d5fe696dc1aa5c0a800bf800ce8fc6e26ab622c7dd7de4b9fd0c304fe4036256",
+          "a71c5097720c7288f85c5c7a75a834820ee9795cd33349029ffc66dd0cc81a21"), [], []),
+        (("e9cd1ae3d846c1106018c3b2138b54f6df82b1e01f8c27f8f235db639628e5e9",
+          "d5fe696dc1aa5c0a800bf800ce8fc6e26ab622c7dd7de4b9fd0c304fe4036256",
+          "e9cd1ae3d846c1106018c3b2138b54f6df82b1e01f8c27f8f235db639628e5e9"), [], []),
+    ],
+    ("nonlinear_b.cfg", "constant"): [
+        (("a5052eee30d845ee4c94eecedfeb66b333038fba32c16fc409cb39efcdb2105c",
+          "ec5711a7d99533f024e2e92d310afc7551cb2cbd6bec73db74426aedd14e5774",
+          "6e53d8d224430daab85bb888b0735ddad55782179764441491cb31df5e068ba4"),
+         [7, 12, 13], ["0x1.ae7e200000000p-35", "0x1.af64800000000p-34", "0x1.c320800000000p-35"]),
+        (("016f8af8f9dcdfc8d4f8e79812e6d063a5f367fe832fc0599ee87ec9eebbae7b",
+          "4bb829b94b8d0e35b85f824f917dae9e85caa8ec2f3f33c3bcdd6a3a8acfefcb",
+          "fe66403b536a730f3749e1d4aa983ca8feb830d02d2d64fe046145386eb79858"),
+         [10, 13, 12], ["0x1.a000000000000p-39", "0x1.af6d000000000p-36", "0x1.9720000000000p-37"]),
+    ],
+    ("nonlinear_b.cfg", "linear"): [
+        (("d436a30bae737195e9bd005f5908a9886ad91b0ba2ec4021da8341d743b67a21",
+          "ec5711a7d99533f024e2e92d310afc7551cb2cbd6bec73db74426aedd14e5774",
+          "8ac2e5432d03810ee6010cbe9c30eabc1ced3f1b03d8eaf414578cbe6f6ddecd"),
+         [7, 12, 14], ["0x1.ae7e200000000p-35", "0x1.9027000000000p-34", "0x1.6c52000000000p-37"]),
+        (("37c797f8f387d9d34e04f7cc13c258d6b62e9e7a5f7fb41800db5cad7f70a5e5",
+          "4bb829b94b8d0e35b85f824f917dae9e85caa8ec2f3f33c3bcdd6a3a8acfefcb",
+          "4a5e4c38633c882e22a0c6546fe05c9bb9caafc40cbed34aa8aee527843bb824"),
+         [10, 13, 13], ["0x1.a000000000000p-39", "0x1.25a4400000000p-34", "0x1.1818800000000p-34"]),
+    ],
+}
+
+
+class TestGolden:
+    @pytest.mark.parametrize("name,initial", sorted(GOLDEN))
+    def test_bundled_config_bytes(self, name, initial):
+        cfg = load_config(str(resources.files("refsde") / "configs" / name), steps_per_delay=64)
+        mc = solve_stochastic(cfg.problem, replace(cfg.solver, initial_iterate=initial), 2)
+        assert not mc.failures
+        got = [
+            (tuple(hashlib.sha256(sp.values.tobytes()).hexdigest() for sp in (s.x, s.y, s.z)),
+             s.iterations_per_interval, [r.hex() for r in s.final_residuals])
+            for s in mc.solutions
+        ]
+        assert got == GOLDEN[(name, initial)]
+
+    def test_non_dyadic_delay_reads_grid_value(self):
+        # r = 0.3 is not a dyadic multiple of dt; the delayed state must be
+        # the grid value x[k - n_r], not an interpolation from a float position
+        n_r, r = 64, 0.3
+        eta = eta_from_callable(lambda t: np.array([1.0 + t * t]), r, n_r, 1)
+        p = Problem(eta=eta, coeffs=CoefficientSet.from_strings(["xd1"], [["0"]]), r=r, T=3 * r)
+        sol = solve_euler(p, zero_driver(p, n_r), SolverConfig(steps_per_delay=n_r))
+        dt = sol.grid.dt
+        x = np.zeros(sol.grid.n_steps + 1)
+        x[: n_r + 1] = eta.values[:, 0]
+        for k in range(n_r, sol.grid.n_steps):
+            x[k + 1] = x[k] + x[k - n_r] * dt
+        assert np.array_equal(sol.x.values[:, 0], x)
+
+
+class TestPathFailures:
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(p, g, cfg):
+            raise TypeError("not a solver failure")
+
+        monkeypatch.setattr(solver, "solve", broken)
+        with pytest.raises(TypeError):
+            solve_stochastic(linear_problem(32), SolverConfig(steps_per_delay=32), 2)
+
+    def test_picard_failure_recorded_against_its_path(self, monkeypatch):
+        real_solve, calls = solver.solve, []
+
+        def fails_on_second_path(p, g, cfg):
+            calls.append(None)
+            if len(calls) == 2:
+                raise PicardConvergenceError(0, 1.0, cfg.picard_max_iter)
+            return real_solve(p, g, cfg)
+
+        monkeypatch.setattr(solver, "solve", fails_on_second_path)
+        mc = solve_stochastic(linear_problem(32), SolverConfig(steps_per_delay=32), 3)
+        assert list(mc.failures) == [1]
+        assert isinstance(mc.failures[1], PicardConvergenceError)
+        assert mc.solutions[1] is None
+        assert mc.n_ok == 2

@@ -156,16 +156,6 @@ class TestHistoryView:
         assert h.at(0.55)[0] == pytest.approx(0.55)
         assert h.current()[0] == pytest.approx(1.0)
 
-    def test_sup_cache_consistency(self):
-        rng = np.random.default_rng(1)
-        times = np.linspace(0.0, 1.0, 51)
-        vals = np.cumsum(rng.standard_normal((51, 2)), axis=0)
-        sups = np.maximum.accumulate(np.abs(vals), axis=0)
-        for k in (0, 17, 50):
-            cached = HistoryView(vals, times, k, sup_cache=sups).sup_abs()
-            plain = HistoryView(vals, times, k).sup_abs()
-            assert np.array_equal(cached, plain)
-
 
 class TestConstantProbe:
     def test_zero_integrand(self):
