@@ -144,14 +144,10 @@ def _parse_params(raw: str) -> dict:
 
 
 def _eta_values(exprs: list, params: dict, grid: TimeGrid, d: int) -> np.ndarray:
-    cols = []
-    for node in exprs:
-        col = np.array([eval_expr(node, {"t": float(t)}, params) for t in grid.times],
-                       dtype=float)
-        cols.append(col)
-    if len(cols) == 1 and d > 1:
-        cols = cols * d
-    return np.column_stack(cols)
+    times = grid.times
+    cols = [np.broadcast_to(eval_expr(node, {"t": times}, params), times.shape)
+            for node in exprs]
+    return np.column_stack(cols * d if len(cols) == 1 else cols)
 
 
 def load_config(path: str | Path, steps_per_delay: int | None = None) -> RunConfig:
@@ -312,6 +308,16 @@ def _write_json(path: Path, payload: dict) -> None:
                                sort_keys=True) + "\n")
 
 
+def _report(payload: dict, out: str | None) -> int:
+    """Write payload as JSON to out when given, then print it."""
+    if out:
+        path = Path(out)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        _write_json(path, payload)
+    print(json.dumps(payload, default=_json_default))
+    return 0
+
+
 # --- subcommands ----------------------------------------------------------
 
 def cmd_simulate(args) -> int:
@@ -414,12 +420,7 @@ def cmd_converge(args) -> int:
         "finest": finest,
         "seed": cfg.solver.seed,
     }
-    if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        _write_json(out, payload)
-    print(json.dumps(payload, default=_json_default))
-    return 0
+    return _report(payload, args.out)
 
 
 def cmd_audit(args) -> int:
@@ -430,12 +431,7 @@ def cmd_audit(args) -> int:
                               n_samples=args.samples, seed=cfg.solver.seed,
                               delay=cfg.problem.r)
     payload = dataclasses.asdict(report)
-    if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        _write_json(out, payload)
-    print(json.dumps(payload, default=_json_default))
-    return 0
+    return _report(payload, args.out)
 
 
 def cmd_norms(args) -> int:
@@ -445,12 +441,7 @@ def cmd_norms(args) -> int:
                                           lambda_weight=getattr(args, "lambda")).to_dict()
         for i in range(f.dim)
     }
-    if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        _write_json(out, reports)
-    print(json.dumps(reports, default=_json_default))
-    return 0
+    return _report(reports, args.out)
 
 
 # --- entry point ----------------------------------------------------------

@@ -125,14 +125,13 @@ def sample_cholesky(grid: TimeGrid, H, m: int = 1, seed=0) -> SamplePath:
 
 
 @lru_cache(maxsize=16)
-def _circulant_eigenvalues(n: int, h: float) -> tuple[np.ndarray, float]:
-    """Eigenvalues of the circulant embedding of the fGn covariance.
+def _circulant_eigenvalues(size: int, h: float) -> tuple[np.ndarray, float]:
+    """Eigenvalues of the circulant embedding of the fGn covariance of
+    `size` (a power of two) increments.
 
-    The embedding is padded to the next power of two >= n.  Negative
-    eigenvalues are clipped; the relative clipped mass is returned so the
-    caller can decide between warning and failing.
+    Negative eigenvalues are clipped; the relative clipped mass is
+    returned so the caller can decide between warning and failing.
     """
-    size = 1 << max(1, int(np.ceil(np.log2(n))))
     rho = _fgn_autocov(size + 1, h)
     c = np.concatenate([rho[:-1], rho[-1:], rho[-2:0:-1]])  # length 2*size
     lam = np.fft.fft(c).real
@@ -159,7 +158,8 @@ def sample_circulant(grid: TimeGrid, H, m: int = 1, seed=0,
         raise ValueError(f"circulant sampler capped at {CIRCULANT_MAX_STEPS} steps, got {n}")
     if m < 1:
         raise ValueError("m must be positive")
-    lam, clipped = _circulant_eigenvalues(n, h)
+    size = 1 << max(1, int(np.ceil(np.log2(n))))  # grids that pad alike share one embedding
+    lam, clipped = _circulant_eigenvalues(size, h)
     if clipped > clip_threshold:
         raise ValueError(
             f"circulant embedding clipped eigenvalue mass {clipped:.3e} exceeds "

@@ -6,9 +6,12 @@ piecewise-linear interpolant of the data against the exact antiderivative
 of the kernel, so closed-form test values are reproduced to roundoff for
 piecewise-linear inputs.
 
-Pair suprema are exact (all O(n^2) grid pairs) up to PAIR_SUP_EXACT_MAX
-points and fall back to a dyadic-lag approximation above that; report
-builders record the approximation flag.
+On the uniform grid a cell's integral depends on its lag alone and is
+linear in its two end values, so one table of weights per (n, dt, kernel)
+serves every row and start of a pass over lagged increments.  The
+W^(alpha,infinity) rows are exact at every size; above PAIR_SUP_EXACT_MAX
+steps the Hoelder quotient uses dyadic lags and the driver norm strided
+starts, which reports record as approximate_pair_sup.
 """
 
 from __future__ import annotations
@@ -79,39 +82,45 @@ def _cell_integrals(A, B, h_lo, h_hi, kappa: float) -> np.ndarray:
     return term_p + term_q
 
 
-def _restrict(f: SamplePath, interval: tuple[float, float] | None) -> tuple[np.ndarray, np.ndarray]:
-    if interval is None:
-        return f.times, f.values
-    i, j = f.grid.subgrid(*interval)
-    return f.times[i : j + 1], f.values[i : j + 1]
+def _lag_weights(n: int, dt: float, kappa: float) -> tuple[np.ndarray, np.ndarray]:
+    """Weights of the near (w = L dt) and far (w = (L+1) dt) end values in
+    the cell integral over [L dt, (L+1) dt], for lags L = 0..n."""
+    lags = np.arange(n + 1)
+    A, B = lags * dt, (lags + 1) * dt
+    return _cell_integrals(A, B, 1.0, 0.0, kappa), _cell_integrals(A, B, 0.0, 1.0, kappa)
 
 
-def _w_alpha_rows(times: np.ndarray, values: np.ndarray, alpha: float) -> np.ndarray:
-    """|f(u)| + int_s^u |f(u)-f(v)| (u-v)^(-alpha-1) dv at every grid point u."""
-    n = len(times) - 1
-    rows = np.empty(n + 1)
-    mag = np.linalg.norm(values, axis=1)
-    rows[0] = mag[0]
-    for k in range(1, n + 1):
-        diffs = np.linalg.norm(values[k] - values[: k + 1], axis=1)
-        A = times[k] - times[1 : k + 1]
-        B = times[k] - times[:k]
-        cells = _cell_integrals(A, B, diffs[1 : k + 1], diffs[:k], alpha + 1.0)
-        rows[k] = mag[k] + cells.sum()
+def _increments(values: np.ndarray, lag: int, stride: int = 1) -> np.ndarray:
+    """|f(t_(i+lag)) - f(t_i)| for every start i on the stride with a partner."""
+    ahead = values[lag::stride]
+    return np.linalg.norm(ahead - values[::stride][: len(ahead)], axis=1)
+
+
+def _w_alpha_rows(f: SamplePath, alpha: float) -> np.ndarray:
+    """|f(u)| + int_s^u |f(u)-f(v)| (u-v)^(-alpha-1) dv at every grid point u.
+
+    The lag-L increment ending at u closes cell L-1 and opens cell L.
+    """
+    n = f.grid.n_steps
+    near, far = _lag_weights(n, f.grid.dt, alpha + 1.0)
+    rows = np.linalg.norm(f.values, axis=1)
+    for lag in range(1, n + 1):
+        d = _increments(f.values, lag)
+        rows[lag:] += far[lag - 1] * d
+        rows[lag + 1 :] += near[lag] * d[1:]
     return rows
 
 
 def w_alpha_inf_norm(f: SamplePath, p: AlphaParams) -> float:
     """Discrete W^(alpha,infinity) norm of f on p.interval."""
-    times, values = _restrict(f, p.interval)
-    return float(_w_alpha_rows(times, values, p.alpha).max())
+    f = f.restrict(*p.interval) if p.interval else f
+    return float(_w_alpha_rows(f, p.alpha).max())
 
 
 def weighted_alpha_norm(f: SamplePath, p: AlphaParams) -> float:
     """Same as w_alpha_inf_norm with each u-term damped by exp(-lambda*u)."""
-    times, values = _restrict(f, p.interval)
-    rows = _w_alpha_rows(times, values, p.alpha)
-    return float((np.exp(-p.lambda_weight * times) * rows).max())
+    f = f.restrict(*p.interval) if p.interval else f
+    return float((np.exp(-p.lambda_weight * f.times) * _w_alpha_rows(f, p.alpha)).max())
 
 
 def _pair_lags(n: int) -> np.ndarray:
@@ -123,23 +132,16 @@ def _pair_lags(n: int) -> np.ndarray:
     return np.array(sorted(lags))
 
 
-def pair_sup_is_exact(n_points: int) -> bool:
-    return n_points - 1 <= PAIR_SUP_EXACT_MAX
-
-
 def holder_norm(f: SamplePath, lambda_exponent: float,
                 interval: tuple[float, float] | None = None) -> float:
     """sup|f| + sup over grid pairs of |f(v)-f(u)| / (v-u)^lambda."""
     if not 0.0 < lambda_exponent <= 1.0:
         raise ValueError(f"Hoelder exponent must lie in (0, 1], got {lambda_exponent}")
-    times, values = _restrict(f, interval)
-    n = len(times) - 1
-    sup = float(np.linalg.norm(values, axis=1).max())
+    f = f.restrict(*interval) if interval else f
+    sup = float(np.linalg.norm(f.values, axis=1).max())
     quot = 0.0
-    for lag in _pair_lags(n):
-        d = np.linalg.norm(values[lag:] - values[:-lag], axis=1)
-        dt = times[lag:] - times[:-lag]
-        quot = max(quot, float((d / dt ** lambda_exponent).max()))
+    for lag in _pair_lags(f.grid.n_steps):
+        quot = max(quot, float(_increments(f.values, lag).max()) / (lag * f.grid.dt) ** lambda_exponent)
     return sup + quot
 
 
@@ -150,18 +152,19 @@ def g_norm_one_minus_alpha(g: SamplePath, alpha: float,
         raise ValueError(f"driver norm is defined per component, got dim={g.dim}")
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
-    times, values = _restrict(g, interval)
-    vals = values[:, 0]
-    n = len(times) - 1
-    stride = 1 if n <= PAIR_SUP_EXACT_MAX else max(1, n // PAIR_SUP_EXACT_MAX)
+    g = g.restrict(*interval) if interval else g
+    n, dt = g.grid.n_steps, g.grid.dt
+    stride = max(1, n // PAIR_SUP_EXACT_MAX)  # every start up to PAIR_SUP_EXACT_MAX steps
+    near, far = _lag_weights(n, dt, 2.0 - alpha)
+    prev = np.zeros(len(g.values[1::stride]))  # lag 0: h vanishes at the singular end
+    integral = np.zeros_like(prev)  # kernel integral from each start out to the current lag
     best = 0.0
-    for i in range(0, n, stride):
-        h = np.abs(vals[i:] - vals[i])  # h[0] = 0 at the singular end
-        w = times[i:] - times[i]
-        cells = _cell_integrals(w[:-1], w[1:], h[:-1], h[1:], 2.0 - alpha)
-        integral = np.cumsum(cells)
-        quot = h[1:] / w[1:] ** (1.0 - alpha)
-        best = max(best, float((quot + integral).max()))
+    for lag in range(1, n + 1):
+        h = _increments(g.values, lag, stride)
+        m = len(h)
+        integral[:m] += near[lag - 1] * prev[:m] + far[lag - 1] * h
+        best = max(best, float((h / (lag * dt) ** (1.0 - alpha) + integral[:m]).max()))
+        prev = h
     return best
 
 
@@ -188,15 +191,15 @@ def f_norm_alpha_1(f: SamplePath, alpha: float,
         raise ValueError(f"W^(alpha,1) norm expects a scalar path, got dim={f.dim}")
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
-    times, values = _restrict(f, interval)
+    f = f.restrict(*interval) if interval else f
+    times = f.times
     if times[0] < -1e-12:
         raise ValueError("W^(alpha,1) norm is defined on [0, T]")
-    vals = np.abs(values[:, 0])
+    vals = np.abs(f.values[:, 0])
     # int |f(s)| s^(-alpha) ds, kernel mild at 0
     first = float(_cell_integrals(times[:-1], times[1:], vals[:-1], vals[1:], alpha).sum())
     # double integral: trapezoid in the outer variable of the singular rows
-    rows = _w_alpha_rows(times, values, alpha)
-    inner = rows - vals  # strip the |f(u)| part, keep the singular integral
+    inner = _w_alpha_rows(f, alpha) - vals  # strip the |f(u)| part, keep the singular integral
     second = float(np.trapezoid(inner, times))
     return first + second
 
@@ -210,11 +213,10 @@ def holder_exponent_estimate(f: SamplePath, with_flag: bool = False):
     n = f.grid.n_steps
     if n < 64:
         raise ValueError(f"need at least 64 steps for the exponent estimate, got {n}")
-    values = f.values
     lags, mags = [], []
     lag = 1
     while lag <= n // 4:
-        m = float(np.linalg.norm(values[lag:] - values[:-lag], axis=1).max())
+        m = float(_increments(f.values, lag).max())
         if m > 0.0:
             lags.append(lag * f.grid.dt)
             mags.append(m)
@@ -255,19 +257,21 @@ def norm_report(f: SamplePath, alpha: float, lambda_weight: float = 0.0) -> Norm
     """Evaluate the standard battery of norms on one path."""
     params = AlphaParams(alpha=alpha, lambda_weight=lambda_weight)
     exponent, constant = holder_exponent_estimate(f, with_flag=True) if f.grid.n_steps >= 64 else (None, None)
+    times = f.times
+    rows = _w_alpha_rows(f, params.alpha)
     norms = {
-        "w_alpha_inf": w_alpha_inf_norm(f, params),
-        "weighted_alpha": weighted_alpha_norm(f, params),
+        "w_alpha_inf": float(rows.max()),
+        "weighted_alpha": float((np.exp(-params.lambda_weight * times) * rows).max()),
         "holder_1_minus_alpha": holder_norm(f, 1.0 - alpha),
-        "lambda_alpha_bound": lambda_alpha_bound(f, alpha) if abs(f.times[0]) < 1e-12 else None,
+        "lambda_alpha_bound": lambda_alpha_bound(f, alpha) if abs(times[0]) < 1e-12 else None,
         "holder_exponent_estimate": exponent,
         "constant_path": constant,
     }
     return NormReport(
         alpha=alpha,
         lambda_weight=lambda_weight,
-        interval=(float(f.times[0]), float(f.times[-1])),
+        interval=(float(times[0]), float(times[-1])),
         n_steps=f.grid.n_steps,
         norms=norms,
-        approximate_pair_sup=not pair_sup_is_exact(f.grid.n_steps + 1),
+        approximate_pair_sup=f.grid.n_steps > PAIR_SUP_EXACT_MAX,
     )

@@ -217,18 +217,19 @@ def solve_euler(p: Problem, g: SamplePath, cfg: SolverConfig) -> ReflectedSoluti
     n_r = cfg.steps_per_delay
     times = grid.times
     dt = grid.dt
-    for i0 in range(n_r, grid.n_steps, n_r):
-        i1 = i0 + n_r
-        sig_dg = _batched_diffusion_increments(p, times, x, dg, i0, i1, n_r)
-        for k in range(i0, i1):
-            b = eval_drift(p.coeffs, float(times[k]), x[k], x[k - n_r], sups[k])
-            z[k + 1] = z[k] + b * dt + sig_dg[k - i0]
-            if np.count_nonzero(np.isfinite(z[k + 1])) < p.d:
-                raise BlowUpError(k + 1 - n_r, float(times[k + 1]))
-            # one step of regulator_values; calling it per step costs more than the step
-            y[k + 1] = np.maximum(y[k], np.maximum(-z[k + 1], 0.0))
-            x[k + 1] = z[k + 1] + y[k + 1]
-            sups[k + 1] = np.maximum(sups[k], np.abs(x[k + 1]))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow ends as BlowUpError
+        for i0 in range(n_r, grid.n_steps, n_r):
+            i1 = i0 + n_r
+            sig_dg = _batched_diffusion_increments(p, times, x, dg, i0, i1, n_r)
+            for k in range(i0, i1):
+                b = eval_drift(p.coeffs, float(times[k]), x[k], x[k - n_r], sups[k])
+                z[k + 1] = z[k] + b * dt + sig_dg[k - i0]
+                if np.count_nonzero(np.isfinite(z[k + 1])) < p.d:
+                    raise BlowUpError(k + 1 - n_r, float(times[k + 1]))
+                # one step of regulator_values; calling it per step costs more than the step
+                y[k + 1] = np.maximum(y[k], np.maximum(-z[k + 1], 0.0))
+                x[k + 1] = z[k + 1] + y[k + 1]
+                sups[k + 1] = np.maximum(sups[k], np.abs(x[k + 1]))
     return _package(p, g, grid, x, y, z, [], [])
 
 
@@ -255,39 +256,40 @@ def solve_picard(p: Problem, g: SamplePath, cfg: SolverConfig) -> ReflectedSolut
     dt = grid.dt
     iters: list[int] = []
     residuals: list[float] = []
-    for interval in range(p.n_intervals):
-        i0 = (interval + 1) * n_r
-        i1 = i0 + n_r
-        incr = _batched_diffusion_increments(p, times, x, dg, i0, i1, n_r)
-        young_cum = np.zeros((n_r + 1, p.d))
-        np.cumsum(incr, axis=0, out=young_cum[1:])
-        t_int = times[i0 : i1 + 1]
-        x_delayed = x[i0 - n_r : i0 + 1]
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow ends as BlowUpError
+        for interval in range(p.n_intervals):
+            i0 = (interval + 1) * n_r
+            i1 = i0 + n_r
+            incr = _batched_diffusion_increments(p, times, x, dg, i0, i1, n_r)
+            young_cum = np.zeros((n_r + 1, p.d))
+            np.cumsum(incr, axis=0, out=young_cum[1:])
+            t_int = times[i0 : i1 + 1]
+            x_delayed = x[i0 - n_r : i0 + 1]
 
-        u = _initial_iterate(cfg.initial_iterate, x, i0, n_r, dt)
-        u[0] = x[i0]
-        for n_iter in range(1, cfg.picard_max_iter + 1):
-            u_sups = np.maximum.accumulate(np.maximum(sups[i0 - 1], np.abs(u)), axis=0)
-            b = eval_drift(p.coeffs, t_int, u, x_delayed, u_sups)
-            drift_cum = np.zeros((n_r + 1, p.d))
-            np.cumsum(0.5 * dt * (b[:-1] + b[1:]), axis=0, out=drift_cum[1:])
-            z_int = z[i0] + drift_cum + young_cum
-            if not np.all(np.isfinite(z_int)):
-                raise BlowUpError(i1 - n_r, float(times[i1]))
-            y_int = regulator_values(z_int, y[i0])
-            u_new = z_int + y_int
-            residual = float(np.max(np.abs(u_new - u)))
-            u = u_new
-            if residual <= cfg.picard_tol:
-                break
-        else:
-            raise PicardConvergenceError(interval, residual, cfg.picard_max_iter)
-        x[i0 : i1 + 1] = u
-        z[i0 : i1 + 1] = z_int
-        y[i0 : i1 + 1] = y_int
-        np.maximum.accumulate(np.maximum(sups[i0 - 1], np.abs(u)), axis=0, out=sups[i0 : i1 + 1])
-        iters.append(n_iter)
-        residuals.append(residual)
+            u = _initial_iterate(cfg.initial_iterate, x, i0, n_r, dt)
+            u[0] = x[i0]
+            for n_iter in range(1, cfg.picard_max_iter + 1):
+                u_sups = np.maximum.accumulate(np.maximum(sups[i0 - 1], np.abs(u)), axis=0)
+                b = eval_drift(p.coeffs, t_int, u, x_delayed, u_sups)
+                drift_cum = np.zeros((n_r + 1, p.d))
+                np.cumsum(0.5 * dt * (b[:-1] + b[1:]), axis=0, out=drift_cum[1:])
+                z_int = z[i0] + drift_cum + young_cum
+                if not np.all(np.isfinite(z_int)):
+                    raise BlowUpError(i1 - n_r, float(times[i1]))
+                y_int = regulator_values(z_int, y[i0])
+                u_new = z_int + y_int
+                residual = float(np.max(np.abs(u_new - u)))
+                u = u_new
+                if residual <= cfg.picard_tol:
+                    break
+            else:
+                raise PicardConvergenceError(interval, residual, cfg.picard_max_iter)
+            x[i0 : i1 + 1] = u
+            z[i0 : i1 + 1] = z_int
+            y[i0 : i1 + 1] = y_int
+            np.maximum.accumulate(np.maximum(sups[i0 - 1], np.abs(u)), axis=0, out=sups[i0 : i1 + 1])
+            iters.append(n_iter)
+            residuals.append(residual)
     return _package(p, g, grid, x, y, z, iters, residuals)
 
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -204,14 +205,17 @@ class TestSolverErrors:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: Picard iteration")
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_blow_up_exit_one(self, tmp_path, capsys):
         # a finite drift of 1e308 pushes z past the float range before t = 2
-        body = MINIMAL.format(out=tmp_path).replace("horizon = 1.0", "horizon = 2.0").replace(
-            "drift = xd1", "drift = 1e308")
-        rc = main(["converge", write_config(tmp_path, body), "--levels", "8,16,32"])
-        assert rc == 1
-        assert capsys.readouterr().err.startswith("error: non-finite state")
+        for scheme in ("euler", "picard"):
+            body = MINIMAL.format(out=tmp_path).replace("horizon = 1.0", "horizon = 2.0").replace(
+                "drift = xd1", "drift = 1e308").replace("scheme = euler", f"scheme = {scheme}")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rc = main(["converge", write_config(tmp_path, body), "--levels", "8,16,32"])
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], scheme
+            assert rc == 1
+            assert capsys.readouterr().err.startswith("error: non-finite state")
 
 
 class TestReadme:
@@ -221,6 +225,12 @@ class TestReadme:
         cfg = load_config(write_config(tmp_path, block))
         assert cfg.directory == "out_linear_a"
         assert cfg.solver.seed == 20260826
+
+    def test_python_sketch_runs(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {})
+        assert "'x_nonnegative': True" in capsys.readouterr().out
 
 
 class TestAuditCmd:

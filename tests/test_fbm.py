@@ -4,6 +4,7 @@ from scipy import stats
 
 from refsde.fbm import (
     CHOLESKY_CAP,
+    _circulant_eigenvalues,
     HurstParameter,
     empirical_covariance,
     fbm_covariance,
@@ -125,6 +126,14 @@ class TestCirculant:
     def test_grid_must_start_at_zero(self):
         with pytest.raises(ValueError):
             sample_circulant(TimeGrid(-1.0, 1.0, 16), 0.75, 1, seed=0)
+
+    def test_eigenvalue_cache_keyed_by_padded_size(self):
+        # 100 and 120 steps both embed in 128
+        _circulant_eigenvalues.cache_clear()
+        sample_circulant(TimeGrid(0.0, 1.0, 100), 0.7, 1, seed=0)
+        sample_circulant(TimeGrid(0.0, 1.0, 120), 0.7, 1, seed=0)
+        info = _circulant_eigenvalues.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 class TestEmpiricalCovariance:

@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import gamma
 
+import refsde.fracnorm as fracnorm
 from refsde.fracnorm import (
     AlphaParams,
+    _cell_integrals,
+    _w_alpha_rows,
     f_norm_alpha_1,
     g_norm_one_minus_alpha,
     holder_exponent_estimate,
@@ -23,6 +26,91 @@ def random_path(seed, n=200, scale=1.0):
     rng = np.random.default_rng(seed)
     vals = np.cumsum(rng.standard_normal(n + 1)) * scale / np.sqrt(n)
     return SamplePath(TimeGrid(0.0, 1.0, n), vals)
+
+
+def walk(seed, n, d=1, t0=0.0):
+    rng = np.random.default_rng(seed)
+    vals = np.cumsum(rng.standard_normal((n + 1, d)), axis=0) / np.sqrt(n)
+    return SamplePath(TimeGrid(t0, t0 + 2.0, n), vals)
+
+
+# Reference quadratures: one kernel evaluation per row and per start, from
+# absolute times, as the norms were computed before the lag-weight tables.
+
+def rows_per_row(times, values, alpha):
+    n = len(times) - 1
+    rows = np.empty(n + 1)
+    mag = np.linalg.norm(values, axis=1)
+    rows[0] = mag[0]
+    for k in range(1, n + 1):
+        diffs = np.linalg.norm(values[k] - values[: k + 1], axis=1)
+        A = times[k] - times[1 : k + 1]
+        B = times[k] - times[:k]
+        cells = _cell_integrals(A, B, diffs[1 : k + 1], diffs[:k], alpha + 1.0)
+        rows[k] = mag[k] + cells.sum()
+    return rows
+
+
+def g_norm_per_start(times, vals, alpha, stride=1):
+    n = len(times) - 1
+    best = 0.0
+    for i in range(0, n, stride):
+        h = np.abs(vals[i:] - vals[i])  # h[0] = 0 at the singular end
+        w = times[i:] - times[i]
+        cells = _cell_integrals(w[:-1], w[1:], h[:-1], h[1:], 2.0 - alpha)
+        integral = np.cumsum(cells)
+        quot = h[1:] / w[1:] ** (1.0 - alpha)
+        best = max(best, float((quot + integral).max()))
+    return best
+
+
+def holder_over_lags(times, values, lam, lags):
+    quot = max(float((np.linalg.norm(values[L:] - values[:-L], axis=1)
+                      / (times[L:] - times[:-L]) ** lam).max()) for L in lags)
+    return float(np.linalg.norm(values, axis=1).max()) + quot
+
+
+class TestLagQuadrature:
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.45])
+    @pytest.mark.parametrize("t0", [0.0, -1.0])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_rows_match_per_row_oracle(self, d, t0, alpha):
+        f = walk(d * 10 + int(alpha * 100), 300, d, t0)
+        for interval in (None, (t0 + 0.3, t0 + 1.7)):
+            sub = f.restrict(*interval) if interval else f
+            want = rows_per_row(sub.times, sub.values, alpha)
+            got = _w_alpha_rows(sub, alpha)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.45])
+    @pytest.mark.parametrize("t0", [0.0, -1.0])
+    def test_g_norm_matches_per_start_oracle(self, t0, alpha):
+        g = walk(int(alpha * 100), 300, 1, t0)
+        for interval in (None, (t0 + 0.3, t0 + 1.7)):
+            sub = g.restrict(*interval) if interval else g
+            want = g_norm_per_start(sub.times, sub.values[:, 0], alpha)
+            assert g_norm_one_minus_alpha(g, alpha, interval) == pytest.approx(want, rel=1e-12)
+
+    def test_strided_starts_and_dyadic_lags(self, monkeypatch):
+        monkeypatch.setattr(fracnorm, "PAIR_SUP_EXACT_MAX", 50)
+        g = walk(1, 200)
+        strided = g_norm_per_start(g.times, g.values[:, 0], 0.3, stride=4)
+        assert strided < g_norm_per_start(g.times, g.values[:, 0], 0.3)  # best start skipped
+        assert g_norm_one_minus_alpha(g, 0.3) == pytest.approx(strided, rel=1e-12)
+        # the largest increment of the tent spans lag 150, which is not dyadic
+        tent = path_on(0.0, 2.0, 200, lambda t: np.minimum(t, 3.0 - t))
+        dyadic = holder_over_lags(tent.times, tent.values, 0.7, [1, 2, 4, 8, 16, 32, 64, 128, 200])
+        assert dyadic < holder_over_lags(tent.times, tent.values, 0.7, range(1, 201))
+        assert holder_norm(tent, 0.7) == pytest.approx(dyadic, rel=1e-12)
+        assert norm_report(g, 0.3).approximate_pair_sup
+
+    @pytest.mark.parametrize("lam", [0.0, 2.0])
+    def test_report_rows_equal_standalone_norms(self, lam):
+        f = walk(4, 300, t0=-1.0)
+        norms = norm_report(f, 0.3, lambda_weight=lam).norms
+        p = AlphaParams(alpha=0.3, lambda_weight=lam)
+        assert norms["w_alpha_inf"] == w_alpha_inf_norm(f, p)
+        assert norms["weighted_alpha"] == weighted_alpha_norm(f, p)
 
 
 class TestWAlphaInf:
