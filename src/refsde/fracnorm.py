@@ -176,12 +176,10 @@ def lambda_alpha_bound(g: SamplePath, alpha: float,
     exact supremum of the Weyl derivative; for multi-component g the
     maximum over components is returned.
     """
-    from scipy.special import gamma
-
     norm = max(
         g_norm_one_minus_alpha(g.component(i), alpha, interval) for i in range(g.dim)
     )
-    return float(norm / (gamma(1.0 - alpha) * gamma(alpha)))
+    return float(norm / (math.gamma(1.0 - alpha) * math.gamma(alpha)))
 
 
 def f_norm_alpha_1(f: SamplePath, alpha: float,

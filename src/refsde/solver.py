@@ -4,7 +4,11 @@ Two schemes for a fixed driver g:
 
 * ``solve_euler``: explicit forward recursion in z with the running-max
   regulator applied incrementally each step, so the drift's history
-  argument always sees reflected values.
+  argument always sees reflected values.  A drift that reads only t and
+  the delayed state xd1..xdd has no unknown inside a delay interval, so
+  such a drift is stepped one whole interval at a time with array
+  operations (the method of steps); x, y and z are byte for byte those of
+  the step loop, which stays the only path for drifts that read x or s.
 * ``solve_picard``: the interval-by-interval fixed-point construction.
   On [nr, (n+1)r] the Young integral of the diffusion is computed once
   (its argument is the already-fixed solution up to nr) and the drift +
@@ -21,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coeff import CoefficientSet, eval_diffusion, eval_drift
+from .coeff import CoefficientSet, collect_vars, diffusion_variables, eval_diffusion, eval_drift
 from .fbm import sample_circulant, _hurst_value
 from .grids import SamplePath, TimeGrid
 from .skorokhod import regulator_values
@@ -211,25 +215,65 @@ def _batched_diffusion_increments(p: Problem, times, x, dg, i0: int, i1: int, n_
     return np.einsum("kdm,km->kd", sig, dg[idx - n_r])
 
 
+def _euler_steps(p: Problem, times, dt: float, x, y, z, sups, sig_dg, i0: int, i1: int, n_r: int) -> None:
+    """The Euler recursion on [i0, i1], one grid step at a time."""
+    for k in range(i0, i1):
+        b = eval_drift(p.coeffs, float(times[k]), x[k], x[k - n_r], sups[k])
+        z[k + 1] = z[k] + b * dt + sig_dg[k - i0]
+        if np.count_nonzero(np.isfinite(z[k + 1])) < p.d:
+            raise BlowUpError(k + 1 - n_r, float(times[k + 1]))
+        # one step of regulator_values; calling it per step costs more than the step
+        y[k + 1] = np.maximum(y[k], np.maximum(-z[k + 1], 0.0))
+        x[k + 1] = z[k + 1] + y[k + 1]
+        sups[k + 1] = np.maximum(sups[k], np.abs(x[k + 1]))
+
+
+def _euler_interval(p: Problem, times, dt: float, x, y, z, sups, sig_dg, i0: int, i1: int, n_r: int) -> None:
+    """The Euler recursion on [i0, i1] for a drift that reads only t and the
+    delayed state, which is already fixed there: one drift call and one
+    cumulative sum, with the step loop's rounding."""
+    xd = x[i0 - n_r : i1 - n_r]
+    try:
+        b = eval_drift(p.coeffs, times[i0:i1], xd, xd, xd)  # x and s are not read
+    except ValueError:
+        # a non-finite drift row; an earlier step may blow up first, so the
+        # step loop raises whichever failure comes first in step order
+        _euler_steps(p, times, dt, x, y, z, sups, sig_dg, i0, i1, n_r)
+        return
+    # [z[i0], b_0 dt, sig_dg_0, b_1 dt, ...]: the even partial sums are
+    # (z[k] + b_k dt) + sig_dg_k, added in the step loop's order
+    terms = np.empty((2 * (i1 - i0) + 1, p.d))
+    terms[0] = z[i0]
+    terms[1::2] = b * dt
+    terms[2::2] = sig_dg
+    z_new = np.cumsum(terms, axis=0)[2::2]
+    finite = np.isfinite(z_new).all(axis=1)
+    if not finite.all():
+        k = i0 + int(np.argmin(finite))  # the first step whose z[k + 1] is not finite
+        raise BlowUpError(k + 1 - n_r, float(times[k + 1]))
+    z[i0 + 1 : i1 + 1] = z_new
+    y[i0 + 1 : i1 + 1] = regulator_values(z_new, y[i0])
+    x[i0 + 1 : i1 + 1] = z_new + y[i0 + 1 : i1 + 1]
+    np.maximum.accumulate(np.maximum(sups[i0 - 1], np.abs(x[i0 : i1 + 1])), axis=0, out=sups[i0 : i1 + 1])
+
+
 def solve_euler(p: Problem, g: SamplePath, cfg: SolverConfig) -> ReflectedSolution:
-    """Explicit scheme: left-point drift and diffusion, incremental reflection."""
+    """Explicit scheme: left-point drift and diffusion, incremental reflection.
+
+    A drift in t and xd1..xdd only is stepped a delay interval at a time.
+    """
     grid, x, y, z, sups, dg = _start(p, g, cfg)
     n_r = cfg.steps_per_delay
     times = grid.times
     dt = grid.dt
+    # diffusion_variables: t and xd1..xdd
+    delay_only = set().union(*map(collect_vars, p.coeffs.drift)) <= diffusion_variables(p.d)
+    step = _euler_interval if delay_only else _euler_steps
     with np.errstate(over="ignore", invalid="ignore"):  # overflow ends as BlowUpError
         for i0 in range(n_r, grid.n_steps, n_r):
             i1 = i0 + n_r
             sig_dg = _batched_diffusion_increments(p, times, x, dg, i0, i1, n_r)
-            for k in range(i0, i1):
-                b = eval_drift(p.coeffs, float(times[k]), x[k], x[k - n_r], sups[k])
-                z[k + 1] = z[k] + b * dt + sig_dg[k - i0]
-                if np.count_nonzero(np.isfinite(z[k + 1])) < p.d:
-                    raise BlowUpError(k + 1 - n_r, float(times[k + 1]))
-                # one step of regulator_values; calling it per step costs more than the step
-                y[k + 1] = np.maximum(y[k], np.maximum(-z[k + 1], 0.0))
-                x[k + 1] = z[k + 1] + y[k + 1]
-                sups[k + 1] = np.maximum(sups[k], np.abs(x[k + 1]))
+            step(p, times, dt, x, y, z, sups, sig_dg, i0, i1, n_r)
     return _package(p, g, grid, x, y, z, [], [])
 
 
@@ -355,6 +399,8 @@ def convergence_study(p: Problem, g_fine: SamplePath, levels: list[int],
     if p.eta.grid.n_steps != finest:
         raise ValueError("initial segment must be sampled at the finest level")
     for lvl in levels:
+        if lvl < 1:
+            raise ValueError(f"level {lvl} is not a positive number of steps per delay")
         if finest % lvl:
             raise ValueError(f"level {lvl} does not divide the finest level {finest}")
 

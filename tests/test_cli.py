@@ -188,6 +188,12 @@ class TestConvergeCmd:
         assert rc == 1
         assert "3" in capsys.readouterr().err
 
+    def test_nonpositive_level_exit_one(self, tmp_path, capsys):
+        rc = main(["converge", write_config(tmp_path, MINIMAL.format(out=tmp_path)),
+                   "--levels", "0,64,128"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: level 0 ")
+
     def test_runs(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MINIMAL.format(out=tmp_path))
         rc = main(["converge", cfg, "--levels", "32,64,128"])

@@ -225,6 +225,13 @@ class TestLambdaBound:
         want = 3.5 / (gamma(0.6) * gamma(0.4))
         assert lambda_alpha_bound(g, 0.4) == pytest.approx(want, abs=1e-3)
 
+    def test_gamma_product_matches_scipy(self):
+        # the bound divides by math.gamma(1 - a) * math.gamma(a); scipy is the reference
+        g = random_path(9)
+        for alpha in np.linspace(0.01, 0.49, 25):
+            want = g_norm_one_minus_alpha(g, alpha) / (gamma(1.0 - alpha) * gamma(alpha))
+            assert lambda_alpha_bound(g, alpha) == pytest.approx(want, rel=4e-15)
+
     def test_scaling(self):
         g = random_path(8)
         g5 = SamplePath(g.grid, 5.0 * g.values)

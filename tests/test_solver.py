@@ -7,7 +7,7 @@ import pytest
 
 from refsde import solver
 from refsde.cli import load_config
-from refsde.coeff import CoefficientSet
+from refsde.coeff import CoefficientSet, eval_drift
 from refsde.fbm import sample_circulant
 from refsde.grids import SamplePath, TimeGrid
 from refsde.solver import (
@@ -320,3 +320,89 @@ class TestPathFailures:
         assert isinstance(mc.failures[1], PicardConvergenceError)
         assert mc.solutions[1] is None
         assert mc.n_ok == 2
+
+
+def euler_per_step(p, g, cfg):
+    """solve_euler's per-step loop, as it ran for every drift before delay-only
+    drifts were stepped an interval at a time; the oracle for that path."""
+    grid, x, y, z, sups, dg = solver._start(p, g, cfg)
+    n_r = cfg.steps_per_delay
+    times, dt = grid.times, grid.dt
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i0 in range(n_r, grid.n_steps, n_r):
+            i1 = i0 + n_r
+            sig_dg = solver._batched_diffusion_increments(p, times, x, dg, i0, i1, n_r)
+            for k in range(i0, i1):
+                b = eval_drift(p.coeffs, float(times[k]), x[k], x[k - n_r], sups[k])
+                z[k + 1] = z[k] + b * dt + sig_dg[k - i0]
+                if np.count_nonzero(np.isfinite(z[k + 1])) < p.d:
+                    raise BlowUpError(k + 1 - n_r, float(times[k + 1]))
+                y[k + 1] = np.maximum(y[k], np.maximum(-z[k + 1], 0.0))
+                x[k + 1] = z[k + 1] + y[k + 1]
+                sups[k + 1] = np.maximum(sups[k], np.abs(x[k + 1]))
+    return x, y, z
+
+
+def delay_problem(drift, diffusion, n_r, r=1.0, eta0=1.0, M=3):
+    coeffs = CoefficientSet.from_strings(drift, diffusion)
+    eta = eta_from_callable(lambda t: np.full(coeffs.d, eta0), r, n_r, coeffs.d)
+    return Problem(eta=eta, coeffs=coeffs, r=r, T=M * r)
+
+
+def failure(fn, p, g, cfg):
+    try:
+        fn(p, g, cfg)
+    except (BlowUpError, ValueError) as exc:
+        return type(exc), getattr(exc, "step", None), str(exc)
+    return None
+
+
+DELAY_ONLY = {
+    "linear": (["xd1"], [["0.2 * xd1 + 0.1"]], 1.0, 1.0),
+    "pinned": (["-1"], [["0.3"]], 1.0, 0.0),  # regulator active from the first step
+    "two_dim": (["-exp(xd1) + cos(3*t)", "xd1 - xd2"],
+                [["0.2 * xd1", "0.1"], ["sin(xd2)", "0.3"]], 1.0, 1.0),
+    "non_dyadic": (["xd1"], [["0.2 * xd1 + 0.1"]], 0.3, 1.0),
+}
+
+
+class TestDelayOnlyEuler:
+    @pytest.mark.parametrize("n_r", [64, 256])
+    @pytest.mark.parametrize("case", sorted(DELAY_ONLY))
+    def test_bytes_match_per_step_loop(self, case, n_r):
+        drift, diffusion, r, eta0 = DELAY_ONLY[case]
+        p = delay_problem(drift, diffusion, n_r, r=r, eta0=eta0)
+        cfg = SolverConfig(steps_per_delay=n_r)
+        for seed in (1, 2):
+            g = sample_circulant(driver_grid(p, n_r), 0.75, p.m, seed=seed)
+            sol = solve_euler(p, g, cfg)
+            for got, want in zip((sol.x, sol.y, sol.z), euler_per_step(p, g, cfg)):
+                assert np.array_equal(got.values, want)
+                assert got.values.tobytes() == want.tobytes()  # signed zeros too
+
+    @pytest.mark.parametrize("drift,calls", [("xd1 + cos(t)", 3), ("xd1 + x1", 3 * 16)])
+    def test_one_drift_call_per_interval(self, monkeypatch, drift, calls):
+        seen = []
+
+        def counted(*args):
+            seen.append(None)
+            return eval_drift(*args)
+
+        monkeypatch.setattr(solver, "eval_drift", counted)
+        p = delay_problem([drift], [["0"]], 16)
+        solve_euler(p, zero_driver(p, 16), SolverConfig(steps_per_delay=16))
+        assert len(seen) == calls
+
+    @pytest.mark.parametrize("drift,n_r,kind", [
+        ("1e308", 32, BlowUpError),  # a finite drift overflows z
+        ("(1.5 - t) ^ 0.5", 32, ValueError),  # the drift turns non-finite mid-interval
+        # z overflows at t = 1.875 on the step before the drift turns non-finite,
+        # but the interval's one drift call sees the non-finite row first
+        ("1e308 + (1.8 - t) ^ 0.5", 8, BlowUpError),
+    ])
+    def test_same_failure_same_step(self, drift, n_r, kind):
+        p = delay_problem([drift], [["0"]], n_r, M=2)
+        g, cfg = zero_driver(p, n_r), SolverConfig(steps_per_delay=n_r)
+        want = failure(euler_per_step, p, g, cfg)
+        assert want is not None and want[0] is kind
+        assert failure(solve_euler, p, g, cfg) == want
