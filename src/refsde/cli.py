@@ -64,6 +64,7 @@ from .solver import (
     PicardConvergenceError,
     Problem,
     SolverConfig,
+    _check_levels,
     check_invariants,
     convergence_study,
     driver_grid,
@@ -404,8 +405,7 @@ def cmd_skorokhod(args) -> int:
 
 def cmd_converge(args) -> int:
     levels = [int(v) for v in args.levels.split(",")]
-    if len(levels) < 3:
-        raise ValueError("need at least 3 refinement levels")
+    _check_levels(levels)  # before the finest driver is sampled
     finest = levels[-1]
     cfg = load_config(args.config, steps_per_delay=finest)
     if cfg.hurst is None:
@@ -469,18 +469,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, default=1.0)
     p.add_argument("--allow-h-half", action="store_true",
                    help="accept H = 1/2 (testing only)")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help="CSV file to write")
     p.set_defaults(fn=cmd_fbm)
 
     p = sub.add_parser("skorokhod", help="reflect a free path from CSV")
     p.add_argument("input")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help="CSV file to write")
     p.set_defaults(fn=cmd_skorokhod)
 
     p = sub.add_parser("converge", help="self-convergence study on one shared driver")
     p.add_argument("config")
     p.add_argument("--levels", required=True, help="comma-separated steps per delay")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=None, help="JSON file to write")
     p.set_defaults(fn=cmd_converge)
 
     p = sub.add_parser("audit", help="sample-based estimates of coefficient regularity")
@@ -488,14 +488,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box-lo", type=float, default=0.0)
     p.add_argument("--box-hi", type=float, default=2.0)
     p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=None, help="JSON file to write")
     p.set_defaults(fn=cmd_audit)
 
     p = sub.add_parser("norms", help="fractional norm battery of a CSV path")
     p.add_argument("input")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--lambda", type=float, default=0.0)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=None, help="JSON file to write")
     p.set_defaults(fn=cmd_norms)
 
     return parser

@@ -8,10 +8,26 @@ piecewise-linear inputs.
 
 On the uniform grid a cell's integral depends on its lag alone and is
 linear in its two end values, so one table of weights per (n, dt, kernel)
-serves every row and start of a pass over lagged increments.  The
-W^(alpha,infinity) rows are exact at every size; above PAIR_SUP_EXACT_MAX
-steps the Hoelder quotient uses dyadic lags and the driver norm strided
-starts, which reports record as approximate_pair_sup.
+serves every row and start.  The pair-based norms read the lagged
+increments |f(t_(s+L)) - f(t_s)| from one block sweep, _lag_blocks: each
+block is k consecutive lags by every start with a partner at the first of
+them, a sliding-window view of a zero-padded copy of the path minus the
+starts, written into one reused buffer.  Blocks hold about _BLOCK_ENTRIES
+entries (k grows as the lags leave fewer starts, and is at least 2), and
+the corner of starts that lose their partner inside the block is set to
+zero.  Two layouts use it:
+
+- (lag, end): the sweep over the time-reversed path, whose starts are the
+  ends u of f.  The W^(alpha,infinity) rows take one matrix-vector product
+  per block, and norm_report takes the Hoelder quotient from the same
+  blocks.
+- (lag, start), on the driver norm's start stride: the kernel integral of
+  each start runs along the lag axis and is carried from block to block,
+  added in the order of a per-lag loop.
+
+The W^(alpha,infinity) rows are exact at every size; above
+PAIR_SUP_EXACT_MAX steps the Hoelder quotient uses dyadic lags and the
+driver norm strided starts, which reports record as approximate_pair_sup.
 """
 
 from __future__ import annotations
@@ -21,6 +37,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import SamplePath
 
@@ -38,6 +55,9 @@ __all__ = [
 ]
 
 PAIR_SUP_EXACT_MAX = 8192
+# Lagged increments per block of the lag sweep.  A block keeps at least two
+# lags: each block also does O(starts) work, which one lag would not repay.
+_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -90,46 +110,91 @@ def _lag_weights(n: int, dt: float, kappa: float) -> tuple[np.ndarray, np.ndarra
     return _cell_integrals(A, B, 1.0, 0.0, kappa), _cell_integrals(A, B, 0.0, 1.0, kappa)
 
 
-def _increments(values: np.ndarray, lag: int, stride: int = 1) -> np.ndarray:
-    """|f(t_(i+lag)) - f(t_i)| for every start i on the stride with a partner."""
-    ahead = values[lag::stride]
-    return np.linalg.norm(ahead - values[::stride][: len(ahead)], axis=1)
+def _increments(values: np.ndarray, lag: int) -> np.ndarray:
+    """|f(t_(i+lag)) - f(t_i)| for every start i with a partner."""
+    return np.linalg.norm(values[lag:] - values[: len(values) - lag], axis=1)
 
 
-def _w_alpha_rows(f: SamplePath, alpha: float) -> np.ndarray:
+def _lag_blocks(values: np.ndarray, stride: int = 1):
+    """Sweep the lagged increments of a path in blocks of consecutive lags.
+
+    Yields (lags, h): h[j, i] = |f(t_(s+L)) - f(t_s)| for the lag
+    L = lags[j] and the start s = i * stride, over every start with a
+    partner at lags[0].  Entries whose start has no partner at L
+    (s + L > n, a corner of the block's last columns) are zero.  The next
+    block overwrites h.
+    """
+    n, d = values.shape[0] - 1, values.shape[1]
+    padded = np.zeros((2 * n + 1, d))  # the zeros keep every window in bounds
+    padded[: n + 1] = values
+    ahead = sliding_window_view(padded, n + 1, axis=0)  # ahead[a, :, b] = padded[a + b]
+    buf = np.empty(max(_BLOCK_ENTRIES, 2 * (n + 1)) * d)  # every block reuses it
+    lag0 = 1
+    while lag0 <= n:
+        m = (n - lag0) // stride + 1
+        k = min(n + 1 - lag0, max(2, _BLOCK_ENTRIES // m))
+        lags = np.arange(lag0, lag0 + k)
+        span = (m - 1) * stride + 1
+        diff = np.subtract(ahead[lag0 : lag0 + k, :, :span:stride], padded[:span:stride].T,
+                           out=buf[: k * d * m].reshape(k, d, m))
+        h = np.abs(diff[:, 0], out=diff[:, 0]) if d == 1 else np.linalg.norm(diff, axis=1)
+        full = (n - lags[-1]) // stride + 1  # starts with a partner at every lag of the block
+        h[:, full:][np.arange(full, m) * stride + lags[:, None] > n] = 0.0
+        yield lags, h
+        lag0 += k
+
+
+def _lag_powers(n: int, dt: float, exponent: float) -> np.ndarray:
+    """(L dt)^exponent for L = 1..n by the scalar pow: numpy's vectorised
+    power can differ from it in the last bit."""
+    return np.array([(lag * dt) ** exponent for lag in range(1, n + 1)])
+
+
+def _lag_quotient(h: np.ndarray, lags: np.ndarray, powers: np.ndarray) -> float:
+    """Largest |f(v) - f(u)| / (v - u)^lambda over one block of _lag_blocks."""
+    return float((h.max(axis=1) / powers[lags - 1]).max())
+
+
+def _w_alpha_rows(f: SamplePath, alpha: float,
+                  lambda_exponent: float | None = None) -> tuple[np.ndarray, float]:
     """|f(u)| + int_s^u |f(u)-f(v)| (u-v)^(-alpha-1) dv at every grid point u.
 
-    The lag-L increment ending at u closes cell L-1 and opens cell L.
+    The lag-L increment ending at u closes cell L-1 and opens cell L, so
+    each block adds one weighted sum of its lags to the rows.  With a
+    lambda_exponent the Hoelder quotient over every lag comes from the
+    same blocks; it is 0.0 without one.
     """
-    n = f.grid.n_steps
-    near, far = _lag_weights(n, f.grid.dt, alpha + 1.0)
+    n, dt = f.grid.n_steps, f.grid.dt
+    near, far = _lag_weights(n, dt, alpha + 1.0)
+    weight = far[:-1] + near[1:]
+    powers = None if lambda_exponent is None else _lag_powers(n, dt, lambda_exponent)
     rows = np.linalg.norm(f.values, axis=1)
-    for lag in range(1, n + 1):
-        d = _increments(f.values, lag)
-        rows[lag:] += far[lag - 1] * d
-        rows[lag + 1 :] += near[lag] * d[1:]
-    return rows
+    quot = 0.0
+    # the starts of the reversed path are the ends of f: column i ends at u = n - i
+    for lags, h in _lag_blocks(f.values[::-1]):
+        rows[lags[0]:] += (weight[lags - 1] @ h)[::-1]
+        if powers is not None:
+            quot = max(quot, _lag_quotient(h, lags, powers))
+    # the lag-u increment ending at u opens no cell: that cell would lie before t_0
+    rows[1:] -= near[1:] * np.linalg.norm(f.values[1:] - f.values[0], axis=1)
+    return rows, quot
 
 
 def w_alpha_inf_norm(f: SamplePath, p: AlphaParams) -> float:
     """Discrete W^(alpha,infinity) norm of f on p.interval."""
     f = f.restrict(*p.interval) if p.interval else f
-    return float(_w_alpha_rows(f, p.alpha).max())
+    return float(_w_alpha_rows(f, p.alpha)[0].max())
 
 
 def weighted_alpha_norm(f: SamplePath, p: AlphaParams) -> float:
     """Same as w_alpha_inf_norm with each u-term damped by exp(-lambda*u)."""
     f = f.restrict(*p.interval) if p.interval else f
-    return float((np.exp(-p.lambda_weight * f.times) * _w_alpha_rows(f, p.alpha)).max())
+    return float((np.exp(-p.lambda_weight * f.times) * _w_alpha_rows(f, p.alpha)[0]).max())
 
 
-def _pair_lags(n: int) -> np.ndarray:
-    """All lags up to PAIR_SUP_EXACT_MAX points, dyadic lags beyond."""
-    if n <= PAIR_SUP_EXACT_MAX:
-        return np.arange(1, n + 1)
-    lags = {1 << k for k in range(int(math.log2(n)) + 1)}
-    lags.add(n)
-    return np.array(sorted(lags))
+def _dyadic_lags(n: int) -> list[int]:
+    """Lags 1, 2, 4, ... up to n, and n itself."""
+    return sorted({1 << k for k in range(int(math.log2(n)) + 1)} | {n})
 
 
 def holder_norm(f: SamplePath, lambda_exponent: float,
@@ -138,10 +203,14 @@ def holder_norm(f: SamplePath, lambda_exponent: float,
     if not 0.0 < lambda_exponent <= 1.0:
         raise ValueError(f"Hoelder exponent must lie in (0, 1], got {lambda_exponent}")
     f = f.restrict(*interval) if interval else f
+    n, dt = f.grid.n_steps, f.grid.dt
     sup = float(np.linalg.norm(f.values, axis=1).max())
-    quot = 0.0
-    for lag in _pair_lags(f.grid.n_steps):
-        quot = max(quot, float(_increments(f.values, lag).max()) / (lag * f.grid.dt) ** lambda_exponent)
+    if n <= PAIR_SUP_EXACT_MAX:
+        powers = _lag_powers(n, dt, lambda_exponent)
+        quot = max(_lag_quotient(h, lags, powers) for lags, h in _lag_blocks(f.values))
+    else:
+        quot = max(float(_increments(f.values, lag).max()) / (lag * dt) ** lambda_exponent
+                   for lag in _dyadic_lags(n))
     return sup + quot
 
 
@@ -156,15 +225,30 @@ def g_norm_one_minus_alpha(g: SamplePath, alpha: float,
     n, dt = g.grid.n_steps, g.grid.dt
     stride = max(1, n // PAIR_SUP_EXACT_MAX)  # every start up to PAIR_SUP_EXACT_MAX steps
     near, far = _lag_weights(n, dt, 2.0 - alpha)
-    prev = np.zeros(len(g.values[1::stride]))  # lag 0: h vanishes at the singular end
-    integral = np.zeros_like(prev)  # kernel integral from each start out to the current lag
+    powers = _lag_powers(n, dt, 1.0 - alpha)
+    starts = len(range(0, n, stride))
+    integral = np.zeros(starts)  # kernel integral from each start out to the last lag
+    prev = np.zeros(starts)  # lag 0: h vanishes at the singular end
+    buf = np.empty(max(_BLOCK_ENTRIES, 2 * starts) + starts)
     best = 0.0
-    for lag in range(1, n + 1):
-        h = _increments(g.values, lag, stride)
-        m = len(h)
-        integral[:m] += near[lag - 1] * prev[:m] + far[lag - 1] * h
-        best = max(best, float((h / (lag * dt) ** (1.0 - alpha) + integral[:m]).max()))
-        prev = h
+    for lags, h in _lag_blocks(g.values, stride):
+        k, m = h.shape
+        # run[j + 1] = run[j] + (near[L-1] h(L-1) + far[L-1] h(L)) for L = lags[j]
+        run = buf[: (k + 1) * m].reshape(k + 1, m)
+        run[0] = integral[:m]
+        np.multiply(far[lags - 1, None], h, out=run[1:])
+        run[1] += near[lags[0] - 1] * prev[:m]
+        run[2:] += near[lags[1:] - 1, None] * h[:-1]
+        # one vector add per lag: np.cumsum along this axis runs a scalar chain per start
+        for j in range(k):
+            np.add(run[j], run[j + 1], out=run[j + 1])
+        integral, prev = run[-1].copy(), h[-1].copy()
+        # past its last partner a start adds near[L-1] h(L-1), less than its
+        # last quotient term h(L-1) / ((L-1) dt)^(1-alpha), and then zeros:
+        # its quotients there never exceed its last true one
+        quot = np.divide(h, powers[lags - 1, None], out=h)
+        quot += run[1:]
+        best = max(best, float(quot.max()))
     return best
 
 
@@ -197,7 +281,7 @@ def f_norm_alpha_1(f: SamplePath, alpha: float,
     # int |f(s)| s^(-alpha) ds, kernel mild at 0
     first = float(_cell_integrals(times[:-1], times[1:], vals[:-1], vals[1:], alpha).sum())
     # double integral: trapezoid in the outer variable of the singular rows
-    inner = _w_alpha_rows(f, alpha) - vals  # strip the |f(u)| part, keep the singular integral
+    inner = _w_alpha_rows(f, alpha)[0] - vals  # strip the |f(u)| part, keep the singular integral
     second = float(np.trapezoid(inner, times))
     return first + second
 
@@ -256,11 +340,13 @@ def norm_report(f: SamplePath, alpha: float, lambda_weight: float = 0.0) -> Norm
     params = AlphaParams(alpha=alpha, lambda_weight=lambda_weight)
     exponent, constant = holder_exponent_estimate(f, with_flag=True) if f.grid.n_steps >= 64 else (None, None)
     times = f.times
-    rows = _w_alpha_rows(f, params.alpha)
+    approximate = f.grid.n_steps > PAIR_SUP_EXACT_MAX
+    rows, quot = _w_alpha_rows(f, params.alpha, None if approximate else 1.0 - alpha)
     norms = {
         "w_alpha_inf": float(rows.max()),
         "weighted_alpha": float((np.exp(-params.lambda_weight * times) * rows).max()),
-        "holder_1_minus_alpha": holder_norm(f, 1.0 - alpha),
+        "holder_1_minus_alpha": (holder_norm(f, 1.0 - alpha) if approximate
+                                 else float(np.linalg.norm(f.values, axis=1).max()) + quot),
         "lambda_alpha_bound": lambda_alpha_bound(f, alpha) if abs(times[0]) < 1e-12 else None,
         "holder_exponent_estimate": exponent,
         "constant_path": constant,
@@ -271,5 +357,5 @@ def norm_report(f: SamplePath, alpha: float, lambda_weight: float = 0.0) -> Norm
         interval=(float(times[0]), float(times[-1])),
         n_steps=f.grid.n_steps,
         norms=norms,
-        approximate_pair_sup=f.grid.n_steps > PAIR_SUP_EXACT_MAX,
+        approximate_pair_sup=approximate,
     )

@@ -383,6 +383,20 @@ class ConvergenceTable:
         return list(zip(self.levels, self.errors))
 
 
+def _check_levels(levels: list[int]) -> None:
+    """At least 3 ascending positive levels, each dividing the finest."""
+    if len(levels) < 3:
+        raise ValueError("need at least 3 refinement levels")
+    if sorted(levels) != list(levels):
+        raise ValueError("levels must be ascending")
+    finest = levels[-1]
+    for lvl in levels:
+        if lvl < 1:
+            raise ValueError(f"level {lvl} is not a positive number of steps per delay")
+        if finest % lvl:
+            raise ValueError(f"level {lvl} does not divide the finest level {finest}")
+
+
 def convergence_study(p: Problem, g_fine: SamplePath, levels: list[int],
                       cfg: SolverConfig) -> ConvergenceTable:
     """Self-convergence against the finest level on one shared driver.
@@ -391,18 +405,10 @@ def convergence_study(p: Problem, g_fine: SamplePath, levels: list[int],
     level; coarser levels subsample them, so every level sees the same
     realization.
     """
-    if len(levels) < 3:
-        raise ValueError("need at least 3 refinement levels")
-    if sorted(levels) != list(levels):
-        raise ValueError("levels must be ascending")
+    _check_levels(levels)
     finest = levels[-1]
     if p.eta.grid.n_steps != finest:
         raise ValueError("initial segment must be sampled at the finest level")
-    for lvl in levels:
-        if lvl < 1:
-            raise ValueError(f"level {lvl} is not a positive number of steps per delay")
-        if finest % lvl:
-            raise ValueError(f"level {lvl} does not divide the finest level {finest}")
 
     def run(n_r: int) -> ReflectedSolution:
         stride = finest // n_r

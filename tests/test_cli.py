@@ -194,6 +194,16 @@ class TestConvergeCmd:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: level 0 ")
 
+    def test_levels_checked_before_sampling(self, tmp_path, capsys, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the driver was sampled before the levels were checked")
+
+        monkeypatch.setattr("refsde.cli.sample_circulant", no_sampling)
+        cfg = write_config(tmp_path, MINIMAL.format(out=tmp_path))
+        rc = main(["converge", cfg, "--levels", "3,64,262144"])
+        assert rc == 1
+        assert "does not divide" in capsys.readouterr().err
+
     def test_runs(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MINIMAL.format(out=tmp_path))
         rc = main(["converge", cfg, "--levels", "32,64,128"])
@@ -237,6 +247,15 @@ class TestReadme:
         block = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
         exec(compile(block, "README.md", "exec"), {})
         assert "'x_nonnegative': True" in capsys.readouterr().out
+
+
+    def test_out_is_a_file(self, tmp_path, capsys):
+        # the synopsis: fbm ... --out FILE, norms INPUT.csv ... --out FILE
+        csv, report = tmp_path / "a" / "f.csv", tmp_path / "b" / "n.json"
+        assert main(["fbm", "--hurst", "0.7", "--steps", "64", "--out", str(csv)]) == 0
+        assert main(["norms", str(csv), "--alpha", "0.3", "--out", str(report)]) == 0
+        assert csv.is_file() and report.is_file()
+        assert "component_1" in json.loads(report.read_text())
 
 
 class TestAuditCmd:

@@ -7,6 +7,7 @@ import refsde.fracnorm as fracnorm
 from refsde.fracnorm import (
     AlphaParams,
     _cell_integrals,
+    _lag_weights,
     _w_alpha_rows,
     f_norm_alpha_1,
     g_norm_one_minus_alpha,
@@ -70,6 +71,91 @@ def holder_over_lags(times, values, lam, lags):
     return float(np.linalg.norm(values, axis=1).max()) + quot
 
 
+# Per-lag references: one Python iteration per lag, as the norms were
+# computed before the block sweep.
+
+def increments(values, lag, stride=1):
+    ahead = values[lag::stride]
+    return np.linalg.norm(ahead - values[::stride][: len(ahead)], axis=1)
+
+
+def rows_per_lag(f, alpha):
+    n = f.grid.n_steps
+    near, far = _lag_weights(n, f.grid.dt, alpha + 1.0)
+    rows = np.linalg.norm(f.values, axis=1)
+    for lag in range(1, n + 1):
+        d = increments(f.values, lag)
+        rows[lag:] += far[lag - 1] * d
+        rows[lag + 1 :] += near[lag] * d[1:]
+    return rows
+
+
+def holder_per_lag(f, lam):
+    n, dt = f.grid.n_steps, f.grid.dt
+    if n <= fracnorm.PAIR_SUP_EXACT_MAX:
+        lags = np.arange(1, n + 1)
+    else:
+        lags = np.array(sorted({1 << k for k in range(int(np.log2(n)) + 1)} | {n}))
+    quot = 0.0
+    for lag in lags:
+        quot = max(quot, float(increments(f.values, lag).max()) / (lag * dt) ** lam)
+    return float(np.linalg.norm(f.values, axis=1).max()) + quot
+
+
+def g_norm_per_lag(g, alpha):
+    n, dt = g.grid.n_steps, g.grid.dt
+    stride = max(1, n // fracnorm.PAIR_SUP_EXACT_MAX)
+    near, far = _lag_weights(n, dt, 2.0 - alpha)
+    prev = np.zeros(len(g.values[1::stride]))
+    integral = np.zeros_like(prev)
+    best = 0.0
+    for lag in range(1, n + 1):
+        h = increments(g.values, lag, stride)
+        m = len(h)
+        integral[:m] += near[lag - 1] * prev[:m] + far[lag - 1] * h
+        best = max(best, float((h / (lag * dt) ** (1.0 - alpha) + integral[:m]).max()))
+        prev = h
+    return best
+
+
+class TestBlockSweep:
+    @pytest.mark.parametrize("budget", [7, 50])
+    @pytest.mark.parametrize("t0", [0.0, -1.0])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 300])
+    def test_matches_per_lag_oracles(self, monkeypatch, n, d, t0, budget):
+        monkeypatch.setattr(fracnorm, "_BLOCK_ENTRIES", budget)
+        f = walk(n + 10 * d, n, d, t0)
+        # blocks change size as the lags leave fewer starts; the last is cut short by n
+        blocks = [(len(lags), h.shape[1]) for lags, h in fracnorm._lag_blocks(f.values)]
+        assert sum(k for k, _ in blocks) == n
+        assert blocks[-1][0] < max(2, budget // blocks[-1][1])
+        if n == 300:
+            assert len(blocks) > 100
+        for interval in [None] + ([(t0 + 0.3, t0 + 1.7)] if n >= 3 else []):
+            sub = f.restrict(*interval) if interval else f
+            want = rows_per_lag(sub, 0.3)
+            rows, quot = _w_alpha_rows(sub, 0.3, 0.7)
+            assert np.max(np.abs(rows - want)) <= 1e-12 * np.max(np.abs(want))
+            assert holder_norm(f, 0.7, interval) == holder_per_lag(sub, 0.7)
+            assert float(np.linalg.norm(sub.values, axis=1).max()) + quot == holder_per_lag(sub, 0.7)
+            for i in range(d):
+                g = sub.component(i)
+                want = g_norm_per_lag(g, 0.3)
+                assert g_norm_one_minus_alpha(g, 0.3) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_strided_starts_and_dyadic_lags(self, monkeypatch):
+        monkeypatch.setattr(fracnorm, "PAIR_SUP_EXACT_MAX", 50)
+        monkeypatch.setattr(fracnorm, "_BLOCK_ENTRIES", 64)
+        g = walk(1, 200)
+        assert g_norm_one_minus_alpha(g, 0.3) == pytest.approx(g_norm_per_lag(g, 0.3), rel=1e-12)
+        assert g_norm_per_lag(g, 0.3) == pytest.approx(
+            g_norm_per_start(g.times, g.values[:, 0], 0.3, stride=4), rel=1e-12)
+        tent = path_on(0.0, 2.0, 200, lambda t: np.minimum(t, 3.0 - t))
+        assert holder_norm(tent, 0.7) == holder_per_lag(tent, 0.7)
+        assert holder_norm(g, 0.7) == holder_per_lag(g, 0.7)
+
+
 class TestLagQuadrature:
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.45])
     @pytest.mark.parametrize("t0", [0.0, -1.0])
@@ -79,7 +165,7 @@ class TestLagQuadrature:
         for interval in (None, (t0 + 0.3, t0 + 1.7)):
             sub = f.restrict(*interval) if interval else f
             want = rows_per_row(sub.times, sub.values, alpha)
-            got = _w_alpha_rows(sub, alpha)
+            got = _w_alpha_rows(sub, alpha)[0]
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.45])
@@ -111,6 +197,12 @@ class TestLagQuadrature:
         p = AlphaParams(alpha=0.3, lambda_weight=lam)
         assert norms["w_alpha_inf"] == w_alpha_inf_norm(f, p)
         assert norms["weighted_alpha"] == weighted_alpha_norm(f, p)
+        assert norms["holder_1_minus_alpha"] == holder_norm(f, 1.0 - 0.3)
+        assert norms["lambda_alpha_bound"] is None  # the path starts at t = -1
+        f0 = walk(4, 300)
+        norms0 = norm_report(f0, 0.3, lambda_weight=lam).norms
+        assert norms0["holder_1_minus_alpha"] == holder_norm(f0, 1.0 - 0.3)
+        assert norms0["lambda_alpha_bound"] == lambda_alpha_bound(f0, 0.3)
 
 
 class TestWAlphaInf:
