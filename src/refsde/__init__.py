@@ -30,7 +30,7 @@ from .skorokhod import (
     complementarity_residual,
     lipschitz_witness,
 )
-from .young import young_integral, IndefiniteIntegral, HistoryView
+from .young import young_integral, IndefiniteIntegral
 from .coeff import (
     CoefficientSet,
     DeclaredMeta,
@@ -76,7 +76,7 @@ __all__ = [
     "f_norm_alpha_1", "holder_exponent_estimate", "norm_report",
     "SkorokhodSolution", "regulator", "regulator_values", "reflect",
     "complementarity_residual", "lipschitz_witness",
-    "young_integral", "IndefiniteIntegral", "HistoryView",
+    "young_integral", "IndefiniteIntegral",
     "CoefficientSet", "DeclaredMeta", "ExprSyntaxError", "parse_expr",
     "print_expr", "eval_expr", "eval_drift", "eval_diffusion", "hypothesis_audit",
     "Problem", "SolverConfig", "ReflectedSolution", "MonteCarloResult",

@@ -103,7 +103,6 @@ class RunConfig:
     paths: int
     directory: str
     formats: tuple
-    hurst: float | None
     echo: dict  # raw key/value echo for the manifest
 
 
@@ -249,7 +248,6 @@ def load_config(path: str | Path, steps_per_delay: int | None = None) -> RunConf
         paths=get("mc", "paths", int),
         directory=cp["output"]["directory"],
         formats=formats,
-        hurst=hurst,
         echo=echo,
     )
 
@@ -281,7 +279,9 @@ def _solution_csv(path: Path, sol) -> None:
 
 
 def _read_path_csv(path: Path) -> SamplePath:
-    data = np.genfromtxt(path, delimiter=",", names=True)
+    data = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))  # one row reads 0-d
+    if len(data) < 2:
+        raise ValueError(f"{path} needs at least two data rows, got {len(data)}")
     names = list(data.dtype.names)
     if names[0] != "t":
         raise ValueError(f"first column of {path} must be t, got {names[0]}")
@@ -326,12 +326,12 @@ def cmd_simulate(args) -> int:
     paths = args.paths if args.paths is not None else cfg.paths
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, solver=dataclasses.replace(cfg.solver, seed=args.seed))
-    if cfg.hurst is None:
+    if cfg.problem.H is None:
         raise ConfigError("problem.hurst is required to sample drivers")
     outdir = _resolve_outdir(cfg.directory, args.out)
 
     mc = solve_stochastic(cfg.problem, cfg.solver, paths)
-    h = cfg.hurst
+    h = cfg.problem.H
     alpha = 0.5 * ((1.0 - h) + 0.5)  # midpoint of the admissible (1-H, 1/2)
     manifest = {
         "config": cfg.echo,
@@ -408,10 +408,10 @@ def cmd_converge(args) -> int:
     _check_levels(levels)  # before the finest driver is sampled
     finest = levels[-1]
     cfg = load_config(args.config, steps_per_delay=finest)
-    if cfg.hurst is None:
+    if cfg.problem.H is None:
         raise ConfigError("problem.hurst is required to sample the shared driver")
     p = cfg.problem
-    g_fine = sample_circulant(driver_grid(p, finest), cfg.hurst, p.m, seed=cfg.solver.seed)
+    g_fine = sample_circulant(driver_grid(p, finest), p.H, p.m, seed=cfg.solver.seed)
     table = convergence_study(p, g_fine, levels, cfg.solver)
     payload = {
         "levels": table.levels,

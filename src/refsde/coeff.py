@@ -5,19 +5,15 @@ constants, named parameters, current state x1..xd, delayed state
 xd1..xdd, running sups s1..sd of |x_i| over the visible history, the
 unary functions sin/cos/exp/abs, and infix arithmetic with ^ (or **) for
 powers.  Diffusion expressions may only reference t and the delayed
-state.  Arbitrary hereditary functionals can still be injected
-programmatically wherever a drift evaluator is accepted.
+state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
-
-from .young import HistoryView
 
 __all__ = [
     "ExprSyntaxError",
@@ -398,10 +394,12 @@ def eval_diffusion(c: CoefficientSet, t, x_delayed) -> np.ndarray:
     out = np.empty(x_delayed.shape + (c.m,))
     for i, row in enumerate(c.diffusion):
         for j, expr in enumerate(row):
-            v = eval_expr(expr, env, c.params)
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"diffusion entry ({i + 1},{j + 1}) evaluated non-finite at t={t}")
-            out.T[j, i] = v
+            out.T[j, i] = eval_expr(expr, env, c.params)
+    if np.count_nonzero(np.isfinite(out)) < out.size:
+        rows = out.reshape(-1, c.d, c.m)
+        k, i, j = np.argwhere(~np.isfinite(rows))[0]
+        t_k = np.broadcast_to(t, rows.shape[:1])[k]
+        raise ValueError(f"diffusion entry ({i + 1},{j + 1}) evaluated to {rows[k, i, j]} at t={t_k}")
     return out
 
 
@@ -479,34 +477,32 @@ def hypothesis_audit(c: CoefficientSet, box, n_samples: int = 200, seed: int = 0
     else:
         beta_est, m0_time = None, None  # no detectable time dependence
 
-    # (H2).1 drift Lipschitz over random histories inside the box
-    hist_grid = np.linspace(-delay, t_max, 17)
-    k_min = int(np.searchsorted(hist_grid, 0.0))  # keep t - delay on the grid
+    # (H2).1 drift Lipschitz over random histories inside the box, on a grid
+    # of [-delay, t_max] with about 16 steps, a whole number n_delay of them
+    # per delay, so x(t - delay) at grid point k is the grid value k - n_delay
+    n_delay = max(1, round(16 * delay / (delay + t_max)))
+    step = delay / n_delay
+    hist_grid = step * np.arange(-n_delay, int(t_max / step + 1e-9) + 1)
 
-    def drift_on(t, h):
-        return eval_drift(c, t, h.current(), h.at(t - delay), h.sup_abs())
+    def drift_on(k, hist):
+        return eval_drift(c, float(hist_grid[k]), hist[k], hist[k - n_delay],
+                          np.abs(hist[: k + 1]).max(axis=0))
 
     lip = 0.0
     for _ in range(max(1, n_samples // 4)):
         hx = _random_history(rng, lo, hi, hist_grid)
         hy = _random_history(rng, lo, hi, hist_grid)
-        k = int(rng.integers(max(k_min, 1), len(hist_grid)))
-        t = float(hist_grid[k])
-        bx = drift_on(t, HistoryView(hx, hist_grid, k))
-        by = drift_on(t, HistoryView(hy, hist_grid, k))
+        k = int(rng.integers(n_delay, len(hist_grid)))
+        bx = drift_on(k, hx)
+        by = drift_on(k, hy)
         denom = float(np.abs(hx[: k + 1] - hy[: k + 1]).max())
         if denom > 1e-12:
             lip = max(lip, float(np.linalg.norm(bx - by)) / denom)
 
     # (H2).2 residual b0(t) = |b(t, zero history)|, L^(1/alpha) norm
-    zeros = np.zeros((17, c.d))
     taus = np.linspace(0.0, t_max, 65)
-    b0 = np.array([
-        np.linalg.norm(
-            drift_on(float(tau), HistoryView(zeros, np.linspace(tau - delay, tau, 17), 16))
-        )
-        for tau in taus
-    ])
+    zeros = np.zeros((len(taus), c.d))
+    b0 = np.linalg.norm(eval_drift(c, taus, zeros, zeros, zeros), axis=1)
     rho = 1.0 / alpha
     b0_norm = float(np.trapezoid(b0 ** rho, taus) ** alpha)
 

@@ -25,9 +25,10 @@ zero.  Two layouts use it:
   each start runs along the lag axis and is carried from block to block,
   added in the order of a per-lag loop.
 
-The W^(alpha,infinity) rows are exact at every size; above
-PAIR_SUP_EXACT_MAX steps the Hoelder quotient uses dyadic lags and the
-driver norm strided starts, which reports record as approximate_pair_sup.
+The W^(alpha,infinity) rows and the Hoelder quotient are exact at every
+size.  Only the driver norm is limited: from twice PAIR_SUP_EXACT_MAX
+steps on it reads every (n // PAIR_SUP_EXACT_MAX)-th start, which reports
+record as approximate_pair_sup.
 """
 
 from __future__ import annotations
@@ -192,11 +193,6 @@ def weighted_alpha_norm(f: SamplePath, p: AlphaParams) -> float:
     return float((np.exp(-p.lambda_weight * f.times) * _w_alpha_rows(f, p.alpha)[0]).max())
 
 
-def _dyadic_lags(n: int) -> list[int]:
-    """Lags 1, 2, 4, ... up to n, and n itself."""
-    return sorted({1 << k for k in range(int(math.log2(n)) + 1)} | {n})
-
-
 def holder_norm(f: SamplePath, lambda_exponent: float,
                 interval: tuple[float, float] | None = None) -> float:
     """sup|f| + sup over grid pairs of |f(v)-f(u)| / (v-u)^lambda."""
@@ -205,13 +201,13 @@ def holder_norm(f: SamplePath, lambda_exponent: float,
     f = f.restrict(*interval) if interval else f
     n, dt = f.grid.n_steps, f.grid.dt
     sup = float(np.linalg.norm(f.values, axis=1).max())
-    if n <= PAIR_SUP_EXACT_MAX:
-        powers = _lag_powers(n, dt, lambda_exponent)
-        quot = max(_lag_quotient(h, lags, powers) for lags, h in _lag_blocks(f.values))
-    else:
-        quot = max(float(_increments(f.values, lag).max()) / (lag * dt) ** lambda_exponent
-                   for lag in _dyadic_lags(n))
-    return sup + quot
+    powers = _lag_powers(n, dt, lambda_exponent)
+    return sup + max(_lag_quotient(h, lags, powers) for lags, h in _lag_blocks(f.values))
+
+
+def _driver_stride(n: int) -> int:
+    """Start stride of the driver norm: every start below 2 * PAIR_SUP_EXACT_MAX steps."""
+    return max(1, n // PAIR_SUP_EXACT_MAX)
 
 
 def g_norm_one_minus_alpha(g: SamplePath, alpha: float,
@@ -223,7 +219,7 @@ def g_norm_one_minus_alpha(g: SamplePath, alpha: float,
         raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
     g = g.restrict(*interval) if interval else g
     n, dt = g.grid.n_steps, g.grid.dt
-    stride = max(1, n // PAIR_SUP_EXACT_MAX)  # every start up to PAIR_SUP_EXACT_MAX steps
+    stride = _driver_stride(n)
     near, far = _lag_weights(n, dt, 2.0 - alpha)
     powers = _lag_powers(n, dt, 1.0 - alpha)
     starts = len(range(0, n, stride))
@@ -340,14 +336,13 @@ def norm_report(f: SamplePath, alpha: float, lambda_weight: float = 0.0) -> Norm
     params = AlphaParams(alpha=alpha, lambda_weight=lambda_weight)
     exponent, constant = holder_exponent_estimate(f, with_flag=True) if f.grid.n_steps >= 64 else (None, None)
     times = f.times
-    approximate = f.grid.n_steps > PAIR_SUP_EXACT_MAX
-    rows, quot = _w_alpha_rows(f, params.alpha, None if approximate else 1.0 - alpha)
+    from_zero = bool(abs(times[0]) < 1e-12)  # the driver norm is defined on [0, T]
+    rows, quot = _w_alpha_rows(f, params.alpha, 1.0 - alpha)
     norms = {
         "w_alpha_inf": float(rows.max()),
         "weighted_alpha": float((np.exp(-params.lambda_weight * times) * rows).max()),
-        "holder_1_minus_alpha": (holder_norm(f, 1.0 - alpha) if approximate
-                                 else float(np.linalg.norm(f.values, axis=1).max()) + quot),
-        "lambda_alpha_bound": lambda_alpha_bound(f, alpha) if abs(times[0]) < 1e-12 else None,
+        "holder_1_minus_alpha": float(np.linalg.norm(f.values, axis=1).max()) + quot,
+        "lambda_alpha_bound": lambda_alpha_bound(f, alpha) if from_zero else None,
         "holder_exponent_estimate": exponent,
         "constant_path": constant,
     }
@@ -357,5 +352,5 @@ def norm_report(f: SamplePath, alpha: float, lambda_weight: float = 0.0) -> Norm
         interval=(float(times[0]), float(times[-1])),
         n_steps=f.grid.n_steps,
         norms=norms,
-        approximate_pair_sup=approximate,
+        approximate_pair_sup=from_zero and _driver_stride(f.grid.n_steps) > 1,
     )

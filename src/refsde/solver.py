@@ -29,6 +29,7 @@ from .coeff import CoefficientSet, collect_vars, diffusion_variables, eval_diffu
 from .fbm import sample_circulant, _hurst_value
 from .grids import SamplePath, TimeGrid
 from .skorokhod import regulator_values
+from .young import _cell_products
 
 __all__ = [
     "Problem",
@@ -212,7 +213,7 @@ def _batched_diffusion_increments(p: Problem, times, x, dg, i0: int, i1: int, n_
     """
     idx = np.arange(i0, i1)
     sig = eval_diffusion(p.coeffs, times[idx], x[idx - n_r])  # (K, d, m)
-    return np.einsum("kdm,km->kd", sig, dg[idx - n_r])
+    return _cell_products(sig, dg[idx - n_r])
 
 
 def _euler_steps(p: Problem, times, dt: float, x, y, z, sups, sig_dg, i0: int, i1: int, n_r: int) -> None:

@@ -1,27 +1,24 @@
-"""Pathwise Riemann-Stieltjes (Young) integration and hereditary
-Lebesgue integrals.
+"""Pathwise Riemann-Stieltjes (Young) integration.
 
 Left-point sums are used inside the solver (the explicit stepper must
 stay causal); the trapezoid rule is the default for diagnostics.  Both
 converge to the Young integral when the Hoelder exponents of integrand
-and driver sum above 1.
+and driver sum above 1.  One per-cell product, _cell_products, serves
+both rules and the solver's diffusion increments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .fracnorm import lambda_alpha_bound, w_alpha_inf_norm, AlphaParams
-from .grids import SamplePath, TimeGrid
+from .grids import SamplePath
 
 __all__ = [
     "IndefiniteIntegral",
-    "HistoryView",
     "young_integral",
-    "hereditary_lebesgue_integral",
     "young_constant_probe",
 ]
 
@@ -39,22 +36,23 @@ class IndefiniteIntegral:
         return self.path.values[-1]
 
 
-def _integrand_increment_products(f_vals: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """Per-cell products matching f shapes against driver increments dg (n, m)."""
-    if f_vals.ndim == 3:  # matrix-valued integrand (n+1, d, m)
-        if f_vals.shape[2] != dg.shape[1]:
+def _cell_products(f: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Per-cell products f_k dg_k of integrand values f against driver
+    increments dg (K, m): a (K, d, m) matrix-valued f is summed over its m
+    driver slots, a (K, d) f pairs its columns one-to-one with dg's (or
+    with a single driver column)."""
+    if f.ndim == 3:
+        if f.shape[2] != dg.shape[1]:
             raise ValueError(
-                f"integrand has {f_vals.shape[2]} driver slots, driver has {dg.shape[1]} columns"
+                f"integrand has {f.shape[2]} driver slots, driver has {dg.shape[1]} columns"
             )
-        return np.einsum("kdm,km->kd", f_vals[:-1], dg), np.einsum("kdm,km->kd", f_vals[1:], dg)
-    if f_vals.ndim != 2:
-        raise ValueError(f"integrand must have 2 or 3 axes, got shape {f_vals.shape}")
-    if dg.shape[1] == 1:
-        return f_vals[:-1] * dg, f_vals[1:] * dg
-    if f_vals.shape[1] == dg.shape[1]:  # columnwise pairing
-        return f_vals[:-1] * dg, f_vals[1:] * dg
+        return np.einsum("kdm,km->kd", f, dg)
+    if f.ndim != 2:
+        raise ValueError(f"integrand must have 2 or 3 axes, got shape {f.shape}")
+    if dg.shape[1] in (1, f.shape[1]):
+        return f * dg
     raise ValueError(
-        f"cannot pair integrand of shape {f_vals.shape} with driver of {dg.shape[1]} columns"
+        f"cannot pair integrand of shape {f.shape} with driver of {dg.shape[1]} columns"
     )
 
 
@@ -81,72 +79,12 @@ def young_integral(f, g: SamplePath, scheme: str = "trapezoid") -> IndefiniteInt
                 f"integrand has {f_vals.shape[0]} rows, grid has {g.grid.n_steps + 1} points"
             )
     dg = np.diff(g.values, axis=0)
-    left, right = _integrand_increment_products(f_vals, dg)
-    incr = left if scheme == "left_point" else 0.5 * (left + right)
+    incr = _cell_products(f_vals[:-1], dg)
+    if scheme == "trapezoid":
+        incr = 0.5 * (incr + _cell_products(f_vals[1:], dg))
     out = np.zeros((g.grid.n_steps + 1, incr.shape[1]))
     np.cumsum(incr, axis=0, out=out[1:])
     return IndefiniteIntegral(path=SamplePath(g.grid, out), scheme=scheme)
-
-
-class HistoryView:
-    """Causal window onto a path: values are visible only up to t_max."""
-
-    def __init__(self, path_values: np.ndarray, times: np.ndarray, k_max: int):
-        self._values = path_values
-        self._times = times
-        self._k_max = k_max
-
-    @property
-    def t_max(self) -> float:
-        return float(self._times[self._k_max])
-
-    def at(self, u: float) -> np.ndarray:
-        """Linearly interpolated value at u <= t_max."""
-        if u > self.t_max + 1e-12:
-            raise ValueError(f"history access at u={u} past t_max={self.t_max}")
-        if u < self._times[0] - 1e-12:
-            raise ValueError(f"history access at u={u} before start {self._times[0]}")
-        dt = self._times[1] - self._times[0]
-        pos = (u - self._times[0]) / dt
-        k = min(int(pos), self._k_max - 1) if self._k_max > 0 else 0
-        w = pos - k
-        if w <= 0.0:
-            return self._values[k]
-        return (1.0 - w) * self._values[k] + w * self._values[min(k + 1, self._k_max)]
-
-    def current(self) -> np.ndarray:
-        return self._values[self._k_max]
-
-    def sup_abs(self) -> np.ndarray:
-        """Componentwise running sup of |x| over the visible window."""
-        return np.abs(self._values[: self._k_max + 1]).max(axis=0)
-
-
-def hereditary_lebesgue_integral(
-    b: Callable[[float, HistoryView], np.ndarray],
-    x: SamplePath,
-    grid: TimeGrid,
-) -> IndefiniteIntegral:
-    """Trapezoid integral of u -> b(u, history of x up to u) over grid.
-
-    x must extend back to the delayed past (grid covers [0, T], x covers
-    [-r, T] on the same mesh); b sees x only causally.
-    """
-    if abs(x.grid.dt - grid.dt) > 1e-12 * grid.dt:
-        raise ValueError("history path and integration grid must share one mesh")
-    offset = x.grid.index_of(grid.t0)
-    times = x.times
-    n = grid.n_steps
-    vals = np.empty((n + 1, x.dim))
-    for k in range(n + 1):
-        bk = np.asarray(b(float(times[offset + k]), HistoryView(x.values, times, offset + k)), float)
-        if not np.all(np.isfinite(bk)):
-            raise ValueError(f"drift evaluator returned non-finite value at u={times[offset + k]}")
-        vals[k] = bk
-    incr = 0.5 * grid.dt * (vals[:-1] + vals[1:])
-    out = np.zeros((n + 1, x.dim))
-    np.cumsum(incr, axis=0, out=out[1:])
-    return IndefiniteIntegral(path=SamplePath(grid, out), scheme="trapezoid")
 
 
 def young_constant_probe(f: SamplePath, g: SamplePath, alpha: float,

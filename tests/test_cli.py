@@ -182,6 +182,18 @@ class TestNormsCmd:
             1.0 + 1.0 / 0.6, abs=1e-3)
 
 
+class TestShortCsv:
+    @pytest.mark.parametrize("rows", ["", "0.0,1.0\n"], ids=["header_only", "one_row"])
+    @pytest.mark.parametrize("command", ["norms", "skorokhod"])
+    def test_exit_one(self, tmp_path, capsys, command, rows):
+        src = tmp_path / "short.csv"
+        src.write_text("t,f\n" + rows)
+        extra = ["--alpha", "0.3"] if command == "norms" else ["--out", str(tmp_path / "x.csv")]
+        assert main([command, str(src)] + extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(src) in err and "two data rows" in err
+
+
 class TestConvergeCmd:
     def test_too_few_levels(self, tmp_path, capsys):
         rc = main(["converge", bundled("linear_a.cfg"), "--levels", "64,128"])

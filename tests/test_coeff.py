@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from refsde import coeff
 from refsde.coeff import (
     Binary,
     CoefficientSet,
@@ -18,7 +19,6 @@ from refsde.coeff import (
     parse_expr,
     print_expr,
 )
-from refsde.young import HistoryView
 
 from conftest import linear_coeffs, nonlinear_coeffs
 
@@ -105,33 +105,33 @@ class TestCoefficientSet:
             CoefficientSet.from_strings(["x1", "x2"], [["t"]])
 
 
-def history_of(values, t0=-1.0, t1=0.0):
-    values = np.asarray(values, float)
-    times = np.linspace(t0, t1, len(values))
-    return HistoryView(values, times, len(values) - 1)
+def history_of(values):
+    """Grid values of x over one delay interval that ends at the current time."""
+    return np.asarray(values, float)
 
 
-def drift_at(c, t, hist, delay):
-    return eval_drift(c, t, hist.current(), hist.at(t - delay), hist.sup_abs())
+def drift_at(c, t, hist):
+    # x(t) is the last row, x(t - r) the first, the running sup is over all rows
+    return eval_drift(c, t, hist[-1], hist[0], np.abs(hist).max(axis=0))
 
 
 class TestEvaluation:
     def test_drift_cos_at_zero(self):
         c = nonlinear_coeffs()
         hist = history_of(np.zeros((11, 1)))
-        assert drift_at(c, 0.0, hist, 1.0)[0] == pytest.approx(1.0)
+        assert drift_at(c, 0.0, hist)[0] == pytest.approx(1.0)
 
     def test_drift_delayed_initial_segment(self):
         # drift xd1 with eta(t) = t + r evaluates to eta(-r) = 0 at t = 0
         c = linear_coeffs()
         times = np.linspace(-1.0, 0.0, 11)
-        hist = HistoryView((times + 1.0)[:, None], times, 10)
-        assert drift_at(c, 0.0, hist, 1.0)[0] == pytest.approx(0.0)
+        hist = history_of((times + 1.0)[:, None])
+        assert drift_at(c, 0.0, hist)[0] == pytest.approx(0.0)
 
     def test_zero_drift(self):
         c = CoefficientSet.from_strings(["0", "0"], [["1"], ["1"]])
         hist = history_of(np.zeros((5, 2)))
-        assert np.all(drift_at(c, 0.0, hist, 1.0) == 0.0)
+        assert np.all(drift_at(c, 0.0, hist) == 0.0)
 
     def test_diffusion_constant_matrix(self):
         c = CoefficientSet.from_strings(["0"], [["2.5", "-1"]])
@@ -171,14 +171,14 @@ class TestEvaluation:
         c = CoefficientSet.from_strings(["1 / t"], [["1"]])
         hist = history_of(np.zeros((5, 1)))
         with pytest.raises(ValueError, match="component 1"):
-            drift_at(c, 0.0, hist, 1.0)
+            drift_at(c, 0.0, hist)
 
-    def test_causality_enforced(self):
-        # a drift functional that tries to read the future blows up via HistoryView
-        times = np.linspace(-1.0, 1.0, 21)
-        hist = HistoryView(np.zeros((21, 1)), times, 10)
-        with pytest.raises(ValueError, match="past"):
-            hist.at(0.7)
+    def test_non_finite_diffusion_names_its_row(self):
+        c = CoefficientSet.from_strings(["0"], [["1", "1 / (1.5 - t)"]])
+        ts = np.array([0.25, 0.5, 1.5, 1.75])
+        with pytest.raises(ValueError) as exc:
+            eval_diffusion(c, ts, np.ones((4, 1)))
+        assert str(exc.value) == "diffusion entry (1,2) evaluated to inf at t=1.5"
 
 
 class TestAudit:
@@ -201,6 +201,37 @@ class TestAudit:
         c = CoefficientSet.from_strings(["0"], [["3"]])
         rep = hypothesis_audit(c, ([0.0], [1.0]), n_samples=100, seed=2)
         assert rep.m0_spatial == pytest.approx(0.0, abs=1e-9)
+
+    def test_delayed_reads_are_grid_values(self, monkeypatch):
+        # at a delay that is no multiple of 1/16 the delayed argument must still
+        # be a sampled grid value, not an interpolation between two of them
+        histories, calls = [], []
+        draw, evaluate = coeff._random_history, coeff.eval_drift
+
+        def recording_draw(*args):
+            histories.append(draw(*args))
+            return histories[-1]
+
+        def recording_eval(c, t, x, x_delayed, sups):
+            calls.append((t, x, x_delayed, sups))
+            return evaluate(c, t, x, x_delayed, sups)
+
+        monkeypatch.setattr(coeff, "_random_history", recording_draw)
+        monkeypatch.setattr(coeff, "eval_drift", recording_eval)
+        c = CoefficientSet.from_strings(["cos(x1) + xd1 * s1"], [["0.5 * xd1"]])
+        hypothesis_audit(c, ([0.0], [2.0]), n_samples=200, seed=1, delay=0.3)
+        checked = 0
+        for t, x, xd, sups in calls:
+            for hist in histories:  # the Lipschitz samples; the b0 residual reads zeros
+                rows = np.flatnonzero((hist == x).all(axis=1)) if np.ndim(x) == 1 else []
+                if len(rows):
+                    k = int(rows[0])  # row k sits at t on a uniform grid that starts at -delay
+                    delayed = np.flatnonzero((hist[:k] == xd).all(axis=1))
+                    assert len(delayed) == 1
+                    assert (k - delayed[0]) * (t + 0.3) / k == pytest.approx(0.3, abs=1e-12)
+                    assert np.array_equal(sups, np.abs(hist[: k + 1]).max(axis=0))
+                    checked += 1
+        assert checked == len(histories) > 0
 
     def test_deterministic(self):
         c = linear_coeffs()

@@ -92,12 +92,8 @@ def rows_per_lag(f, alpha):
 
 def holder_per_lag(f, lam):
     n, dt = f.grid.n_steps, f.grid.dt
-    if n <= fracnorm.PAIR_SUP_EXACT_MAX:
-        lags = np.arange(1, n + 1)
-    else:
-        lags = np.array(sorted({1 << k for k in range(int(np.log2(n)) + 1)} | {n}))
     quot = 0.0
-    for lag in lags:
+    for lag in range(1, n + 1):
         quot = max(quot, float(increments(f.values, lag).max()) / (lag * dt) ** lam)
     return float(np.linalg.norm(f.values, axis=1).max()) + quot
 
@@ -183,12 +179,17 @@ class TestLagQuadrature:
         strided = g_norm_per_start(g.times, g.values[:, 0], 0.3, stride=4)
         assert strided < g_norm_per_start(g.times, g.values[:, 0], 0.3)  # best start skipped
         assert g_norm_one_minus_alpha(g, 0.3) == pytest.approx(strided, rel=1e-12)
-        # the largest increment of the tent spans lag 150, which is not dyadic
+        # the largest increment of the tent spans lag 150, which is not dyadic:
+        # the Hoelder quotient reads every lag above the limit too
         tent = path_on(0.0, 2.0, 200, lambda t: np.minimum(t, 3.0 - t))
         dyadic = holder_over_lags(tent.times, tent.values, 0.7, [1, 2, 4, 8, 16, 32, 64, 128, 200])
-        assert dyadic < holder_over_lags(tent.times, tent.values, 0.7, range(1, 201))
-        assert holder_norm(tent, 0.7) == pytest.approx(dyadic, rel=1e-12)
-        assert norm_report(g, 0.3).approximate_pair_sup
+        exact = holder_over_lags(tent.times, tent.values, 0.7, range(1, 201))
+        assert dyadic < exact
+        assert holder_norm(tent, 0.7) == pytest.approx(exact, rel=1e-12)
+        report = norm_report(tent, 0.3)
+        assert report.norms["holder_1_minus_alpha"] == holder_norm(tent, 0.7)
+        assert report.approximate_pair_sup
+        assert not norm_report(tent.restrict(0.5, 2.0), 0.3).approximate_pair_sup
 
     @pytest.mark.parametrize("lam", [0.0, 2.0])
     def test_report_rows_equal_standalone_norms(self, lam):

@@ -3,12 +3,7 @@ import pytest
 
 from refsde.fbm import sample_circulant
 from refsde.grids import SamplePath, TimeGrid
-from refsde.young import (
-    HistoryView,
-    hereditary_lebesgue_integral,
-    young_constant_probe,
-    young_integral,
-)
+from refsde.young import young_constant_probe, young_integral
 
 from conftest import path_on
 
@@ -109,52 +104,6 @@ class TestYoungIntegral:
         f = path_on(0.0, 1.0, 32, lambda t: t)
         with pytest.raises(ValueError):
             young_integral(f, f, "midpoint")
-
-
-class TestHereditary:
-    def test_constant_drift(self):
-        x = path_on(-1.0, 1.0, 200, lambda t: np.abs(t))
-        grid = TimeGrid(0.0, 1.0, 100)
-        out = hereditary_lebesgue_integral(lambda u, h: np.array([3.0]), x, grid)
-        assert np.allclose(out.path.values[:, 0], 3.0 * grid.times, atol=1e-12)
-
-    def test_current_value_drift(self):
-        x = path_on(-1.0, 1.0, 8192, lambda t: t)
-        grid = TimeGrid(0.0, 1.0, 4096)
-        out = hereditary_lebesgue_integral(lambda u, h: h.current(), x, grid)
-        assert out.at_end()[0] == pytest.approx(0.5, abs=1e-6)
-
-    def test_sup_drift_on_increasing_path(self):
-        x = path_on(-1.0, 1.0, 2048, lambda t: t + 1.0)  # increasing, >= 0
-        grid = TimeGrid(0.0, 1.0, 1024)
-        via_sup = hereditary_lebesgue_integral(lambda u, h: h.sup_abs(), x, grid)
-        via_cur = hereditary_lebesgue_integral(lambda u, h: h.current(), x, grid)
-        assert np.allclose(via_sup.path.values, via_cur.path.values, atol=1e-14)
-
-    def test_non_finite_drift_reported(self):
-        x = path_on(-1.0, 1.0, 64, lambda t: t)
-        grid = TimeGrid(0.0, 1.0, 32)
-        with pytest.raises(ValueError, match="non-finite"):
-            hereditary_lebesgue_integral(lambda u, h: np.array([np.inf]), x, grid)
-
-
-class TestHistoryView:
-    def test_causality(self):
-        times = np.linspace(-1.0, 1.0, 21)
-        vals = np.linspace(0.0, 2.0, 21)[:, None]
-        h = HistoryView(vals, times, 10)  # t_max = 0
-        assert h.t_max == pytest.approx(0.0)
-        with pytest.raises(ValueError, match="past"):
-            h.at(0.5)
-        with pytest.raises(ValueError, match="before"):
-            h.at(-1.5)
-
-    def test_interpolation(self):
-        times = np.linspace(-1.0, 1.0, 21)
-        vals = times[:, None].copy()
-        h = HistoryView(vals, times, 20)
-        assert h.at(0.55)[0] == pytest.approx(0.55)
-        assert h.current()[0] == pytest.approx(1.0)
 
 
 class TestConstantProbe:
