@@ -40,6 +40,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -76,19 +77,17 @@ __all__ = ["RunConfig", "load_config", "main"]
 OUTPUT_DIR_ENV = "REFSDE_OUTPUT_DIR"
 FLOAT_FMT = "%.17g"
 
-_KNOWN_KEYS = {
-    "problem": {"hurst", "delay", "horizon", "dim", "noise_dim", "eta",
-                "drift", "diffusion", "params"},
-    "solver": {"scheme", "steps_per_delay", "picard_tol", "picard_max_iter",
-               "initial_iterate"},
-    "mc": {"paths", "seed"},
-    "output": {"directory", "formats"},
-}
 _REQUIRED_KEYS = {
     "problem": {"delay", "horizon", "dim", "noise_dim", "eta", "drift", "diffusion"},
     "solver": {"scheme", "steps_per_delay"},
     "mc": {"paths", "seed"},
     "output": {"directory"},
+}
+_OPTIONAL_KEYS = {
+    "problem": {"hurst", "params"},
+    "solver": {"picard_tol", "picard_max_iter", "initial_iterate"},
+    "mc": set(),
+    "output": {"formats"},
 }
 
 
@@ -169,10 +168,10 @@ def load_config(path: str | Path, steps_per_delay: int | None = None) -> RunConf
     lines = _key_lines(path)
 
     for section in cp.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _REQUIRED_KEYS:
             raise ConfigError(f"unknown section {_loc(path, lines, section, None)}")
         for key in cp[section]:
-            if key not in _KNOWN_KEYS[section]:
+            if key not in _REQUIRED_KEYS[section] | _OPTIONAL_KEYS[section]:
                 raise ConfigError(f"unknown key {_loc(path, lines, section, key)}")
     for section, required in _REQUIRED_KEYS.items():
         if section not in cp:
@@ -202,7 +201,7 @@ def load_config(path: str | Path, steps_per_delay: int | None = None) -> RunConf
     hurst = get("problem", "hurst", float)
     n_r = steps_per_delay or get("solver", "steps_per_delay", int)
 
-    def split_exprs(raw, variables=None):
+    def split_exprs(raw):
         return [s.strip() for s in raw.split(";") if s.strip()]
 
     drift_src = get("problem", "drift", split_exprs)
@@ -225,11 +224,11 @@ def load_config(path: str | Path, steps_per_delay: int | None = None) -> RunConf
         problem = Problem(eta=eta, coeffs=coeffs, r=delay, T=horizon, H=hurst)
         solver = SolverConfig(
             steps_per_delay=n_r,
-            scheme=get("solver", "scheme", str),
-            picard_tol=get("solver", "picard_tol", float, 1e-10),
-            picard_max_iter=get("solver", "picard_max_iter", int, 100),
             seed=get("mc", "seed", int),
-            initial_iterate=get("solver", "initial_iterate", str, "constant"),
+            # the [solver] keys present, cast to the type of SolverConfig's
+            # default, which fills in every key left out
+            **{key: get("solver", key, type(getattr(SolverConfig, key)))
+               for key in cp["solver"] if key != "steps_per_delay"},
         )
     except (ValueError, ExprSyntaxError) as exc:
         raise ConfigError(f"invalid configuration in {path}: {exc}") from exc
@@ -269,6 +268,7 @@ def _write_csv(path: Path, header: list, columns: list) -> None:
 
 
 def _solution_csv(path: Path, sol) -> None:
+    """t, then the x, y and z columns of a solver or Skorokhod solution."""
     d = sol.x.dim
     header = ["t"]
     cols = [sol.x.times]
@@ -279,12 +279,17 @@ def _solution_csv(path: Path, sol) -> None:
 
 
 def _read_path_csv(path: Path) -> SamplePath:
-    data = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))  # one row reads 0-d
+    text = path.read_text()
+    if not text.strip():  # genfromtxt warns, then fails with an IndexError
+        raise ValueError(f"{path} is empty")
+    data = np.atleast_1d(np.genfromtxt(io.StringIO(text), delimiter=",", names=True))  # one row reads 0-d
     if len(data) < 2:
         raise ValueError(f"{path} needs at least two data rows, got {len(data)}")
     names = list(data.dtype.names)
     if names[0] != "t":
         raise ValueError(f"first column of {path} must be t, got {names[0]}")
+    if len(names) < 2:
+        raise ValueError(f"{path} has no value column after t")
     times = data["t"]
     values = np.column_stack([data[n] for n in names[1:]])
     n = len(times) - 1
@@ -393,12 +398,7 @@ def cmd_skorokhod(args) -> int:
     sol = reflect(z)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    d = z.dim
-    header = (["t"]
-              + [f"x_{i + 1}" for i in range(d)]
-              + [f"y_{i + 1}" for i in range(d)]
-              + [f"z_{i + 1}" for i in range(d)])
-    _write_csv(out, header, [z.times, sol.x.values, sol.y.values, sol.z.values])
+    _solution_csv(out, sol)
     print(f"wrote reflected path to {out}")
     return 0
 

@@ -4,8 +4,10 @@ A small expression language covers the representable coefficient class:
 constants, named parameters, current state x1..xd, delayed state
 xd1..xdd, running sups s1..sd of |x_i| over the visible history, the
 unary functions sin/cos/exp/abs, and infix arithmetic with ^ (or **) for
-powers.  Diffusion expressions may only reference t and the delayed
-state.
+powers.  ^ and ** are right-associative and bind tighter than a leading
+minus, so -x1^2 is -(x1^2) and 2^3^2 is 2^9; * and / bind tighter than
++ and -, and all four associate left.  Diffusion expressions may only
+reference t and the delayed state.
 """
 
 from __future__ import annotations
@@ -34,7 +36,11 @@ __all__ = [
 ]
 
 UNARY_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs}
-BINARY_OPS = ("+", "-", "*", "/", "^")
+
+# Binding power of each operator, read by both the parser and the printer.
+# "neg" is a leading minus: it binds tighter than * and / but looser than
+# ^, so -x1^2 is -(x1^2).  ^ is right-associative, the others left.
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 
 class ExprSyntaxError(ValueError):
@@ -100,7 +106,7 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
             tokens.append(("op", "^", i))
             i += 2
         elif ch in _TOKEN_CHARS:
-            kind = "op" if ch in "+-*/^" else ch
+            kind = "op" if ch in _PRECEDENCE else ch
             tokens.append((kind, ch, i))
             i += 1
         elif ch.isdigit() or ch == ".":
@@ -141,55 +147,41 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, kind, value=None):
+    def expect(self, kind):
         tok = self.advance()
-        if tok[0] != kind or (value is not None and tok[1] != value):
-            raise ExprSyntaxError(f"expected {value or kind}, got {tok[1] or 'end of input'}", tok[2])
-        return tok
+        if tok[0] != kind:
+            raise ExprSyntaxError(f"expected {kind}, got {tok[1] or 'end of input'}", tok[2])
 
     def parse(self):
-        node = self.sum()
+        node = self.expression()
         tok = self.peek()
         if tok[0] != "end":
             raise ExprSyntaxError(f"unexpected trailing input {tok[1]!r}", tok[2])
         return node
 
-    def sum(self):
-        node = self.product()
-        while self.peek()[:2] in (("op", "+"), ("op", "-")):
+    def expression(self, min_prec: int = 1):
+        """Precedence climbing: an operand, then every binary operator that
+        binds at least min_prec, with its right operand."""
+        kind, value, _ = self.peek()
+        if kind == "op" and value in ("+", "-"):  # a leading sign takes only ^ inside
+            self.advance()
+            node = self.expression(_PRECEDENCE["neg"] + 1)
+            if value == "-":
+                node = Unary("neg", node)
+        else:
+            node = self.atom()
+        while self.peek()[0] == "op" and _PRECEDENCE[self.peek()[1]] >= min_prec:
             op = self.advance()[1]
-            node = Binary(op, node, self.product())
+            prec = _PRECEDENCE[op]
+            node = Binary(op, node, self.expression(prec if op == "^" else prec + 1))
         return node
-
-    def product(self):
-        node = self.power()
-        while self.peek()[:2] in (("op", "*"), ("op", "/")):
-            op = self.advance()[1]
-            node = Binary(op, node, self.power())
-        return node
-
-    def power(self):
-        base = self.unary()
-        if self.peek()[:2] == ("op", "^"):
-            self.advance()
-            return Binary("^", base, self.power())  # right associative
-        return base
-
-    def unary(self):
-        if self.peek()[:2] == ("op", "-"):
-            self.advance()
-            return Unary("neg", self.unary())
-        if self.peek()[:2] == ("op", "+"):
-            self.advance()
-            return self.unary()
-        return self.atom()
 
     def atom(self):
         kind, value, offset = self.advance()
         if kind == "num":
             return Const(float(value))
         if kind == "(":
-            node = self.sum()
+            node = self.expression()
             self.expect(")")
             return node
         if kind == "name":
@@ -197,7 +189,7 @@ class _Parser:
                 if value not in UNARY_FUNCS:
                     raise ExprSyntaxError(f"unknown function {value!r}", offset)
                 self.advance()
-                arg = self.sum()
+                arg = self.expression()
                 self.expect(")")
                 return Unary(value, arg)
             if value in self.variables:
@@ -223,33 +215,27 @@ def parse_expr(source: str, params: dict | None = None, d: int = 1,
 
 # --- canonical printer --------------------------------------------------
 
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
-
-
-def _print(node, parent_prec: int, right_side: bool) -> str:
+def _print(node, min_prec: int = 0) -> str:
+    """Text of node, parenthesized when it binds looser than min_prec."""
     if isinstance(node, Const):
         return repr(node.value)
     if isinstance(node, (Param, Var)):
         return node.name
+    if isinstance(node, Unary) and node.op != "neg":
+        return f"{node.op}({_print(node.arg)})"
     if isinstance(node, Unary):
-        if node.op == "neg":
-            inner = _print(node.arg, 4, False)
-            text = f"-{inner}"
-            return f"({text})" if parent_prec > 1 or right_side else text
-        return f"{node.op}({_print(node.arg, 0, False)})"
-    prec = _PRECEDENCE[node.op]
-    left = _print(node.left, prec, False)
-    right = _print(node.right, prec + (0 if node.op == "^" else 1), True)
-    if node.op == "^":
-        left = _print(node.left, prec + 1, False)
-        right = _print(node.right, prec, True)
-    text = f"{left} {node.op} {right}"
-    return f"({text})" if prec < parent_prec else text
+        prec = _PRECEDENCE["neg"]
+        text = f"-{_print(node.arg, prec + 1)}"
+    else:
+        prec = _PRECEDENCE[node.op]
+        left, right = (prec + 1, prec) if node.op == "^" else (prec, prec + 1)
+        text = f"{_print(node.left, left)} {node.op} {_print(node.right, right)}"
+    return f"({text})" if prec < min_prec else text
 
 
 def print_expr(node) -> str:
     """Canonical textual form; parse_expr(print_expr(ast)) == ast."""
-    return _print(node, 0, False)
+    return _print(node)
 
 
 # --- evaluation ---------------------------------------------------------
@@ -421,18 +407,6 @@ class AuditReport:
     gamma: float
     b0_l_one_over_alpha: float
     flags: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "m0_spatial": self.m0_spatial,
-            "m0_time": self.m0_time,
-            "beta": self.beta,
-            "lipschitz_drift": self.lipschitz_drift,
-            "k0": self.k0,
-            "gamma": self.gamma,
-            "b0_l_one_over_alpha": self.b0_l_one_over_alpha,
-            "flags": self.flags,
-        }
 
 
 def _random_history(rng, lo, hi, times) -> np.ndarray:

@@ -143,8 +143,7 @@ def _circulant_eigenvalues(size: int, h: float) -> tuple[np.ndarray, float]:
     return lam, clipped_frac
 
 
-def sample_circulant(grid: TimeGrid, H, m: int = 1, seed=0,
-                     clip_threshold: float = CIRCULANT_CLIP_THRESHOLD) -> SamplePath:
+def sample_circulant(grid: TimeGrid, H, m: int = 1, seed=0) -> SamplePath:
     """fBm draw via circulant embedding of the fGn covariance (FFT-based).
 
     Same law as sample_cholesky; supports grids up to 2**22 steps.  The
@@ -160,10 +159,10 @@ def sample_circulant(grid: TimeGrid, H, m: int = 1, seed=0,
         raise ValueError("m must be positive")
     size = 1 << max(1, int(np.ceil(np.log2(n))))  # grids that pad alike share one embedding
     lam, clipped = _circulant_eigenvalues(size, h)
-    if clipped > clip_threshold:
+    if clipped > CIRCULANT_CLIP_THRESHOLD:
         raise ValueError(
             f"circulant embedding clipped eigenvalue mass {clipped:.3e} exceeds "
-            f"threshold {clip_threshold:.3e} (n={n}, H={h})"
+            f"threshold {CIRCULANT_CLIP_THRESHOLD:.3e} (n={n}, H={h})"
         )
     if clipped > 0.0:
         warnings.warn(

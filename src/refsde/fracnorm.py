@@ -33,7 +33,6 @@ record as approximate_pair_sup.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -326,9 +325,6 @@ class NormReport:
             "norms": self.norms,
             "approximate_pair_sup": self.approximate_pair_sup,
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def norm_report(f: SamplePath, alpha: float, lambda_weight: float = 0.0) -> NormReport:

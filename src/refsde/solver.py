@@ -1,21 +1,22 @@
 """Pathwise solvers for the reflected delay equation.
 
-Two schemes for a fixed driver g:
+``solve`` builds the solution one delay interval at a time, the
+construction the paper follows: on [nr, (n+1)r] the delayed state is
+already fixed, so the diffusion's left-point Young increments are computed
+once in a batch, and one interval stepper, chosen once per solve, advances
+x, y and z over the interval:
 
-* ``solve_euler``: explicit forward recursion in z with the running-max
-  regulator applied incrementally each step, so the drift's history
-  argument always sees reflected values.  A drift that reads only t and
-  the delayed state xd1..xdd has no unknown inside a delay interval, so
-  such a drift is stepped one whole interval at a time with array
-  operations (the method of steps); x, y and z are byte for byte those of
-  the step loop, which stays the only path for drifts that read x or s.
-* ``solve_picard``: the interval-by-interval fixed-point construction.
-  On [nr, (n+1)r] the Young integral of the diffusion is computed once
-  (its argument is the already-fixed solution up to nr) and the drift +
-  reflection map is iterated to a sup-norm fixed point.
+* ``_picard_interval`` (scheme = picard) iterates the drift + reflection
+  map to a sup-norm fixed point and records its iterations and residual;
+* ``_euler_interval`` (scheme = euler, a drift that reads only t and the
+  delayed state xd1..xdd) takes the whole interval with array operations
+  (the method of steps), byte for byte the step loop's x, y and z;
+* ``_euler_steps`` (scheme = euler, any other drift) is the explicit
+  forward recursion with the regulator applied each step, so the drift's
+  x and s arguments always see reflected values.
 
-``solve_stochastic`` wraps either scheme with independent fBm drivers
-per path.
+``solve_euler`` and ``solve_picard`` are ``solve`` with the scheme forced;
+``solve_stochastic`` runs ``solve`` with independent fBm drivers per path.
 """
 
 from __future__ import annotations
@@ -161,7 +162,10 @@ def driver_grid(p: Problem, n_r: int) -> TimeGrid:
     return TimeGrid(0.0, p.T, p.n_intervals * n_r)
 
 
-def _check_setup(p: Problem, g: SamplePath, cfg: SolverConfig) -> None:
+def _start(p: Problem, g: SamplePath, cfg: SolverConfig):
+    """Check the initial segment and the driver against the problem, then
+    return the grid on [-r, T], the arrays x, y, z and running sups of |x|
+    filled on [-r, 0] from the initial segment, and the driver increments."""
     n_r = cfg.steps_per_delay
     if p.eta.grid.n_steps != n_r:
         raise ValueError(
@@ -173,29 +177,7 @@ def _check_setup(p: Problem, g: SamplePath, cfg: SolverConfig) -> None:
         raise ValueError(f"driver grid {got} does not match problem grid {want}")
     if g.dim != p.m:
         raise ValueError(f"driver has {g.dim} columns, problem expects {p.m}")
-
-
-def _full_grid(p: Problem, n_r: int) -> TimeGrid:
-    return TimeGrid(-p.r, p.T, (p.n_intervals + 1) * n_r)
-
-
-def _package(p: Problem, g: SamplePath, grid: TimeGrid, x, y, z, iters, residuals) -> ReflectedSolution:
-    return ReflectedSolution(
-        x=SamplePath(grid, x),
-        y=SamplePath(grid, y),
-        z=SamplePath(grid, z),
-        driver=g,
-        iterations_per_interval=iters,
-        final_residuals=residuals,
-    )
-
-
-def _start(p: Problem, g: SamplePath, cfg: SolverConfig):
-    """Grid on [-r, T], the arrays x, y, z and running sups of |x| filled on
-    [-r, 0] from the initial segment, and the driver increments."""
-    _check_setup(p, g, cfg)
-    n_r = cfg.steps_per_delay
-    grid = _full_grid(p, n_r)
+    grid = TimeGrid(-p.r, p.T, (p.n_intervals + 1) * n_r)
     x = np.zeros((grid.n_steps + 1, p.d))
     x[: n_r + 1] = p.eta.values
     z = x.copy()
@@ -216,8 +198,19 @@ def _batched_diffusion_increments(p: Problem, times, x, dg, i0: int, i1: int, n_
     return _cell_products(sig, dg[idx - n_r])
 
 
-def _euler_steps(p: Problem, times, dt: float, x, y, z, sups, sig_dg, i0: int, i1: int, n_r: int) -> None:
+def _close_interval(x, y, z, sups, z_new, i0: int, i1: int) -> None:
+    """Write z_new as the rows of z that end at i1, with the regulator
+    continued from y[i0], x = z + y, and the running sups of |x| on [i0, i1]."""
+    rows = slice(i1 + 1 - len(z_new), i1 + 1)
+    z[rows] = z_new
+    y[rows] = regulator_values(z_new, y[i0])
+    x[rows] = z_new + y[rows]
+    np.maximum.accumulate(np.maximum(sups[i0 - 1], np.abs(x[i0 : i1 + 1])), axis=0, out=sups[i0 : i1 + 1])
+
+
+def _euler_steps(p: Problem, cfg: SolverConfig, times, dt: float, x, y, z, sups, sig_dg, i0: int, i1: int) -> None:
     """The Euler recursion on [i0, i1], one grid step at a time."""
+    n_r = cfg.steps_per_delay
     for k in range(i0, i1):
         b = eval_drift(p.coeffs, float(times[k]), x[k], x[k - n_r], sups[k])
         z[k + 1] = z[k] + b * dt + sig_dg[k - i0]
@@ -229,17 +222,18 @@ def _euler_steps(p: Problem, times, dt: float, x, y, z, sups, sig_dg, i0: int, i
         sups[k + 1] = np.maximum(sups[k], np.abs(x[k + 1]))
 
 
-def _euler_interval(p: Problem, times, dt: float, x, y, z, sups, sig_dg, i0: int, i1: int, n_r: int) -> None:
+def _euler_interval(p: Problem, cfg: SolverConfig, times, dt: float, x, y, z, sups, sig_dg, i0: int, i1: int) -> None:
     """The Euler recursion on [i0, i1] for a drift that reads only t and the
     delayed state, which is already fixed there: one drift call and one
     cumulative sum, with the step loop's rounding."""
+    n_r = cfg.steps_per_delay
     xd = x[i0 - n_r : i1 - n_r]
     try:
         b = eval_drift(p.coeffs, times[i0:i1], xd, xd, xd)  # x and s are not read
     except ValueError:
         # a non-finite drift row; an earlier step may blow up first, so the
         # step loop raises whichever failure comes first in step order
-        _euler_steps(p, times, dt, x, y, z, sups, sig_dg, i0, i1, n_r)
+        _euler_steps(p, cfg, times, dt, x, y, z, sups, sig_dg, i0, i1)
         return
     # [z[i0], b_0 dt, sig_dg_0, b_1 dt, ...]: the even partial sums are
     # (z[k] + b_k dt) + sig_dg_k, added in the step loop's order
@@ -252,95 +246,92 @@ def _euler_interval(p: Problem, times, dt: float, x, y, z, sups, sig_dg, i0: int
     if not finite.all():
         k = i0 + int(np.argmin(finite))  # the first step whose z[k + 1] is not finite
         raise BlowUpError(k + 1 - n_r, float(times[k + 1]))
-    z[i0 + 1 : i1 + 1] = z_new
-    y[i0 + 1 : i1 + 1] = regulator_values(z_new, y[i0])
-    x[i0 + 1 : i1 + 1] = z_new + y[i0 + 1 : i1 + 1]
-    np.maximum.accumulate(np.maximum(sups[i0 - 1], np.abs(x[i0 : i1 + 1])), axis=0, out=sups[i0 : i1 + 1])
+    _close_interval(x, y, z, sups, z_new, i0, i1)
 
 
-def solve_euler(p: Problem, g: SamplePath, cfg: SolverConfig) -> ReflectedSolution:
-    """Explicit scheme: left-point drift and diffusion, incremental reflection.
+def _picard_interval(p: Problem, cfg: SolverConfig, times, dt: float, x, y, z, sups, sig_dg,
+                     i0: int, i1: int) -> tuple[int, float]:
+    """The fixed-point construction on [i0, i1]; returns the iteration count
+    and the final residual.
 
-    A drift in t and xd1..xdd only is stepped a delay interval at a time.
+    The map u -> z(i0) + drift integral + Young term + regulator is
+    iterated to a sup-norm fixed point from the configured initial iterate,
+    with one batched drift call per iteration.
+    """
+    n_r = cfg.steps_per_delay
+    young_cum = np.zeros((n_r + 1, p.d))
+    np.cumsum(sig_dg, axis=0, out=young_cum[1:])
+    t_int = times[i0 : i1 + 1]
+    x_delayed = x[i0 - n_r : i0 + 1]
+
+    if cfg.initial_iterate == "constant":
+        u = np.tile(x[i0], (n_r + 1, 1))
+    else:  # the last step's slope, continued and kept non-negative
+        slope = (x[i0] - x[i0 - 1]) / dt
+        u = np.maximum(x[i0] + slope * (np.arange(n_r + 1) * dt)[:, None], 0.0)
+    u[0] = x[i0]
+    for n_iter in range(1, cfg.picard_max_iter + 1):
+        u_sups = np.maximum.accumulate(np.maximum(sups[i0 - 1], np.abs(u)), axis=0)
+        b = eval_drift(p.coeffs, t_int, u, x_delayed, u_sups)
+        drift_cum = np.zeros((n_r + 1, p.d))
+        np.cumsum(0.5 * dt * (b[:-1] + b[1:]), axis=0, out=drift_cum[1:])
+        z_int = z[i0] + drift_cum + young_cum
+        if not np.all(np.isfinite(z_int)):
+            raise BlowUpError(i1 - n_r, float(times[i1]))
+        u_new = z_int + regulator_values(z_int, y[i0])
+        residual = float(np.max(np.abs(u_new - u)))
+        u = u_new
+        if residual <= cfg.picard_tol:
+            break
+    else:
+        raise PicardConvergenceError(i0 // n_r - 1, residual, cfg.picard_max_iter)
+    # z_int covers [i0, i1]: rewriting row i0 keeps its bytes (z[i0] + 0.0 turns -0.0 into 0.0)
+    _close_interval(x, y, z, sups, z_int, i0, i1)
+    return n_iter, residual
+
+
+def solve(p: Problem, g: SamplePath, cfg: SolverConfig) -> ReflectedSolution:
+    """Solve on the driver g one delay interval at a time.
+
+    On each interval the delayed state is already fixed, so the diffusion's
+    left-point Young increments are computed first in one batch; then the
+    interval stepper chosen once per solve advances x, y and z over it.
     """
     grid, x, y, z, sups, dg = _start(p, g, cfg)
     n_r = cfg.steps_per_delay
     times = grid.times
-    dt = grid.dt
-    # diffusion_variables: t and xd1..xdd
-    delay_only = set().union(*map(collect_vars, p.coeffs.drift)) <= diffusion_variables(p.d)
-    step = _euler_interval if delay_only else _euler_steps
+    if cfg.scheme == "picard":
+        step = _picard_interval
+    elif set().union(*map(collect_vars, p.coeffs.drift)) <= diffusion_variables(p.d):  # t, xd1..xdd
+        step = _euler_interval
+    else:
+        step = _euler_steps
+    picard = []
     with np.errstate(over="ignore", invalid="ignore"):  # overflow ends as BlowUpError
         for i0 in range(n_r, grid.n_steps, n_r):
             i1 = i0 + n_r
             sig_dg = _batched_diffusion_increments(p, times, x, dg, i0, i1, n_r)
-            step(p, times, dt, x, y, z, sups, sig_dg, i0, i1, n_r)
-    return _package(p, g, grid, x, y, z, [], [])
+            stats = step(p, cfg, times, grid.dt, x, y, z, sups, sig_dg, i0, i1)
+            if stats is not None:
+                picard.append(stats)
+    return ReflectedSolution(
+        x=SamplePath(grid, x),
+        y=SamplePath(grid, y),
+        z=SamplePath(grid, z),
+        driver=g,
+        iterations_per_interval=[n_iter for n_iter, _ in picard],
+        final_residuals=[residual for _, residual in picard],
+    )
 
 
-def _initial_iterate(kind: str, x: np.ndarray, i0: int, n_r: int, dt: float) -> np.ndarray:
-    if kind == "constant":
-        return np.tile(x[i0], (n_r + 1, 1))
-    slope = (x[i0] - x[i0 - 1]) / dt
-    taus = (np.arange(n_r + 1) * dt)[:, None]
-    return np.maximum(x[i0] + slope * taus, 0.0)
+def solve_euler(p: Problem, g: SamplePath, cfg: SolverConfig) -> ReflectedSolution:
+    """``solve`` with scheme = euler, whatever cfg says."""
+    return solve(p, g, replace(cfg, scheme="euler"))
 
 
 def solve_picard(p: Problem, g: SamplePath, cfg: SolverConfig) -> ReflectedSolution:
-    """Interval-by-interval fixed-point construction.
-
-    Per delay interval the diffusion Young term is frozen (left-point, its
-    argument is the previous interval's solution) and the map
-    u -> eta(0) + drift integral + Young term + regulator is iterated to a
-    sup-norm fixed point from the configured initial iterate.  Each
-    iteration evaluates the drift on the whole interval in one batch.
-    """
-    grid, x, y, z, sups, dg = _start(p, g, cfg)
-    n_r = cfg.steps_per_delay
-    times = grid.times
-    dt = grid.dt
-    iters: list[int] = []
-    residuals: list[float] = []
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow ends as BlowUpError
-        for interval in range(p.n_intervals):
-            i0 = (interval + 1) * n_r
-            i1 = i0 + n_r
-            incr = _batched_diffusion_increments(p, times, x, dg, i0, i1, n_r)
-            young_cum = np.zeros((n_r + 1, p.d))
-            np.cumsum(incr, axis=0, out=young_cum[1:])
-            t_int = times[i0 : i1 + 1]
-            x_delayed = x[i0 - n_r : i0 + 1]
-
-            u = _initial_iterate(cfg.initial_iterate, x, i0, n_r, dt)
-            u[0] = x[i0]
-            for n_iter in range(1, cfg.picard_max_iter + 1):
-                u_sups = np.maximum.accumulate(np.maximum(sups[i0 - 1], np.abs(u)), axis=0)
-                b = eval_drift(p.coeffs, t_int, u, x_delayed, u_sups)
-                drift_cum = np.zeros((n_r + 1, p.d))
-                np.cumsum(0.5 * dt * (b[:-1] + b[1:]), axis=0, out=drift_cum[1:])
-                z_int = z[i0] + drift_cum + young_cum
-                if not np.all(np.isfinite(z_int)):
-                    raise BlowUpError(i1 - n_r, float(times[i1]))
-                y_int = regulator_values(z_int, y[i0])
-                u_new = z_int + y_int
-                residual = float(np.max(np.abs(u_new - u)))
-                u = u_new
-                if residual <= cfg.picard_tol:
-                    break
-            else:
-                raise PicardConvergenceError(interval, residual, cfg.picard_max_iter)
-            x[i0 : i1 + 1] = u
-            z[i0 : i1 + 1] = z_int
-            y[i0 : i1 + 1] = y_int
-            np.maximum.accumulate(np.maximum(sups[i0 - 1], np.abs(u)), axis=0, out=sups[i0 : i1 + 1])
-            iters.append(n_iter)
-            residuals.append(residual)
-    return _package(p, g, grid, x, y, z, iters, residuals)
-
-
-def solve(p: Problem, g: SamplePath, cfg: SolverConfig) -> ReflectedSolution:
-    fn = solve_euler if cfg.scheme == "euler" else solve_picard
-    return fn(p, g, cfg)
+    """``solve`` with scheme = picard, whatever cfg says."""
+    return solve(p, g, replace(cfg, scheme="picard"))
 
 
 @dataclass
@@ -379,9 +370,6 @@ class ConvergenceTable:
     levels: list[int]
     errors: list[float]
     empirical_order: float
-
-    def rows(self) -> list[tuple[int, float]]:
-        return list(zip(self.levels, self.errors))
 
 
 def _check_levels(levels: list[int]) -> None:
@@ -428,7 +416,7 @@ def convergence_study(p: Problem, g_fine: SamplePath, levels: list[int],
     return ConvergenceTable(levels=list(levels[:-1]), errors=errors, empirical_order=float(slope))
 
 
-def check_invariants(sol: ReflectedSolution, x_floor: float = -1e-12) -> dict:
+def check_invariants(sol: ReflectedSolution) -> dict:
     """Reflection invariants of a solution; used by tests and the CLI manifest."""
     grid = sol.grid
     t0_idx = grid.index_of(0.0)
@@ -441,7 +429,7 @@ def check_invariants(sol: ReflectedSolution, x_floor: float = -1e-12) -> dict:
     total_increase = float(np.max(y[-1] - y[t0_idx]))
     bound = 10.0 * grid.dt * float(np.abs(x).max()) * max(total_increase, grid.dt)
     return {
-        "x_nonnegative": bool(x.min() >= x_floor),
+        "x_nonnegative": bool(x.min() >= -1e-12),
         "y_starts_at_zero": bool(np.all(y[t0_idx] == 0.0)),
         "y_nondecreasing": bool(np.all(dy >= 0.0)),
         "x_equals_z_plus_y": bool(np.array_equal(x[t0_idx:], z[t0_idx:] + y[t0_idx:])),

@@ -183,15 +183,20 @@ class TestNormsCmd:
 
 
 class TestShortCsv:
-    @pytest.mark.parametrize("rows", ["", "0.0,1.0\n"], ids=["header_only", "one_row"])
+    @pytest.mark.parametrize("text,why", [
+        ("t,f\n", "two data rows"),
+        ("t,f\n0.0,1.0\n", "two data rows"),
+        ("", "is empty"),
+        ("t\n0.0\n1.0\n", "no value column"),
+    ], ids=["header_only", "one_row", "empty", "t_only"])
     @pytest.mark.parametrize("command", ["norms", "skorokhod"])
-    def test_exit_one(self, tmp_path, capsys, command, rows):
+    def test_exit_one(self, tmp_path, capsys, command, text, why):
         src = tmp_path / "short.csv"
-        src.write_text("t,f\n" + rows)
+        src.write_text(text)
         extra = ["--alpha", "0.3"] if command == "norms" else ["--out", str(tmp_path / "x.csv")]
         assert main([command, str(src)] + extra) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(src) in err and "two data rows" in err
+        assert err.startswith("error: ") and str(src) in err and why in err
 
 
 class TestConvergeCmd:

@@ -32,6 +32,23 @@ class TestParser:
         assert eval_expr(parse_expr("2 ^ 3 ^ 2"), {}, {}) == 512.0
         assert eval_expr(parse_expr("2 ** 3 ** 2"), {}, {}) == 512.0
 
+    @pytest.mark.parametrize("source,want", [
+        ("-x1^2", -9.0),  # ^ binds tighter than a leading minus
+        ("-x1**2", -9.0),
+        ("-2^2", -4.0),
+        ("2^-1", 0.5),  # a signed exponent
+        ("2^3^2", 512.0),
+        ("a*-x1", -3.0 * 1.5),
+    ])
+    def test_power_binds_tighter_than_leading_minus(self, source, want):
+        params = {"a": 1.5}
+        assert eval_expr(parse_expr(source, params), {"x1": 3.0}, params) == want
+
+    def test_negated_power_prints_back(self):
+        ast = parse_expr("-x1^2")
+        assert ast == Unary("neg", Binary("^", Var("x1"), Const(2.0)))
+        assert parse_expr(print_expr(ast)) == ast
+
     def test_linear_diffusion_example(self):
         ast = parse_expr("a * xd1 + b", params={"a": 1.5, "b": 0.2})
         assert eval_expr(ast, {"xd1": 2.0}, {"a": 1.5, "b": 0.2}) == pytest.approx(3.2)

@@ -128,6 +128,17 @@ class TestPicard:
             solve_picard(p, g, SolverConfig(steps_per_delay=64, scheme="picard",
                                             picard_tol=1e-15, picard_max_iter=2))
 
+    def test_scheme_is_forced(self):
+        p = linear_problem(32, M=2)
+        g = sample_circulant(driver_grid(p, 32), 0.75, 1, seed=7)
+        picard = solve_picard(p, g, SolverConfig(steps_per_delay=32, scheme="euler"))
+        assert len(picard.iterations_per_interval) == 2
+        want = solve(p, g, SolverConfig(steps_per_delay=32, scheme="picard"))
+        assert np.array_equal(picard.x.values, want.x.values)
+        euler = solve_euler(p, g, SolverConfig(steps_per_delay=32, scheme="picard"))
+        assert euler.iterations_per_interval == [] and euler.final_residuals == []
+        assert np.array_equal(euler.x.values, solve(p, g, SolverConfig(steps_per_delay=32)).x.values)
+
     def test_matches_euler_under_refinement(self):
         p_fn = linear_problem
         finest = 512
