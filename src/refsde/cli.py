@@ -278,6 +278,24 @@ def _solution_csv(path: Path, sol) -> None:
     _write_csv(path, header, cols)
 
 
+def _raise_bad_cell(path: Path, text: str) -> None:
+    """Raise ValueError naming the first cell of a CSV that is not a number,
+    by its 1-based line and its column header; return if there is none."""
+    lines = text.splitlines()
+    header_at = next(i for i, line in enumerate(lines) if line.strip())
+    header = [name.strip() for name in lines[header_at].split(",")]
+    for lineno, line in enumerate(lines[header_at + 1 :], start=header_at + 2):
+        if not line.strip():
+            continue
+        for name, cell in zip(header, line.split(",")):
+            try:
+                float(cell)
+            except ValueError:
+                raise ValueError(
+                    f"{path}, line {lineno}, column {name}: {cell.strip()!r} is not a number"
+                ) from None
+
+
 def _read_path_csv(path: Path) -> SamplePath:
     text = path.read_text()
     if not text.strip():  # genfromtxt warns, then fails with an IndexError
@@ -292,6 +310,8 @@ def _read_path_csv(path: Path) -> SamplePath:
         raise ValueError(f"{path} has no value column after t")
     times = data["t"]
     values = np.column_stack([data[n] for n in names[1:]])
+    if np.isnan(times).any() or np.isnan(values).any():
+        _raise_bad_cell(path, text)  # genfromtxt reads a cell that is not a number as nan
     n = len(times) - 1
     grid = TimeGrid(float(times[0]), float(times[-1]), n)
     if not np.allclose(times, grid.times, atol=1e-9 * max(1.0, abs(grid.t1))):
@@ -359,6 +379,7 @@ def cmd_simulate(args) -> int:
             entry[f"norms_x_{comp + 1}"] = norm_report(sol.x.component(comp), alpha).to_dict()
         if cfg.solver.scheme == "picard":
             entry["picard_iterations"] = sol.iterations_per_interval
+            entry["picard_residuals"] = sol.final_residuals
         manifest["runs"].append(entry)
         if "csv" in cfg.formats:
             _solution_csv(outdir / f"path_{i:04d}.csv", sol)

@@ -344,12 +344,21 @@ class CoefficientSet:
                    params=params, meta=meta or DeclaredMeta())
 
 
+def _first_non_finite(out: np.ndarray, t):
+    """Index of the first non-finite entry of out in C order, and its time:
+    t itself when scalar, else t at the entry's index on axis 0."""
+    at = tuple(np.argwhere(~np.isfinite(out))[0])
+    return at, (t if np.ndim(t) == 0 else np.asarray(t)[at[0]])
+
+
 def eval_drift(c: CoefficientSet, t, x, x_delayed, sups) -> np.ndarray:
     """Drift vector b(t, x(t), x(t - r), sup |x|).
 
-    x, x_delayed and sups are one state row of shape (d,) with scalar t,
-    or a batch of shape (K, d) with t of shape (K,); the result has the
-    shape of x.
+    x, x_delayed and sups are states of shape (..., d): one row (d,) or
+    rows (P, d) with scalar t, or a batch (K, d) or (K, P, d) with t of
+    shape (K,); the result has the shape of x.  A non-finite entry is
+    reported with its component, value and t; in a (K, P, d) batch the
+    first one in time order is also the one its lane alone reports.
     """
     env = {"t": t}
     for i in range(c.d):
@@ -360,10 +369,8 @@ def eval_drift(c: CoefficientSet, t, x, x_delayed, sups) -> np.ndarray:
     for i, expr in enumerate(c.drift):
         out.T[i] = eval_expr(expr, env, c.params)
     if np.count_nonzero(np.isfinite(out)) < out.size:  # cheaper than all() on one row
-        rows = out.reshape(-1, c.d)
-        k, i = np.argwhere(~np.isfinite(rows))[0]
-        t_k = np.broadcast_to(t, rows.shape[:1])[k]
-        raise ValueError(f"drift component {i + 1} evaluated to {rows[k, i]} at t={t_k}")
+        at, t_at = _first_non_finite(out, t)
+        raise ValueError(f"drift component {at[-1] + 1} evaluated to {out[at]} at t={t_at}")
     return out
 
 
@@ -371,7 +378,9 @@ def eval_diffusion(c: CoefficientSet, t, x_delayed) -> np.ndarray:
     """Diffusion matrix sigma(t, x(t-r)).
 
     Scalar t with x_delayed of shape (d,) gives a (d, m) matrix; an array
-    t of shape (K,) with x_delayed (K, d) gives a (K, d, m) batch.
+    t of shape (K,) with x_delayed (K, d) or (K, P, d) gives a (K, d, m)
+    or (K, P, d, m) batch.  A non-finite entry is reported as eval_drift
+    reports one.
     """
     x_delayed = np.asarray(x_delayed, dtype=float)
     env = {"t": t}
@@ -382,10 +391,8 @@ def eval_diffusion(c: CoefficientSet, t, x_delayed) -> np.ndarray:
         for j, expr in enumerate(row):
             out.T[j, i] = eval_expr(expr, env, c.params)
     if np.count_nonzero(np.isfinite(out)) < out.size:
-        rows = out.reshape(-1, c.d, c.m)
-        k, i, j = np.argwhere(~np.isfinite(rows))[0]
-        t_k = np.broadcast_to(t, rows.shape[:1])[k]
-        raise ValueError(f"diffusion entry ({i + 1},{j + 1}) evaluated to {rows[k, i, j]} at t={t_k}")
+        at, t_at = _first_non_finite(out, t)
+        raise ValueError(f"diffusion entry ({at[-2] + 1},{at[-1] + 1}) evaluated to {out[at]} at t={t_at}")
     return out
 
 

@@ -1,13 +1,17 @@
 """Pathwise solvers for the reflected delay equation.
 
-``solve`` builds the solution one delay interval at a time, the
+``_solve_lanes`` builds the solution one delay interval at a time, the
 construction the paper follows: on [nr, (n+1)r] the delayed state is
-already fixed, so the diffusion's left-point Young increments are computed
-once in a batch, and one interval stepper, chosen once per solve, advances
-x, y and z over the interval:
+already fixed, so the paths are independent given their drivers, and all
+of them advance through the interval in one array pass, one lane per
+path.  x, y, z and the running sups of |x| have shape (N+1, P, d).  The
+diffusion's left-point Young increments are computed once per interval
+in a batch, and one interval stepper, chosen once per solve, advances
+every lane over the interval:
 
 * ``_picard_interval`` (scheme = picard) iterates the drift + reflection
-  map to a sup-norm fixed point and records its iterations and residual;
+  map to a sup-norm fixed point; a lane within tolerance is frozen with
+  its own iteration count and residual while the others iterate on;
 * ``_euler_interval`` (scheme = euler, a drift that reads only t and the
   delayed state xd1..xdd) takes the whole interval with array operations
   (the method of steps), byte for byte the step loop's x, y and z;
@@ -15,8 +19,15 @@ x, y and z over the interval:
   forward recursion with the regulator applied each step, so the drift's
   x and s arguments always see reflected values.
 
-``solve_euler`` and ``solve_picard`` are ``solve`` with the scheme forced;
-``solve_stochastic`` runs ``solve`` with independent fBm drivers per path.
+A lane that fails on an interval (a non-finite state or coefficient, or
+Picard out of iterations) is dropped with the error a solve of that path
+alone raises, and the interval is stepped again for the other lanes.
+Every lane gets the bytes of its own solve.
+
+``solve`` is the one-lane case and raises the lane's error;
+``solve_euler`` and ``solve_picard`` are ``solve`` with the scheme forced.
+``solve_stochastic`` samples one fBm driver per path and solves the paths
+as lanes, in chunks of about _LANE_BYTES of solver state.
 """
 
 from __future__ import annotations
@@ -48,6 +59,10 @@ __all__ = [
     "convergence_study",
     "check_invariants",
 ]
+
+# Bytes of solver state per chunk of lanes in solve_stochastic: x, y, z, the
+# running sups and the driver increments of every lane of the chunk.
+_LANE_BYTES = 1 << 24
 
 
 class BlowUpError(RuntimeError):
@@ -162,40 +177,77 @@ def driver_grid(p: Problem, n_r: int) -> TimeGrid:
     return TimeGrid(0.0, p.T, p.n_intervals * n_r)
 
 
-def _start(p: Problem, g: SamplePath, cfg: SolverConfig):
-    """Check the initial segment and the driver against the problem, then
+def _start(p: Problem, gs: list[SamplePath], cfg: SolverConfig):
+    """Check the initial segment and the drivers against the problem, then
     return the grid on [-r, T], the arrays x, y, z and running sups of |x|
-    filled on [-r, 0] from the initial segment, and the driver increments."""
+    of shape (N+1, P, d), one lane per driver, filled on [-r, 0] from the
+    initial segment, and the driver increments of shape (N, P, m)."""
     n_r = cfg.steps_per_delay
     if p.eta.grid.n_steps != n_r:
         raise ValueError(
             f"initial segment is sampled at {p.eta.grid.n_steps} steps per delay, config wants {n_r}"
         )
     want = driver_grid(p, n_r)
-    got = g.grid
-    if got.n_steps != want.n_steps or abs(got.t0) > 1e-12 or abs(got.t1 - want.t1) > 1e-9:
-        raise ValueError(f"driver grid {got} does not match problem grid {want}")
-    if g.dim != p.m:
-        raise ValueError(f"driver has {g.dim} columns, problem expects {p.m}")
+    for g in gs:
+        got = g.grid
+        if got.n_steps != want.n_steps or abs(got.t0) > 1e-12 or abs(got.t1 - want.t1) > 1e-9:
+            raise ValueError(f"driver grid {got} does not match problem grid {want}")
+        if g.dim != p.m:
+            raise ValueError(f"driver has {g.dim} columns, problem expects {p.m}")
     grid = TimeGrid(-p.r, p.T, (p.n_intervals + 1) * n_r)
-    x = np.zeros((grid.n_steps + 1, p.d))
-    x[: n_r + 1] = p.eta.values
+    x = np.zeros((grid.n_steps + 1, len(gs), p.d))
+    x[: n_r + 1] = p.eta.values[:, None]
     z = x.copy()
     y = np.zeros_like(x)
     sups = np.empty_like(x)
-    np.maximum.accumulate(np.abs(p.eta.values), axis=0, out=sups[: n_r + 1])
-    return grid, x, y, z, sups, np.diff(g.values, axis=0)
+    sups[: n_r + 1] = np.maximum.accumulate(np.abs(p.eta.values), axis=0)[:, None]
+    dg = np.stack([np.diff(g.values, axis=0) for g in gs], axis=1)
+    return grid, x, y, z, sups, dg
+
+
+class _LaneFailures(Exception):
+    """Some lanes failed on the current delay interval; errors maps each
+    such lane to the error its own solve raises."""
+
+    def __init__(self, errors: dict):
+        super().__init__(errors)
+        self.errors = errors
+
+
+def _lanewise(evaluate, c: CoefficientSet, t, *states, lanes=None):
+    """evaluate(c, t, *states) on states whose axis -2 holds the lanes.
+
+    When the batch holds a non-finite value (evaluate raises ValueError),
+    each lane is evaluated alone, so that every failing lane gets its own
+    solve's message, and _LaneFailures names them by lanes[j] (or j).
+    """
+    try:
+        return evaluate(c, t, *states)
+    except ValueError:
+        errors = {}
+        for j in range(states[0].shape[-2]):
+            try:
+                evaluate(c, t, *(s[..., j : j + 1, :] for s in states))
+            except ValueError as exc:
+                errors[j if lanes is None else int(lanes[j])] = exc
+        if not errors:
+            raise
+        raise _LaneFailures(errors) from None
 
 
 def _batched_diffusion_increments(p: Problem, times, x, dg, i0: int, i1: int, n_r: int) -> np.ndarray:
-    """Left-point diffusion increments sigma(t_j, x(t_j - r)) dg_j on [i0, i1).
+    """Left-point diffusion increments sigma(t_j, x(t_j - r)) dg_j on [i0, i1)
+    for every lane, shape (i1 - i0, P, d).
 
     The delayed argument lies in the already-fixed part of the path, so
-    the whole interval is evaluated in one batch.
+    the whole interval is evaluated in one batch; the lanes are folded into
+    the batch axis of the per-cell product, which sums each cell's m driver
+    slots as one path does.
     """
-    idx = np.arange(i0, i1)
-    sig = eval_diffusion(p.coeffs, times[idx], x[idx - n_r])  # (K, d, m)
-    return _cell_products(sig, dg[idx - n_r])
+    sig = _lanewise(eval_diffusion, p.coeffs, times[i0:i1], x[i0 - n_r : i1 - n_r])  # (K, P, d, m)
+    cells = sig.shape[0] * sig.shape[1]
+    prod = _cell_products(sig.reshape(cells, p.d, p.m), dg[i0 - n_r : i1 - n_r].reshape(cells, p.m))
+    return prod.reshape(sig.shape[:3])
 
 
 def _close_interval(x, y, z, sups, z_new, i0: int, i1: int) -> None:
@@ -209,13 +261,14 @@ def _close_interval(x, y, z, sups, z_new, i0: int, i1: int) -> None:
 
 
 def _euler_steps(p: Problem, cfg: SolverConfig, times, dt: float, x, y, z, sups, sig_dg, i0: int, i1: int) -> None:
-    """The Euler recursion on [i0, i1], one grid step at a time."""
+    """The Euler recursion on [i0, i1], one grid step at a time for all lanes."""
     n_r = cfg.steps_per_delay
     for k in range(i0, i1):
-        b = eval_drift(p.coeffs, float(times[k]), x[k], x[k - n_r], sups[k])
+        b = _lanewise(eval_drift, p.coeffs, float(times[k]), x[k], x[k - n_r], sups[k])
         z[k + 1] = z[k] + b * dt + sig_dg[k - i0]
-        if np.count_nonzero(np.isfinite(z[k + 1])) < p.d:
-            raise BlowUpError(k + 1 - n_r, float(times[k + 1]))
+        if np.count_nonzero(np.isfinite(z[k + 1])) < b.size:
+            bad = np.flatnonzero(~np.isfinite(z[k + 1]).all(axis=1))
+            raise _LaneFailures({int(j): BlowUpError(k + 1 - n_r, float(times[k + 1])) for j in bad})
         # one step of regulator_values; calling it per step costs more than the step
         y[k + 1] = np.maximum(y[k], np.maximum(-z[k + 1], 0.0))
         x[k + 1] = z[k + 1] + y[k + 1]
@@ -225,7 +278,7 @@ def _euler_steps(p: Problem, cfg: SolverConfig, times, dt: float, x, y, z, sups,
 def _euler_interval(p: Problem, cfg: SolverConfig, times, dt: float, x, y, z, sups, sig_dg, i0: int, i1: int) -> None:
     """The Euler recursion on [i0, i1] for a drift that reads only t and the
     delayed state, which is already fixed there: one drift call and one
-    cumulative sum, with the step loop's rounding."""
+    cumulative sum for all lanes, with the step loop's rounding."""
     n_r = cfg.steps_per_delay
     xd = x[i0 - n_r : i1 - n_r]
     try:
@@ -237,67 +290,89 @@ def _euler_interval(p: Problem, cfg: SolverConfig, times, dt: float, x, y, z, su
         return
     # [z[i0], b_0 dt, sig_dg_0, b_1 dt, ...]: the even partial sums are
     # (z[k] + b_k dt) + sig_dg_k, added in the step loop's order
-    terms = np.empty((2 * (i1 - i0) + 1, p.d))
+    terms = np.empty((2 * (i1 - i0) + 1,) + b.shape[1:])
     terms[0] = z[i0]
     terms[1::2] = b * dt
     terms[2::2] = sig_dg
     z_new = np.cumsum(terms, axis=0)[2::2]
-    finite = np.isfinite(z_new).all(axis=1)
-    if not finite.all():
-        k = i0 + int(np.argmin(finite))  # the first step whose z[k + 1] is not finite
-        raise BlowUpError(k + 1 - n_r, float(times[k + 1]))
+    finite = np.isfinite(z_new).all(axis=2)
+    if not finite.all():  # each failing lane ends at its first non-finite z[k + 1]
+        errors = {}
+        for j in np.flatnonzero(~finite.all(axis=0)):
+            k = i0 + int(np.argmin(finite[:, j]))
+            errors[int(j)] = BlowUpError(k + 1 - n_r, float(times[k + 1]))
+        raise _LaneFailures(errors)
     _close_interval(x, y, z, sups, z_new, i0, i1)
 
 
 def _picard_interval(p: Problem, cfg: SolverConfig, times, dt: float, x, y, z, sups, sig_dg,
-                     i0: int, i1: int) -> tuple[int, float]:
-    """The fixed-point construction on [i0, i1]; returns the iteration count
-    and the final residual.
+                     i0: int, i1: int) -> tuple[np.ndarray, np.ndarray]:
+    """The fixed-point construction on [i0, i1]; returns each lane's
+    iteration count and final residual.
 
     The map u -> z(i0) + drift integral + Young term + regulator is
     iterated to a sup-norm fixed point from the configured initial iterate,
-    with one batched drift call per iteration.
+    with one batched drift call per iteration over the lanes still
+    iterating.  A lane is frozen at the first iterate within tolerance.
     """
     n_r = cfg.steps_per_delay
-    young_cum = np.zeros((n_r + 1, p.d))
-    np.cumsum(sig_dg, axis=0, out=young_cum[1:])
+    young = np.zeros((n_r + 1,) + sig_dg.shape[1:])
+    np.cumsum(sig_dg, axis=0, out=young[1:])
     t_int = times[i0 : i1 + 1]
-    x_delayed = x[i0 - n_r : i0 + 1]
 
     if cfg.initial_iterate == "constant":
-        u = np.tile(x[i0], (n_r + 1, 1))
+        u = np.tile(x[i0], (n_r + 1, 1, 1))
     else:  # the last step's slope, continued and kept non-negative
         slope = (x[i0] - x[i0 - 1]) / dt
-        u = np.maximum(x[i0] + slope * (np.arange(n_r + 1) * dt)[:, None], 0.0)
+        u = np.maximum(x[i0] + slope * (np.arange(n_r + 1) * dt)[:, None, None], 0.0)
     u[0] = x[i0]
+    z_int = np.empty_like(u)  # each lane's z at the iterate it stopped on
+    iterations = np.empty(u.shape[1], dtype=int)
+    residuals = np.empty(u.shape[1])
+    # the lanes still iterating, and their slices of the fixed data
+    live = np.arange(u.shape[1])
+    xd, s0, z0, y0 = x[i0 - n_r : i0 + 1], sups[i0 - 1], z[i0], y[i0]
     for n_iter in range(1, cfg.picard_max_iter + 1):
-        u_sups = np.maximum.accumulate(np.maximum(sups[i0 - 1], np.abs(u)), axis=0)
-        b = eval_drift(p.coeffs, t_int, u, x_delayed, u_sups)
-        drift_cum = np.zeros((n_r + 1, p.d))
+        u_sups = np.maximum.accumulate(np.maximum(s0, np.abs(u)), axis=0)
+        b = _lanewise(eval_drift, p.coeffs, t_int, u, xd, u_sups, lanes=live)
+        drift_cum = np.zeros_like(u)
         np.cumsum(0.5 * dt * (b[:-1] + b[1:]), axis=0, out=drift_cum[1:])
-        z_int = z[i0] + drift_cum + young_cum
-        if not np.all(np.isfinite(z_int)):
-            raise BlowUpError(i1 - n_r, float(times[i1]))
-        u_new = z_int + regulator_values(z_int, y[i0])
-        residual = float(np.max(np.abs(u_new - u)))
+        z_new = z0 + drift_cum + young
+        finite = np.isfinite(z_new).all(axis=(0, 2))
+        if not finite.all():
+            raise _LaneFailures({int(j): BlowUpError(i1 - n_r, float(times[i1])) for j in live[~finite]})
+        u_new = z_new + regulator_values(z_new, y0)
+        res = np.max(np.abs(u_new - u), axis=(0, 2))
+        going = res > cfg.picard_tol
+        if not going.all():
+            done = live[~going]
+            z_int[:, done] = z_new[:, ~going]
+            iterations[done] = n_iter
+            residuals[done] = res[~going]
+            if not going.any():
+                break
+            live, res = live[going], res[going]
+            u_new, xd, s0, z0, y0, young = (a[..., going, :] for a in (u_new, xd, s0, z0, y0, young))
         u = u_new
-        if residual <= cfg.picard_tol:
-            break
     else:
-        raise PicardConvergenceError(i0 // n_r - 1, residual, cfg.picard_max_iter)
+        raise _LaneFailures({int(j): PicardConvergenceError(i0 // n_r - 1, float(r), cfg.picard_max_iter)
+                             for j, r in zip(live, res)})
     # z_int covers [i0, i1]: rewriting row i0 keeps its bytes (z[i0] + 0.0 turns -0.0 into 0.0)
     _close_interval(x, y, z, sups, z_int, i0, i1)
-    return n_iter, residual
+    return iterations, residuals
 
 
-def solve(p: Problem, g: SamplePath, cfg: SolverConfig) -> ReflectedSolution:
-    """Solve on the driver g one delay interval at a time.
+def _solve_lanes(p: Problem, gs: list[SamplePath], cfg: SolverConfig) -> tuple[list, dict]:
+    """Solve on every driver of gs at once, one lane per driver, one delay
+    interval at a time.
 
-    On each interval the delayed state is already fixed, so the diffusion's
-    left-point Young increments are computed first in one batch; then the
-    interval stepper chosen once per solve advances x, y and z over it.
+    Returns the solutions in driver order and a dict of failures: a lane
+    that fails on an interval is dropped with the error its own solve
+    raises (solutions[j] is None), and the interval is stepped again for
+    the other lanes, whose bytes do not depend on which lanes share the
+    pass.
     """
-    grid, x, y, z, sups, dg = _start(p, g, cfg)
+    grid, x, y, z, sups, dg = _start(p, gs, cfg)
     n_r = cfg.steps_per_delay
     times = grid.times
     if cfg.scheme == "picard":
@@ -306,22 +381,53 @@ def solve(p: Problem, g: SamplePath, cfg: SolverConfig) -> ReflectedSolution:
         step = _euler_interval
     else:
         step = _euler_steps
-    picard = []
+    lanes = np.arange(len(gs))  # the driver of each lane still running
+    failures: dict = {}
+    picard = [[] for _ in gs]
     with np.errstate(over="ignore", invalid="ignore"):  # overflow ends as BlowUpError
-        for i0 in range(n_r, grid.n_steps, n_r):
+        i0 = n_r
+        while i0 < grid.n_steps and lanes.size:
             i1 = i0 + n_r
-            sig_dg = _batched_diffusion_increments(p, times, x, dg, i0, i1, n_r)
-            stats = step(p, cfg, times, grid.dt, x, y, z, sups, sig_dg, i0, i1)
+            try:
+                sig_dg = _batched_diffusion_increments(p, times, x, dg, i0, i1, n_r)
+                stats = step(p, cfg, times, grid.dt, x, y, z, sups, sig_dg, i0, i1)
+            except _LaneFailures as exc:
+                for j, err in exc.errors.items():
+                    failures[int(lanes[j])] = err
+                keep = np.ones(lanes.size, dtype=bool)
+                keep[list(exc.errors)] = False
+                lanes = lanes[keep]
+                x, y, z, sups, dg = (a[:, keep] for a in (x, y, z, sups, dg))
+                continue  # the same interval again, for the lanes left
             if stats is not None:
-                picard.append(stats)
-    return ReflectedSolution(
-        x=SamplePath(grid, x),
-        y=SamplePath(grid, y),
-        z=SamplePath(grid, z),
-        driver=g,
-        iterations_per_interval=[n_iter for n_iter, _ in picard],
-        final_residuals=[residual for _, residual in picard],
-    )
+                for lane, n_iter, residual in zip(lanes, *stats):
+                    picard[lane].append((int(n_iter), float(residual)))
+            i0 = i1
+    solutions: list = [None] * len(gs)
+    for j, lane in enumerate(lanes):
+        solutions[lane] = ReflectedSolution(
+            x=SamplePath(grid, np.ascontiguousarray(x[:, j])),
+            y=SamplePath(grid, np.ascontiguousarray(y[:, j])),
+            z=SamplePath(grid, np.ascontiguousarray(z[:, j])),
+            driver=gs[lane],
+            iterations_per_interval=[n_iter for n_iter, _ in picard[lane]],
+            final_residuals=[residual for _, residual in picard[lane]],
+        )
+    return solutions, failures
+
+
+def solve(p: Problem, g: SamplePath, cfg: SolverConfig) -> ReflectedSolution:
+    """Solve on the driver g one delay interval at a time: the one-lane
+    case of the lane-batched solver, raising the lane's failure.
+
+    On each interval the delayed state is already fixed, so the diffusion's
+    left-point Young increments are computed first in one batch; then the
+    interval stepper chosen once per solve advances x, y and z over it.
+    """
+    (sol,), failures = _solve_lanes(p, [g], cfg)
+    if failures:
+        raise failures[0]
+    return sol
 
 
 def solve_euler(p: Problem, g: SamplePath, cfg: SolverConfig) -> ReflectedSolution:
@@ -348,21 +454,30 @@ class MonteCarloResult:
 
 def solve_stochastic(p: Problem, cfg: SolverConfig, n_paths: int) -> MonteCarloResult:
     """Sample one fBm driver per path (streams keyed by (seed, path index))
-    and solve pathwise; one path's failure does not abort the others."""
+    and solve the paths as lanes of one pass, in chunks of about
+    _LANE_BYTES of solver state; one path's failure does not abort the
+    others."""
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     if p.H is None:
         raise ValueError("problem carries no Hurst parameter for internal driver sampling")
     grid = driver_grid(p, cfg.steps_per_delay)
+    # x, y, z, sups and the driver increments of one lane on [-r, T]
+    lane_bytes = 8 * (grid.n_steps + cfg.steps_per_delay + 1) * (4 * p.d + p.m)
+    chunk = max(1, _LANE_BYTES // lane_bytes)
     solutions: list = [None] * n_paths
     failures: dict = {}
-    for i in range(n_paths):
+    for first in range(0, n_paths, chunk):
+        paths = range(first, min(first + chunk, n_paths))
         try:
-            g = sample_circulant(grid, p.H, p.m, seed=(cfg.seed, i))
-            solutions[i] = solve(p, g, cfg)
-        except (BlowUpError, PicardConvergenceError, ValueError) as exc:  # reported per path
-            failures[i] = exc
-    return MonteCarloResult(solutions=solutions, failures=failures)
+            gs = [sample_circulant(grid, p.H, p.m, seed=(cfg.seed, i)) for i in paths]
+            sols, errors = _solve_lanes(p, gs, cfg)
+        except ValueError as exc:  # a check that every path fails alike
+            failures.update(dict.fromkeys(paths, exc))
+            continue
+        solutions[first : first + len(sols)] = sols
+        failures.update({first + j: err for j, err in errors.items()})
+    return MonteCarloResult(solutions=solutions, failures=dict(sorted(failures.items())))
 
 
 @dataclass

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -6,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import refsde
 from refsde.cli import ConfigError, load_config, main
+from refsde.solver import solve_stochastic
 
 CONFIGS = resources.files("refsde") / "configs"
 
@@ -127,6 +132,25 @@ class TestSimulate:
         for name in ("path_0000.csv", "path_0001.csv", "manifest.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_manifest_records_picard_residuals(self, tmp_path):
+        path = bundled("nonlinear_b.cfg")
+        assert main(["simulate", path, "--paths", "2", "--out", str(tmp_path)]) == 0
+        runs = json.loads((tmp_path / "manifest.json").read_text())["runs"]
+        cfg = load_config(path)
+        mc = solve_stochastic(cfg.problem, cfg.solver, 2)
+        assert [run["picard_iterations"] for run in runs] == [s.iterations_per_interval for s in mc.solutions]
+        assert [run["picard_residuals"] for run in runs] == [s.final_residuals for s in mc.solutions]
+
+    def test_scipy_not_imported(self, tmp_path):
+        # scipy is a test dependency only
+        code = ("import sys; from refsde.cli import main; "
+                f"rc = main(['simulate', {bundled('linear_a.cfg')!r}, '--paths', '1', "
+                f"'--out', {str(tmp_path)!r}]); print(rc, 'scipy' in sys.modules)")
+        src = str(Path(refsde.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert run.stdout.split()[-2:] == ["0", "False"]
+
 
 class TestFbm:
     def test_deterministic_bytes(self, tmp_path):
@@ -197,6 +221,19 @@ class TestShortCsv:
         assert main([command, str(src)] + extra) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(src) in err and why in err
+
+
+class TestBadCell:
+    @pytest.mark.parametrize("cell", ["abc", ""], ids=["text", "blank"])
+    @pytest.mark.parametrize("command", ["norms", "skorokhod"])
+    def test_names_file_line_and_column(self, tmp_path, capsys, command, cell):
+        src = tmp_path / "bad.csv"
+        src.write_text(f"t,f\n0,1\n0.5,{cell}\n1,2\n")
+        extra = ["--alpha", "0.3"] if command == "norms" else ["--out", str(tmp_path / "x.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, str(src)] + extra) == 1
+        assert capsys.readouterr().err == f"error: {src}, line 3, column f: {cell!r} is not a number\n"
 
 
 class TestConvergeCmd:

@@ -197,6 +197,27 @@ class TestEvaluation:
             eval_diffusion(c, ts, np.ones((4, 1)))
         assert str(exc.value) == "diffusion entry (1,2) evaluated to inf at t=1.5"
 
+    def test_lane_batch_reports_what_its_lane_reports(self):
+        # (K, P, d) batches with t of shape (K,): the entry named is the
+        # first non-finite one in time order, as its lane alone names it
+        c = CoefficientSet.from_strings(["x1", "(xd2 - 1) ^ 0.5"],
+                                        [["1"], ["(1 - xd1) ^ 0.5"]])
+        ts = np.array([0.25, 0.5, 0.75, 1.0])
+        x = np.full((4, 3, 2), 2.0)
+        x[:, 0, 0] = 0.5  # the diffusion is finite on lane 0 only
+        x[2, 1, 1] = 0.5  # drift component 2 is nan on lane 1 at t = 0.75
+        x[3, 2, 1] = 0.0  # and on lane 2 at t = 1.0
+        cases = [(lambda x: eval_drift(c, ts, x, x, x), "drift component 2 evaluated to nan at t=0.75"),
+                 (lambda x: eval_diffusion(c, ts, x), "diffusion entry (2,1) evaluated to nan at t=0.25")]
+        for evaluate, message in cases:
+            with pytest.raises(ValueError) as batch:
+                evaluate(x)
+            with pytest.raises(ValueError) as lane:
+                evaluate(x[:, 1:2])
+            assert str(batch.value) == str(lane.value) == message
+        with pytest.raises(ValueError, match="^drift component 2 evaluated to nan at t=0.75$"):
+            eval_drift(c, 0.75, x[2], x[2], x[2])  # one row per lane, scalar t
+
 
 class TestAudit:
     def test_sine_diffusion(self):

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 from dataclasses import replace
 from importlib import resources
 
@@ -7,9 +8,10 @@ import pytest
 
 from refsde import solver
 from refsde.cli import load_config
-from refsde.coeff import CoefficientSet, eval_drift
+from refsde.coeff import CoefficientSet, eval_diffusion, eval_drift
 from refsde.fbm import sample_circulant
 from refsde.grids import SamplePath, TimeGrid
+from refsde.young import _cell_products
 from refsde.solver import (
     BlowUpError,
     PicardConvergenceError,
@@ -308,25 +310,19 @@ class TestGolden:
 
 
 class TestPathFailures:
-    def test_programming_error_propagates(self, monkeypatch):
-        def broken(p, g, cfg):
-            raise TypeError("not a solver failure")
-
-        monkeypatch.setattr(solver, "solve", broken)
+    def test_programming_error_propagates(self):
+        # a parameter that is not a number makes the drift raise TypeError
+        # inside the lane pass, which is not a path failure
+        coeffs = CoefficientSet.from_strings(["a * xd1"], [["0.1"]], params={"a": None})
+        p = replace(linear_problem(32), coeffs=coeffs)
         with pytest.raises(TypeError):
-            solve_stochastic(linear_problem(32), SolverConfig(steps_per_delay=32), 2)
+            solve_stochastic(p, SolverConfig(steps_per_delay=32), 2)
 
-    def test_picard_failure_recorded_against_its_path(self, monkeypatch):
-        real_solve, calls = solver.solve, []
-
-        def fails_on_second_path(p, g, cfg):
-            calls.append(None)
-            if len(calls) == 2:
-                raise PicardConvergenceError(0, 1.0, cfg.picard_max_iter)
-            return real_solve(p, g, cfg)
-
-        monkeypatch.setattr(solver, "solve", fails_on_second_path)
-        mc = solve_stochastic(linear_problem(32), SolverConfig(steps_per_delay=32), 3)
+    def test_picard_failure_recorded_against_its_path(self):
+        # at seed 12 only the second of three paths needs more than 10
+        # iterations on some delay interval
+        cfg = SolverConfig(steps_per_delay=32, scheme="picard", seed=12, picard_max_iter=10)
+        mc = solve_stochastic(nonlinear_problem(32), cfg, 3)
         assert list(mc.failures) == [1]
         assert isinstance(mc.failures[1], PicardConvergenceError)
         assert mc.solutions[1] is None
@@ -334,15 +330,24 @@ class TestPathFailures:
 
 
 def euler_per_step(p, g, cfg):
-    """solve_euler's per-step loop, as it ran for every drift before delay-only
-    drifts were stepped an interval at a time; the oracle for that path."""
-    grid, x, y, z, sups, dg = solver._start(p, g, cfg)
+    """solve_euler's per-step loop on one path, as it ran for every drift
+    before delay-only drifts were stepped an interval at a time and before
+    the solver gained its lane axis; the oracle for that path."""
     n_r = cfg.steps_per_delay
+    grid = TimeGrid(-p.r, p.T, (p.n_intervals + 1) * n_r)
     times, dt = grid.times, grid.dt
+    x = np.zeros((grid.n_steps + 1, p.d))
+    x[: n_r + 1] = p.eta.values
+    z = x.copy()
+    y = np.zeros_like(x)
+    sups = np.empty_like(x)
+    sups[: n_r + 1] = np.maximum.accumulate(np.abs(p.eta.values), axis=0)
+    dg = np.diff(g.values, axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
         for i0 in range(n_r, grid.n_steps, n_r):
             i1 = i0 + n_r
-            sig_dg = solver._batched_diffusion_increments(p, times, x, dg, i0, i1, n_r)
+            sig = eval_diffusion(p.coeffs, times[i0:i1], x[i0 - n_r : i1 - n_r])
+            sig_dg = _cell_products(sig, dg[i0 - n_r : i1 - n_r])
             for k in range(i0, i1):
                 b = eval_drift(p.coeffs, float(times[k]), x[k], x[k - n_r], sups[k])
                 z[k + 1] = z[k] + b * dt + sig_dg[k - i0]
@@ -417,3 +422,112 @@ class TestDelayOnlyEuler:
         want = failure(euler_per_step, p, g, cfg)
         assert want is not None and want[0] is kind
         assert failure(solve_euler, p, g, cfg) == want
+
+
+def per_path(p, cfg, n_paths):
+    """solve_stochastic's loop over paths, one solve per path, as it ran
+    before the solver gained its lane axis; the oracle for the lanes."""
+    grid = driver_grid(p, cfg.steps_per_delay)
+    out = []
+    for i in range(n_paths):
+        g = sample_circulant(grid, p.H, p.m, seed=(cfg.seed, i))
+        try:
+            out.append(solve(p, g, cfg))
+        except (BlowUpError, PicardConvergenceError, ValueError) as exc:
+            out.append(exc)
+    return out
+
+
+def error_facts(exc):
+    residual = getattr(exc, "residual", None)
+    return (type(exc), str(exc), getattr(exc, "step", None), getattr(exc, "interval", None),
+            None if residual is None else residual.hex())
+
+
+def solution_facts(sol):
+    return ([sp.values.tobytes() for sp in (sol.x, sol.y, sol.z)],
+            sol.iterations_per_interval, [r.hex() for r in sol.final_residuals])
+
+
+def assert_lanes_match_paths(p, cfg, n_paths):
+    """solve_stochastic gives each path the bytes, Picard statistics or
+    failure of its own solve; returns the Monte Carlo result."""
+    mc = solve_stochastic(p, cfg, n_paths)
+    want = per_path(p, cfg, n_paths)
+    assert sorted(mc.failures) == [i for i, w in enumerate(want) if isinstance(w, Exception)]
+    for i, w in enumerate(want):
+        if isinstance(w, Exception):
+            assert mc.solutions[i] is None
+            assert error_facts(mc.failures[i]) == error_facts(w)
+        else:
+            assert solution_facts(mc.solutions[i]) == solution_facts(w)
+    return mc
+
+
+def lane_problem(drift, diffusion, n_r, r=1.0, eta0=1.0, M=3):
+    return replace(delay_problem(drift, diffusion, n_r, r=r, eta0=eta0, M=M), H=0.75)
+
+
+TWO_DIM = (["cos(x1) - 0.5 * xd2", "sin(x2) * xd1 - s1"],
+           [["0.2 * xd1", "0.1"], ["sin(xd2)", "0.3"]])
+
+# Configs on which some lanes fail and others do not, at seed 1 with 8
+# paths: (drift, diffusion, scheme, picard_max_iter, the kinds of failure).
+PARTIAL_FAILURES = {
+    "overflow_delay_only": (["xd1"], [["1e308"]], "euler", 100, {BlowUpError}),
+    "overflow_state": (["cos(x1)"], [["1e308"]], "euler", 100, {BlowUpError, ValueError}),
+    "overflow_picard": (["cos(x1)"], [["1e308"]], "picard", 100, {BlowUpError}),
+    "drift_row_delay_only": (["(2 - xd1) ^ 0.5 - 1"], [["0.5"]], "euler", 100, {ValueError}),
+    "drift_row_state": (["(2 - x1) ^ 0.5 - 1"], [["0.5"]], "euler", 100, {ValueError}),
+    "drift_row_picard": (["(2 - x1) ^ 0.5 - 1"], [["0.5"]], "picard", 100, {ValueError}),
+    "diffusion_row": (["0"], [["(2 - xd1) ^ 0.5"]], "euler", 100, {ValueError}),
+    "picard_max_iter": (["cos(x1)"], [["sin(t + xd1)"]], "picard", 13, {PicardConvergenceError}),
+}
+
+
+class TestLanes:
+    @pytest.mark.parametrize("name,initial", sorted(GOLDEN))
+    def test_bundled_configs(self, name, initial):
+        cfg = load_config(str(resources.files("refsde") / "configs" / name), steps_per_delay=64)
+        mc = assert_lanes_match_paths(cfg.problem, replace(cfg.solver, initial_iterate=initial), 6)
+        assert mc.n_ok == 6
+
+    @pytest.mark.parametrize("scheme", ["euler", "picard"])
+    @pytest.mark.parametrize("drift,diffusion,r", [
+        (["-exp(xd1) + cos(3*t)"], [["0.2 * xd1 + 0.1"]], 1.0),  # delay-only
+        (["cos(x1)"], [["sin(t + xd1)"]], 1.0),  # state-dependent
+        (["cos(x1)"], [["sin(t + xd1)"]], 0.3),  # non-dyadic delay
+        TWO_DIM + (1.0,),  # d = m = 2: the per-cell products sum two driver slots
+    ], ids=["delay_only", "cos_x1", "r_0.3", "two_dim"])
+    def test_lanes_equal_paths(self, scheme, drift, diffusion, r):
+        p = lane_problem(drift, diffusion, 32, r=r)
+        mc = assert_lanes_match_paths(p, SolverConfig(steps_per_delay=32, scheme=scheme, seed=3), 5)
+        assert mc.n_ok == 5
+
+    def test_chunks(self, monkeypatch):
+        passes = []
+
+        def counted(p, gs, cfg):
+            passes.append(len(gs))
+            return solve_lanes(p, gs, cfg)
+
+        solve_lanes = solver._solve_lanes
+        monkeypatch.setattr(solver, "_solve_lanes", counted)
+        p = lane_problem(["cos(x1)"], [["sin(t + xd1)"]], 32)
+        lane_bytes = 8 * (4 * 32 + 1) * (4 + 1)  # x, y, z, sups and the driver on 129 rows
+        monkeypatch.setattr(solver, "_LANE_BYTES", 2 * lane_bytes)
+        for scheme in ("euler", "picard"):
+            passes.clear()
+            assert_lanes_match_paths(p, SolverConfig(steps_per_delay=32, scheme=scheme, seed=4), 7)
+            assert passes[:4] == [2, 2, 2, 1]  # then one per path from the oracle
+
+    @pytest.mark.parametrize("case", sorted(PARTIAL_FAILURES))
+    def test_failing_lanes(self, case):
+        drift, diffusion, scheme, max_iter, kinds = PARTIAL_FAILURES[case]
+        p = lane_problem(drift, diffusion, 16)
+        cfg = SolverConfig(steps_per_delay=16, scheme=scheme, seed=1, picard_max_iter=max_iter)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mc = assert_lanes_match_paths(p, cfg, 8)
+        assert 0 < len(mc.failures) < 8
+        assert {type(exc) for exc in mc.failures.values()} == kinds
