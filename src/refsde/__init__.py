@@ -21,6 +21,7 @@ from .fracnorm import (
     f_norm_alpha_1,
     holder_exponent_estimate,
     norm_report,
+    norm_reports,
 )
 from .skorokhod import (
     SkorokhodSolution,
@@ -73,7 +74,7 @@ __all__ = [
     "empirical_covariance",
     "AlphaParams", "NormReport", "w_alpha_inf_norm", "weighted_alpha_norm",
     "holder_norm", "g_norm_one_minus_alpha", "lambda_alpha_bound",
-    "f_norm_alpha_1", "holder_exponent_estimate", "norm_report",
+    "f_norm_alpha_1", "holder_exponent_estimate", "norm_report", "norm_reports",
     "SkorokhodSolution", "regulator", "regulator_values", "reflect",
     "complementarity_residual", "lipschitz_witness",
     "young_integral", "IndefiniteIntegral",

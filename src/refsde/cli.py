@@ -40,8 +40,8 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
-import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -57,7 +57,7 @@ from .coeff import (
     parse_expr,
 )
 from .fbm import sample_cholesky, sample_circulant
-from .fracnorm import norm_report
+from .fracnorm import norm_report, norm_reports
 from .grids import SamplePath, TimeGrid
 from .skorokhod import reflect
 from .solver import (
@@ -76,6 +76,9 @@ __all__ = ["RunConfig", "load_config", "main"]
 
 OUTPUT_DIR_ENV = "REFSDE_OUTPUT_DIR"
 FLOAT_FMT = "%.17g"
+# Cells per %-format call of the CSV writer: the formatted text of a file
+# is built in row blocks of about this many cells.
+_CSV_CELLS = 1 << 16
 
 _REQUIRED_KEYS = {
     "problem": {"delay", "horizon", "dim", "noise_dim", "eta", "drift", "diffusion"},
@@ -260,63 +263,111 @@ def _resolve_outdir(cfg_dir: str, flag_out: str | None) -> Path:
     return path
 
 
+def _write_csvs(paths: list, header: list, t: np.ndarray, lanes: list) -> None:
+    """Write one CSV per lane: the t column, which every file shares and
+    which is formatted once, then the columns of lanes[j], an (n + 1, k)
+    array, to paths[j].  The bytes are those of np.savetxt with FLOAT_FMT
+    and "," as the delimiter: each row block is one %-format of its cells.
+    """
+    t_cells = [FLOAT_FMT % v for v in t.tolist()]
+    head = ",".join(header) + "\n"
+    for path, values in zip(paths, lanes):
+        k = values.shape[1]
+        row = "%s," + ",".join([FLOAT_FMT] * k) + "\n"
+        step = max(1, _CSV_CELLS // (k + 1))
+        with open(path, "w", newline="") as fh:
+            fh.write(head)
+            for first in range(0, len(t_cells), step):
+                block = values[first : first + step]
+                cells = [None] * (len(block) * (k + 1))
+                cells[:: k + 1] = t_cells[first : first + step]
+                for c in range(k):
+                    cells[c + 1 :: k + 1] = block[:, c].tolist()
+                fh.write(row * len(block) % tuple(cells))
+
+
 def _write_csv(path: Path, header: list, columns: list) -> None:
+    """One CSV of the columns, t first: the one-lane _write_csvs."""
     data = np.column_stack(columns)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        np.savetxt(fh, data, fmt=FLOAT_FMT, delimiter=",")
+    _write_csvs([path], header, data[:, 0], [data[:, 1:]])
 
 
-def _solution_csv(path: Path, sol) -> None:
-    """t, then the x, y and z columns of a solver or Skorokhod solution."""
-    d = sol.x.dim
-    header = ["t"]
-    cols = [sol.x.times]
-    for name, sp in (("x", sol.x), ("y", sol.y), ("z", sol.z)):
-        header += [f"{name}_{i + 1}" for i in range(d)]
-        cols.append(sp.values)
-    _write_csv(path, header, cols)
+def _solution_csvs(paths: list, sols: list) -> None:
+    """t, then the x, y and z columns of each solver or Skorokhod solution
+    of one grid."""
+    d = sols[0].x.dim
+    header = ["t"] + [f"{name}_{i + 1}" for name in "xyz" for i in range(d)]
+    lanes = [np.column_stack([sol.x.values, sol.y.values, sol.z.values]) for sol in sols]
+    _write_csvs(paths, header, sols[0].x.times, lanes)
 
 
 def _raise_bad_cell(path: Path, text: str) -> None:
-    """Raise ValueError naming the first cell of a CSV that is not a number,
-    by its 1-based line and its column header; return if there is none."""
+    """Raise ValueError naming the first data line of a CSV whose cell
+    count is not its header's, or the first cell that is not a finite
+    number, by its 1-based line and its column header; return if there is
+    none."""
     lines = text.splitlines()
     header_at = next(i for i, line in enumerate(lines) if line.strip())
     header = [name.strip() for name in lines[header_at].split(",")]
     for lineno, line in enumerate(lines[header_at + 1 :], start=header_at + 2):
+        line = line.split("#", 1)[0]  # a comment, as np.loadtxt reads it
         if not line.strip():
             continue
-        for name, cell in zip(header, line.split(",")):
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"{path}, line {lineno}: {len(cells)} cells, the header has {len(header)}")
+        for name, cell in zip(header, cells):
+            where = f"{path}, line {lineno}, column {name}: {cell.strip()!r}"
             try:
-                float(cell)
+                value = float(cell)
             except ValueError:
-                raise ValueError(
-                    f"{path}, line {lineno}, column {name}: {cell.strip()!r} is not a number"
-                ) from None
+                raise ValueError(f"{where} is not a number") from None
+            if not math.isfinite(value):
+                raise ValueError(f"{where} is not finite")
 
 
 def _read_path_csv(path: Path) -> SamplePath:
     text = path.read_text()
-    if not text.strip():  # genfromtxt warns, then fails with an IndexError
+    if not text.strip():
         raise ValueError(f"{path} is empty")
-    data = np.atleast_1d(np.genfromtxt(io.StringIO(text), delimiter=",", names=True))  # one row reads 0-d
+    lines = text.splitlines()
+    header_at = next(i for i, line in enumerate(lines) if line.strip())
+    names = [name.strip() for name in lines[header_at].split(",")]
+    body = lines[header_at + 1 :]
+    if not any(line.strip() for line in body):  # loadtxt would warn, then return no rows
+        raise ValueError(f"{path} needs at least two data rows, got 0")
+    try:
+        data = np.loadtxt(body, delimiter=",", ndmin=2)
+    except ValueError:
+        _raise_bad_cell(path, text)  # a cell that is not a number, or a row of another width
+        raise
     if len(data) < 2:
         raise ValueError(f"{path} needs at least two data rows, got {len(data)}")
-    names = list(data.dtype.names)
     if names[0] != "t":
         raise ValueError(f"first column of {path} must be t, got {names[0]}")
     if len(names) < 2:
         raise ValueError(f"{path} has no value column after t")
-    times = data["t"]
-    values = np.column_stack([data[n] for n in names[1:]])
-    if np.isnan(times).any() or np.isnan(values).any():
-        _raise_bad_cell(path, text)  # genfromtxt reads a cell that is not a number as nan
+    if data.shape[1] != len(names) or not np.isfinite(data).all():
+        # rows narrower or wider than the header, or nan, inf or an overflow such as 1e400
+        _raise_bad_cell(path, text)
+    times, values = data[:, 0], data[:, 1:]
     n = len(times) - 1
     grid = TimeGrid(float(times[0]), float(times[-1]), n)
     if not np.allclose(times, grid.times, atol=1e-9 * max(1.0, abs(grid.t1))):
         raise ValueError(f"{path} is not sampled on a uniform grid")
     return SamplePath(grid, values)
+
+
+def _failure_record(exc: Exception) -> dict:
+    """A path's failure for the manifest: its type and message, plus the
+    step and time of a blow-up or the interval and last residual of a
+    Picard iteration that did not converge."""
+    record = {"type": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, BlowUpError):
+        record.update(step=exc.step, t=exc.t)
+    elif isinstance(exc, PicardConvergenceError):
+        record.update(interval=exc.interval, residual=exc.residual)
+    return record
 
 
 def _json_default(obj):
@@ -364,25 +415,28 @@ def cmd_simulate(args) -> int:
         "seeds": [[cfg.solver.seed, i] for i in range(paths)],
         "alpha": alpha,
         "runs": [],
-        "failures": {str(i): repr(e) for i, e in mc.failures.items()},
+        "failures": {str(i): _failure_record(e) for i, e in mc.failures.items()},
     }
+    done = [i for i, sol in enumerate(mc.solutions) if sol is not None]
+    sols = [mc.solutions[i] for i in done]
+    d = cfg.problem.d
+    # every component of every path, as lanes of one norm sweep
+    reports = norm_reports([sol.x.component(c) for sol in sols for c in range(d)], alpha) if sols else []
     violated = False
-    for i, sol in enumerate(mc.solutions):
-        if sol is None:
-            continue
+    for j, (i, sol) in enumerate(zip(done, sols)):
         inv = check_invariants(sol)
         flags = [k for k, v in inv.items()
                  if isinstance(v, bool) and not v and k != "complementarity_ok"]
         violated = violated or bool(flags)
         entry = {"path": i, "invariants": inv}
-        for comp in range(sol.x.dim):
-            entry[f"norms_x_{comp + 1}"] = norm_report(sol.x.component(comp), alpha).to_dict()
+        for comp in range(d):
+            entry[f"norms_x_{comp + 1}"] = reports[j * d + comp].to_dict()
         if cfg.solver.scheme == "picard":
             entry["picard_iterations"] = sol.iterations_per_interval
             entry["picard_residuals"] = sol.final_residuals
         manifest["runs"].append(entry)
-        if "csv" in cfg.formats:
-            _solution_csv(outdir / f"path_{i:04d}.csv", sol)
+    if "csv" in cfg.formats and sols:
+        _solution_csvs([outdir / f"path_{i:04d}.csv" for i in done], sols)
     if "json" in cfg.formats:
         _write_json(outdir / "manifest.json", manifest)
     if mc.failures:
@@ -419,7 +473,7 @@ def cmd_skorokhod(args) -> int:
     sol = reflect(z)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _solution_csv(out, sol)
+    _solution_csvs([out], [sol])
     print(f"wrote reflected path to {out}")
     return 0
 

@@ -34,6 +34,9 @@ CHOLESKY_JITTER = 1e-12
 #: largest tolerated (clipped negative mass) / (total mass) of circulant eigenvalues
 CIRCULANT_CLIP_THRESHOLD = 1e-8
 CIRCULANT_MAX_STEPS = 1 << 22
+# Complex entries per batch of components in sample_circulant: each batch
+# goes through one FFT along its rows.
+_FFT_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -148,7 +151,10 @@ def sample_circulant(grid: TimeGrid, H, m: int = 1, seed=0) -> SamplePath:
 
     Same law as sample_cholesky; supports grids up to 2**22 steps.  The
     internal embedding is padded to a power of two and the output is
-    truncated to the requested grid.
+    truncated to the requested grid.  Each component draws from its own
+    (seed, component) stream; the components then share one FFT along
+    the rows of their batch and one cumulative sum, which give each
+    component the bytes of its own transform.
     """
     _check_sampling_grid(grid)
     h = _hurst_value(H)
@@ -172,20 +178,21 @@ def sample_circulant(grid: TimeGrid, H, m: int = 1, seed=0) -> SamplePath:
         )
     m2 = lam.size
     half = m2 // 2
-    scale = grid.dt ** h
+    amp = np.sqrt(lam[1:half] / (2.0 * m2))
     out = np.zeros((n + 1, m))
-    for j in range(m):
-        g = _component_rng(seed, j).standard_normal(m2)
-        w = np.empty(m2, dtype=complex)
-        w[0] = np.sqrt(lam[0] / m2) * g[0]
-        w[half] = np.sqrt(lam[half] / m2) * g[half]
-        a = g[1:half]
-        b = g[half + 1:]
-        amp = np.sqrt(lam[1:half] / (2.0 * m2))
-        w[1:half] = amp * (a + 1j * b)
-        w[half + 1:] = np.conj(w[1:half][::-1])
-        fgn = np.fft.fft(w).real[:n]
-        np.cumsum(scale * fgn, out=out[1:, j])
+    width = max(1, _FFT_ENTRIES // m2)  # components per transform
+    for first in range(0, m, width):
+        cols = range(first, min(first + width, m))
+        g = np.empty((len(cols), m2))
+        for row, j in zip(g, cols):
+            _component_rng(seed, j).standard_normal(out=row)
+        w = np.empty(g.shape, dtype=complex)
+        w[:, 0] = np.sqrt(lam[0] / m2) * g[:, 0]
+        w[:, half] = np.sqrt(lam[half] / m2) * g[:, half]
+        w[:, 1:half] = amp * (g[:, 1:half] + 1j * g[:, half + 1:])
+        w[:, half + 1:] = np.conj(w[:, half - 1:0:-1])
+        fgn = np.fft.fft(w, axis=1).real[:, :n]
+        np.cumsum(grid.dt ** h * fgn.T, axis=0, out=out[1:, cols.start:cols.stop])
     return SamplePath(grid, out)
 
 

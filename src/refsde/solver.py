@@ -66,11 +66,13 @@ _LANE_BYTES = 1 << 24
 
 
 class BlowUpError(RuntimeError):
-    """Non-finite state during time stepping; carries the step index."""
+    """Non-finite state during time stepping; carries the step index and
+    its time."""
 
     def __init__(self, step: int, t: float):
         super().__init__(f"non-finite state at step {step} (t={t})")
         self.step = step
+        self.t = t
 
 
 class PicardConvergenceError(RuntimeError):

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 
 import refsde
+import refsde.cli as cli
 from refsde.cli import ConfigError, load_config, main
-from refsde.solver import solve_stochastic
+from refsde.solver import BlowUpError, PicardConvergenceError, solve_stochastic
 
 CONFIGS = resources.files("refsde") / "configs"
 
@@ -141,6 +143,43 @@ class TestSimulate:
         assert [run["picard_iterations"] for run in runs] == [s.iterations_per_interval for s in mc.solutions]
         assert [run["picard_residuals"] for run in runs] == [s.final_residuals for s in mc.solutions]
 
+    def test_blow_up_recorded_with_its_step(self, tmp_path, capsys):
+        # a finite drift of 1e308 pushes z past the float range before t = 2
+        body = MINIMAL.format(out=tmp_path).replace("horizon = 1.0", "horizon = 2.0").replace(
+            "drift = xd1", "drift = 1e308")
+        path = write_config(tmp_path, body)
+        assert main(["simulate", path, "--out", str(tmp_path)]) == 1
+        assert "2 of 2 paths failed" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["runs"] == []
+        cfg = load_config(path)
+        mc = solve_stochastic(cfg.problem, cfg.solver, 2)
+        for i, err in mc.failures.items():
+            assert isinstance(err, BlowUpError)
+            assert manifest["failures"][str(i)] == {
+                "type": "BlowUpError", "message": str(err), "step": err.step, "t": err.t}
+        assert 0 < manifest["failures"]["0"]["step"] <= 64
+
+    def test_picard_failure_recorded_with_its_interval(self, tmp_path):
+        # at seed 12 only the second of three paths needs more than 10
+        # iterations on some delay interval
+        body = Path(bundled("nonlinear_b.cfg")).read_text().replace(
+            "horizon = 3.0", "horizon = 1.0").replace(
+            "steps_per_delay = 256", "steps_per_delay = 32").replace(
+            "picard_max_iter = 100", "picard_max_iter = 10").replace(
+            "paths = 4", "paths = 3").replace("seed = 20260826", "seed = 12")
+        path = write_config(tmp_path, body)
+        assert main(["simulate", path, "--out", str(tmp_path)]) == 1
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        cfg = load_config(path)
+        err = solve_stochastic(cfg.problem, cfg.solver, 3).failures[1]
+        assert isinstance(err, PicardConvergenceError)
+        assert manifest["failures"] == {"1": {
+            "type": "PicardConvergenceError", "message": str(err),
+            "interval": err.interval, "residual": err.residual}}
+        assert [run["path"] for run in manifest["runs"]] == [0, 2]
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["path_0000.csv", "path_0002.csv"]
+
     def test_scipy_not_imported(self, tmp_path):
         # scipy is a test dependency only
         code = ("import sys; from refsde.cli import main; "
@@ -234,6 +273,71 @@ class TestBadCell:
             warnings.simplefilter("error")
             assert main([command, str(src)] + extra) == 1
         assert capsys.readouterr().err == f"error: {src}, line 3, column f: {cell!r} is not a number\n"
+
+
+    @pytest.mark.parametrize("row,column,cell", [
+        ("0.5,nan", "f", "nan"), ("0.5,inf", "f", "inf"), ("0.5,-inf", "f", "-inf"),
+        ("0.5,1e400", "f", "1e400"), ("nan,2", "t", "nan"),
+    ], ids=["nan", "inf", "minus_inf", "overflow", "nan_time"])
+    @pytest.mark.parametrize("command", ["norms", "skorokhod"])
+    def test_names_non_finite_cell(self, tmp_path, capsys, command, row, column, cell):
+        src = tmp_path / "bad.csv"
+        src.write_text(f"t,f\n0,1\n{row}\n1,2\n")
+        extra = ["--alpha", "0.3"] if command == "norms" else ["--out", str(tmp_path / "x.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, str(src)] + extra) == 1
+        assert capsys.readouterr().err == f"error: {src}, line 3, column {column}: {cell!r} is not finite\n"
+
+
+    @pytest.mark.parametrize("text,line,cells", [
+        ("t,f\n0,1\n0.5,2,3\n1,2\n", 3, 3),
+        ("t,f,g\n0,1\n0.5,2\n1,2\n", 2, 2),
+        ("t,f\n# a comment, with a comma\n0,1\n0.5\n1,2\n", 4, 1),
+    ], ids=["wide_row", "narrow_rows", "after_comment"])
+    def test_names_row_of_other_width(self, tmp_path, capsys, text, line, cells):
+        src = tmp_path / "bad.csv"
+        src.write_text(text)
+        assert main(["norms", str(src), "--alpha", "0.3"]) == 1
+        header = len(text.split("\n", 1)[0].split(","))
+        assert capsys.readouterr().err == f"error: {src}, line {line}: {cells} cells, the header has {header}\n"
+
+
+class TestCsvWriter:
+    """The writer against np.savetxt, the writer it replaced, byte for byte."""
+
+    @staticmethod
+    def savetxt_bytes(header, data):
+        buf = io.StringIO()
+        buf.write(",".join(header) + "\n")
+        np.savetxt(buf, data, fmt="%.17g", delimiter=",")
+        return buf.getvalue().encode()
+
+    @pytest.mark.parametrize("cells", [None, 5])
+    def test_bytes_equal_savetxt(self, tmp_path, monkeypatch, cells):
+        if cells:  # row blocks of one row
+            monkeypatch.setattr(cli, "_CSV_CELLS", cells)
+        rng = np.random.default_rng(4)
+        t = np.linspace(-1.0, 3.0, 9)
+        x = rng.standard_normal((9, 2)) * 10.0 ** rng.integers(-20, 20, (9, 2))
+        x[0] = [-0.0, 1e-300]
+        x[1] = [1e17, 0.1]
+        x[2] = [5e-324, -1.7976931348623157e308]
+        header = ["t", "x_1", "x_2"]
+        out = tmp_path / "a.csv"
+        cli._write_csv(out, header, [t, x])
+        assert out.read_bytes() == self.savetxt_bytes(header, np.column_stack([t, x]))
+
+    def test_lanes_share_t(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_CSV_CELLS", 12)  # row blocks of two rows, the last of one
+        rng = np.random.default_rng(5)
+        t = np.linspace(0.0, 1.0, 5)
+        lanes = [rng.standard_normal((5, 3)) for _ in range(3)]
+        paths = [tmp_path / f"p{j}.csv" for j in range(3)]
+        header = ["t", "x_1", "y_1", "z_1"]
+        cli._write_csvs(paths, header, t, lanes)
+        for path, values in zip(paths, lanes):
+            assert path.read_bytes() == self.savetxt_bytes(header, np.column_stack([t, values]))
 
 
 class TestConvergeCmd:

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import refsde.fbm as fbm
 from refsde.fbm import (
     CHOLESKY_CAP,
     _circulant_eigenvalues,
+    _component_rng,
     HurstParameter,
     empirical_covariance,
     fbm_covariance,
@@ -12,6 +14,45 @@ from refsde.fbm import (
     sample_circulant,
 )
 from refsde.grids import SamplePath, TimeGrid
+
+
+def circulant_per_component(grid, h, m, seed):
+    """sample_circulant as it was before its components shared one FFT:
+    one transform and one cumulative sum per component."""
+    n = grid.n_steps
+    size = 1 << max(1, int(np.ceil(np.log2(n))))
+    lam, _ = _circulant_eigenvalues(size, h)
+    m2 = lam.size
+    half = m2 // 2
+    out = np.zeros((n + 1, m))
+    for j in range(m):
+        g = _component_rng(seed, j).standard_normal(m2)
+        w = np.empty(m2, dtype=complex)
+        w[0] = np.sqrt(lam[0] / m2) * g[0]
+        w[half] = np.sqrt(lam[half] / m2) * g[half]
+        w[1:half] = np.sqrt(lam[1:half] / (2.0 * m2)) * (g[1:half] + 1j * g[half + 1:])
+        w[half + 1:] = np.conj(w[1:half][::-1])
+        np.cumsum(grid.dt ** h * np.fft.fft(w).real[:n], out=out[1:, j])
+    return out
+
+
+class TestComponentBatch:
+    @pytest.mark.parametrize("width", [None, 1, 2])
+    @pytest.mark.parametrize("n", [7, 63, 101, 1537])
+    def test_bit_equal_to_per_component(self, monkeypatch, n, width):
+        if width:  # batches of `width` components
+            m2 = 2 * (1 << max(1, int(np.ceil(np.log2(n)))))
+            monkeypatch.setattr(fbm, "_FFT_ENTRIES", width * m2)
+        grid = TimeGrid(0.0, 1.5, n)
+        for m in (2, 3):
+            got = sample_circulant(grid, 0.7, m, seed=(4, 2)).values
+            assert np.array_equal(got, circulant_per_component(grid, 0.7, m, (4, 2)))
+
+    def test_component_is_its_own_stream(self):
+        grid = TimeGrid(0.0, 1.0, 99)
+        one = sample_circulant(grid, 0.8, 1, seed=(7, 3)).values
+        two = sample_circulant(grid, 0.8, 2, seed=(7, 3)).values
+        assert np.array_equal(one[:, 0], two[:, 0])
 
 
 class TestCovariance:

@@ -6,7 +6,10 @@ from scipy.special import gamma
 import refsde.fracnorm as fracnorm
 from refsde.fracnorm import (
     AlphaParams,
+    NormReport,
     _cell_integrals,
+    _lag_blocks,
+    _lag_powers,
     _lag_weights,
     _w_alpha_rows,
     f_norm_alpha_1,
@@ -15,6 +18,7 @@ from refsde.fracnorm import (
     holder_norm,
     lambda_alpha_bound,
     norm_report,
+    norm_reports,
     w_alpha_inf_norm,
     weighted_alpha_norm,
 )
@@ -114,6 +118,62 @@ def g_norm_per_lag(g, alpha):
     return best
 
 
+def one_lane_rows(f, alpha, lambda_exponent=None):
+    """_w_alpha_rows of one path: its rows and its Hoelder quotient."""
+    rows, quot = _w_alpha_rows(f.values[:, None], f.grid.dt, alpha, lambda_exponent)
+    return rows[:, 0], float(quot[0])
+
+
+# The per-path battery as it was before the norms took a lane axis: one
+# sweep and one fit per path.  The lane-batched norm_reports must agree
+# with it to 1e-12 relative.
+
+def rows_per_path(f, alpha, lambda_exponent):
+    n, dt = f.grid.n_steps, f.grid.dt
+    near, far = _lag_weights(n, dt, alpha + 1.0)
+    weight = far[:-1] + near[1:]
+    powers = _lag_powers(n, dt, lambda_exponent)
+    rows = np.linalg.norm(f.values, axis=1)
+    quot = 0.0
+    for lags, h in _lag_blocks(f.values[::-1, None]):
+        h = h[:, 0]
+        rows[lags[0]:] += (weight[lags - 1] @ h)[::-1]
+        quot = max(quot, float((h.max(axis=1) / powers[lags - 1]).max()))
+    rows[1:] -= near[1:] * np.linalg.norm(f.values[1:] - f.values[0], axis=1)
+    return rows, quot
+
+
+def exponent_per_path(f):
+    n = f.grid.n_steps
+    lags, mags = [], []
+    lag = 1
+    while lag <= n // 4:
+        m = float(increments(f.values, lag).max())
+        if m > 0.0:
+            lags.append(lag * f.grid.dt)
+            mags.append(m)
+        lag *= 2
+    if len(mags) < 2:
+        return 1.0, True
+    slope = np.polyfit(np.log(lags), np.log(mags), 1)[0]
+    return float(min(max(slope, 1e-12), 1.0)), False
+
+
+def report_per_path(f, alpha, lambda_weight):
+    times = f.times
+    exponent, constant = exponent_per_path(f) if f.grid.n_steps >= 64 else (None, None)
+    from_zero = bool(abs(times[0]) < 1e-12)
+    rows, quot = rows_per_path(f, alpha, 1.0 - alpha)
+    return {
+        "w_alpha_inf": float(rows.max()),
+        "weighted_alpha": float((np.exp(-lambda_weight * times) * rows).max()),
+        "holder_1_minus_alpha": float(np.linalg.norm(f.values, axis=1).max()) + quot,
+        "lambda_alpha_bound": lambda_alpha_bound(f, alpha) if from_zero else None,
+        "holder_exponent_estimate": exponent,
+        "constant_path": constant,
+    }
+
+
 class TestBlockSweep:
     @pytest.mark.parametrize("budget", [7, 50])
     @pytest.mark.parametrize("t0", [0.0, -1.0])
@@ -123,7 +183,7 @@ class TestBlockSweep:
         monkeypatch.setattr(fracnorm, "_BLOCK_ENTRIES", budget)
         f = walk(n + 10 * d, n, d, t0)
         # blocks change size as the lags leave fewer starts; the last is cut short by n
-        blocks = [(len(lags), h.shape[1]) for lags, h in fracnorm._lag_blocks(f.values)]
+        blocks = [(len(lags), h.shape[2]) for lags, h in _lag_blocks(f.values[:, None])]
         assert sum(k for k, _ in blocks) == n
         assert blocks[-1][0] < max(2, budget // blocks[-1][1])
         if n == 300:
@@ -131,7 +191,7 @@ class TestBlockSweep:
         for interval in [None] + ([(t0 + 0.3, t0 + 1.7)] if n >= 3 else []):
             sub = f.restrict(*interval) if interval else f
             want = rows_per_lag(sub, 0.3)
-            rows, quot = _w_alpha_rows(sub, 0.3, 0.7)
+            rows, quot = one_lane_rows(sub, 0.3, 0.7)
             assert np.max(np.abs(rows - want)) <= 1e-12 * np.max(np.abs(want))
             assert holder_norm(f, 0.7, interval) == holder_per_lag(sub, 0.7)
             assert float(np.linalg.norm(sub.values, axis=1).max()) + quot == holder_per_lag(sub, 0.7)
@@ -161,7 +221,7 @@ class TestLagQuadrature:
         for interval in (None, (t0 + 0.3, t0 + 1.7)):
             sub = f.restrict(*interval) if interval else f
             want = rows_per_row(sub.times, sub.values, alpha)
-            got = _w_alpha_rows(sub, alpha)[0]
+            got = one_lane_rows(sub, alpha)[0]
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.45])
@@ -204,6 +264,70 @@ class TestLagQuadrature:
         norms0 = norm_report(f0, 0.3, lambda_weight=lam).norms
         assert norms0["holder_1_minus_alpha"] == holder_norm(f0, 1.0 - 0.3)
         assert norms0["lambda_alpha_bound"] == lambda_alpha_bound(f0, 0.3)
+
+
+class TestLanes:
+    @staticmethod
+    def lanes(n, d, t0):
+        grid = TimeGrid(t0, t0 + 2.0, n)
+        fs = [walk(seed, n, d, t0) for seed in range(7)]
+        fs[1] = SamplePath(grid, np.full((n + 1, d), 0.5))  # constant: flagged, fitted alone
+        # period 4: no increment at lags 4, 8, ..., so only lags 1 and 2 enter the fit
+        fs[2] = SamplePath(grid, np.repeat(np.resize([0.0, 1.0, 2.0, 1.0], (n + 1, 1)), d, axis=1))
+        return fs
+
+    @pytest.mark.parametrize("budget", [None, 600])
+    @pytest.mark.parametrize("n,d,t0", [(40, 1, 0.0), (64, 1, -1.0), (300, 1, 0.0), (257, 2, -1.0)])
+    def test_reports_match_per_path(self, monkeypatch, n, d, t0, budget):
+        if budget:  # lane groups of one or two lanes, and blocks of a few lags
+            monkeypatch.setattr(fracnorm, "_BLOCK_ENTRIES", budget)
+        fs = self.lanes(n, d, t0)
+        reports = norm_reports(fs, 0.3, lambda_weight=0.7)
+        assert len(reports) == len(fs)
+        for f, report in zip(fs, reports):
+            assert isinstance(report, NormReport)
+            assert (report.interval, report.n_steps) == ((t0, t0 + 2.0), n)
+            want = report_per_path(f, 0.3, 0.7)
+            assert report.norms.keys() == want.keys()
+            for key, value in want.items():
+                if isinstance(value, float) and not isinstance(value, bool):
+                    assert report.norms[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+                else:
+                    assert report.norms[key] == value, key
+        if n >= 64:
+            assert [r.norms["constant_path"] for r in reports[:3]] == [False, True, False]
+            assert reports[2].norms["holder_exponent_estimate"] == pytest.approx(1.0)
+
+    def test_one_lane_is_norm_report(self):
+        f = walk(3, 300, t0=-1.0)
+        assert norm_reports([f], 0.3, 0.7)[0] == norm_report(f, 0.3, 0.7)
+
+    def test_rejects_mixed_grids(self):
+        with pytest.raises(ValueError, match="one grid"):
+            norm_reports([walk(1, 64), walk(2, 128)], 0.3)
+
+
+class TestCachedTables:
+    def test_read_only_and_equal_to_a_fresh_build(self):
+        n, dt, kappa = 37, 0.125, 1.3
+        near, far = _lag_weights(n, dt, kappa)
+        powers = _lag_powers(n, dt, 0.7)
+        lags = np.arange(n + 1)
+        assert np.array_equal(near, _cell_integrals(lags * dt, (lags + 1) * dt, 1.0, 0.0, kappa))
+        assert np.array_equal(far, _cell_integrals(lags * dt, (lags + 1) * dt, 0.0, 1.0, kappa))
+        assert np.array_equal(powers, [(lag * dt) ** 0.7 for lag in range(1, n + 1)])
+        for table in (near, far, powers):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 1.0
+        assert _lag_weights(n, dt, kappa)[0] is near
+        assert _lag_powers(n, dt, 0.7) is powers
+
+    def test_report_and_driver_norm_share_the_power_table(self):
+        _lag_powers.cache_clear()
+        norm_report(walk(5, 200), 0.3)  # starts at t = 0: runs lambda_alpha_bound too
+        info = _lag_powers.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 class TestWAlphaInf:
