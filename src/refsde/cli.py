@@ -421,7 +421,7 @@ def cmd_simulate(args) -> int:
     sols = [mc.solutions[i] for i in done]
     d = cfg.problem.d
     # every component of every path, as lanes of one norm sweep
-    reports = norm_reports([sol.x.component(c) for sol in sols for c in range(d)], alpha) if sols else []
+    reports = norm_reports([sol.x.component(c) for sol in sols for c in range(d)], alpha)
     violated = False
     for j, (i, sol) in enumerate(zip(done, sols)):
         inv = check_invariants(sol)

@@ -14,6 +14,7 @@ import numpy as np
 
 from .fracnorm import (
     AlphaParams,
+    _w_alpha_inf_norms,
     holder_exponent_estimate,
     holder_norm,
     lambda_alpha_bound,
@@ -139,10 +140,9 @@ def moment_probe(p: Problem, cfg: SolverConfig, p_exponent: float,
         raise ValueError("ensemble sizes must be ascending, at least two of them")
     mc = solve_stochastic(p, cfg, ensemble_sizes[-1])
     params = AlphaParams(alpha=alpha)
-    norms = np.array([
-        w_alpha_inf_norm(sol.x, params) if sol is not None else np.nan
-        for sol in mc.solutions
-    ])
+    done = [i for i, sol in enumerate(mc.solutions) if sol is not None]
+    norms = np.full(len(mc.solutions), np.nan)  # a failed path stays NaN
+    norms[done] = _w_alpha_inf_norms([mc.solutions[i].x for i in done], params.alpha)
     rng = np.random.default_rng(cfg.seed)
     estimates, lows, highs, excluded = [], [], [], []
     for size in ensemble_sizes:

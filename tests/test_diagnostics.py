@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import refsde.diagnostics as diagnostics
+import refsde.fracnorm as fracnorm
 from refsde.coeff import CoefficientSet
 from refsde.diagnostics import (
     PhiParams,
@@ -10,6 +12,7 @@ from refsde.diagnostics import (
     phi,
 )
 from refsde.fbm import sample_circulant
+from refsde.fracnorm import AlphaParams, w_alpha_inf_norm
 from refsde.grids import SamplePath
 from refsde.solver import (
     Problem,
@@ -17,6 +20,7 @@ from refsde.solver import (
     driver_grid,
     eta_from_callable,
     solve_euler,
+    solve_stochastic,
 )
 
 from conftest import linear_problem, nonlinear_problem
@@ -130,6 +134,23 @@ class TestMomentProbe:
         t1 = moment_probe(p, cfg, 1.0, [10, 30], n_bootstrap=50)
         t2 = moment_probe(p, cfg, 2.0, [10, 30], n_bootstrap=50)
         assert t2.estimates[-1] >= t1.estimates[-1] ** 2 - 1e-12
+
+    def test_lane_norms_match_per_path(self, monkeypatch):
+        n_r = 32
+        p = linear_problem(n_r, M=1)
+        cfg = SolverConfig(steps_per_delay=n_r, seed=3)
+        mc = solve_stochastic(p, cfg, 7)
+        mc.solutions[2] = None  # a failed path
+        monkeypatch.setattr(diagnostics, "solve_stochastic", lambda *args: mc)
+        monkeypatch.setattr(fracnorm, "_BLOCK_ENTRIES", 600)  # lane groups of a few paths
+        per_path = np.array([np.nan if sol is None else w_alpha_inf_norm(sol.x, AlphaParams(0.3))
+                             for sol in mc.solutions])
+        sizes = list(range(1, 8))
+        # nested means of the first p_exponent-th powers: each size adds one norm
+        tab = moment_probe(p, cfg, 1.0, sizes, alpha=0.3, n_bootstrap=10)
+        assert tab.excluded == [0, 0, 1, 1, 1, 1, 1]
+        want = [np.nanmean(per_path[:size]) for size in sizes]
+        assert tab.estimates == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_sizes_must_ascend(self):
         p = linear_problem(32, M=1)

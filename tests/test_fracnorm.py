@@ -11,6 +11,7 @@ from refsde.fracnorm import (
     _lag_blocks,
     _lag_powers,
     _lag_weights,
+    _w_alpha_inf_norms,
     _w_alpha_rows,
     f_norm_alpha_1,
     g_norm_one_minus_alpha,
@@ -211,6 +212,28 @@ class TestBlockSweep:
         assert holder_norm(tent, 0.7) == holder_per_lag(tent, 0.7)
         assert holder_norm(g, 0.7) == holder_per_lag(g, 0.7)
 
+    @pytest.mark.parametrize("exact_max", [None, 50])
+    def test_driver_norm_is_bit_equal_across_block_sizes(self, monkeypatch, exact_max):
+        # each start's running sum is added in lag order however the blocks split
+        if exact_max:
+            monkeypatch.setattr(fracnorm, "PAIR_SUP_EXACT_MAX", exact_max)
+        g = walk(6, 300)
+        values = set()
+        for budget in (8, 64, 1 << 15):
+            monkeypatch.setattr(fracnorm, "_BLOCK_ENTRIES", budget)
+            values.add(g_norm_one_minus_alpha(g, 0.3))
+        assert len(values) == 1
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.25, 0.49])
+    @pytest.mark.parametrize("n", [1, 7, 300, 4096])
+    def test_driver_quotient_weight_is_positive(self, n, alpha):
+        # a start past its last partner reads the running sum alone, below its
+        # last true quotient, only because this weight is positive
+        dt = 1.0 / n
+        near = _lag_weights(n, dt, 2.0 - alpha)[0][1:]
+        c = 1.0 / _lag_powers(n, dt, 1.0 - alpha) - near
+        assert np.all(c > 0.0)
+
 
 class TestLagQuadrature:
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.45])
@@ -305,6 +328,18 @@ class TestLanes:
     def test_rejects_mixed_grids(self):
         with pytest.raises(ValueError, match="one grid"):
             norm_reports([walk(1, 64), walk(2, 128)], 0.3)
+
+    def test_no_paths_no_reports(self):
+        assert norm_reports([], 0.3) == []
+
+    @pytest.mark.parametrize("budget", [None, 600])
+    def test_w_alpha_norms_match_per_path(self, monkeypatch, budget):
+        if budget:  # lane groups of one lane
+            monkeypatch.setattr(fracnorm, "_BLOCK_ENTRIES", budget)
+        fs = self.lanes(257, 2, -1.0)
+        want = [w_alpha_inf_norm(f, AlphaParams(alpha=0.3)) for f in fs]
+        assert _w_alpha_inf_norms(fs, 0.3) == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert _w_alpha_inf_norms([], 0.3).shape == (0,)
 
 
 class TestCachedTables:
