@@ -8,29 +8,20 @@ piecewise-linear inputs.
 
 On the uniform grid a cell's integral depends on its lag alone and is
 linear in its two end values, so one table of weights per (n, dt, kernel)
-serves every row and start; the tables are cached read-only.  The
-pair-based norms read the lagged increments |f(t_(s+L)) - f(t_s)| from one
-block sweep, _lag_blocks, over P paths of one grid at once, one lane per
-path: each block is k consecutive lags by every lane by every start with a
-partner at the first of them, a sliding-window view of a zero-padded copy
-of the paths minus the starts, written into one reused buffer.  Blocks
-hold about _BLOCK_ENTRIES entries (k grows as the lags leave fewer starts,
-and is at least 2), and the corner of starts that lose their partner
-inside the block is set to zero.  Two layouts use it:
-
-- (lag, lane, end): the sweep over the time-reversed paths, whose starts
-  are the ends u of f.  The W^(alpha,infinity) rows of every lane take one
-  matrix-vector product per block, and norm_reports takes the Hoelder
-  quotient of every lane from the same blocks.  norm_report is its
-  one-lane case.
-- (lag, start), one lane on the driver norm's start stride: each start's
-  quotient at lag L is a running sum of w h over its lags up to L, carried
-  from block to block in lag order, plus one term in h at L alone.
-
-The W^(alpha,infinity) rows and the Hoelder quotient are exact at every
-size.  Only the driver norm is limited: from twice PAIR_SUP_EXACT_MAX
-steps on it reads every (n // PAIR_SUP_EXACT_MAX)-th start, which reports
-record as approximate_pair_sup.
+serves every row and start; the tables are cached read-only.  Every
+pair-based norm reads the lagged increments |f(t_(s+L)) - f(t_s)| of P
+paths of one grid, one lane per path, in one sweep, _lag_sweep, over the
+blocks of _lag_blocks on the time-reversed paths, whose starts are the
+ends u of f.  A block is k consecutive lags by every lane by every end
+with a partner at the first of them: a sliding-window view of a
+zero-padded copy of the paths minus the ends, written into one reused
+buffer, of about _BLOCK_ENTRIES entries (k grows as fewer ends are left),
+with the ends that lose their partner inside the block set to zero.  From
+each block the W^(alpha,infinity) rows take one matrix-vector product,
+the Hoelder quotient one max per lag, and the driver norm a skewed view
+whose columns are starts s: the quotient of s at lag L is a running sum of
+w h over its lags up to L, carried from block to block in lag order, plus
+one term in h at L alone.  Every norm reads every pair, at every size.
 """
 
 from __future__ import annotations
@@ -58,7 +49,6 @@ __all__ = [
     "norm_reports",
 ]
 
-PAIR_SUP_EXACT_MAX = 8192
 # Lagged increments per block of the lag sweep.  A block keeps at least two
 # lags: each block also does O(starts) work, which one lag would not repay.
 _BLOCK_ENTRIES = 1 << 15
@@ -122,34 +112,42 @@ def _lag_weights(n: int, dt: float, kappa: float) -> tuple[np.ndarray, np.ndarra
             _read_only(_cell_integrals(A, B, 0.0, 1.0, kappa)))
 
 
-def _lag_blocks(values: np.ndarray, stride: int = 1):
+def _lag_blocks(values: np.ndarray):
     """Sweep the lagged increments of P paths in blocks of consecutive lags.
 
     values has shape (n + 1, P, d), one lane per path on one grid.  Yields
-    (lags, h): h[j, p, i] = |f_p(t_(s+L)) - f_p(t_s)| for the lag
-    L = lags[j] and the start s = i * stride, over every start with a
-    partner at lags[0].  Entries whose start has no partner at L
-    (s + L > n, a corner of the block's last columns) are zero.  The next
-    block overwrites h.
+    (lags, h, skew): h[j, p, i] = |f_p(t_(i+L)) - f_p(t_i)| for the lag
+    L = lags[j] and every start i with a partner at lags[0].  Entries whose
+    start has no partner at L (i + L > n: row j's last j columns) are zero.
+    For d == 1, skew[j, p, q] = h[j, p, q - j], the same memory read with
+    one entry less per lag: where q < j it reads zeros, the corner of lane
+    p - 1 or, for p = 0, that of lag j - 1 and the one zero after each lag's
+    lanes.  skew is None for d > 1.  The next block overwrites both.
     """
     n, lanes, d = values.shape[0] - 1, values.shape[1], values.shape[2]
     padded = np.zeros((lanes, d, 2 * n + 1))  # the zeros keep every window in bounds
     padded[:, :, : n + 1] = values.transpose(1, 2, 0)
     # ahead[a, p, :, b] = padded[p, :, a + b]
     ahead = sliding_window_view(padded, n + 1, axis=2).transpose(2, 0, 1, 3)
-    buf = np.empty(max(_BLOCK_ENTRIES, 2 * lanes * (n + 1)) * d)  # every block reuses it
+    buf = np.empty(max(_BLOCK_ENTRIES, 2 * lanes * (n + 1)) * d + n)  # every block reuses it
+    # corner[tri - k :, : k - 1] marks the partnerless entries in the last
+    # k - 1 columns of a block of k lags; k <= max(2, isqrt(_BLOCK_ENTRIES))
+    tri = math.isqrt(_BLOCK_ENTRIES) + 2
+    corner = np.arange(tri) >= (tri - 1 - np.arange(tri))[:, None]
     lag0 = 1
     while lag0 <= n:
-        m = (n - lag0) // stride + 1
-        k = min(n + 1 - lag0, max(2, _BLOCK_ENTRIES // (lanes * m)))
-        lags = np.arange(lag0, lag0 + k)
-        span = (m - 1) * stride + 1
-        diff = np.subtract(ahead[lag0 : lag0 + k, :, :, :span:stride], padded[:, :, :span:stride],
-                           out=buf[: k * lanes * d * m].reshape(k, lanes, d, m))
-        h = np.abs(diff[:, :, 0], out=diff[:, :, 0]) if d == 1 else np.linalg.norm(diff, axis=2)
-        full = (n - lags[-1]) // stride + 1  # starts with a partner at every lag of the block
-        h.transpose(0, 2, 1)[:, full:][np.arange(full, m) * stride + lags[:, None] > n] = 0.0
-        yield lags, h
+        m = n + 1 - lag0
+        k = min(m, max(2, _BLOCK_ENTRIES // (lanes * m)))
+        block = buf[: k * (lanes * d * m + 1)].reshape(k, -1)
+        block[:, -1] = 0.0  # the zero after each lag's lanes, which skew reads
+        diff = np.subtract(ahead[lag0 : lag0 + k, :, :, :m], padded[:, :, :m],
+                           out=block[:, :-1].reshape(k, lanes, d, m))
+        # for d == 1, abs of the whole contiguous block: on the strided diff it is 3x slower
+        h = (np.abs(block, out=block)[:, :-1].reshape(k, lanes, m) if d == 1
+             else np.linalg.norm(diff, axis=2))
+        np.copyto(h[:, :, m - k + 1 :], 0.0, where=corner[tri - k :, None, : k - 1])
+        skew = block.reshape(-1)[: k * lanes * m].reshape(k, lanes, m) if d == 1 else None
+        yield np.arange(lag0, lag0 + k), h, skew
         lag0 += k
 
 
@@ -160,42 +158,68 @@ def _lag_powers(n: int, dt: float, exponent: float) -> np.ndarray:
     return _read_only(np.array([(lag * dt) ** exponent for lag in range(1, n + 1)]))
 
 
-def _lag_quotients(h: np.ndarray, lags: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """Largest |f_p(v) - f_p(u)| / (v - u)^lambda of each lane p over one
-    block of _lag_blocks."""
-    return (h.max(axis=2) / powers[lags - 1, None]).max(axis=0)
-
-
-def _w_alpha_rows(values: np.ndarray, dt: float, alpha: float,
-                  lambda_exponent: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """|f(u)| + int_s^u |f(u)-f(v)| (u-v)^(-alpha-1) dv at every grid point u,
-    for every lane of values, shape (n + 1, P, d); the rows have shape (n + 1, P).
-
-    The lag-L increment ending at u closes cell L-1 and opens cell L, so
-    each block adds one weighted sum of its lags to the rows.  With a
-    lambda_exponent the Hoelder quotient of each lane over every lag comes
-    from the same blocks; it is 0.0 without one.
+def _lag_sweep(values: np.ndarray, dt: float, alpha: float | None = None,
+               lambda_exponent: float | None = None, driver_alpha: float | None = None):
+    """The pair-based norms of every lane of values, shape (n + 1, P, d), as
+    (rows, quot, drive), each None unless asked for: with alpha the rows
+    |f(u)| + int_s^u |f(u)-f(v)| (u-v)^(-alpha-1) dv, shape (n + 1, P); with
+    lambda_exponent the largest |f(v)-f(u)| / (v-u)^lambda_exponent of each
+    lane; with driver_alpha the W^(1-alpha,infinity) driver norm of each
+    lane, which reads one component, so d must be 1.
     """
     n, lanes = values.shape[0] - 1, values.shape[1]
-    near, far = _lag_weights(n, dt, alpha + 1.0)
-    weight = far[:-1] + near[1:]
-    powers = None if lambda_exponent is None else _lag_powers(n, dt, lambda_exponent)
-    rows = np.linalg.norm(values, axis=2)
-    quot = np.zeros(lanes)
-    # the starts of the reversed paths are the ends of f: column i ends at u = n - i
-    for lags, h in _lag_blocks(values[::-1]):
-        k, m = len(lags), h.shape[2]
-        rows[lags[0]:] += (weight[lags - 1] @ h.reshape(k, lanes * m)).reshape(lanes, m).T[::-1]
-        if powers is not None:
-            np.maximum(quot, _lag_quotients(h, lags, powers), out=quot)
-    # the lag-u increment ending at u opens no cell: that cell would lie before t_0
-    rows[1:] -= near[1:, None] * np.linalg.norm(values[1:] - values[0], axis=2)
-    return rows, quot
+    rows = quot = drive = None
+    if alpha is not None:
+        near, far = _lag_weights(n, dt, alpha + 1.0)
+        weight = far[:-1] + near[1:]
+        rows = np.linalg.norm(values, axis=2)
+    if lambda_exponent is not None:
+        powers = _lag_powers(n, dt, lambda_exponent)
+        quot = np.zeros(lanes)
+    if driver_alpha is not None:
+        # With h(0) = 0 the kernel integral of a start out to lag L is
+        # sum_(l<=L) w[l-1] h(l) - g_near[L] h(L), so its quotient at L is the
+        # running sum C(L) of w h plus c[L-1] h(L)
+        g_near, g_far = _lag_weights(n, dt, 2.0 - driver_alpha)
+        w = g_far[:-1] + g_near[1:]
+        c = 1.0 / _lag_powers(n, dt, 1.0 - driver_alpha) - g_near[1:]
+        integral = np.zeros((lanes, n))  # running sums of w h; the start s is column n - 1 - s
+        run_buf = np.empty(max(_BLOCK_ENTRIES, 2 * lanes * (n + 1)))
+        drive = np.zeros(lanes)
+    for lags, h, skew in _lag_blocks(values[::-1]):
+        lag0, k, m = lags[0], len(lags), h.shape[2]
+        at = slice(lag0 - 1, lag0 - 1 + k)  # the lags' entries in the tables
+        # column i of h ends at u = n - i of f; the lag-L increment ending at u
+        # closes cell L-1 and opens cell L
+        if rows is not None:
+            rows[lag0:] += (weight[at] @ h.reshape(k, -1)).reshape(lanes, m).T[::-1]
+        if quot is not None:
+            np.maximum(quot, (h.max(axis=2) / powers[at, None]).max(axis=0), out=quot)
+        if drive is not None:  # last: it overwrites h
+            # column q of skew is the start n - lag0 - q, zero where it has no
+            # partner; run[j] = run[j - 1] + w[L-1] h(L) for L = lags[j]
+            run = run_buf[: k * lanes * m].reshape(k, lanes, m)
+            np.multiply(w[at, None, None], skew, out=run)
+            np.add(integral[:, lag0 - 1 :], run[0], out=run[0])
+            # one vector add per lag: np.cumsum along this axis runs a scalar chain per start
+            for j in range(1, k):
+                np.add(run[j - 1], run[j], out=run[j])
+            integral[:, lag0 - 1 :] = run[-1]
+            # a start without a partner reads C(L), below its last true
+            # quotient C(L) + c[L-1] h(L), since every c is positive:
+            # g_near[L] <= (L dt)^(alpha-2) dt / 2 = (L dt)^(alpha-1) / (2L)
+            skew *= c[at, None, None]
+            skew += run
+            np.maximum(drive, skew.max(axis=(0, 2)), out=drive)
+    if rows is not None:
+        # the lag-u increment ending at u opens no cell: that cell would lie before t_0
+        rows[1:] -= near[1:, None] * np.linalg.norm(values[1:] - values[0], axis=2)
+    return rows, quot, drive
 
 
 def _path_rows(f: SamplePath, alpha: float) -> np.ndarray:
-    """The W^(alpha,infinity) rows of one path: the one-lane _w_alpha_rows."""
-    return _w_alpha_rows(f.values[:, None], f.grid.dt, alpha)[0][:, 0]
+    """The W^(alpha,infinity) rows of one path: a one-lane _lag_sweep."""
+    return _lag_sweep(f.values[:, None], f.grid.dt, alpha)[0][:, 0]
 
 
 def _lane_group(n: int) -> int:
@@ -213,7 +237,7 @@ def _w_alpha_inf_norms(fs: list[SamplePath], alpha: float) -> np.ndarray:
         group = _lane_group(grid.n_steps)
         for first in range(0, len(fs), group):
             values = np.stack([f.values for f in fs[first : first + group]], axis=1)
-            norms[first : first + group] = _w_alpha_rows(values, grid.dt, alpha)[0].max(axis=0)
+            norms[first : first + group] = _lag_sweep(values, grid.dt, alpha)[0].max(axis=0)
     return norms
 
 
@@ -235,16 +259,18 @@ def holder_norm(f: SamplePath, lambda_exponent: float,
     if not 0.0 < lambda_exponent <= 1.0:
         raise ValueError(f"Hoelder exponent must lie in (0, 1], got {lambda_exponent}")
     f = f.restrict(*interval) if interval else f
-    n, dt = f.grid.n_steps, f.grid.dt
-    sup = float(np.linalg.norm(f.values, axis=1).max())
-    powers = _lag_powers(n, dt, lambda_exponent)
-    return sup + max(float(_lag_quotients(h, lags, powers)[0])
-                     for lags, h in _lag_blocks(f.values[:, None]))
+    quot = _lag_sweep(f.values[:, None], f.grid.dt, lambda_exponent=lambda_exponent)[1]
+    return float(np.linalg.norm(f.values, axis=1).max()) + float(quot[0])
 
 
-def _driver_stride(n: int) -> int:
-    """Start stride of the driver norm: every start below 2 * PAIR_SUP_EXACT_MAX steps."""
-    return max(1, n // PAIR_SUP_EXACT_MAX)
+def _driver_norms(values: np.ndarray, dt: float, alpha: float) -> np.ndarray:
+    """Driver norm of every lane of values, shape (n + 1, P, d): the largest
+    over its components, each one lane of a one-component _lag_sweep."""
+    if not 0.0 < alpha < 0.5:
+        raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
+    points, lanes, d = values.shape
+    drive = _lag_sweep(values.reshape(points, lanes * d, 1), dt, driver_alpha=alpha)[2]
+    return drive.reshape(lanes, d).max(axis=1)
 
 
 def g_norm_one_minus_alpha(g: SamplePath, alpha: float,
@@ -252,39 +278,13 @@ def g_norm_one_minus_alpha(g: SamplePath, alpha: float,
     """Discrete W^(1-alpha,infinity) driver norm of a scalar path."""
     if g.dim != 1:
         raise ValueError(f"driver norm is defined per component, got dim={g.dim}")
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
     g = g.restrict(*interval) if interval else g
-    n, dt = g.grid.n_steps, g.grid.dt
-    stride = _driver_stride(n)
-    # With h(0) = 0 the kernel integral out to lag L is
-    # sum_(j<=L) w[j-1] h(j) - near[L] h(L), so the quotient at L is the
-    # running sum C(L) of w h plus c[L-1] h(L)
-    near, far = _lag_weights(n, dt, 2.0 - alpha)
-    w = far[:-1] + near[1:]
-    c = 1.0 / _lag_powers(n, dt, 1.0 - alpha) - near[1:]
-    starts = len(range(0, n, stride))
-    integral = np.zeros(starts)  # running sum of w h from each start out to the last lag
-    buf = np.empty(max(_BLOCK_ENTRIES, 2 * starts) + starts)
-    best = 0.0
-    for lags, h in _lag_blocks(g.values[:, None], stride):
-        h = h[:, 0]
-        k, m = h.shape
-        # run[j + 1] = run[j] + w[L-1] h(L) for L = lags[j]
-        run = buf[: (k + 1) * m].reshape(k + 1, m)
-        run[0] = integral[:m]
-        np.multiply(w[lags - 1, None], h, out=run[1:])
-        # one vector add per lag: np.cumsum along this axis runs a scalar chain per start
-        for j in range(k):
-            np.add(run[j], run[j + 1], out=run[j + 1])
-        integral = run[-1].copy()
-        # the zeroed corner: past its last partner L a start reads C(L), below
-        # its last true quotient C(L) + c[L-1] h(L), since every c is positive:
-        # near[L] <= (L dt)^(alpha-2) dt / 2 = (L dt)^(alpha-1) / (2L)
-        h *= c[lags - 1, None]
-        h += run[1:]
-        best = max(best, float(h.max()))
-    return best
+    return float(_driver_norms(g.values[:, None], g.grid.dt, alpha)[0])
+
+
+def _lambda_bound(norm: float, alpha: float) -> float:
+    """Lambda_alpha of a driver norm."""
+    return float(norm / (math.gamma(1.0 - alpha) * math.gamma(alpha)))
 
 
 def lambda_alpha_bound(g: SamplePath, alpha: float,
@@ -293,16 +293,11 @@ def lambda_alpha_bound(g: SamplePath, alpha: float,
 
     This is the value every estimate downstream uses, not the exact
     supremum of the Weyl derivative; for multi-component g the maximum over
-    components is returned.  It is the discrete sup over every start below
-    2 * PAIR_SUP_EXACT_MAX steps.  From there on it reads strided starts and
-    can fall below the discrete sup, which NormReport.approximate_pair_sup
-    records: on one fBm path of 16,384 steps (H = 0.75, alpha = 0.375) the
-    driver norm read 15.48 against an exact 16.33.
+    components is returned.  The driver norm is the discrete sup over every
+    start and lag, at every size.
     """
-    norm = max(
-        g_norm_one_minus_alpha(g.component(i), alpha, interval) for i in range(g.dim)
-    )
-    return float(norm / (math.gamma(1.0 - alpha) * math.gamma(alpha)))
+    g = g.restrict(*interval) if interval else g
+    return _lambda_bound(_driver_norms(g.values[:, None], g.grid.dt, alpha)[0], alpha)
 
 
 def f_norm_alpha_1(f: SamplePath, alpha: float,
@@ -375,6 +370,7 @@ class NormReport:
     interval: tuple[float, float]
     n_steps: int
     norms: dict = field(default_factory=dict)
+    # kept for the schema and always False: every norm reads every pair
     approximate_pair_sup: bool = False
 
     def to_dict(self) -> dict:
@@ -393,10 +389,11 @@ def norm_reports(fs: list[SamplePath], alpha: float,
     """norm_report of every path of fs, which share one grid and one
     dimension, as lanes of one sweep.
 
-    One lag-block sweep gives the W^(alpha,infinity) rows and the Hoelder
-    quotient of every lane, and one fit the exponent estimates.  The lanes
-    go in groups small enough that a block of two lags stays within
-    _BLOCK_ENTRIES.
+    One lag-block sweep gives the W^(alpha,infinity) rows, the Hoelder
+    quotient and, on paths from t = 0, the driver norm of every lane (for
+    d > 1 a second sweep, one lane per component), and one fit the exponent
+    estimates.  The lanes go in groups small enough that a block of two
+    lags stays within _BLOCK_ENTRIES.
     """
     if not fs:
         return []
@@ -404,7 +401,7 @@ def norm_reports(fs: list[SamplePath], alpha: float,
     if any(f.grid != grid or f.dim != fs[0].dim for f in fs):
         raise ValueError("norm_reports needs paths of one grid and one dimension")
     params = AlphaParams(alpha=alpha, lambda_weight=lambda_weight)
-    n, times = grid.n_steps, grid.times
+    n, d, times = grid.n_steps, fs[0].dim, grid.times
     from_zero = bool(abs(times[0]) < 1e-12)  # the driver norm is defined on [0, T]
     damping = np.exp(-params.lambda_weight * times)[:, None]
     group = _lane_group(n)
@@ -413,7 +410,10 @@ def norm_reports(fs: list[SamplePath], alpha: float,
         lanes = fs[first : first + group]
         values = np.stack([f.values for f in lanes], axis=1)
         exponents = _holder_exponents(values, grid.dt) if n >= 64 else [(None, None)] * len(lanes)
-        rows, quot = _w_alpha_rows(values, grid.dt, params.alpha, 1.0 - alpha)
+        rows, quot, drive = _lag_sweep(values, grid.dt, alpha, 1.0 - alpha,
+                                       alpha if from_zero and d == 1 else None)
+        if from_zero and d > 1:
+            drive = _driver_norms(values, grid.dt, alpha)
         w_alpha = rows.max(axis=0)
         weighted = (damping * rows).max(axis=0)
         holder = np.linalg.norm(values, axis=2).max(axis=0) + quot
@@ -427,11 +427,10 @@ def norm_reports(fs: list[SamplePath], alpha: float,
                     "w_alpha_inf": float(w_alpha[p]),
                     "weighted_alpha": float(weighted[p]),
                     "holder_1_minus_alpha": float(holder[p]),
-                    "lambda_alpha_bound": lambda_alpha_bound(f, alpha) if from_zero else None,
+                    "lambda_alpha_bound": _lambda_bound(drive[p], alpha) if from_zero else None,
                     "holder_exponent_estimate": exponents[p][0],
                     "constant_path": exponents[p][1],
                 },
-                approximate_pair_sup=from_zero and _driver_stride(n) > 1,
             )
             for p, f in enumerate(lanes)
         ]

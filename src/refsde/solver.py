@@ -171,7 +171,9 @@ class ReflectedSolution:
 def eta_from_callable(fn: Callable[[float], np.ndarray], r: float, n_r: int, d: int) -> SamplePath:
     """Sample an initial-segment function on the solver grid over [-r, 0]."""
     grid = TimeGrid(-r, 0.0, n_r)
-    vals = np.array([np.broadcast_to(fn(float(t)), (d,)) for t in grid.times], dtype=float)
+    vals = np.empty((n_r + 1, d))
+    for i, t in enumerate(grid.times.tolist()):
+        vals[i] = fn(t)
     return SamplePath(grid, vals)
 
 

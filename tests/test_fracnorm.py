@@ -10,9 +10,9 @@ from refsde.fracnorm import (
     _cell_integrals,
     _lag_blocks,
     _lag_powers,
+    _lag_sweep,
     _lag_weights,
     _w_alpha_inf_norms,
-    _w_alpha_rows,
     f_norm_alpha_1,
     g_norm_one_minus_alpha,
     holder_exponent_estimate,
@@ -57,10 +57,10 @@ def rows_per_row(times, values, alpha):
     return rows
 
 
-def g_norm_per_start(times, vals, alpha, stride=1):
+def g_norm_per_start(times, vals, alpha):
     n = len(times) - 1
     best = 0.0
-    for i in range(0, n, stride):
+    for i in range(n):
         h = np.abs(vals[i:] - vals[i])  # h[0] = 0 at the singular end
         w = times[i:] - times[i]
         cells = _cell_integrals(w[:-1], w[1:], h[:-1], h[1:], 2.0 - alpha)
@@ -79,9 +79,8 @@ def holder_over_lags(times, values, lam, lags):
 # Per-lag references: one Python iteration per lag, as the norms were
 # computed before the block sweep.
 
-def increments(values, lag, stride=1):
-    ahead = values[lag::stride]
-    return np.linalg.norm(ahead - values[::stride][: len(ahead)], axis=1)
+def increments(values, lag):
+    return np.linalg.norm(values[lag:] - values[:-lag], axis=1)
 
 
 def rows_per_lag(f, alpha):
@@ -105,13 +104,13 @@ def holder_per_lag(f, lam):
 
 def g_norm_per_lag(g, alpha):
     n, dt = g.grid.n_steps, g.grid.dt
-    stride = max(1, n // fracnorm.PAIR_SUP_EXACT_MAX)
     near, far = _lag_weights(n, dt, 2.0 - alpha)
-    prev = np.zeros(len(g.values[1::stride]))
+    vals = g.values[:, 0]
+    prev = np.zeros(n)
     integral = np.zeros_like(prev)
     best = 0.0
     for lag in range(1, n + 1):
-        h = increments(g.values, lag, stride)
+        h = np.abs(vals[lag:] - vals[:-lag])
         m = len(h)
         integral[:m] += near[lag - 1] * prev[:m] + far[lag - 1] * h
         best = max(best, float((h / (lag * dt) ** (1.0 - alpha) + integral[:m]).max()))
@@ -119,9 +118,9 @@ def g_norm_per_lag(g, alpha):
     return best
 
 
-def one_lane_rows(f, alpha, lambda_exponent=None):
-    """_w_alpha_rows of one path: its rows and its Hoelder quotient."""
-    rows, quot = _w_alpha_rows(f.values[:, None], f.grid.dt, alpha, lambda_exponent)
+def one_lane_rows(f, alpha, lambda_exponent):
+    """_lag_sweep of one path: its rows and its Hoelder quotient."""
+    rows, quot, _ = _lag_sweep(f.values[:, None], f.grid.dt, alpha, lambda_exponent)
     return rows[:, 0], float(quot[0])
 
 
@@ -136,7 +135,7 @@ def rows_per_path(f, alpha, lambda_exponent):
     powers = _lag_powers(n, dt, lambda_exponent)
     rows = np.linalg.norm(f.values, axis=1)
     quot = 0.0
-    for lags, h in _lag_blocks(f.values[::-1, None]):
+    for lags, h, _ in _lag_blocks(f.values[::-1, None]):
         h = h[:, 0]
         rows[lags[0]:] += (weight[lags - 1] @ h)[::-1]
         quot = max(quot, float((h.max(axis=1) / powers[lags - 1]).max()))
@@ -184,7 +183,15 @@ class TestBlockSweep:
         monkeypatch.setattr(fracnorm, "_BLOCK_ENTRIES", budget)
         f = walk(n + 10 * d, n, d, t0)
         # blocks change size as the lags leave fewer starts; the last is cut short by n
-        blocks = [(len(lags), h.shape[2]) for lags, h in _lag_blocks(f.values[:, None])]
+        blocks = []
+        for lags, h, skew in _lag_blocks(f.values[:, None]):
+            blocks.append((len(lags), h.shape[2]))
+            # the skewed view of a one-component block: h shifted right by j in
+            # lag row j, with zeros where the start has no partner at that lag
+            assert (skew is None) == (d > 1)
+            for j in range(len(lags) if d == 1 else 0):
+                assert np.array_equal(skew[j, 0, j:], h[j, 0, : h.shape[2] - j])
+                assert not skew[j, 0, :j].any()
         assert sum(k for k, _ in blocks) == n
         assert blocks[-1][0] < max(2, budget // blocks[-1][1])
         if n == 300:
@@ -201,27 +208,26 @@ class TestBlockSweep:
                 want = g_norm_per_lag(g, 0.3)
                 assert g_norm_one_minus_alpha(g, 0.3) == pytest.approx(want, rel=1e-12, abs=0.0)
 
-    def test_strided_starts_and_dyadic_lags(self, monkeypatch):
-        monkeypatch.setattr(fracnorm, "PAIR_SUP_EXACT_MAX", 50)
-        monkeypatch.setattr(fracnorm, "_BLOCK_ENTRIES", 64)
-        g = walk(1, 200)
+    def test_every_start_above_16384_steps_and_dyadic_lags(self, monkeypatch):
+        # the driver norm reads every start and lag at any size
+        g = walk(1, 16400)
         assert g_norm_one_minus_alpha(g, 0.3) == pytest.approx(g_norm_per_lag(g, 0.3), rel=1e-12)
-        assert g_norm_per_lag(g, 0.3) == pytest.approx(
-            g_norm_per_start(g.times, g.values[:, 0], 0.3, stride=4), rel=1e-12)
+        monkeypatch.setattr(fracnorm, "_BLOCK_ENTRIES", 64)
         tent = path_on(0.0, 2.0, 200, lambda t: np.minimum(t, 3.0 - t))
         assert holder_norm(tent, 0.7) == holder_per_lag(tent, 0.7)
+        g = walk(1, 200)
         assert holder_norm(g, 0.7) == holder_per_lag(g, 0.7)
 
-    @pytest.mark.parametrize("exact_max", [None, 50])
-    def test_driver_norm_is_bit_equal_across_block_sizes(self, monkeypatch, exact_max):
-        # each start's running sum is added in lag order however the blocks split
-        if exact_max:
-            monkeypatch.setattr(fracnorm, "PAIR_SUP_EXACT_MAX", exact_max)
-        g = walk(6, 300)
+    def test_driver_norm_is_bit_equal_across_block_sizes_and_lanes(self, monkeypatch):
+        # each start's running sum is added in lag order however the blocks
+        # split, and each lane's arithmetic is its own
+        fs = [walk(seed, 300) for seed in (6, 7, 8)]
         values = set()
         for budget in (8, 64, 1 << 15):
             monkeypatch.setattr(fracnorm, "_BLOCK_ENTRIES", budget)
-            values.add(g_norm_one_minus_alpha(g, 0.3))
+            values.add(g_norm_one_minus_alpha(fs[0], 0.3))
+            stacked = np.stack([f.values for f in fs], axis=1)
+            values.add(float(_lag_sweep(stacked, fs[0].grid.dt, driver_alpha=0.3)[2][0]))
         assert len(values) == 1
 
     @pytest.mark.parametrize("alpha", [0.01, 0.25, 0.49])
@@ -244,7 +250,7 @@ class TestLagQuadrature:
         for interval in (None, (t0 + 0.3, t0 + 1.7)):
             sub = f.restrict(*interval) if interval else f
             want = rows_per_row(sub.times, sub.values, alpha)
-            got = one_lane_rows(sub, alpha)[0]
+            got = one_lane_rows(sub, alpha, 1.0 - alpha)[0]
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.45])
@@ -256,23 +262,17 @@ class TestLagQuadrature:
             want = g_norm_per_start(sub.times, sub.values[:, 0], alpha)
             assert g_norm_one_minus_alpha(g, alpha, interval) == pytest.approx(want, rel=1e-12)
 
-    def test_strided_starts_and_dyadic_lags(self, monkeypatch):
-        monkeypatch.setattr(fracnorm, "PAIR_SUP_EXACT_MAX", 50)
-        g = walk(1, 200)
-        strided = g_norm_per_start(g.times, g.values[:, 0], 0.3, stride=4)
-        assert strided < g_norm_per_start(g.times, g.values[:, 0], 0.3)  # best start skipped
-        assert g_norm_one_minus_alpha(g, 0.3) == pytest.approx(strided, rel=1e-12)
-        # the largest increment of the tent spans lag 150, which is not dyadic:
-        # the Hoelder quotient reads every lag above the limit too
+    def test_every_lag_not_only_dyadic_ones(self):
+        # the largest increment of the tent spans lag 150, which is not dyadic
         tent = path_on(0.0, 2.0, 200, lambda t: np.minimum(t, 3.0 - t))
         dyadic = holder_over_lags(tent.times, tent.values, 0.7, [1, 2, 4, 8, 16, 32, 64, 128, 200])
         exact = holder_over_lags(tent.times, tent.values, 0.7, range(1, 201))
         assert dyadic < exact
         assert holder_norm(tent, 0.7) == pytest.approx(exact, rel=1e-12)
-        report = norm_report(tent, 0.3)
-        assert report.norms["holder_1_minus_alpha"] == holder_norm(tent, 0.7)
-        assert report.approximate_pair_sup
-        assert not norm_report(tent.restrict(0.5, 2.0), 0.3).approximate_pair_sup
+        for f in (tent, tent.restrict(0.5, 2.0)):
+            report = norm_report(f, 0.3)
+            assert report.norms["holder_1_minus_alpha"] == holder_norm(f, 0.7)
+            assert not report.approximate_pair_sup
 
     @pytest.mark.parametrize("lam", [0.0, 2.0])
     def test_report_rows_equal_standalone_norms(self, lam):
@@ -359,10 +359,18 @@ class TestCachedTables:
         assert _lag_powers(n, dt, 0.7) is powers
 
     def test_report_and_driver_norm_share_the_power_table(self):
+        def built():
+            return _lag_powers.cache_info().misses, _lag_weights.cache_info().misses
+
         _lag_powers.cache_clear()
-        norm_report(walk(5, 200), 0.3)  # starts at t = 0: runs lambda_alpha_bound too
-        info = _lag_powers.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        _lag_weights.cache_clear()
+        f = walk(5, 200)
+        norm_report(f, 0.3)  # starts at t = 0: its sweep runs the driver norm too
+        # one power table, read by the Hoelder quotient and the driver norm,
+        # and one weight table for each kernel, the rows' and the driver's
+        assert built() == (1, 2)
+        lambda_alpha_bound(f, 0.3)  # reads the report's tables
+        assert built() == (1, 2)
 
 
 class TestWAlphaInf:

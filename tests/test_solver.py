@@ -41,6 +41,25 @@ def trivial_problem(n_r, c=1.0, drift="0", diffusion="0", M=2):
     return Problem(eta=eta, coeffs=coeffs, r=1.0, T=float(M))
 
 
+class TestEtaFromCallable:
+    @pytest.mark.parametrize("vector", [False, True])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_same_bytes_as_one_broadcast_per_point(self, d, vector):
+        def fn(t):
+            value = 1.0 + t * t / 3.0
+            return value * np.arange(1.0, d + 1.0) if vector else value
+
+        eta = eta_from_callable(fn, 0.7, 64, d)
+        want = np.array([np.broadcast_to(fn(float(t)), (d,)) for t in eta.times], dtype=float)
+        assert eta.values.shape == (65, d)
+        assert eta.values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2)])
+    def test_wrong_shape_is_rejected(self, shape):
+        with pytest.raises(ValueError):
+            eta_from_callable(lambda t: np.full(shape, t), 1.0, 8, 2)
+
+
 class TestEuler:
     def test_constant_problem(self):
         p = trivial_problem(32, c=2.0)
