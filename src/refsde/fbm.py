@@ -11,6 +11,7 @@ ensembles can be generated in any order.
 from __future__ import annotations
 
 import logging
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -71,9 +72,16 @@ def fbm_covariance(s: float, t: float, H) -> float:
 
 
 def _fgn_autocov(n: int, h: float) -> np.ndarray:
-    """Autocovariance of unit-spacing fGn at lags 0..n-1."""
-    k = np.arange(n, dtype=float)
-    return 0.5 * ((k + 1) ** (2 * h) - 2 * k ** (2 * h) + np.abs(k - 1) ** (2 * h))
+    """Autocovariance of unit-spacing fGn at lags 0..n-1.
+
+    rho(k) = ((k+1)^2H - 2 k^2H + |k-1|^2H) / 2, with the powers of
+    0..n taken once and read at three shifts.
+    """
+    p = np.arange(n + 1, dtype=float) ** (2 * h)
+    lower = np.empty(n)  # |k - 1|^2H
+    lower[0] = p[1]
+    lower[1:] = p[:n - 1]
+    return 0.5 * (p[1:] - 2 * p[:n] + lower)
 
 
 @lru_cache(maxsize=16)
@@ -95,7 +103,11 @@ def _cholesky_factor(n: int, h: float) -> np.ndarray:
 
 
 def _component_rng(seed, j: int) -> np.random.Generator:
-    entropy = seed if isinstance(seed, int) else list(seed)
+    """Stream of component j; seed is an integer or a sequence of them."""
+    try:
+        entropy = operator.index(seed)
+    except TypeError:
+        entropy = tuple(operator.index(s) for s in seed)
     return np.random.default_rng(np.random.SeedSequence(entropy=entropy, spawn_key=(j,)))
 
 
@@ -132,16 +144,22 @@ def _circulant_eigenvalues(size: int, h: float) -> tuple[np.ndarray, float]:
     """Eigenvalues of the circulant embedding of the fGn covariance of
     `size` (a power of two) increments.
 
-    Negative eigenvalues are clipped; the relative clipped mass is
-    returned so the caller can decide between warning and failing.
+    The embedding row goes into the real part of one complex array of
+    2*size entries, which is transformed in place; the eigenvalues are a
+    contiguous copy of its real part.  Negative eigenvalues are clipped;
+    the relative clipped mass is returned so the caller can decide
+    between warning and failing.
     """
     rho = _fgn_autocov(size + 1, h)
-    c = np.concatenate([rho[:-1], rho[-1:], rho[-2:0:-1]])  # length 2*size
-    lam = np.fft.fft(c).real
+    c = np.zeros(2 * size, dtype=complex)
+    c.real[:size + 1] = rho
+    c.real[size + 1:] = rho[-2:0:-1]
+    lam = np.fft.fft(c, out=c).real.copy()
+    del c  # before the temporaries below, which would otherwise sit beside it
     neg = -lam[lam < 0].sum()
     total = np.abs(lam).sum()
     clipped_frac = float(neg / total) if total > 0 else 0.0
-    lam = np.clip(lam, 0.0, None)
+    np.clip(lam, 0.0, None, out=lam)
     lam.setflags(write=False)
     return lam, clipped_frac
 
@@ -155,6 +173,11 @@ def sample_circulant(grid: TimeGrid, H, m: int = 1, seed=0) -> SamplePath:
     (seed, component) stream; the components then share one FFT along
     the rows of their batch and one cumulative sum, which give each
     component the bytes of its own transform.
+
+    Each batch lives in one complex buffer of 2*size entries per
+    component: the normals are drawn into it, scaled into the embedding
+    in place and transformed in place.  One component's draw thus peaks
+    at about 4 x 8*2*size bytes, eigenvalue table and output included.
     """
     _check_sampling_grid(grid)
     h = _hurst_value(H)
@@ -183,16 +206,25 @@ def sample_circulant(grid: TimeGrid, H, m: int = 1, seed=0) -> SamplePath:
     width = max(1, _FFT_ENTRIES // m2)  # components per transform
     for first in range(0, m, width):
         cols = range(first, min(first + width, m))
-        g = np.empty((len(cols), m2))
+        w = np.empty((len(cols), m2), dtype=complex)
+        # Each row's m2 normals are drawn into the floats of its entries
+        # half..m2-1.  Write order: the scalars of entries 0 and half are
+        # taken from g first; entries 1..half-1 (all floats below m2) are
+        # written next from the rest of g; only then do entries 0, half
+        # and the conjugate mirror half+1..m2-1 overwrite the normals.
+        g = w.view(float)[:, m2:]
         for row, j in zip(g, cols):
             _component_rng(seed, j).standard_normal(out=row)
-        w = np.empty(g.shape, dtype=complex)
-        w[:, 0] = np.sqrt(lam[0] / m2) * g[:, 0]
-        w[:, half] = np.sqrt(lam[half] / m2) * g[:, half]
-        w[:, 1:half] = amp * (g[:, 1:half] + 1j * g[:, half + 1:])
-        w[:, half + 1:] = np.conj(w[:, half - 1:0:-1])
-        fgn = np.fft.fft(w, axis=1).real[:, :n]
-        np.cumsum(grid.dt ** h * fgn.T, axis=0, out=out[1:, cols.start:cols.stop])
+        w0 = np.sqrt(lam[0] / m2) * g[:, 0]
+        w_half = np.sqrt(lam[half] / m2) * g[:, half]
+        np.multiply(g[:, 1:half], amp, out=w.real[:, 1:half])
+        np.multiply(g[:, half + 1:], amp, out=w.imag[:, 1:half])
+        w[:, 0] = w0
+        w[:, half] = w_half
+        np.conjugate(w[:, half - 1:0:-1], out=w[:, half + 1:])
+        fgn = np.fft.fft(w, axis=1, out=w).real[:, :n]
+        fgn *= grid.dt ** h
+        np.cumsum(fgn.T, axis=0, out=out[1:, cols.start:cols.stop])
     return SamplePath(grid, out)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -7,6 +9,7 @@ from refsde.fbm import (
     CHOLESKY_CAP,
     _circulant_eigenvalues,
     _component_rng,
+    _fgn_autocov,
     HurstParameter,
     empirical_covariance,
     fbm_covariance,
@@ -36,6 +39,74 @@ def circulant_per_component(grid, h, m, seed):
     return out
 
 
+def fgn_autocov_three_powers(n, h):
+    """_fgn_autocov as it was before the powers were shared: one power
+    per shift."""
+    k = np.arange(n, dtype=float)
+    return 0.5 * ((k + 1) ** (2 * h) - 2 * k ** (2 * h) + np.abs(k - 1) ** (2 * h))
+
+
+def circulant_eigenvalues_concat(size, h):
+    """_circulant_eigenvalues as it was before the in-place transform:
+    a real embedding row, a fresh transform and a clipped copy."""
+    rho = fgn_autocov_three_powers(size + 1, h)
+    lam = np.fft.fft(np.concatenate([rho[:-1], rho[-1:], rho[-2:0:-1]])).real
+    neg = -lam[lam < 0].sum()
+    total = np.abs(lam).sum()
+    clipped_frac = float(neg / total) if total > 0 else 0.0
+    return np.clip(lam, 0.0, None), clipped_frac
+
+
+class TestInPlaceConstruction:
+    @pytest.mark.parametrize("h", [0.5, 0.51, 0.6, 0.75, 0.9, 0.99])
+    def test_autocov_bit_equal_to_three_powers(self, h):
+        for n in (1, 2, 3, 7, 64, 257, 1025, 2049, 65537, 131073):
+            assert np.array_equal(_fgn_autocov(n, h), fgn_autocov_three_powers(n, h))
+
+    @pytest.mark.parametrize("h", [0.5, 0.55, 0.75, 0.95])
+    def test_eigenvalues_bit_equal_to_concat(self, h):
+        for size in (1 << k for k in range(1, 18)):
+            _circulant_eigenvalues.cache_clear()
+            lam, clipped = _circulant_eigenvalues(size, h)
+            want, want_clipped = circulant_eigenvalues_concat(size, h)
+            assert np.array_equal(lam, want) and clipped == want_clipped
+            assert lam.flags.c_contiguous and not lam.flags.writeable
+
+    @pytest.mark.parametrize("m, bound", [(1, 4.5), (3, 10.0)])
+    def test_traced_peak_of_one_draw(self, m, bound):
+        # in units of one float array of the embedding (8 * m2 bytes);
+        # the imports are lazy inside numpy, so pay for them first
+        import numpy.fft  # noqa: F401
+        import numpy.random  # noqa: F401
+
+        n = 1 << 16
+        grid = TimeGrid(0.0, 1.0, n)
+        _circulant_eigenvalues.cache_clear()
+        tracemalloc.start()
+        try:
+            sample_circulant(grid, 0.75, m, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 8 * (2 * n)
+
+
+class TestSeedTypes:
+    grid = TimeGrid(0.0, 1.0, 50)
+
+    @pytest.mark.parametrize("sampler", [sample_circulant, sample_cholesky])
+    @pytest.mark.parametrize("seed", [np.int64(5), np.int32(5)])
+    def test_numpy_integer_seed(self, sampler, seed):
+        want = sampler(self.grid, 0.75, 2, seed=5).values
+        assert np.array_equal(sampler(self.grid, 0.75, 2, seed=seed).values, want)
+
+    @pytest.mark.parametrize("sampler", [sample_circulant, sample_cholesky])
+    def test_numpy_integers_in_a_tuple_seed(self, sampler):
+        want = sampler(self.grid, 0.75, 2, seed=(7, 3)).values
+        got = sampler(self.grid, 0.75, 2, seed=(np.int64(7), 3)).values
+        assert np.array_equal(got, want)
+
+
 class TestComponentBatch:
     @pytest.mark.parametrize("width", [None, 1, 2])
     @pytest.mark.parametrize("n", [7, 63, 101, 1537])
@@ -47,6 +118,11 @@ class TestComponentBatch:
         for m in (2, 3):
             got = sample_circulant(grid, 0.7, m, seed=(4, 2)).values
             assert np.array_equal(got, circulant_per_component(grid, 0.7, m, (4, 2)))
+
+    def test_bit_equal_to_per_component_one_long_component(self):
+        grid = TimeGrid(0.0, 1.5, (1 << 16) + 1)
+        got = sample_circulant(grid, 0.7, 1, seed=(4, 2)).values
+        assert np.array_equal(got, circulant_per_component(grid, 0.7, 1, (4, 2)))
 
     def test_component_is_its_own_stream(self):
         grid = TimeGrid(0.0, 1.0, 99)
