@@ -360,11 +360,11 @@ def _read_path_csv(path: Path) -> SamplePath:
 
 def _failure_record(exc: Exception) -> dict:
     """A path's failure for the manifest: its type and message, plus the
-    step and time of a blow-up or the interval and last residual of a
-    Picard iteration that did not converge."""
+    step, time and component of a blow-up or the interval and last residual
+    of a Picard iteration that did not converge."""
     record = {"type": type(exc).__name__, "message": str(exc)}
     if isinstance(exc, BlowUpError):
-        record.update(step=exc.step, t=exc.t)
+        record.update(step=exc.step, t=exc.t, component=exc.component)
     elif isinstance(exc, PicardConvergenceError):
         record.update(interval=exc.interval, residual=exc.residual)
     return record

@@ -344,11 +344,42 @@ class CoefficientSet:
                    params=params, meta=meta or DeclaredMeta())
 
 
-def _first_non_finite(out: np.ndarray, t):
-    """Index of the first non-finite entry of out in C order, and its time:
-    t itself when scalar, else t at the entry's index on axis 0."""
-    at = tuple(np.argwhere(~np.isfinite(out))[0])
-    return at, (t if np.ndim(t) == 0 else np.asarray(t)[at[0]])
+def drift_values(c: CoefficientSet, t, x, x_delayed, sups) -> np.ndarray:
+    """eval_drift without its finite check: non-finite entries are returned
+    as they are."""
+    env = {"t": t}
+    for i in range(c.d):
+        env[f"x{i + 1}"] = x.T[i]
+        env[f"xd{i + 1}"] = x_delayed.T[i]
+        env[f"s{i + 1}"] = sups.T[i]
+    out = np.empty_like(x)
+    for i, expr in enumerate(c.drift):
+        out.T[i] = eval_expr(expr, env, c.params)
+    return out
+
+
+def diffusion_values(c: CoefficientSet, t, x_delayed) -> np.ndarray:
+    """eval_diffusion without its finite check."""
+    x_delayed = np.asarray(x_delayed, dtype=float)
+    env = {"t": t}
+    for i in range(c.d):
+        env[f"xd{i + 1}"] = x_delayed.T[i]
+    out = np.empty(x_delayed.shape + (c.m,))
+    for i, row in enumerate(c.diffusion):
+        for j, expr in enumerate(row):
+            out.T[j, i] = eval_expr(expr, env, c.params)
+    return out
+
+
+def _checked(out: np.ndarray, t, what) -> np.ndarray:
+    """out, or a ValueError naming its first non-finite entry in C order by
+    what(index), with its value and time: t itself when scalar, else t at
+    the entry's index on axis 0."""
+    if np.count_nonzero(np.isfinite(out)) < out.size:  # cheaper than all() on one row
+        at = tuple(np.argwhere(~np.isfinite(out))[0])
+        t_at = t if np.ndim(t) == 0 else np.asarray(t)[at[0]]
+        raise ValueError(f"{what(at)} evaluated to {out[at]} at t={t_at}")
+    return out
 
 
 def eval_drift(c: CoefficientSet, t, x, x_delayed, sups) -> np.ndarray:
@@ -360,18 +391,8 @@ def eval_drift(c: CoefficientSet, t, x, x_delayed, sups) -> np.ndarray:
     reported with its component, value and t; in a (K, P, d) batch the
     first one in time order is also the one its lane alone reports.
     """
-    env = {"t": t}
-    for i in range(c.d):
-        env[f"x{i + 1}"] = x.T[i]
-        env[f"xd{i + 1}"] = x_delayed.T[i]
-        env[f"s{i + 1}"] = sups.T[i]
-    out = np.empty_like(x)
-    for i, expr in enumerate(c.drift):
-        out.T[i] = eval_expr(expr, env, c.params)
-    if np.count_nonzero(np.isfinite(out)) < out.size:  # cheaper than all() on one row
-        at, t_at = _first_non_finite(out, t)
-        raise ValueError(f"drift component {at[-1] + 1} evaluated to {out[at]} at t={t_at}")
-    return out
+    return _checked(drift_values(c, t, x, x_delayed, sups), t,
+                    lambda at: f"drift component {at[-1] + 1}")
 
 
 def eval_diffusion(c: CoefficientSet, t, x_delayed) -> np.ndarray:
@@ -382,18 +403,8 @@ def eval_diffusion(c: CoefficientSet, t, x_delayed) -> np.ndarray:
     or (K, P, d, m) batch.  A non-finite entry is reported as eval_drift
     reports one.
     """
-    x_delayed = np.asarray(x_delayed, dtype=float)
-    env = {"t": t}
-    for i in range(c.d):
-        env[f"xd{i + 1}"] = x_delayed.T[i]
-    out = np.empty(x_delayed.shape + (c.m,))
-    for i, row in enumerate(c.diffusion):
-        for j, expr in enumerate(row):
-            out.T[j, i] = eval_expr(expr, env, c.params)
-    if np.count_nonzero(np.isfinite(out)) < out.size:
-        at, t_at = _first_non_finite(out, t)
-        raise ValueError(f"diffusion entry ({at[-2] + 1},{at[-1] + 1}) evaluated to {out[at]} at t={t_at}")
-    return out
+    return _checked(diffusion_values(c, t, x_delayed), t,
+                    lambda at: f"diffusion entry ({at[-2] + 1},{at[-1] + 1})")
 
 
 # --- hypothesis audit ---------------------------------------------------

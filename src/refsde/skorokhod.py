@@ -67,9 +67,12 @@ def complementarity_residual(sol: SkorokhodSolution) -> float:
     the left endpoint of a cell can still be positive just before the
     reflection event inside the cell.
     """
-    x = sol.x.values
-    dy = np.diff(sol.y.values, axis=0)
-    return float(np.max((x[:-1] * dy).sum(axis=0), initial=0.0))
+    return _complementarity(sol.x.values, sol.y.values)
+
+
+def _complementarity(x: np.ndarray, y: np.ndarray) -> float:
+    """complementarity_residual on raw arrays x and y of shape (K, d)."""
+    return float(np.max((x[:-1] * np.diff(y, axis=0)).sum(axis=0), initial=0.0))
 
 
 def lipschitz_witness(z1: SamplePath, z2: SamplePath) -> tuple[float, float]:

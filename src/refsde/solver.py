@@ -19,10 +19,14 @@ every lane over the interval:
   forward recursion with the regulator applied each step, so the drift's
   x and s arguments always see reflected values.
 
-A lane that fails on an interval (a non-finite state or coefficient, or
-Picard out of iterations) is dropped with the error a solve of that path
-alone raises, and the interval is stepped again for the other lanes.
-Every lane gets the bytes of its own solve.
+The coefficients are evaluated unchecked: a non-finite drift or
+diffusion value makes z non-finite at its step (inf * dt is inf, inf - inf
+and inf * 0 are nan, and nan stays nan), so each stepper scans z once and
+_blow_ups reports every lane at its first non-finite row.  A lane that
+fails on an interval (a non-finite z, or Picard out of iterations) is
+dropped at the interval's end with the error a solve of that path alone
+raises; the other lanes' bytes do not depend on it, since on the interval
+each path depends only on its own driver.
 
 ``solve`` is the one-lane case and raises the lane's error;
 ``solve_euler`` and ``solve_picard`` are ``solve`` with the scheme forced.
@@ -37,10 +41,12 @@ from typing import Callable
 
 import numpy as np
 
-from .coeff import CoefficientSet, collect_vars, diffusion_variables, eval_diffusion, eval_drift
+from .coeff import CoefficientSet, collect_vars, diffusion_variables
+# the unchecked evaluators, under the names that perfbench/child.py hooks
+from .coeff import diffusion_values as eval_diffusion, drift_values as eval_drift
 from .fbm import sample_circulant, _hurst_value
 from .grids import SamplePath, TimeGrid
-from .skorokhod import regulator_values
+from .skorokhod import _complementarity, regulator_values
 from .young import _cell_products
 
 __all__ = [
@@ -66,13 +72,14 @@ _LANE_BYTES = 1 << 24
 
 
 class BlowUpError(RuntimeError):
-    """Non-finite state during time stepping; carries the step index and
-    its time."""
+    """Non-finite state during time stepping; carries the step index, its
+    time and the first non-finite component (from 1)."""
 
-    def __init__(self, step: int, t: float):
-        super().__init__(f"non-finite state at step {step} (t={t})")
+    def __init__(self, step: int, t: float, component: int):
+        super().__init__(f"non-finite state at step {step} (t={t}, component {component})")
         self.step = step
         self.t = t
+        self.component = component
 
 
 class PicardConvergenceError(RuntimeError):
@@ -98,6 +105,8 @@ class Problem:
     H: float | None = None  # used only when the driver is sampled internally
 
     def __post_init__(self) -> None:
+        if not (np.isfinite(self.r) and np.isfinite(self.T)):
+            raise ValueError(f"delay and horizon must be finite, got r={self.r}, T={self.T}")
         if self.r <= 0.0:
             raise ValueError(f"delay must be positive, got {self.r}")
         ratio = self.T / self.r
@@ -140,7 +149,7 @@ class SolverConfig:
             raise ValueError(f"steps_per_delay must be >= 4, got {self.steps_per_delay}")
         if self.scheme not in ("euler", "picard"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.picard_tol <= 0.0:
+        if not self.picard_tol > 0.0:  # nan too
             raise ValueError("picard_tol must be positive")
         if self.picard_max_iter < 1:
             raise ValueError("picard_max_iter must be positive")
@@ -209,34 +218,18 @@ def _start(p: Problem, gs: list[SamplePath], cfg: SolverConfig):
     return grid, x, y, z, sups, dg
 
 
-class _LaneFailures(Exception):
-    """Some lanes failed on the current delay interval; errors maps each
-    such lane to the error its own solve raises."""
-
-    def __init__(self, errors: dict):
-        super().__init__(errors)
-        self.errors = errors
-
-
-def _lanewise(evaluate, c: CoefficientSet, t, *states, lanes=None):
-    """evaluate(c, t, *states) on states whose axis -2 holds the lanes.
-
-    When the batch holds a non-finite value (evaluate raises ValueError),
-    each lane is evaluated alone, so that every failing lane gets its own
-    solve's message, and _LaneFailures names them by lanes[j] (or j).
-    """
-    try:
-        return evaluate(c, t, *states)
-    except ValueError:
-        errors = {}
-        for j in range(states[0].shape[-2]):
-            try:
-                evaluate(c, t, *(s[..., j : j + 1, :] for s in states))
-            except ValueError as exc:
-                errors[j if lanes is None else int(lanes[j])] = exc
-        if not errors:
-            raise
-        raise _LaneFailures(errors) from None
+def _blow_ups(z_rows, i: int, times, n_r: int, lanes=None) -> dict:
+    """A BlowUpError for each lane of z_rows (the rows of z from grid point
+    i on, lanes on axis 1) that holds a non-finite value, at its first
+    non-finite row and that row's first non-finite component; keyed by
+    lanes[j] (or j)."""
+    bad = ~np.isfinite(z_rows)
+    errors = {}
+    for j in np.flatnonzero(bad.any(axis=(0, 2))):
+        k, c = np.argwhere(bad[:, j])[0]
+        errors[int(j if lanes is None else lanes[j])] = BlowUpError(
+            i + int(k) - n_r, float(times[i + k]), int(c) + 1)
+    return errors
 
 
 def _batched_diffusion_increments(p: Problem, times, x, dg, i0: int, i1: int, n_r: int) -> np.ndarray:
@@ -248,7 +241,7 @@ def _batched_diffusion_increments(p: Problem, times, x, dg, i0: int, i1: int, n_
     the batch axis of the per-cell product, which sums each cell's m driver
     slots as one path does.
     """
-    sig = _lanewise(eval_diffusion, p.coeffs, times[i0:i1], x[i0 - n_r : i1 - n_r])  # (K, P, d, m)
+    sig = eval_diffusion(p.coeffs, times[i0:i1], x[i0 - n_r : i1 - n_r])  # (K, P, d, m)
     cells = sig.shape[0] * sig.shape[1]
     prod = _cell_products(sig.reshape(cells, p.d, p.m), dg[i0 - n_r : i1 - n_r].reshape(cells, p.m))
     return prod.reshape(sig.shape[:3])
@@ -264,34 +257,29 @@ def _close_interval(x, y, z, sups, z_new, i0: int, i1: int) -> None:
     np.maximum.accumulate(np.maximum(sups[i0 - 1], np.abs(x[i0 : i1 + 1])), axis=0, out=sups[i0 : i1 + 1])
 
 
-def _euler_steps(p: Problem, cfg: SolverConfig, times, dt: float, x, y, z, sups, sig_dg, i0: int, i1: int) -> None:
-    """The Euler recursion on [i0, i1], one grid step at a time for all lanes."""
+def _euler_steps(p: Problem, cfg: SolverConfig, times, dt: float, x, y, z, sups, sig_dg, i0: int, i1: int):
+    """The Euler recursion on [i0, i1], one grid step at a time for all
+    lanes; a lane that turns non-finite steps on in nan until the scan of
+    the interval's z rows at its end."""
     n_r = cfg.steps_per_delay
     for k in range(i0, i1):
-        b = _lanewise(eval_drift, p.coeffs, float(times[k]), x[k], x[k - n_r], sups[k])
+        b = eval_drift(p.coeffs, float(times[k]), x[k], x[k - n_r], sups[k])
         z[k + 1] = z[k] + b * dt + sig_dg[k - i0]
-        if np.count_nonzero(np.isfinite(z[k + 1])) < b.size:
-            bad = np.flatnonzero(~np.isfinite(z[k + 1]).all(axis=1))
-            raise _LaneFailures({int(j): BlowUpError(k + 1 - n_r, float(times[k + 1])) for j in bad})
         # one step of regulator_values; calling it per step costs more than the step
         y[k + 1] = np.maximum(y[k], np.maximum(-z[k + 1], 0.0))
         x[k + 1] = z[k + 1] + y[k + 1]
         sups[k + 1] = np.maximum(sups[k], np.abs(x[k + 1]))
+    return None, _blow_ups(z[i0 + 1 : i1 + 1], i0 + 1, times, n_r)
 
 
-def _euler_interval(p: Problem, cfg: SolverConfig, times, dt: float, x, y, z, sups, sig_dg, i0: int, i1: int) -> None:
+def _euler_interval(p: Problem, cfg: SolverConfig, times, dt: float, x, y, z, sups, sig_dg, i0: int, i1: int):
     """The Euler recursion on [i0, i1] for a drift that reads only t and the
     delayed state, which is already fixed there: one drift call and one
-    cumulative sum for all lanes, with the step loop's rounding."""
+    cumulative sum for all lanes, with the step loop's rounding.  The sum's
+    first non-finite row is the step loop's first non-finite z."""
     n_r = cfg.steps_per_delay
     xd = x[i0 - n_r : i1 - n_r]
-    try:
-        b = eval_drift(p.coeffs, times[i0:i1], xd, xd, xd)  # x and s are not read
-    except ValueError:
-        # a non-finite drift row; an earlier step may blow up first, so the
-        # step loop raises whichever failure comes first in step order
-        _euler_steps(p, cfg, times, dt, x, y, z, sups, sig_dg, i0, i1)
-        return
+    b = eval_drift(p.coeffs, times[i0:i1], xd, xd, xd)  # x and s are not read
     # [z[i0], b_0 dt, sig_dg_0, b_1 dt, ...]: the even partial sums are
     # (z[k] + b_k dt) + sig_dg_k, added in the step loop's order
     terms = np.empty((2 * (i1 - i0) + 1,) + b.shape[1:])
@@ -299,25 +287,20 @@ def _euler_interval(p: Problem, cfg: SolverConfig, times, dt: float, x, y, z, su
     terms[1::2] = b * dt
     terms[2::2] = sig_dg
     z_new = np.cumsum(terms, axis=0)[2::2]
-    finite = np.isfinite(z_new).all(axis=2)
-    if not finite.all():  # each failing lane ends at its first non-finite z[k + 1]
-        errors = {}
-        for j in np.flatnonzero(~finite.all(axis=0)):
-            k = i0 + int(np.argmin(finite[:, j]))
-            errors[int(j)] = BlowUpError(k + 1 - n_r, float(times[k + 1]))
-        raise _LaneFailures(errors)
     _close_interval(x, y, z, sups, z_new, i0, i1)
+    return None, _blow_ups(z_new, i0 + 1, times, n_r)
 
 
-def _picard_interval(p: Problem, cfg: SolverConfig, times, dt: float, x, y, z, sups, sig_dg,
-                     i0: int, i1: int) -> tuple[np.ndarray, np.ndarray]:
+def _picard_interval(p: Problem, cfg: SolverConfig, times, dt: float, x, y, z, sups, sig_dg, i0: int, i1: int):
     """The fixed-point construction on [i0, i1]; returns each lane's
-    iteration count and final residual.
+    iteration count and final residual, and the failed lanes.
 
     The map u -> z(i0) + drift integral + Young term + regulator is
     iterated to a sup-norm fixed point from the configured initial iterate,
     with one batched drift call per iteration over the lanes still
-    iterating.  A lane is frozen at the first iterate within tolerance.
+    iterating.  A lane is frozen at the first iterate within tolerance and
+    dropped at the first with a non-finite z; the lanes still iterating
+    after max_iter fail with PicardConvergenceError.
     """
     n_r = cfg.steps_per_delay
     young = np.zeros((n_r + 1,) + sig_dg.shape[1:])
@@ -333,37 +316,40 @@ def _picard_interval(p: Problem, cfg: SolverConfig, times, dt: float, x, y, z, s
     z_int = np.empty_like(u)  # each lane's z at the iterate it stopped on
     iterations = np.empty(u.shape[1], dtype=int)
     residuals = np.empty(u.shape[1])
+    failures: dict = {}
     # the lanes still iterating, and their slices of the fixed data
     live = np.arange(u.shape[1])
     xd, s0, z0, y0 = x[i0 - n_r : i0 + 1], sups[i0 - 1], z[i0], y[i0]
     for n_iter in range(1, cfg.picard_max_iter + 1):
         u_sups = np.maximum.accumulate(np.maximum(s0, np.abs(u)), axis=0)
-        b = _lanewise(eval_drift, p.coeffs, t_int, u, xd, u_sups, lanes=live)
+        b = eval_drift(p.coeffs, t_int, u, xd, u_sups)
         drift_cum = np.zeros_like(u)
         np.cumsum(0.5 * dt * (b[:-1] + b[1:]), axis=0, out=drift_cum[1:])
         z_new = z0 + drift_cum + young
-        finite = np.isfinite(z_new).all(axis=(0, 2))
-        if not finite.all():
-            raise _LaneFailures({int(j): BlowUpError(i1 - n_r, float(times[i1])) for j in live[~finite]})
         u_new = z_new + regulator_values(z_new, y0)
         res = np.max(np.abs(u_new - u), axis=(0, 2))
-        going = res > cfg.picard_tol
+        finite = np.isfinite(z_new).all(axis=(0, 2))
+        going = finite & (res > cfg.picard_tol)  # a nan residual is not above tol
         if not going.all():
-            done = live[~going]
-            z_int[:, done] = z_new[:, ~going]
+            if not finite.all():
+                failures.update(_blow_ups(z_new[:, ~finite], i0, times, n_r, lanes=live[~finite]))
+            stop = finite & ~going
+            done = live[stop]
+            z_int[:, done] = z_new[:, stop]
             iterations[done] = n_iter
-            residuals[done] = res[~going]
+            residuals[done] = res[stop]
             if not going.any():
                 break
             live, res = live[going], res[going]
             u_new, xd, s0, z0, y0, young = (a[..., going, :] for a in (u_new, xd, s0, z0, y0, young))
         u = u_new
     else:
-        raise _LaneFailures({int(j): PicardConvergenceError(i0 // n_r - 1, float(r), cfg.picard_max_iter)
-                             for j, r in zip(live, res)})
-    # z_int covers [i0, i1]: rewriting row i0 keeps its bytes (z[i0] + 0.0 turns -0.0 into 0.0)
+        failures.update({int(j): PicardConvergenceError(i0 // n_r - 1, float(r), cfg.picard_max_iter)
+                         for j, r in zip(live, res)})
+    # z_int covers [i0, i1]: rewriting row i0 keeps its bytes (z[i0] + 0.0 turns -0.0 into 0.0);
+    # the columns of failed lanes are never set, and those lanes are dropped
     _close_interval(x, y, z, sups, z_int, i0, i1)
-    return iterations, residuals
+    return (iterations, residuals), failures
 
 
 def _solve_lanes(p: Problem, gs: list[SamplePath], cfg: SolverConfig) -> tuple[list, dict]:
@@ -371,10 +357,9 @@ def _solve_lanes(p: Problem, gs: list[SamplePath], cfg: SolverConfig) -> tuple[l
     interval at a time.
 
     Returns the solutions in driver order and a dict of failures: a lane
-    that fails on an interval is dropped with the error its own solve
-    raises (solutions[j] is None), and the interval is stepped again for
-    the other lanes, whose bytes do not depend on which lanes share the
-    pass.
+    that fails on an interval is dropped at the interval's end with the
+    error its own solve raises (solutions[j] is None); the other lanes'
+    bytes do not depend on which lanes share the pass.
     """
     grid, x, y, z, sups, dg = _start(p, gs, cfg)
     n_r = cfg.steps_per_delay
@@ -388,25 +373,21 @@ def _solve_lanes(p: Problem, gs: list[SamplePath], cfg: SolverConfig) -> tuple[l
     lanes = np.arange(len(gs))  # the driver of each lane still running
     failures: dict = {}
     picard = [[] for _ in gs]
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow ends as BlowUpError
-        i0 = n_r
-        while i0 < grid.n_steps and lanes.size:
-            i1 = i0 + n_r
-            try:
-                sig_dg = _batched_diffusion_increments(p, times, x, dg, i0, i1, n_r)
-                stats = step(p, cfg, times, grid.dt, x, y, z, sups, sig_dg, i0, i1)
-            except _LaneFailures as exc:
-                for j, err in exc.errors.items():
-                    failures[int(lanes[j])] = err
-                keep = np.ones(lanes.size, dtype=bool)
-                keep[list(exc.errors)] = False
-                lanes = lanes[keep]
-                x, y, z, sups, dg = (a[:, keep] for a in (x, y, z, sups, dg))
-                continue  # the same interval again, for the lanes left
+    with np.errstate(all="ignore"):  # a non-finite z ends as BlowUpError
+        for i0 in range(n_r, grid.n_steps, n_r):
+            if not lanes.size:
+                break
+            sig_dg = _batched_diffusion_increments(p, times, x, dg, i0, i0 + n_r, n_r)
+            stats, errors = step(p, cfg, times, grid.dt, x, y, z, sups, sig_dg, i0, i0 + n_r)
             if stats is not None:
                 for lane, n_iter, residual in zip(lanes, *stats):
                     picard[lane].append((int(n_iter), float(residual)))
-            i0 = i1
+            if errors:
+                failures.update((int(lanes[j]), err) for j, err in errors.items())
+                keep = np.ones(lanes.size, dtype=bool)
+                keep[list(errors)] = False
+                lanes = lanes[keep]
+                x, y, z, sups, dg = (a[:, keep] for a in (x, y, z, sups, dg))
     solutions: list = [None] * len(gs)
     for j, lane in enumerate(lanes):
         solutions[lane] = ReflectedSolution(
@@ -544,7 +525,7 @@ def check_invariants(sol: ReflectedSolution) -> dict:
     z = sol.z.values
     dy = np.diff(y[t0_idx:], axis=0)
     regul = regulator_values(z[t0_idx:])
-    residual = float(np.max((x[t0_idx:-1] * dy).sum(axis=0), initial=0.0))
+    residual = _complementarity(x[t0_idx:], y[t0_idx:])
     total_increase = float(np.max(y[-1] - y[t0_idx]))
     bound = 10.0 * grid.dt * float(np.abs(x).max()) * max(total_increase, grid.dt)
     return {

@@ -157,8 +157,10 @@ class TestSimulate:
         for i, err in mc.failures.items():
             assert isinstance(err, BlowUpError)
             assert manifest["failures"][str(i)] == {
-                "type": "BlowUpError", "message": str(err), "step": err.step, "t": err.t}
+                "type": "BlowUpError", "message": str(err), "step": err.step, "t": err.t,
+                "component": err.component}
         assert 0 < manifest["failures"]["0"]["step"] <= 64
+        assert manifest["failures"]["0"]["component"] == 1
 
     def test_picard_failure_recorded_with_its_interval(self, tmp_path):
         # at seed 12 only the second of three paths needs more than 10
@@ -390,6 +392,21 @@ class TestSolverErrors:
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], scheme
             assert rc == 1
             assert capsys.readouterr().err.startswith("error: non-finite state")
+
+    def test_nan_picard_tol_exit_one(self, tmp_path, capsys):
+        body = MINIMAL.format(out=tmp_path).replace(
+            "scheme = euler", "scheme = picard\npicard_tol = nan")
+        assert main(["simulate", write_config(tmp_path, body), "--out", str(tmp_path)]) == 1
+        assert "picard_tol must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", [["simulate"], ["converge", "--levels", "8,16,32"]])
+    def test_infinite_horizon_exit_one(self, tmp_path, capsys, command):
+        body = MINIMAL.format(out=tmp_path).replace("horizon = 1.0", "horizon = inf")
+        rc = main([command[0], write_config(tmp_path, body), *command[1:]])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be finite" in err
 
 
 class TestReadme:

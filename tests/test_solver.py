@@ -8,7 +8,7 @@ import pytest
 
 from refsde import solver
 from refsde.cli import load_config
-from refsde.coeff import CoefficientSet, eval_diffusion, eval_drift
+from refsde.coeff import CoefficientSet, diffusion_values, drift_values, eval_drift
 from refsde.fbm import sample_circulant
 from refsde.grids import SamplePath, TimeGrid
 from refsde.young import _cell_products
@@ -149,6 +149,15 @@ class TestPicard:
             solve_picard(p, g, SolverConfig(steps_per_delay=64, scheme="picard",
                                             picard_tol=1e-15, picard_max_iter=2))
 
+    def test_blow_up_reports_the_first_non_finite_row(self):
+        # the first iterate is the constant x(0) = 1, where the drift is 8e307,
+        # so its z = 1 + k * 4e307 overflows at row 5 (dt = 0.5); an iterate
+        # after it would read x1 ^ 40 = inf from row 1 on
+        p = delay_problem(["8e307 * x1 ^ 40"], [["0"]], 8, r=4.0, M=1)
+        with pytest.raises(BlowUpError) as exc:
+            solve_picard(p, zero_driver(p, 8), SolverConfig(steps_per_delay=8, scheme="picard"))
+        assert (exc.value.step, exc.value.t) == (5, 2.5)
+
     def test_scheme_is_forced(self):
         p = linear_problem(32, M=2)
         g = sample_circulant(driver_grid(p, 32), 0.75, 1, seed=7)
@@ -265,6 +274,18 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             SolverConfig(scheme="rk4")
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan")])
+    def test_picard_tol_must_be_positive(self, tol):
+        with pytest.raises(ValueError, match="picard_tol"):
+            SolverConfig(picard_tol=tol)
+
+    @pytest.mark.parametrize("r,T", [(1.0, float("inf")), (float("nan"), 1.0)])
+    def test_non_finite_delay_or_horizon(self, r, T):
+        eta = eta_from_callable(lambda t: np.array([1.0]), 1.0, 16, 1)
+        coeffs = CoefficientSet.from_strings(["0"], [["0"]])
+        with pytest.raises(ValueError, match="finite"):
+            Problem(eta=eta, coeffs=coeffs, r=r, T=T)
+
 
 # SHA-256 of the bytes of x, y and z per path, Picard iterations and final
 # residuals (float.hex), for the bundled configs at n_r = 64 with 2 paths.
@@ -329,6 +350,16 @@ class TestGolden:
 
 
 class TestPathFailures:
+    @pytest.mark.parametrize("scheme", ["euler", "picard"])
+    def test_blow_up_names_its_component(self, scheme):
+        # only the second component's drift overflows z
+        p = delay_problem(["0", "1e308"], [["0"], ["0"]], 8, M=2)
+        with pytest.raises(BlowUpError) as exc:
+            solve(p, zero_driver(p, 8), SolverConfig(steps_per_delay=8, scheme=scheme))
+        assert exc.value.component == 2
+        assert str(exc.value).startswith("non-finite state at step ")
+        assert str(exc.value).endswith(", component 2)")
+
     def test_programming_error_propagates(self):
         # a parameter that is not a number makes the drift raise TypeError
         # inside the lane pass, which is not a path failure
@@ -351,7 +382,9 @@ class TestPathFailures:
 def euler_per_step(p, g, cfg):
     """solve_euler's per-step loop on one path, as it ran for every drift
     before delay-only drifts were stepped an interval at a time and before
-    the solver gained its lane axis; the oracle for that path."""
+    the solver gained its lane axis; the oracle for that path.  Like the
+    solver it evaluates the coefficients unchecked and stops at the first
+    non-finite z."""
     n_r = cfg.steps_per_delay
     grid = TimeGrid(-p.r, p.T, (p.n_intervals + 1) * n_r)
     times, dt = grid.times, grid.dt
@@ -365,13 +398,14 @@ def euler_per_step(p, g, cfg):
     with np.errstate(over="ignore", invalid="ignore"):
         for i0 in range(n_r, grid.n_steps, n_r):
             i1 = i0 + n_r
-            sig = eval_diffusion(p.coeffs, times[i0:i1], x[i0 - n_r : i1 - n_r])
+            sig = diffusion_values(p.coeffs, times[i0:i1], x[i0 - n_r : i1 - n_r])
             sig_dg = _cell_products(sig, dg[i0 - n_r : i1 - n_r])
             for k in range(i0, i1):
-                b = eval_drift(p.coeffs, float(times[k]), x[k], x[k - n_r], sups[k])
+                b = drift_values(p.coeffs, float(times[k]), x[k], x[k - n_r], sups[k])
                 z[k + 1] = z[k] + b * dt + sig_dg[k - i0]
-                if np.count_nonzero(np.isfinite(z[k + 1])) < p.d:
-                    raise BlowUpError(k + 1 - n_r, float(times[k + 1]))
+                bad = ~np.isfinite(z[k + 1])
+                if bad.any():
+                    raise BlowUpError(k + 1 - n_r, float(times[k + 1]), int(np.argmax(bad)) + 1)
                 y[k + 1] = np.maximum(y[k], np.maximum(-z[k + 1], 0.0))
                 x[k + 1] = z[k + 1] + y[k + 1]
                 sups[k + 1] = np.maximum(sups[k], np.abs(x[k + 1]))
@@ -430,9 +464,9 @@ class TestDelayOnlyEuler:
 
     @pytest.mark.parametrize("drift,n_r,kind", [
         ("1e308", 32, BlowUpError),  # a finite drift overflows z
-        ("(1.5 - t) ^ 0.5", 32, ValueError),  # the drift turns non-finite mid-interval
-        # z overflows at t = 1.875 on the step before the drift turns non-finite,
-        # but the interval's one drift call sees the non-finite row first
+        ("(1.5 - t) ^ 0.5", 32, BlowUpError),  # the drift turns non-finite mid-interval
+        # z overflows at t = 1.875 on the step before the drift turns
+        # non-finite, and that first non-finite z is the one reported
         ("1e308 + (1.8 - t) ^ 0.5", 8, BlowUpError),
     ])
     def test_same_failure_same_step(self, drift, n_r, kind):
@@ -492,16 +526,22 @@ TWO_DIM = (["cos(x1) - 0.5 * xd2", "sin(x2) * xd1 - s1"],
 
 # Configs on which some lanes fail and others do not, at seed 1 with 8
 # paths: (drift, diffusion, scheme, picard_max_iter, the kinds of failure).
+# A non-finite drift or diffusion ends as BlowUpError at the first
+# non-finite z.
 PARTIAL_FAILURES = {
     "overflow_delay_only": (["xd1"], [["1e308"]], "euler", 100, {BlowUpError}),
-    "overflow_state": (["cos(x1)"], [["1e308"]], "euler", 100, {BlowUpError, ValueError}),
+    "overflow_state": (["cos(x1)"], [["1e308"]], "euler", 100, {BlowUpError}),
     "overflow_picard": (["cos(x1)"], [["1e308"]], "picard", 100, {BlowUpError}),
-    "drift_row_delay_only": (["(2 - xd1) ^ 0.5 - 1"], [["0.5"]], "euler", 100, {ValueError}),
-    "drift_row_state": (["(2 - x1) ^ 0.5 - 1"], [["0.5"]], "euler", 100, {ValueError}),
-    "drift_row_picard": (["(2 - x1) ^ 0.5 - 1"], [["0.5"]], "picard", 100, {ValueError}),
-    "diffusion_row": (["0"], [["(2 - xd1) ^ 0.5"]], "euler", 100, {ValueError}),
+    "drift_row_delay_only": (["(2 - xd1) ^ 0.5 - 1"], [["0.5"]], "euler", 100, {BlowUpError}),
+    "drift_row_state": (["(2 - x1) ^ 0.5 - 1"], [["0.5"]], "euler", 100, {BlowUpError}),
+    "drift_row_picard": (["(2 - x1) ^ 0.5 - 1"], [["0.5"]], "picard", 100, {BlowUpError}),
+    "drift_rows_state": (["(2 - x1) ^ 0.5 - 1"], [["0.8"]], "euler", 100, {BlowUpError}),
+    "drift_rows_picard": (["(2 - x1) ^ 0.5 - 1"], [["0.8"]], "picard", 100, {BlowUpError}),
+    "diffusion_row": (["0"], [["(2 - xd1) ^ 0.5"]], "euler", 100, {BlowUpError}),
     "picard_max_iter": (["cos(x1)"], [["sin(t + xd1)"]], "picard", 13, {PicardConvergenceError}),
 }
+# The cases in which two lanes fail at different steps of one interval.
+SAME_INTERVAL = ["drift_rows_state", "drift_rows_picard"]
 
 
 class TestLanes:
@@ -541,7 +581,15 @@ class TestLanes:
             assert passes[:4] == [2, 2, 2, 1]  # then one per path from the oracle
 
     @pytest.mark.parametrize("case", sorted(PARTIAL_FAILURES))
-    def test_failing_lanes(self, case):
+    def test_failing_lanes(self, case, monkeypatch):
+        calls = []
+
+        def counted(p, times, x, dg, i0, i1, n_r):
+            calls.append((i0, x.shape[1]))
+            return increments(p, times, x, dg, i0, i1, n_r)
+
+        increments = solver._batched_diffusion_increments
+        monkeypatch.setattr(solver, "_batched_diffusion_increments", counted)
         drift, diffusion, scheme, max_iter, kinds = PARTIAL_FAILURES[case]
         p = lane_problem(drift, diffusion, 16)
         cfg = SolverConfig(steps_per_delay=16, scheme=scheme, seed=1, picard_max_iter=max_iter)
@@ -550,3 +598,12 @@ class TestLanes:
             mc = assert_lanes_match_paths(p, cfg, 8)
         assert 0 < len(mc.failures) < 8
         assert {type(exc) for exc in mc.failures.values()} == kinds
+        # the lane pass steps each delay interval once, failures or not;
+        # then come the one-lane solves of the oracle
+        assert [i0 for i0, _ in calls[:3]] == [16, 32, 48]
+        assert calls[3] == (16, 1)
+        if case in SAME_INTERVAL:
+            steps: dict = {}
+            for exc in mc.failures.values():
+                steps.setdefault((exc.step - 1) // 16, set()).add(exc.step)
+            assert max(map(len, steps.values())) >= 2
