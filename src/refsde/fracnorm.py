@@ -19,9 +19,20 @@ buffer, of about _BLOCK_ENTRIES entries (k grows as fewer ends are left),
 with the ends that lose their partner inside the block set to zero.  From
 each block the W^(alpha,infinity) rows take one matrix-vector product,
 the Hoelder quotient one max per lag, and the driver norm a skewed view
-whose columns are starts s: the quotient of s at lag L is a running sum of
-w h over its lags up to L, carried from block to block in lag order, plus
-one term in h at L alone.  Every norm reads every pair, at every size.
+whose columns are starts s: the quotient of s at lag L is a running sum
+C of w h over its lags up to L, carried from block to block in lag order,
+plus one term c h at L alone.  Since w, c > 0 and h >= 0, no quotient of
+s in a block exceeds C before the block plus (sum w + max c) times the
+largest h of s in the block (_driver_block_bound).  Where that bound lies
+below every lane's sup so far, the block cannot raise the sup: the driver
+norm skips its exact pass and carries the running sums by one
+matrix-vector product.  The sup so far starts at a floor, the exact
+quotients of the few starts whose estimated running sums are largest
+(_driver_floor), which on fBm paths is the sup or close to it: so the
+sweep skips all but a few blocks wherever the sup lies.  Every norm is still
+the sup over every pair, at every size; the driver norm differs from
+the unskipped sweep only by the rounding of the carried sums, which
+depends on the block split and the lanes.
 """
 
 from __future__ import annotations
@@ -158,6 +169,55 @@ def _lag_powers(n: int, dt: float, exponent: float) -> np.ndarray:
     return _read_only(np.array([(lag * dt) ** exponent for lag in range(1, n + 1)]))
 
 
+def _driver_block_bound(carried: np.ndarray, skew: np.ndarray, w: np.ndarray,
+                        c: np.ndarray) -> np.ndarray:
+    """Per lane, an upper bound on every driver quotient of one block.
+
+    carried (P, m) holds each start's running sum C before the block, skew
+    (k, P, m) its increments h >= 0 at the block's k lags, and w, c > 0 the
+    lags' weights.  The quotient of a start at the block's j-th lag is
+    C + sum_(i<=j) w_i h_i + c_j h_j <= C + (sum w + max c) max_i h_i.
+    """
+    top = skew.max(axis=0)
+    top *= w.sum() + c.max()
+    top += carried
+    return top.max(axis=1)
+
+
+def _driver_floor(g: np.ndarray, w: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Per lane of g, shape (n + 1, P), the largest driver quotient over a
+    few starts: a lower bound on the driver norm, which the sweep starts
+    from, so that what it skips does not depend on where the sup lies.
+
+    A start's quotients are mostly its running sum of w h, so each start's
+    full sum is estimated from lags 1, 2, 3, 4, 6, 9, ..., each standing for
+    the lags up to the next; the eight starts per lane with the largest
+    estimate take their exact quotient at every lag, summed in lag order as
+    the sweep sums it.
+    """
+    n, lanes = g.shape[0] - 1, g.shape[1]
+    lags = [1]
+    while (after := max(lags[-1] + 1, lags[-1] * 3 // 2)) <= n:
+        lags.append(after)
+    sums = np.concatenate([[0.0], np.cumsum(w)])
+    edges = np.array(lags + [n + 1])
+    estimate = np.zeros((n, lanes))
+    for lag, weight in zip(lags, sums[edges[1:] - 1] - sums[edges[:-1] - 1]):
+        estimate[: n + 1 - lag] += weight * np.abs(g[lag:] - g[:-lag])
+    ranked = min(8, n)
+    lane = np.arange(lanes)
+    ahead = np.arange(1, n + 1)
+    floor = np.zeros(lanes)
+    for s in np.argpartition(estimate, n - ranked, axis=0)[n - ranked :]:
+        ends = s[:, None] + ahead  # (P, n); a start past its last partner reads h = 0
+        h = np.abs(g[np.minimum(ends, n), lane[:, None]] - g[s, lane][:, None])
+        h[ends > n] = 0.0
+        quotient = np.cumsum(w * h, axis=1)
+        quotient += c * h
+        np.maximum(floor, quotient.max(axis=1), out=floor)
+    return floor
+
+
 def _lag_sweep(values: np.ndarray, dt: float, alpha: float | None = None,
                lambda_exponent: float | None = None, driver_alpha: float | None = None):
     """The pair-based norms of every lane of values, shape (n + 1, P, d), as
@@ -185,7 +245,7 @@ def _lag_sweep(values: np.ndarray, dt: float, alpha: float | None = None,
         c = 1.0 / _lag_powers(n, dt, 1.0 - driver_alpha) - g_near[1:]
         integral = np.zeros((lanes, n))  # running sums of w h; the start s is column n - 1 - s
         run_buf = np.empty(max(_BLOCK_ENTRIES, 2 * lanes * (n + 1)))
-        drive = np.zeros(lanes)
+        drive = _driver_floor(values[:, :, 0], w, c)
     for lags, h, skew in _lag_blocks(values[::-1]):
         lag0, k, m = lags[0], len(lags), h.shape[2]
         at = slice(lag0 - 1, lag0 - 1 + k)  # the lags' entries in the tables
@@ -197,20 +257,26 @@ def _lag_sweep(values: np.ndarray, dt: float, alpha: float | None = None,
             np.maximum(quot, (h.max(axis=2) / powers[at, None]).max(axis=0), out=quot)
         if drive is not None:  # last: it overwrites h
             # column q of skew is the start n - lag0 - q, zero where it has no
-            # partner; run[j] = run[j - 1] + w[L-1] h(L) for L = lags[j]
-            run = run_buf[: k * lanes * m].reshape(k, lanes, m)
-            np.multiply(w[at, None, None], skew, out=run)
-            np.add(integral[:, lag0 - 1 :], run[0], out=run[0])
-            # one vector add per lag: np.cumsum along this axis runs a scalar chain per start
-            for j in range(1, k):
-                np.add(run[j - 1], run[j], out=run[j])
-            integral[:, lag0 - 1 :] = run[-1]
-            # a start without a partner reads C(L), below its last true
-            # quotient C(L) + c[L-1] h(L), since every c is positive:
-            # g_near[L] <= (L dt)^(alpha-2) dt / 2 = (L dt)^(alpha-1) / (2L)
-            skew *= c[at, None, None]
-            skew += run
-            np.maximum(drive, skew.max(axis=(0, 2)), out=drive)
+            # partner, and carried[:, q] is its running sum C(lag0 - 1)
+            carried = integral[:, lag0 - 1 :]
+            if np.all(_driver_block_bound(carried, skew, w[at], c[at]) * (1.0 + 1e-12) < drive):
+                # no quotient of the block can raise any lane's sup: carry the sums only
+                carried += (w[at] @ skew.reshape(k, -1)).reshape(lanes, m)
+            else:
+                # run[j] = run[j - 1] + w[L-1] h(L) for L = lags[j]
+                run = run_buf[: k * lanes * m].reshape(k, lanes, m)
+                np.multiply(w[at, None, None], skew, out=run)
+                np.add(carried, run[0], out=run[0])
+                # one vector add per lag: np.cumsum along this axis runs a scalar chain per start
+                for j in range(1, k):
+                    np.add(run[j - 1], run[j], out=run[j])
+                carried[...] = run[-1]
+                # a start without a partner reads C(L), below its last true
+                # quotient C(L) + c[L-1] h(L), since every c is positive:
+                # g_near[L] <= (L dt)^(alpha-2) dt / 2 = (L dt)^(alpha-1) / (2L)
+                skew *= c[at, None, None]
+                skew += run
+                np.maximum(drive, skew.max(axis=(0, 2)), out=drive)
     if rows is not None:
         # the lag-u increment ending at u opens no cell: that cell would lie before t_0
         rows[1:] -= near[1:, None] * np.linalg.norm(values[1:] - values[0], axis=2)
@@ -275,7 +341,9 @@ def _driver_norms(values: np.ndarray, dt: float, alpha: float) -> np.ndarray:
 
 def g_norm_one_minus_alpha(g: SamplePath, alpha: float,
                            interval: tuple[float, float] | None = None) -> float:
-    """Discrete W^(1-alpha,infinity) driver norm of a scalar path."""
+    """Discrete W^(1-alpha,infinity) driver norm of a scalar path: the sup
+    over every start and lag, from a sweep that starts at the quotients of a
+    few likely starts and skips the lag blocks whose bound cannot raise it."""
     if g.dim != 1:
         raise ValueError(f"driver norm is defined per component, got dim={g.dim}")
     g = g.restrict(*interval) if interval else g
@@ -294,7 +362,10 @@ def lambda_alpha_bound(g: SamplePath, alpha: float,
     This is the value every estimate downstream uses, not the exact
     supremum of the Weyl derivative; for multi-component g the maximum over
     components is returned.  The driver norm is the discrete sup over every
-    start and lag, at every size.
+    start and lag, at every size; the sweep skips the exact pass of a lag
+    block whose quotients are bounded below the sup so far, which starts at
+    the exact quotients of a few likely starts, and that moves the value
+    only by the rounding of the carried sums.
     """
     g = g.restrict(*interval) if interval else g
     return _lambda_bound(_driver_norms(g.values[:, None], g.grid.dt, alpha)[0], alpha)

@@ -21,12 +21,14 @@ every lane over the interval:
 
 The coefficients are evaluated unchecked: a non-finite drift or
 diffusion value makes z non-finite at its step (inf * dt is inf, inf - inf
-and inf * 0 are nan, and nan stays nan), so each stepper scans z once and
-_blow_ups reports every lane at its first non-finite row.  A lane that
-fails on an interval (a non-finite z, or Picard out of iterations) is
-dropped at the interval's end with the error a solve of that path alone
-raises; the other lanes' bytes do not depend on it, since on the interval
-each path depends only on its own driver.
+and inf * 0 are nan, and nan stays nan), and x = z + y with it.  x can
+also overflow where z stays finite, once y has taken up a large negative
+z.  So each stepper scans x once and _blow_ups reports every lane at its
+first non-finite row.  A lane that fails on an interval (a non-finite x,
+or Picard out of iterations) is dropped at the interval's end with the
+error a solve of that path alone raises; the other lanes' bytes do not
+depend on it, since on the interval each path depends only on its own
+driver.
 
 ``solve`` is the one-lane case and raises the lane's error;
 ``solve_euler`` and ``solve_picard`` are ``solve`` with the scheme forced.
@@ -218,12 +220,12 @@ def _start(p: Problem, gs: list[SamplePath], cfg: SolverConfig):
     return grid, x, y, z, sups, dg
 
 
-def _blow_ups(z_rows, i: int, times, n_r: int, lanes=None) -> dict:
-    """A BlowUpError for each lane of z_rows (the rows of z from grid point
+def _blow_ups(x_rows, i: int, times, n_r: int, lanes=None) -> dict:
+    """A BlowUpError for each lane of x_rows (the rows of x from grid point
     i on, lanes on axis 1) that holds a non-finite value, at its first
     non-finite row and that row's first non-finite component; keyed by
     lanes[j] (or j)."""
-    bad = ~np.isfinite(z_rows)
+    bad = ~np.isfinite(x_rows)
     errors = {}
     for j in np.flatnonzero(bad.any(axis=(0, 2))):
         k, c = np.argwhere(bad[:, j])[0]
@@ -260,7 +262,7 @@ def _close_interval(x, y, z, sups, z_new, i0: int, i1: int) -> None:
 def _euler_steps(p: Problem, cfg: SolverConfig, times, dt: float, x, y, z, sups, sig_dg, i0: int, i1: int):
     """The Euler recursion on [i0, i1], one grid step at a time for all
     lanes; a lane that turns non-finite steps on in nan until the scan of
-    the interval's z rows at its end."""
+    the interval's x rows at its end."""
     n_r = cfg.steps_per_delay
     for k in range(i0, i1):
         b = eval_drift(p.coeffs, float(times[k]), x[k], x[k - n_r], sups[k])
@@ -269,14 +271,14 @@ def _euler_steps(p: Problem, cfg: SolverConfig, times, dt: float, x, y, z, sups,
         y[k + 1] = np.maximum(y[k], np.maximum(-z[k + 1], 0.0))
         x[k + 1] = z[k + 1] + y[k + 1]
         sups[k + 1] = np.maximum(sups[k], np.abs(x[k + 1]))
-    return None, _blow_ups(z[i0 + 1 : i1 + 1], i0 + 1, times, n_r)
+    return None, _blow_ups(x[i0 + 1 : i1 + 1], i0 + 1, times, n_r)
 
 
 def _euler_interval(p: Problem, cfg: SolverConfig, times, dt: float, x, y, z, sups, sig_dg, i0: int, i1: int):
     """The Euler recursion on [i0, i1] for a drift that reads only t and the
     delayed state, which is already fixed there: one drift call and one
-    cumulative sum for all lanes, with the step loop's rounding.  The sum's
-    first non-finite row is the step loop's first non-finite z."""
+    cumulative sum for all lanes, with the step loop's rounding, so the
+    first non-finite row of x is the step loop's."""
     n_r = cfg.steps_per_delay
     xd = x[i0 - n_r : i1 - n_r]
     b = eval_drift(p.coeffs, times[i0:i1], xd, xd, xd)  # x and s are not read
@@ -288,7 +290,7 @@ def _euler_interval(p: Problem, cfg: SolverConfig, times, dt: float, x, y, z, su
     terms[2::2] = sig_dg
     z_new = np.cumsum(terms, axis=0)[2::2]
     _close_interval(x, y, z, sups, z_new, i0, i1)
-    return None, _blow_ups(z_new, i0 + 1, times, n_r)
+    return None, _blow_ups(x[i0 + 1 : i1 + 1], i0 + 1, times, n_r)
 
 
 def _picard_interval(p: Problem, cfg: SolverConfig, times, dt: float, x, y, z, sups, sig_dg, i0: int, i1: int):
@@ -299,7 +301,7 @@ def _picard_interval(p: Problem, cfg: SolverConfig, times, dt: float, x, y, z, s
     iterated to a sup-norm fixed point from the configured initial iterate,
     with one batched drift call per iteration over the lanes still
     iterating.  A lane is frozen at the first iterate within tolerance and
-    dropped at the first with a non-finite z; the lanes still iterating
+    dropped at the first with a non-finite x; the lanes still iterating
     after max_iter fail with PicardConvergenceError.
     """
     n_r = cfg.steps_per_delay
@@ -328,11 +330,11 @@ def _picard_interval(p: Problem, cfg: SolverConfig, times, dt: float, x, y, z, s
         z_new = z0 + drift_cum + young
         u_new = z_new + regulator_values(z_new, y0)
         res = np.max(np.abs(u_new - u), axis=(0, 2))
-        finite = np.isfinite(z_new).all(axis=(0, 2))
+        finite = np.isfinite(u_new).all(axis=(0, 2))  # u_new is x on this iterate
         going = finite & (res > cfg.picard_tol)  # a nan residual is not above tol
         if not going.all():
             if not finite.all():
-                failures.update(_blow_ups(z_new[:, ~finite], i0, times, n_r, lanes=live[~finite]))
+                failures.update(_blow_ups(u_new[:, ~finite], i0, times, n_r, lanes=live[~finite]))
             stop = finite & ~going
             done = live[stop]
             z_int[:, done] = z_new[:, stop]
@@ -373,7 +375,7 @@ def _solve_lanes(p: Problem, gs: list[SamplePath], cfg: SolverConfig) -> tuple[l
     lanes = np.arange(len(gs))  # the driver of each lane still running
     failures: dict = {}
     picard = [[] for _ in gs]
-    with np.errstate(all="ignore"):  # a non-finite z ends as BlowUpError
+    with np.errstate(all="ignore"):  # a non-finite x ends as BlowUpError
         for i0 in range(n_r, grid.n_steps, n_r):
             if not lanes.size:
                 break

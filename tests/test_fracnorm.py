@@ -8,6 +8,8 @@ from refsde.fracnorm import (
     AlphaParams,
     NormReport,
     _cell_integrals,
+    _driver_block_bound,
+    _driver_floor,
     _lag_blocks,
     _lag_powers,
     _lag_sweep,
@@ -23,6 +25,7 @@ from refsde.fracnorm import (
     w_alpha_inf_norm,
     weighted_alpha_norm,
 )
+from refsde.fbm import sample_circulant
 from refsde.grids import SamplePath, TimeGrid
 
 from conftest import path_on
@@ -116,6 +119,54 @@ def g_norm_per_lag(g, alpha):
         best = max(best, float((h / (lag * dt) ** (1.0 - alpha) + integral[:m]).max()))
         prev = h
     return best
+
+
+# The driver pass of _lag_sweep before it skipped blocks: every block takes
+# the exact pass.  Its value is bit-equal across block budgets and lane
+# batches, and the pruned sweep must agree with it to unpruned_rel(n).
+
+def driver_weights(n, dt, alpha):
+    """The driver quotient's weights: w of the running sum, c of the last lag."""
+    g_near, g_far = _lag_weights(n, dt, 2.0 - alpha)
+    return g_far[:-1] + g_near[1:], 1.0 / _lag_powers(n, dt, 1.0 - alpha) - g_near[1:]
+
+
+def driver_floor(values, dt, alpha):
+    """_driver_floor of values, shape (n + 1, P, 1): the sup the sweep starts from."""
+    return _driver_floor(values[:, :, 0], *driver_weights(values.shape[0] - 1, dt, alpha))
+
+
+def unpruned_driver_blocks(values, dt, alpha):
+    """Per block of the unpruned driver pass over values, shape (n + 1, P, 1):
+    the bound _driver_block_bound gives on the block's carried sums, and the
+    block's largest quotient, per lane."""
+    n, lanes = values.shape[0] - 1, values.shape[1]
+    w, c = driver_weights(n, dt, alpha)
+    integral = np.zeros((lanes, n))
+    for lags, _, skew in _lag_blocks(values[::-1]):
+        lag0, k = lags[0], len(lags)
+        at = slice(lag0 - 1, lag0 - 1 + k)
+        bound = _driver_block_bound(integral[:, lag0 - 1 :], skew, w[at], c[at])
+        run = w[at, None, None] * skew
+        run[0] += integral[:, lag0 - 1 :]
+        for j in range(1, k):
+            run[j] += run[j - 1]
+        integral[:, lag0 - 1 :] = run[-1]
+        yield bound, (c[at, None, None] * skew + run).max(axis=(0, 2))
+
+
+def unpruned_driver_norms(values, dt, alpha):
+    drive = np.zeros(values.shape[1])
+    for _, top in unpruned_driver_blocks(values, dt, alpha):
+        np.maximum(drive, top, out=drive)
+    return drive
+
+
+def unpruned_rel(n):
+    """Relative distance allowed between the pruned and unpruned driver norm
+    on n steps: each quotient sums at most n + 1 positive terms, and the
+    pruned sweep adds a skipped block's terms in another order."""
+    return (n + 1) * np.finfo(float).eps
 
 
 def one_lane_rows(f, alpha, lambda_exponent):
@@ -218,27 +269,98 @@ class TestBlockSweep:
         g = walk(1, 200)
         assert holder_norm(g, 0.7) == holder_per_lag(g, 0.7)
 
-    def test_driver_norm_is_bit_equal_across_block_sizes_and_lanes(self, monkeypatch):
-        # each start's running sum is added in lag order however the blocks
-        # split, and each lane's arithmetic is its own
+    def test_driver_norm_agrees_with_unpruned_oracle_across_block_sizes_and_lanes(self, monkeypatch):
+        # the oracle adds each start's running sum in lag order however the
+        # blocks split, and each lane's arithmetic is its own; the pruned sweep
+        # carries a skipped block's sums by one product, whose rounding
+        # depends on the split and on the lanes that share the skip
         fs = [walk(seed, 300) for seed in (6, 7, 8)]
-        values = set()
+        dt = fs[0].grid.dt
+        oracle = set()
         for budget in (8, 64, 1 << 15):
             monkeypatch.setattr(fracnorm, "_BLOCK_ENTRIES", budget)
-            values.add(g_norm_one_minus_alpha(fs[0], 0.3))
-            stacked = np.stack([f.values for f in fs], axis=1)
-            values.add(float(_lag_sweep(stacked, fs[0].grid.dt, driver_alpha=0.3)[2][0]))
-        assert len(values) == 1
+            for lanes in (1, 2, 3):
+                stacked = np.stack([f.values for f in fs[:lanes]], axis=1)
+                want = unpruned_driver_norms(stacked, dt, 0.3)
+                oracle.add(float(want[0]))
+                got = _lag_sweep(stacked, dt, driver_alpha=0.3)[2]
+                assert np.all(np.abs(got - want) <= unpruned_rel(300) * want)
+            got = g_norm_one_minus_alpha(fs[0], 0.3)
+            assert abs(got - float(want[0])) <= unpruned_rel(300) * float(want[0])
+        assert len(oracle) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["walk", "constant", "monotone", "tent"]),
+           seed=st.integers(0, 1000), half=st.integers(1, 80),
+           alpha=st.sampled_from([0.01, 0.25, 0.49]), t0=st.sampled_from([0.0, -1.0]),
+           budget=st.sampled_from([8, 64, 1 << 15]))
+    def test_block_bound_is_above_every_quotient_of_the_block(self, kind, seed, half, alpha, t0, budget):
+        n = 2 * half  # t = 0 is a grid point for t0 = -1
+        f = {"walk": lambda: walk(seed, n, t0=t0),
+             "constant": lambda: path_on(t0, t0 + 2.0, n, lambda t: np.full_like(t, 0.5)),
+             "monotone": lambda: path_on(t0, t0 + 2.0, n, lambda t: np.exp(t)),
+             "tent": lambda: path_on(t0, t0 + 2.0, n, lambda t: np.minimum(t, 1.5 - t))}[kind]()
+        if t0 < 0.0:
+            f = f.restrict(0.0, t0 + 2.0)
+        values = np.stack([f.values[:, 0], walk(seed + 1, f.grid.n_steps).values[:, 0]], axis=1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fracnorm, "_BLOCK_ENTRIES", budget)
+            for bound, top in unpruned_driver_blocks(values[:, :, None], f.grid.dt, alpha):
+                # the sweep skips a block only if every lane's bound, times this, is below its sup
+                assert np.all(bound * (1.0 + 1e-12) >= top)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["walk", "constant", "monotone", "tent"]),
+           seed=st.integers(0, 1000), n=st.integers(1, 160),
+           alpha=st.sampled_from([0.01, 0.25, 0.49]))
+    def test_floor_is_at_most_the_sup(self, kind, seed, n, alpha):
+        # the floor is the exact quotient of a few starts, summed as the
+        # oracle sums it, so it can never lie above the oracle's sup
+        f = {"walk": lambda: walk(seed, n),
+             "constant": lambda: path_on(0.0, 2.0, n, lambda t: np.full_like(t, 0.5)),
+             "monotone": lambda: path_on(0.0, 2.0, n, lambda t: np.exp(t)),
+             "tent": lambda: path_on(0.0, 2.0, n, lambda t: np.minimum(t, 1.5 - t))}[kind]()
+        values = np.stack([f.values[:, 0], walk(seed + 1, n).values[:, 0]], axis=1)[:, :, None]
+        floor = driver_floor(values, f.grid.dt, alpha)
+        assert np.all(floor <= unpruned_driver_norms(values, f.grid.dt, alpha))
+        assert np.all(floor >= 0.0)
+
+    def test_fbm_path_skips_blocks(self, monkeypatch):
+        # the pruning must stay on: on an fBm path the floor is the sup, so
+        # the sweep takes the exact pass only on the few blocks whose bound
+        # reaches it, wherever the sup lies
+        monkeypatch.setattr(fracnorm, "_BLOCK_ENTRIES", 1 << 12)  # 141 blocks
+        for hurst in (0.55, 0.75, 0.95):
+            g = sample_circulant(TimeGrid(0.0, 1.0, 1024), hurst, 1, seed=(3, 0))
+            values = g.values[:, :, None]
+            drive = float(unpruned_driver_norms(values, g.grid.dt, 0.375)[0])
+            blocks = list(unpruned_driver_blocks(values, g.grid.dt, 0.375))
+            assert float(driver_floor(values, g.grid.dt, 0.375)[0]) == drive
+            exact = sum(bool(bound[0] * (1.0 + 1e-12) >= drive) for bound, _ in blocks)
+            assert 1 <= exact <= len(blocks) // 10
+            assert g_norm_one_minus_alpha(g, 0.375) == pytest.approx(drive, rel=unpruned_rel(1024))
+            assert norm_report(g, 0.375).norms["lambda_alpha_bound"] == lambda_alpha_bound(g, 0.375)
+        # a bound of 0 skips every block: the value is the floor's
+        monkeypatch.setattr(fracnorm, "_driver_block_bound", lambda carried, *_: np.zeros(len(carried)))
+        assert g_norm_one_minus_alpha(g, 0.375) == drive
+        # and with a floor of 0 as well, the first block sets the sup
+        monkeypatch.setattr(fracnorm, "_driver_floor", lambda g, *_: np.zeros(g.shape[1]))
+        first = float(blocks[0][1][0])
+        assert first < drive
+        assert g_norm_one_minus_alpha(g, 0.375) == first
 
     @pytest.mark.parametrize("alpha", [0.01, 0.25, 0.49])
     @pytest.mark.parametrize("n", [1, 7, 300, 4096])
     def test_driver_quotient_weight_is_positive(self, n, alpha):
         # a start past its last partner reads the running sum alone, below its
-        # last true quotient, only because this weight is positive
+        # last true quotient, only because c is positive; the block bound
+        # also needs the running sum's weight w to be positive
         dt = 1.0 / n
-        near = _lag_weights(n, dt, 2.0 - alpha)[0][1:]
-        c = 1.0 / _lag_powers(n, dt, 1.0 - alpha) - near
+        near, far = _lag_weights(n, dt, 2.0 - alpha)
+        c = 1.0 / _lag_powers(n, dt, 1.0 - alpha) - near[1:]
+        w = far[:-1] + near[1:]
         assert np.all(c > 0.0)
+        assert np.all(w > 0.0)
 
 
 class TestLagQuadrature:

@@ -379,12 +379,13 @@ class TestPathFailures:
         assert mc.n_ok == 2
 
 
-def euler_per_step(p, g, cfg):
+def euler_per_step(p, g, cfg, scan="x"):
     """solve_euler's per-step loop on one path, as it ran for every drift
     before delay-only drifts were stepped an interval at a time and before
     the solver gained its lane axis; the oracle for that path.  Like the
     solver it evaluates the coefficients unchecked and stops at the first
-    non-finite z."""
+    non-finite x; with scan="z", at the first non-finite z, as the solver
+    did before it scanned x."""
     n_r = cfg.steps_per_delay
     grid = TimeGrid(-p.r, p.T, (p.n_intervals + 1) * n_r)
     times, dt = grid.times, grid.dt
@@ -403,12 +404,12 @@ def euler_per_step(p, g, cfg):
             for k in range(i0, i1):
                 b = drift_values(p.coeffs, float(times[k]), x[k], x[k - n_r], sups[k])
                 z[k + 1] = z[k] + b * dt + sig_dg[k - i0]
-                bad = ~np.isfinite(z[k + 1])
-                if bad.any():
-                    raise BlowUpError(k + 1 - n_r, float(times[k + 1]), int(np.argmax(bad)) + 1)
                 y[k + 1] = np.maximum(y[k], np.maximum(-z[k + 1], 0.0))
                 x[k + 1] = z[k + 1] + y[k + 1]
                 sups[k + 1] = np.maximum(sups[k], np.abs(x[k + 1]))
+                bad = ~np.isfinite((x if scan == "x" else z)[k + 1])
+                if bad.any():
+                    raise BlowUpError(k + 1 - n_r, float(times[k + 1]), int(np.argmax(bad)) + 1)
     return x, y, z
 
 
@@ -527,7 +528,7 @@ TWO_DIM = (["cos(x1) - 0.5 * xd2", "sin(x2) * xd1 - s1"],
 # Configs on which some lanes fail and others do not, at seed 1 with 8
 # paths: (drift, diffusion, scheme, picard_max_iter, the kinds of failure).
 # A non-finite drift or diffusion ends as BlowUpError at the first
-# non-finite z.
+# non-finite x.
 PARTIAL_FAILURES = {
     "overflow_delay_only": (["xd1"], [["1e308"]], "euler", 100, {BlowUpError}),
     "overflow_state": (["cos(x1)"], [["1e308"]], "euler", 100, {BlowUpError}),
@@ -607,3 +608,24 @@ class TestLanes:
             for exc in mc.failures.values():
                 steps.setdefault((exc.step - 1) // 16, set()).add(exc.step)
             assert max(map(len, steps.values())) >= 2
+
+    @pytest.mark.parametrize("scheme,ok", [("euler", [0, 1, 4, 8, 9, 16]),
+                                           ("picard", [0, 1, 4, 9, 16])])
+    def test_x_overflow_fails_its_lane_alone(self, scheme, ok):
+        # once y has taken up a z near -1e308, x = z + y can overflow while z
+        # stays finite: the lane fails at that row of x, as its own solve does,
+        # and the other lanes of the chunk go on
+        p = lane_problem(["0"], [["1e308"]], 64, M=4)
+        cfg = SolverConfig(steps_per_delay=64, scheme=scheme, seed=1)
+        mc = assert_lanes_match_paths(p, cfg, 20)
+        assert [i for i, sol in enumerate(mc.solutions) if sol is not None] == ok
+        assert {type(exc) for exc in mc.failures.values()} == {BlowUpError}
+        if scheme == "euler":  # the per-step oracle, and where z alone would miss the failure
+            grid = driver_grid(p, 64)
+            gs = [sample_circulant(grid, 0.75, 1, seed=(1, i)) for i in range(20)]
+            for g in gs:
+                assert failure(euler_per_step, p, g, cfg) == failure(solve, p, g, cfg)
+            for i in (12, 19):  # z is finite on the whole grid; x is not
+                x, _, z = euler_per_step(p, gs[i], cfg, scan="z")
+                assert np.isfinite(z).all()
+                assert mc.failures[i].step == np.flatnonzero(~np.isfinite(x[:, 0]))[0] - 64
