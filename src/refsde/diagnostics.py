@@ -15,9 +15,8 @@ import numpy as np
 from .fracnorm import (
     AlphaParams,
     _w_alpha_inf_norms,
-    holder_exponent_estimate,
-    holder_norm,
     lambda_alpha_bound,
+    norm_report,
     w_alpha_inf_norm,
 )
 from .solver import Problem, ReflectedSolution, SolverConfig, solve_stochastic
@@ -170,17 +169,16 @@ def holder_regularity_report(sol: ReflectedSolution, alpha: float) -> dict:
     """Regularity quantities of one solution, including the empirical ratio
     |x|_{1-alpha} / ((1 + Lambda)(1 + |x|_{alpha,inf})) for cross-run
     comparison (the bound's constant is not explicit)."""
-    grid = sol.grid
-    t_end = float(grid.t1)
-    x_pos = sol.x.restrict(0.0, t_end)
-    h_norm = holder_norm(sol.x, 1.0 - alpha, interval=(0.0, t_end))
-    exponent, constant = holder_exponent_estimate(x_pos, with_flag=True)
+    # the Hoelder norm and exponent of x on [0, T]; the report's own Lambda
+    # is that of x, and its W^(alpha,infinity) norm leaves out [-r, 0]
+    report = norm_report(sol.x.restrict(0.0, float(sol.grid.t1)), alpha).norms
+    h_norm = report["holder_1_minus_alpha"]
     w_norm = w_alpha_inf_norm(sol.x, AlphaParams(alpha=alpha))
     lam = lambda_alpha_bound(sol.driver, alpha)
     return {
         "holder_norm_1_minus_alpha": h_norm,
-        "holder_exponent_estimate": exponent,
-        "constant_path": constant,
+        "holder_exponent_estimate": report["holder_exponent_estimate"],
+        "constant_path": report["constant_path"],
         "w_alpha_inf": w_norm,
         "driver_lambda_alpha_bound": lam,
         "empirical_bound_ratio": h_norm / ((1.0 + lam) * (1.0 + w_norm)),

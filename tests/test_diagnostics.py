@@ -12,7 +12,13 @@ from refsde.diagnostics import (
     phi,
 )
 from refsde.fbm import sample_circulant
-from refsde.fracnorm import AlphaParams, w_alpha_inf_norm
+from refsde.fracnorm import (
+    AlphaParams,
+    holder_exponent_estimate,
+    holder_norm,
+    lambda_alpha_bound,
+    w_alpha_inf_norm,
+)
 from refsde.grids import SamplePath
 from refsde.solver import (
     Problem,
@@ -158,7 +164,31 @@ class TestMomentProbe:
             moment_probe(p, SolverConfig(steps_per_delay=32), 2.0, [40, 10])
 
 
+def regularity_per_norm(sol, alpha):
+    """holder_regularity_report as it was before it read norm_report: one
+    call per norm."""
+    t_end = float(sol.grid.t1)
+    h_norm = holder_norm(sol.x, 1.0 - alpha, interval=(0.0, t_end))
+    exponent, constant = holder_exponent_estimate(sol.x.restrict(0.0, t_end), with_flag=True)
+    w_norm = w_alpha_inf_norm(sol.x, AlphaParams(alpha=alpha))
+    lam = lambda_alpha_bound(sol.driver, alpha)
+    return {
+        "holder_norm_1_minus_alpha": h_norm,
+        "holder_exponent_estimate": exponent,
+        "constant_path": constant,
+        "w_alpha_inf": w_norm,
+        "driver_lambda_alpha_bound": lam,
+        "empirical_bound_ratio": h_norm / ((1.0 + lam) * (1.0 + w_norm)),
+    }
+
+
 class TestRegularityReport:
+    @pytest.mark.parametrize("n_r,M,scale", [(128, 1, 1.0), (128, 2, 0.0), (512, 3, 1.0)])
+    def test_equals_the_per_norm_report(self, n_r, M, scale):
+        # 512 steps per delay over [0, 3] reach the endpoint search
+        sol = solved(linear_problem(n_r, M=M), n_r, seed=(46, n_r), scale=scale)
+        assert holder_regularity_report(sol, 0.3) == regularity_per_norm(sol, 0.3)
+
     def test_smooth_noise_free_exponent(self):
         n_r = 256
         eta = eta_from_callable(lambda t: np.array([1.0]), 1.0, n_r, 1)

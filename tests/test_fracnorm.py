@@ -8,8 +8,8 @@ from refsde.fracnorm import (
     AlphaParams,
     NormReport,
     _cell_integrals,
-    _driver_block_bound,
-    _driver_floor,
+    _endpoint_bounds,
+    _endpoint_sups,
     _lag_blocks,
     _lag_powers,
     _lag_sweep,
@@ -121,9 +121,9 @@ def g_norm_per_lag(g, alpha):
     return best
 
 
-# The driver pass of _lag_sweep before it skipped blocks: every block takes
-# the exact pass.  Its value is bit-equal across block budgets and lane
-# batches, and the pruned sweep must agree with it to unpruned_rel(n).
+# The driver norm before its endpoint search: every start's quotient at every
+# lag, its running sum of w h added in lag order.  The endpoint search must
+# be bit-equal to it.
 
 def driver_weights(n, dt, alpha):
     """The driver quotient's weights: w of the running sum, c of the last lag."""
@@ -131,47 +131,36 @@ def driver_weights(n, dt, alpha):
     return g_far[:-1] + g_near[1:], 1.0 / _lag_powers(n, dt, 1.0 - alpha) - g_near[1:]
 
 
-def driver_floor(values, dt, alpha):
-    """_driver_floor of values, shape (n + 1, P, 1): the sup the sweep starts from."""
-    return _driver_floor(values[:, :, 0], *driver_weights(values.shape[0] - 1, dt, alpha))
-
-
-def unpruned_driver_blocks(values, dt, alpha):
-    """Per block of the unpruned driver pass over values, shape (n + 1, P, 1):
-    the bound _driver_block_bound gives on the block's carried sums, and the
-    block's largest quotient, per lane."""
+def unpruned_driver_starts(values, dt, alpha):
+    """Every start's largest driver quotient, shape (n, P), of values, shape
+    (n + 1, P, 1)."""
     n, lanes = values.shape[0] - 1, values.shape[1]
     w, c = driver_weights(n, dt, alpha)
-    integral = np.zeros((lanes, n))
-    for lags, _, skew in _lag_blocks(values[::-1]):
-        lag0, k = lags[0], len(lags)
-        at = slice(lag0 - 1, lag0 - 1 + k)
-        bound = _driver_block_bound(integral[:, lag0 - 1 :], skew, w[at], c[at])
-        run = w[at, None, None] * skew
-        run[0] += integral[:, lag0 - 1 :]
-        for j in range(1, k):
-            run[j] += run[j - 1]
-        integral[:, lag0 - 1 :] = run[-1]
-        yield bound, (c[at, None, None] * skew + run).max(axis=(0, 2))
+    g = values[:, :, 0]
+    run = np.zeros((n, lanes))
+    best = np.zeros((n, lanes))
+    for lag in range(1, n + 1):
+        h = np.abs(g[lag:] - g[:-lag])
+        run[: n + 1 - lag] += w[lag - 1] * h
+        np.maximum(best[: n + 1 - lag], run[: n + 1 - lag] + c[lag - 1] * h,
+                   out=best[: n + 1 - lag])
+    return best
 
 
 def unpruned_driver_norms(values, dt, alpha):
-    drive = np.zeros(values.shape[1])
-    for _, top in unpruned_driver_blocks(values, dt, alpha):
-        np.maximum(drive, top, out=drive)
-    return drive
+    return unpruned_driver_starts(values, dt, alpha).max(axis=0)
 
 
-def unpruned_rel(n):
-    """Relative distance allowed between the pruned and unpruned driver norm
-    on n steps: each quotient sums at most n + 1 positive terms, and the
-    pruned sweep adds a skipped block's terms in another order."""
+def row_rel(n):
+    """Relative distance allowed between a row max of the endpoint search
+    and of the sweep on n steps: each sums at most n + 1 positive terms, in
+    another order."""
     return (n + 1) * np.finfo(float).eps
 
 
 def one_lane_rows(f, alpha, lambda_exponent):
     """_lag_sweep of one path: its rows and its Hoelder quotient."""
-    rows, quot, _ = _lag_sweep(f.values[:, None], f.grid.dt, alpha, lambda_exponent)
+    rows, quot = _lag_sweep(f.values[:, None], f.grid.dt, alpha, lambda_exponent)
     return rows[:, 0], float(quot[0])
 
 
@@ -186,7 +175,7 @@ def rows_per_path(f, alpha, lambda_exponent):
     powers = _lag_powers(n, dt, lambda_exponent)
     rows = np.linalg.norm(f.values, axis=1)
     quot = 0.0
-    for lags, h, _ in _lag_blocks(f.values[::-1, None]):
+    for lags, h in _lag_blocks(f.values[::-1, None]):
         h = h[:, 0]
         rows[lags[0]:] += (weight[lags - 1] @ h)[::-1]
         quot = max(quot, float((h.max(axis=1) / powers[lags - 1]).max()))
@@ -235,14 +224,11 @@ class TestBlockSweep:
         f = walk(n + 10 * d, n, d, t0)
         # blocks change size as the lags leave fewer starts; the last is cut short by n
         blocks = []
-        for lags, h, skew in _lag_blocks(f.values[:, None]):
+        for lags, h in _lag_blocks(f.values[:, None]):
             blocks.append((len(lags), h.shape[2]))
-            # the skewed view of a one-component block: h shifted right by j in
-            # lag row j, with zeros where the start has no partner at that lag
-            assert (skew is None) == (d > 1)
-            for j in range(len(lags) if d == 1 else 0):
-                assert np.array_equal(skew[j, 0, j:], h[j, 0, : h.shape[2] - j])
-                assert not skew[j, 0, :j].any()
+            # zeros where the start has no partner at that lag
+            for j in range(len(lags)):
+                assert not h[j, 0, h.shape[2] - j :].any()
         assert sum(k for k, _ in blocks) == n
         assert blocks[-1][0] < max(2, budget // blocks[-1][1])
         if n == 300:
@@ -270,97 +256,183 @@ class TestBlockSweep:
         assert holder_norm(g, 0.7) == holder_per_lag(g, 0.7)
 
     def test_driver_norm_agrees_with_unpruned_oracle_across_block_sizes_and_lanes(self, monkeypatch):
-        # the oracle adds each start's running sum in lag order however the
-        # blocks split, and each lane's arithmetic is its own; the pruned sweep
-        # carries a skipped block's sums by one product, whose rounding
-        # depends on the split and on the lanes that share the skip
+        # each start is evaluated as the oracle sums it, in lag order, and
+        # each lane's arithmetic is its own: bit-equal however the rounds split
         fs = [walk(seed, 300) for seed in (6, 7, 8)]
         dt = fs[0].grid.dt
-        oracle = set()
         for budget in (8, 64, 1 << 15):
             monkeypatch.setattr(fracnorm, "_BLOCK_ENTRIES", budget)
             for lanes in (1, 2, 3):
                 stacked = np.stack([f.values for f in fs[:lanes]], axis=1)
                 want = unpruned_driver_norms(stacked, dt, 0.3)
-                oracle.add(float(want[0]))
-                got = _lag_sweep(stacked, dt, driver_alpha=0.3)[2]
-                assert np.all(np.abs(got - want) <= unpruned_rel(300) * want)
-            got = g_norm_one_minus_alpha(fs[0], 0.3)
-            assert abs(got - float(want[0])) <= unpruned_rel(300) * float(want[0])
-        assert len(oracle) == 1
-
-    @settings(max_examples=60, deadline=None)
-    @given(kind=st.sampled_from(["walk", "constant", "monotone", "tent"]),
-           seed=st.integers(0, 1000), half=st.integers(1, 80),
-           alpha=st.sampled_from([0.01, 0.25, 0.49]), t0=st.sampled_from([0.0, -1.0]),
-           budget=st.sampled_from([8, 64, 1 << 15]))
-    def test_block_bound_is_above_every_quotient_of_the_block(self, kind, seed, half, alpha, t0, budget):
-        n = 2 * half  # t = 0 is a grid point for t0 = -1
-        f = {"walk": lambda: walk(seed, n, t0=t0),
-             "constant": lambda: path_on(t0, t0 + 2.0, n, lambda t: np.full_like(t, 0.5)),
-             "monotone": lambda: path_on(t0, t0 + 2.0, n, lambda t: np.exp(t)),
-             "tent": lambda: path_on(t0, t0 + 2.0, n, lambda t: np.minimum(t, 1.5 - t))}[kind]()
-        if t0 < 0.0:
-            f = f.restrict(0.0, t0 + 2.0)
-        values = np.stack([f.values[:, 0], walk(seed + 1, f.grid.n_steps).values[:, 0]], axis=1)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fracnorm, "_BLOCK_ENTRIES", budget)
-            for bound, top in unpruned_driver_blocks(values[:, :, None], f.grid.dt, alpha):
-                # the sweep skips a block only if every lane's bound, times this, is below its sup
-                assert np.all(bound * (1.0 + 1e-12) >= top)
-
-    @settings(max_examples=60, deadline=None)
-    @given(kind=st.sampled_from(["walk", "constant", "monotone", "tent"]),
-           seed=st.integers(0, 1000), n=st.integers(1, 160),
-           alpha=st.sampled_from([0.01, 0.25, 0.49]))
-    def test_floor_is_at_most_the_sup(self, kind, seed, n, alpha):
-        # the floor is the exact quotient of a few starts, summed as the
-        # oracle sums it, so it can never lie above the oracle's sup
-        f = {"walk": lambda: walk(seed, n),
-             "constant": lambda: path_on(0.0, 2.0, n, lambda t: np.full_like(t, 0.5)),
-             "monotone": lambda: path_on(0.0, 2.0, n, lambda t: np.exp(t)),
-             "tent": lambda: path_on(0.0, 2.0, n, lambda t: np.minimum(t, 1.5 - t))}[kind]()
-        values = np.stack([f.values[:, 0], walk(seed + 1, n).values[:, 0]], axis=1)[:, :, None]
-        floor = driver_floor(values, f.grid.dt, alpha)
-        assert np.all(floor <= unpruned_driver_norms(values, f.grid.dt, alpha))
-        assert np.all(floor >= 0.0)
-
-    def test_fbm_path_skips_blocks(self, monkeypatch):
-        # the pruning must stay on: on an fBm path the floor is the sup, so
-        # the sweep takes the exact pass only on the few blocks whose bound
-        # reaches it, wherever the sup lies
-        monkeypatch.setattr(fracnorm, "_BLOCK_ENTRIES", 1 << 12)  # 141 blocks
-        for hurst in (0.55, 0.75, 0.95):
-            g = sample_circulant(TimeGrid(0.0, 1.0, 1024), hurst, 1, seed=(3, 0))
-            values = g.values[:, :, None]
-            drive = float(unpruned_driver_norms(values, g.grid.dt, 0.375)[0])
-            blocks = list(unpruned_driver_blocks(values, g.grid.dt, 0.375))
-            assert float(driver_floor(values, g.grid.dt, 0.375)[0]) == drive
-            exact = sum(bool(bound[0] * (1.0 + 1e-12) >= drive) for bound, _ in blocks)
-            assert 1 <= exact <= len(blocks) // 10
-            assert g_norm_one_minus_alpha(g, 0.375) == pytest.approx(drive, rel=unpruned_rel(1024))
-            assert norm_report(g, 0.375).norms["lambda_alpha_bound"] == lambda_alpha_bound(g, 0.375)
-        # a bound of 0 skips every block: the value is the floor's
-        monkeypatch.setattr(fracnorm, "_driver_block_bound", lambda carried, *_: np.zeros(len(carried)))
-        assert g_norm_one_minus_alpha(g, 0.375) == drive
-        # and with a floor of 0 as well, the first block sets the sup
-        monkeypatch.setattr(fracnorm, "_driver_floor", lambda g, *_: np.zeros(g.shape[1]))
-        first = float(blocks[0][1][0])
-        assert first < drive
-        assert g_norm_one_minus_alpha(g, 0.375) == first
+                assert np.array_equal(_endpoint_sups(stacked, dt, driver_alpha=0.3)[3], want)
+            assert g_norm_one_minus_alpha(fs[0], 0.3) == float(want[0])
 
     @pytest.mark.parametrize("alpha", [0.01, 0.25, 0.49])
     @pytest.mark.parametrize("n", [1, 7, 300, 4096])
     def test_driver_quotient_weight_is_positive(self, n, alpha):
         # a start past its last partner reads the running sum alone, below its
-        # last true quotient, only because c is positive; the block bound
-        # also needs the running sum's weight w to be positive
+        # last true quotient, only because c is positive; the start bounds
+        # of the endpoint search also need the running sum's weight w > 0
         dt = 1.0 / n
         near, far = _lag_weights(n, dt, 2.0 - alpha)
         c = 1.0 / _lag_powers(n, dt, 1.0 - alpha) - near[1:]
         w = far[:-1] + near[1:]
         assert np.all(c > 0.0)
         assert np.all(w > 0.0)
+
+
+def kind_path(kind, n, t0=0.0, seed=0):
+    """A scalar path on [t0, t0 + 2] of n steps."""
+    shape = {"walk": lambda t: walk(seed, n, t0=t0).values[:, 0],
+             "constant": lambda t: np.full_like(t, 0.5),
+             "linear": lambda t: t,
+             "monotone": np.exp,
+             "tent": lambda t: np.minimum(t, 1.5 - t),
+             "period-4": lambda t: np.resize([0.0, 1.0, 2.0, 1.0], len(t))}[kind]
+    return path_on(t0, t0 + 2.0, n, shape)
+
+
+def tie(n):
+    """The factor by which a bound must reach the best for its candidate to
+    be evaluated."""
+    return 1.0 + max(1e-12, (n + 1) * np.finfo(float).eps)
+
+
+def exact_cells(values, dt, lambda_exponent, blocks):
+    """Per far block, each end's largest quotient over the block's lags,
+    shape (P, B (n + 1)), as the sweep computes each quotient."""
+    n, lanes = values.shape[0] - 1, values.shape[1]
+    powers = _lag_powers(n, dt, lambda_exponent)
+    cells = np.zeros((len(blocks), n + 1, lanes))
+    for b, (first, width) in enumerate(blocks):
+        for lag in range(first + 1, min(first + width, n) + 1):
+            q = np.linalg.norm(values[lag:] - values[:-lag], axis=2) / powers[lag - 1]
+            np.maximum(cells[b, lag:], q, out=cells[b, lag:])
+    return cells.reshape(-1, lanes).T
+
+
+class TestEndpoints:
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["walk", "constant", "monotone", "tent"]),
+           seed=st.integers(0, 1000), half=st.integers(1, 150),
+           t0=st.sampled_from([0.0, -1.0]), d=st.sampled_from([1, 2]),
+           lam=st.sampled_from([0.0, 0.7]), near=st.sampled_from([4, 32]),
+           alpha=st.sampled_from([0.01, 0.25, 0.49]))
+    def test_every_bound_is_above_its_exact_value(self, kind, seed, half, t0, d, lam, near, alpha):
+        n = 2 * half  # t = 0 is a grid point for t0 = -1
+        f = kind_path(kind, n, t0, seed)
+        # two lanes: the path in d components of different scales, and a walk
+        values = np.stack([f.values[:, 0, None] * np.arange(1.0, d + 1.0),
+                           walk(seed + 1, n, d, t0).values], axis=1)
+        dt = f.grid.dt
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fracnorm, "_NEAR_LAGS", near)
+            b = _endpoint_bounds(values, dt, alpha, 1.0 - alpha)
+        # each end's row: its near part plus the tail bound; exact where the tail is 0
+        rows = _lag_sweep(values, dt, alpha)[0].T
+        bound = b.rows + b.tail
+        assert np.all(rows <= bound * tie(n))
+        damping = np.exp(-lam * f.times)
+        assert np.all(damping * rows <= damping * bound * tie(n))
+        flat = b.tail == 0.0
+        assert np.all(np.abs(b.rows - rows)[flat] <= row_rel(n) * rows[flat])
+        # each (end, block) quotient cell: rounding is monotone, so no tie is needed
+        assert np.all(exact_cells(values, dt, 1.0 - alpha, b.blocks) <= b.cells)
+        assert b.cells.shape == (2, len(b.blocks) * (n + 1))
+        assert np.all(b.quot <= _lag_sweep(values, dt, lambda_exponent=1.0 - alpha)[1])
+        # each start of each component, on [0, T]: its largest quotient is at
+        # least its near one, equal to it where no far increment is positive,
+        # and otherwise at most the larger of it and its far bound
+        g = SamplePath(f.grid, values[:, 0]).restrict(0.0, t0 + 2.0) if t0 < 0.0 else f
+        g = values[-(g.grid.n_steps + 1) :].reshape(g.grid.n_steps + 1, 2 * d, 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fracnorm, "_NEAR_LAGS", near)
+            b = _endpoint_bounds(g, dt, driver_alpha=alpha)
+        starts = unpruned_driver_starts(g, dt, alpha).T
+        assert np.all(b.peak <= starts)
+        assert np.array_equal(starts[b.far == 0.0], b.peak[b.far == 0.0])
+        assert np.all(starts <= np.maximum(b.peak, (b.run + b.far) * tie(n)))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n,budget", [(n, None) for n in (1, 2, 3, 64, 300, 4096)]
+                             + [(n, 64) for n in (1, 2, 3, 64, 300)])
+    def test_matches_sweep_and_unpruned_oracle(self, monkeypatch, n, d, budget):
+        if budget:  # rounds of one candidate per lane
+            monkeypatch.setattr(fracnorm, "_BLOCK_ENTRIES", budget)
+        kinds = ["constant", "linear", "monotone", "tent", "period-4", "walk", "walk"]
+        fs = [kind_path(kind, n, seed=p) for p, kind in enumerate(kinds)]
+        values = np.stack([f.values[:, 0, None] * np.arange(1.0, d + 1.0) for f in fs], axis=1)
+        dt = fs[0].grid.dt
+        damping = np.exp(-0.7 * fs[0].times)[:, None]
+        rows, quot = _lag_sweep(values, dt, 0.3, 0.7)
+        drive = unpruned_driver_norms(values.reshape(n + 1, -1, 1), dt, 0.3).reshape(-1, d)
+        # the smooth lanes leave many endpoints to evaluate at 4,096 steps
+        for lanes in range(1, 8) if n < 4096 else (1, 7):
+            got = _endpoint_sups(values[:, :lanes], dt, 0.3, damping, 0.7)
+            assert np.all(np.abs(got[0] - rows[:, :lanes].max(axis=0))
+                          <= row_rel(n) * rows[:, :lanes].max(axis=0))
+            damped = (damping * rows[:, :lanes]).max(axis=0)
+            assert np.all(np.abs(got[1] - damped) <= row_rel(n) * damped)
+            assert np.array_equal(got[2], quot[:lanes])
+            components = values[:, :lanes].reshape(n + 1, lanes * d, 1)
+            got = _endpoint_sups(components, dt, driver_alpha=0.3)[3]
+            assert np.array_equal(got, drive[:lanes].reshape(-1))
+
+    def test_fbm_path_evaluates_few_endpoints(self, monkeypatch):
+        # the search must stay pruned: on fBm paths at 1,024 steps at most a
+        # tenth of the ends, of the starts and of the quotient cells are
+        # evaluated exactly
+        evaluated = {}
+        search = fracnorm._best_first
+
+        def counting(bounds, best, widths, exact, tie):
+            def counted(lane, cand):
+                found = evaluated.setdefault(exact.__name__, set())
+                found.update(zip(lane.tolist(), cand.tolist()))
+                return exact(lane, cand)
+
+            search(bounds, best, widths, counted, tie)
+
+        monkeypatch.setattr(fracnorm, "_best_first", counting)
+        for hurst in (0.55, 0.75, 0.95):
+            g = sample_circulant(TimeGrid(0.0, 1.0, 1024), hurst, 1, seed=(3, 0))
+            values, dt = g.values[:, :, None], g.grid.dt
+            evaluated.clear()
+            damping = np.exp(-0.7 * g.times)[:, None]
+            quot, drive = _endpoint_sups(values, dt, 0.375, damping, 0.625, 0.375)[2:]
+            assert 1 <= len(evaluated["exact_rows"]) <= 1025 // 10
+            assert 1 <= len(evaluated["exact_starts"]) <= 1024 // 10
+            cells = len(_endpoint_bounds(values, dt, lambda_exponent=0.625).blocks) * 1025
+            assert len(evaluated["exact_cells"]) <= cells // 10
+            assert drive[0] == unpruned_driver_norms(values, dt, 0.375)[0]
+            assert quot[0] == _lag_sweep(values, dt, lambda_exponent=0.625)[1][0]
+            assert norm_report(g, 0.375).norms["lambda_alpha_bound"] == lambda_alpha_bound(g, 0.375)
+
+    def test_flat_far_lags_evaluate_nothing(self, monkeypatch):
+        # a constant path has no far increment: no end or start is evaluated
+        def search(bounds, best, widths, exact, tie):
+            assert not bounds.any()
+
+        monkeypatch.setattr(fracnorm, "_best_first", search)
+        f = kind_path("constant", 2048)
+        got = _endpoint_sups(f.values[:, None], f.grid.dt, 0.3, None, 0.7, 0.3)
+        assert got == (0.5, None, 0.0, 0.0)
+
+    @pytest.mark.parametrize("d,t0", [(1, 0.0), (2, -1.0)])
+    def test_endpoint_report_equals_standalone_norms(self, d, t0):
+        f = walk(4, 2048, d, t0)
+        norms = norm_report(f, 0.3, lambda_weight=0.7).norms
+        assert norms["w_alpha_inf"] == w_alpha_inf_norm(f, AlphaParams(alpha=0.3))
+        damped = weighted_alpha_norm(f, AlphaParams(alpha=0.3, lambda_weight=0.7))
+        assert norms["weighted_alpha"] == damped
+        assert norms["holder_1_minus_alpha"] == holder_norm(f, 0.7)
+        want = report_per_path(f, 0.3, 0.7)
+        for key in ("w_alpha_inf", "weighted_alpha"):
+            assert norms[key] == pytest.approx(want[key], rel=row_rel(2048), abs=0.0)
+        assert norms["holder_1_minus_alpha"] == want["holder_1_minus_alpha"]
+        if t0 == 0.0:
+            assert norms["lambda_alpha_bound"] == lambda_alpha_bound(f, 0.3)
 
 
 class TestLagQuadrature:
