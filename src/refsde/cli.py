@@ -301,14 +301,23 @@ def _solution_csvs(paths: list, sols: list) -> None:
     _write_csvs(paths, header, sols[0].x.times, lanes)
 
 
+def _csv_header(path: Path, lines: list) -> tuple[int, list]:
+    """(index, column names) of the header of a CSV's lines: the first line
+    that is not blank once a '#' comment is cut off, as np.loadtxt reads
+    the data rows."""
+    at = next((i for i, line in enumerate(lines) if line.split("#", 1)[0].strip()), None)
+    if at is None:
+        raise ValueError(f"{path} is empty")
+    return at, [name.strip() for name in lines[at].split("#", 1)[0].split(",")]
+
+
 def _raise_bad_cell(path: Path, text: str) -> None:
     """Raise ValueError naming the first data line of a CSV whose cell
     count is not its header's, or the first cell that is not a finite
     number, by its 1-based line and its column header; return if there is
     none."""
     lines = text.splitlines()
-    header_at = next(i for i, line in enumerate(lines) if line.strip())
-    header = [name.strip() for name in lines[header_at].split(",")]
+    header_at, header = _csv_header(path, lines)
     for lineno, line in enumerate(lines[header_at + 1 :], start=header_at + 2):
         line = line.split("#", 1)[0]  # a comment, as np.loadtxt reads it
         if not line.strip():
@@ -328,11 +337,8 @@ def _raise_bad_cell(path: Path, text: str) -> None:
 
 def _read_path_csv(path: Path) -> SamplePath:
     text = path.read_text()
-    if not text.strip():
-        raise ValueError(f"{path} is empty")
     lines = text.splitlines()
-    header_at = next(i for i, line in enumerate(lines) if line.strip())
-    names = [name.strip() for name in lines[header_at].split(",")]
+    header_at, names = _csv_header(path, lines)
     body = lines[header_at + 1 :]
     if not any(line.strip() for line in body):  # loadtxt would warn, then return no rows
         raise ValueError(f"{path} needs at least two data rows, got 0")

@@ -436,8 +436,11 @@ def hypothesis_audit(c: CoefficientSet, box, n_samples: int = 200, seed: int = 0
     """Numerical audit of the regularity hypotheses against declared_meta.
 
     box is a (lo, hi) pair of length-d state bounds.  Report-only: flags
-    mark declared constants that sampling exceeds by > 5%, nothing raises.
+    mark declared constants that sampling exceeds by > 5%; only a bad box
+    or n_samples < 1 raises ValueError.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
     if lo.shape != (c.d,) or hi.shape != (c.d,) or np.any(hi <= lo):

@@ -14,9 +14,10 @@ import numpy as np
 
 from .fracnorm import (
     AlphaParams,
+    _holder_exponents,
     _w_alpha_inf_norms,
+    holder_norm,
     lambda_alpha_bound,
-    norm_report,
     w_alpha_inf_norm,
 )
 from .solver import Problem, ReflectedSolution, SolverConfig, solve_stochastic
@@ -169,16 +170,18 @@ def holder_regularity_report(sol: ReflectedSolution, alpha: float) -> dict:
     """Regularity quantities of one solution, including the empirical ratio
     |x|_{1-alpha} / ((1 + Lambda)(1 + |x|_{alpha,inf})) for cross-run
     comparison (the bound's constant is not explicit)."""
-    # the Hoelder norm and exponent of x on [0, T]; the report's own Lambda
-    # is that of x, and its W^(alpha,infinity) norm leaves out [-r, 0]
-    report = norm_report(sol.x.restrict(0.0, float(sol.grid.t1)), alpha).norms
-    h_norm = report["holder_1_minus_alpha"]
-    w_norm = w_alpha_inf_norm(sol.x, AlphaParams(alpha=alpha))
+    w_norm = w_alpha_inf_norm(sol.x, AlphaParams(alpha=alpha))  # on [-r, T]
     lam = lambda_alpha_bound(sol.driver, alpha)
+    # the Hoelder norm and exponent of x on [0, T]
+    x = sol.x.restrict(0.0, float(sol.grid.t1))
+    h_norm = holder_norm(x, 1.0 - alpha)
+    exponent, constant = None, None  # below 64 steps, as in norm_report
+    if x.grid.n_steps >= 64:
+        exponent, constant = _holder_exponents(x.values[:, None], x.grid.dt)[0]
     return {
         "holder_norm_1_minus_alpha": h_norm,
-        "holder_exponent_estimate": report["holder_exponent_estimate"],
-        "constant_path": report["constant_path"],
+        "holder_exponent_estimate": exponent,
+        "constant_path": constant,
         "w_alpha_inf": w_norm,
         "driver_lambda_alpha_bound": lam,
         "empirical_bound_ratio": h_norm / ((1.0 + lam) * (1.0 + w_norm)),

@@ -12,32 +12,33 @@ serves every row and start; the tables are cached read-only.
 
 The pair-based norms are suprema over endpoints: of each end u's row (the
 W^(alpha,infinity) norm, plain and damped), of the Hoelder quotient over
-each end's lags, and of each start s's driver quotients (Lambda_alpha).
-_endpoint_sups finds them by branch and bound.  It sweeps the lags up to
-_NEAR_LAGS exactly for every end and start.  The longer lags go in blocks
-whose widths double every _SPLIT blocks, and running max/min tables of the
-path bound every increment of an endpoint in a block by the farthest value
-in the window of its partners there (_endpoint_bounds).  That gives an
-upper bound for each end's row, for each quotient cell (an end and its lags
-span + 1..2 span, span = _NEAR_LAGS, 2 _NEAR_LAGS, ...) and for each
-start's driver quotients, in O(n log n).  _best_first then evaluates
-exactly, best first, only the candidates whose bound times 1 + max(1e-12,
-(n + 1) eps) reaches the best value so far; the margin covers the rounding
-of a bound and an exact value that each sum at most n + 1 positive terms.
-Ends and starts whose far increments are all 0 are never evaluated.  On fBm
-paths at 4,096 steps a few dozen ends and starts and at most a few hundred
-cells are evaluated; on smooth paths, whose values lie close together, far
-more.
+each end's lags, and of each start s's driver quotients (Lambda_alpha),
+one lane per component.  Every norm calls one search for them,
+_endpoint_sups.  Its near part is _lag_sweep, one pass over the lagged
+increments |f(t_(s+L)) - f(t_s)| of P paths of one grid in blocks of
+consecutive lags (_lag_blocks), which gives the rows and the quotient over
+every lag below _ENDPOINT_STEPS steps and over the first _NEAR_LAGS lags
+from there up; each start's driver quotients are summed up to _NEAR_LAGS.
+The longer lags go in blocks whose widths double every _SPLIT blocks, and
+running max/min tables of the path bound every increment of an endpoint in
+a block by the farthest value in the window of its partners there
+(_endpoint_bounds).  That gives an upper bound for each end's row, for each
+quotient cell (an end and its lags span + 1..2 span, span = _NEAR_LAGS,
+2 _NEAR_LAGS, ...) and for each start's driver quotients, in O(n log n).
+_best_first then evaluates exactly, best first, only the candidates whose
+bound times 1 + max(1e-12, (n + 1) eps) reaches the best value so far; the
+margin covers the rounding of a bound and an exact value that each sum at
+most n + 1 positive terms.  Ends and starts without far lags, or whose far
+increments are all 0, are never evaluated.  On fBm paths at 4,096 steps a
+few dozen ends and starts and at most a few hundred cells are evaluated; on
+smooth paths, whose values lie close together, far more.
 
 The Hoelder quotient and the driver norm are bit-equal to the sweep over
 every pair: a cell's quotients are computed as that sweep computes them,
-and each start's running sum is added in lag order.  A row is summed in
-another order than the lag sweep's, within (n + 1) machine epsilons
-relative of it.  Below _ENDPOINT_STEPS steps, where the bounds cost more
-than they save, _sups takes the rows and the quotient from _lag_sweep, one
-pass over every lagged increment |f(t_(s+L)) - f(t_s)| of P paths of one
-grid in blocks of consecutive lags (_lag_blocks).  _lag_sweep also gives
-the full rows of f_norm_alpha_1.
+and each start's running sum is added in lag order.  An evaluated row is
+summed in another order, within (n + 1) machine epsilons relative of the
+sweep's; below _ENDPOINT_STEPS steps every row is the sweep's.  _lag_sweep
+also gives the full rows of f_norm_alpha_1.
 """
 
 from __future__ import annotations
@@ -75,11 +76,12 @@ _BLOCK_ENTRIES = 1 << 15
 # 3 times the median, with 8 under 1.5 times.
 _NEAR_LAGS = 32
 _SPLIT = 8
-# Steps from which the rows and the quotient come from the endpoint search,
-# not from the lag sweep: the measured crossover.  At 1,024 steps the search
-# took 1 to 1.5 times the sweep's time on one or two lanes and 0.4 to 0.7
-# times on four or more; at 256 steps 1.1 to 4.5 times; at 2,048 0.3 to
-# 0.6 times.
+# Steps from which the lag sweep covers only the first _NEAR_LAGS lags of
+# the rows and the quotient and the search bounds the longer ones; below it
+# the sweep covers every lag.  The measured crossover: at 1,024 steps the
+# search took 1 to 1.5 times a sweep over every lag on one or two lanes and
+# 0.4 to 0.7 times on four or more; at 256 steps 1.1 to 4.5 times; at 2,048
+# 0.3 to 0.6 times.
 _ENDPOINT_STEPS = 1024
 
 
@@ -141,8 +143,9 @@ def _lag_weights(n: int, dt: float, kappa: float) -> tuple[np.ndarray, np.ndarra
             _read_only(_cell_integrals(A, B, 0.0, 1.0, kappa)))
 
 
-def _lag_blocks(values: np.ndarray):
-    """Sweep the lagged increments of P paths in blocks of consecutive lags.
+def _lag_blocks(values: np.ndarray, max_lag: int | None = None):
+    """Sweep the lagged increments of P paths in blocks of consecutive lags
+    1..max_lag (default n).
 
     values has shape (n + 1, P, d), one lane per path on one grid.  Yields
     (lags, h): h[j, p, i] = |f_p(t_(i+L)) - f_p(t_i)| for the lag L = lags[j]
@@ -151,7 +154,8 @@ def _lag_blocks(values: np.ndarray):
     block overwrites h.
     """
     n, lanes, d = values.shape[0] - 1, values.shape[1], values.shape[2]
-    padded = np.zeros((lanes, d, 2 * n + 1))  # the zeros keep every window in bounds
+    top = n if max_lag is None else max_lag
+    padded = np.zeros((lanes, d, n + 1 + top))  # the zeros keep every window in bounds
     padded[:, :, : n + 1] = values.transpose(1, 2, 0)
     # ahead[a, p, :, b] = padded[p, :, a + b]
     ahead = sliding_window_view(padded, n + 1, axis=2).transpose(2, 0, 1, 3)
@@ -161,9 +165,9 @@ def _lag_blocks(values: np.ndarray):
     tri = math.isqrt(_BLOCK_ENTRIES) + 2
     corner = np.arange(tri) >= (tri - 1 - np.arange(tri))[:, None]
     lag0 = 1
-    while lag0 <= n:
+    while lag0 <= top:
         m = n + 1 - lag0
-        k = min(m, max(2, _BLOCK_ENTRIES // (lanes * m)))
+        k = min(top + 1 - lag0, max(2, _BLOCK_ENTRIES // (lanes * m)))
         block = buf[: k * lanes * d * m].reshape(k, lanes, d, m)
         np.subtract(ahead[lag0 : lag0 + k, :, :, :m], padded[:, :, :m], out=block)
         # for d == 1, abs of the whole contiguous block: on the strided diff it is 3x slower
@@ -181,14 +185,15 @@ def _lag_powers(n: int, dt: float, exponent: float) -> np.ndarray:
 
 
 def _lag_sweep(values: np.ndarray, dt: float, alpha: float | None = None,
-               lambda_exponent: float | None = None):
+               lambda_exponent: float | None = None, max_lag: int | None = None):
     """The pair-based norms of every lane of values, shape (n + 1, P, d), over
-    every lag, as (rows, quot), each None unless asked for: with alpha the
-    rows |f(u)| + int_s^u |f(u)-f(v)| (u-v)^(-alpha-1) dv, shape (n + 1, P);
-    with lambda_exponent the largest |f(v)-f(u)| / (v-u)^lambda_exponent of
-    each lane.
+    the lags 1..max_lag (default every lag), as (rows, quot), each None
+    unless asked for: with alpha the rows |f(u)| + int_s^u |f(u)-f(v)|
+    (u-v)^(-alpha-1) dv, shape (n + 1, P); with lambda_exponent the largest
+    |f(v)-f(u)| / (v-u)^lambda_exponent of each lane.
     """
     n, lanes = values.shape[0] - 1, values.shape[1]
+    top = n if max_lag is None else max_lag
     rows = quot = None
     if alpha is not None:
         near, far = _lag_weights(n, dt, alpha + 1.0)
@@ -197,7 +202,7 @@ def _lag_sweep(values: np.ndarray, dt: float, alpha: float | None = None,
     if lambda_exponent is not None:
         powers = _lag_powers(n, dt, lambda_exponent)
         quot = np.zeros(lanes)
-    for lags, h in _lag_blocks(values[::-1]):
+    for lags, h in _lag_blocks(values[::-1], top):
         lag0, k, m = lags[0], len(lags), h.shape[2]
         at = slice(lag0 - 1, lag0 - 1 + k)  # the lags' entries in the tables
         # column i of h ends at u = n - i of f; the lag-L increment ending at u
@@ -207,8 +212,10 @@ def _lag_sweep(values: np.ndarray, dt: float, alpha: float | None = None,
         if quot is not None:
             np.maximum(quot, (h.max(axis=2) / powers[at, None]).max(axis=0), out=quot)
     if rows is not None:
-        # the lag-u increment ending at u opens no cell: that cell would lie before t_0
-        rows[1:] -= near[1:, None] * np.linalg.norm(values[1:] - values[0], axis=2)
+        # the lag-u increment ending at u <= top opens no cell: that cell
+        # would lie before t_0
+        swept = slice(1, top + 1)
+        rows[swept] -= near[swept, None] * np.linalg.norm(values[swept] - values[0], axis=2)
     return rows, quot
 
 
@@ -280,24 +287,27 @@ def _driver_weights(n: int, dt: float, alpha: float) -> tuple[np.ndarray, np.nda
     """(w, c) of the driver quotient: with h(0) = 0 the kernel integral of a
     start out to lag L is sum_(l<=L) w[l-1] h(l) - g_near[L] h(L), so its
     quotient at L is the running sum C(L) of w h plus c[L-1] h(L); w, c > 0."""
+    if not 0.0 < alpha < 0.5:
+        raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
     g_near, g_far = _lag_weights(n, dt, 2.0 - alpha)
     return g_far[:-1] + g_near[1:], 1.0 / _lag_powers(n, dt, 1.0 - alpha) - g_near[1:]
 
 
 @dataclass
 class _Bounds:
-    """What _endpoint_bounds gives of P lanes on n steps; each part is None
-    unless asked for.
+    """What _endpoint_bounds gives of P lanes of d components on n steps;
+    each part is None unless asked for.
 
-    rows (P, n + 1): each end's row over its lags up to _NEAR_LAGS, which is
-    its row where tail is 0; tail (P, n + 1): a bound on the rest.  quot
-    (P,): the largest quotient up to _NEAR_LAGS; cells (P, B (n + 1)): for
-    blocks[b] = (first, width), the lags first + 1..first + width from
+    rows (P, n + 1): each end's row over the lags that _lag_sweep covers,
+    which is its row where tail is 0; tail (P, n + 1): a bound on the rest.
+    quot (P,): the largest quotient over those lags; cells (P, B (n + 1)):
+    for blocks[b] = (first, width), the lags first + 1..first + width from
     first = _NEAR_LAGS, 2 _NEAR_LAGS, ..., entry b (n + 1) + u bounds end
-    u's quotients there (0 where it has none).  peak (P, n): each start's
-    largest driver quotient up to _NEAR_LAGS; run (P, n): its running sum
-    there; far (P, n): a bound on its quotients beyond, less run, 0 where
-    they are all 0.
+    u's quotients there (0 where it has none); B = 0 where the sweep covers
+    every lag.  peak (P d, n), one lane per component: each start's largest
+    driver quotient up to _NEAR_LAGS; run (P d, n): its running sum there;
+    far (P d, n): a bound on its quotients beyond, less run, 0 where they
+    are all 0.
     """
 
     rows: np.ndarray | None = None
@@ -315,12 +325,14 @@ def _endpoint_bounds(values: np.ndarray, dt: float, alpha: float | None = None,
                      driver_alpha: float | None = None) -> _Bounds:
     """The near parts and the far bounds of every end and start of every
     lane of values, shape (n + 1, P, d): the rows' with alpha, the Hoelder
-    quotient's with lambda_exponent, the driver norm's with driver_alpha
-    (which reads one component, so d must be 1).
+    quotient's with lambda_exponent, the driver norm's with driver_alpha,
+    one lane per component.
 
-    Lags up to _NEAR_LAGS are swept for every end and start.  The longer
-    ones go in blocks of lags first + 1..first + width, _SPLIT blocks of
-    width span / _SPLIT (at least 1) from each span = _NEAR_LAGS,
+    _lag_sweep gives the near parts of the rows and the quotient, over every
+    lag below _ENDPOINT_STEPS steps and up to _NEAR_LAGS from there; each
+    start's driver quotients are summed lag by lag up to _NEAR_LAGS.  The
+    longer lags go in blocks of lags first + 1..first + width, _SPLIT
+    blocks of width span / _SPLIT (at least 1) from each span = _NEAR_LAGS,
     2 _NEAR_LAGS, ... below n.  The increments of an end u (a start s) in
     a block are at most _reach over the window of its partners there, read
     from running max/min tables of the path that double in width as the
@@ -332,41 +344,39 @@ def _endpoint_bounds(values: np.ndarray, dt: float, alpha: float | None = None,
     the weights times the reaches of the blocks up to it, plus the block's
     largest c times its reach.
     """
-    n, lanes = values.shape[0] - 1, values.shape[1]
+    n, lanes, d = values.shape[0] - 1, values.shape[1], values.shape[2]
     # lane-major, so that each lane's reductions run over contiguous memory
     f = np.ascontiguousarray(values.transpose(1, 0, 2))
     out = _Bounds()
     upto = np.arange(1, n + 1)
     spans = [_NEAR_LAGS << k for k in range(((n - 1) // _NEAR_LAGS).bit_length())]  # all < n
+    swept = n if n < _ENDPOINT_STEPS else min(n, _NEAR_LAGS)  # the ends' lags in the sweep
+    ends = (alpha is not None or lambda_exponent is not None) and swept < n  # with far lags
+    rows, out.quot = _lag_sweep(values, dt, alpha, lambda_exponent, swept)
     if alpha is not None:
         near, far = _lag_weights(n, dt, alpha + 1.0)
         weight = far[:-1] + near[1:]
-        out.rows = _magnitudes(f)
+        out.rows = np.ascontiguousarray(rows.T)
         out.tail = np.zeros_like(out.rows)
     if lambda_exponent is not None:
         powers = _lag_powers(n, dt, lambda_exponent)
-        out.quot = np.zeros(lanes)
-        out.blocks = [(span, min(span, n - span)) for span in spans]
-        out.cells = np.zeros((lanes, len(spans) * (n + 1)))
+        out.blocks = [(span, min(span, n - span)) for span in spans] if ends else []
+        out.cells = np.zeros((lanes, len(out.blocks) * (n + 1)))
     if driver_alpha is not None:
         w, c = _driver_weights(n, dt, driver_alpha)
-        out.run, out.peak, out.far, far_run = np.zeros((4, lanes, n))
-    for lag in range(1, min(n, _NEAR_LAGS) + 1):
-        h = _magnitudes(f[:, lag:] - f[:, :-lag])  # h[:, i] ends at u = i + lag, starts at s = i
-        if alpha is not None:
-            out.rows[:, lag:] += weight[lag - 1] * h
-            out.rows[:, lag] -= near[lag] * h[:, 0]  # the lag-u increment opens no cell
-        if lambda_exponent is not None:
-            np.maximum(out.quot, h.max(axis=1) / powers[lag - 1], out=out.quot)
-        if driver_alpha is not None:
+        g = f.transpose(0, 2, 1).reshape(lanes * d, n + 1)  # one lane per component
+        out.run, out.peak, out.far, far_run = np.zeros((4, lanes * d, n))
+        for lag in range(1, min(n, _NEAR_LAGS) + 1):
+            h = np.abs(g[:, lag:] - g[:, :-lag])  # h[:, s] starts at s
             run, peak = out.run[:, : n + 1 - lag], out.peak[:, : n + 1 - lag]
             run += w[lag - 1] * h
             np.maximum(peak, run + c[lag - 1] * h, out=peak)
+    elif not ends:
+        return out  # no far lag: no table
     # hi[:, i] is the max of padded[:, i : i + width], padded with copies of
     # the end values, which lie in every window that the path's ends cut
     # short: before t_0 for the ends, after t_n for the starts; no window is
     # wider than n // _SPLIT
-    ends = alpha is not None or lambda_exponent is not None
     left = n // _SPLIT if ends else 0
     right = 0 if driver_alpha is None else n // _SPLIT
     padded = np.concatenate([np.repeat(f[:, :1], left, axis=1), f,
@@ -395,9 +405,11 @@ def _endpoint_bounds(values: np.ndarray, dt: float, alpha: float | None = None,
                     cell = out.cells[:, at : at + m]
                     np.maximum(cell, reach / powers[first], out=cell)
             if driver_alpha is not None:
-                # start s reaches forward to the window from s + first + 1
+                # start s reaches forward to the window from s + first + 1;
+                # each component's reach, >= 0 as hi >= lo, is its own lane's
                 at = slice(left + first + 1, left + first + 1 + m)
-                reach = _reach(f[:, :m], hi[:, at], lo[:, at])
+                reach = np.maximum(f[:, :m] - lo[:, at], hi[:, at] - f[:, :m])
+                reach = reach.transpose(0, 2, 1).reshape(lanes * d, m)
                 sums = np.concatenate([[0.0], np.cumsum(w[first : first + width])])
                 far_run[:, :m] += sums[counts[::-1]] * reach
                 np.maximum(out.far[:, :m], far_run[:, :m] + c[first : first + width].max() * reach,
@@ -412,13 +424,14 @@ def _endpoint_sups(values: np.ndarray, dt: float, alpha: float | None = None,
     (n + 1, P, d), by branch and bound over endpoints, as (rows, damped,
     quot, drive), each (P,) or None unless asked for: with alpha the largest
     row and the largest damping (n + 1, 1) times row; with lambda_exponent
-    the largest Hoelder quotient; with driver_alpha the driver norm, which
-    reads one component, so d must be 1.
+    the largest Hoelder quotient; with driver_alpha the driver norm, the
+    largest over the components, each a lane of the search.
 
     The best of each starts at the near parts of _endpoint_bounds, and
     _best_first evaluates the ends, quotient cells and starts whose far
     bound reaches it; ends and starts whose far increments are all 0 are
-    exact after the near lags.
+    exact after the near lags, and below _ENDPOINT_STEPS steps so is every
+    end.  Every norm calls this search.
     """
     n, lanes = values.shape[0] - 1, values.shape[1]
     # a bound and the exact value each sum at most n + 1 positive terms
@@ -486,7 +499,7 @@ def _endpoint_sups(values: np.ndarray, dt: float, alpha: float | None = None,
         out[2] = bounds.quot
         _best_first(bounds.cells, out[2], widths, exact_cells, tie)
     if driver_alpha is not None:
-        g = values[:, :, 0]
+        g = values.reshape(n + 1, -1)  # one lane per component, as in _endpoint_bounds
         w, c = _driver_weights(n, dt, driver_alpha)
         # ahead[s + L - 1] = g(t_(s + L)) for the lags L = 1..n - s of start s, then zeros
         ahead = np.concatenate([g[1:], np.zeros_like(g)])
@@ -500,27 +513,11 @@ def _endpoint_sups(values: np.ndarray, dt: float, alpha: float | None = None,
             q += np.multiply(c[:span], h, out=h)
             return q.max(axis=1)
 
-        out[3] = bounds.peak.max(axis=1)
-        _best_first(np.where(bounds.far > 0.0, bounds.run + bounds.far, 0.0), out[3],
+        drive = bounds.peak.max(axis=1)
+        _best_first(np.where(bounds.far > 0.0, bounds.run + bounds.far, 0.0), drive,
                     np.full(n, n), exact_starts, tie)
+        out[3] = drive.reshape(lanes, -1).max(axis=1)
     return tuple(out)
-
-
-def _sups(values: np.ndarray, dt: float, alpha: float | None = None,
-          damping: np.ndarray | None = None, lambda_exponent: float | None = None,
-          driver_alpha: float | None = None):
-    """(rows, damped, quot, drive) of _endpoint_sups.  Below _ENDPOINT_STEPS
-    steps the rows and the quotient come from the lane sweep instead, which
-    is faster there: its pairs grow as n^2 / 2 per lane, the endpoint bounds
-    as n log n plus a cost per call."""
-    if values.shape[0] - 1 >= _ENDPOINT_STEPS or (alpha is None and lambda_exponent is None):
-        return _endpoint_sups(values, dt, alpha, damping, lambda_exponent, driver_alpha)
-    rows, quot = _lag_sweep(values, dt, alpha, lambda_exponent)
-    drive = (None if driver_alpha is None
-             else _endpoint_sups(values, dt, driver_alpha=driver_alpha)[3])
-    return (None if rows is None else rows.max(axis=0),
-            None if rows is None or damping is None else (damping * rows).max(axis=0),
-            quot, drive)
 
 
 def _lane_group(n: int) -> int:
@@ -531,28 +528,28 @@ def _lane_group(n: int) -> int:
 
 def _w_alpha_inf_norms(fs: list[SamplePath], alpha: float) -> np.ndarray:
     """w_alpha_inf_norm of every path of fs, which share one grid, as the
-    lanes of one _sups per _lane_group."""
+    lanes of one _endpoint_sups per _lane_group."""
     norms = np.empty(len(fs))
     if fs:
         grid = fs[0].grid
         group = _lane_group(grid.n_steps)
         for first in range(0, len(fs), group):
             values = np.stack([f.values for f in fs[first : first + group]], axis=1)
-            norms[first : first + group] = _sups(values, grid.dt, alpha)[0]
+            norms[first : first + group] = _endpoint_sups(values, grid.dt, alpha)[0]
     return norms
 
 
 def w_alpha_inf_norm(f: SamplePath, p: AlphaParams) -> float:
     """Discrete W^(alpha,infinity) norm of f on p.interval."""
     f = f.restrict(*p.interval) if p.interval else f
-    return float(_sups(f.values[:, None], f.grid.dt, p.alpha)[0][0])
+    return float(_endpoint_sups(f.values[:, None], f.grid.dt, p.alpha)[0][0])
 
 
 def weighted_alpha_norm(f: SamplePath, p: AlphaParams) -> float:
     """Same as w_alpha_inf_norm with each u-term damped by exp(-lambda*u)."""
     f = f.restrict(*p.interval) if p.interval else f
     damping = np.exp(-p.lambda_weight * f.times)[:, None]
-    return float(_sups(f.values[:, None], f.grid.dt, p.alpha, damping)[1][0])
+    return float(_endpoint_sups(f.values[:, None], f.grid.dt, p.alpha, damping)[1][0])
 
 
 def holder_norm(f: SamplePath, lambda_exponent: float,
@@ -561,31 +558,18 @@ def holder_norm(f: SamplePath, lambda_exponent: float,
     if not 0.0 < lambda_exponent <= 1.0:
         raise ValueError(f"Hoelder exponent must lie in (0, 1], got {lambda_exponent}")
     f = f.restrict(*interval) if interval else f
-    quot = _sups(f.values[:, None], f.grid.dt, lambda_exponent=lambda_exponent)[2]
+    quot = _endpoint_sups(f.values[:, None], f.grid.dt, lambda_exponent=lambda_exponent)[2]
     return float(np.linalg.norm(f.values, axis=1).max()) + float(quot[0])
-
-
-def _driver_norms(values: np.ndarray, dt: float, alpha: float) -> np.ndarray:
-    """Driver norm of every lane of values, shape (n + 1, P, d): the largest
-    over its components, each one lane of a one-component _endpoint_sups."""
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
-    points, lanes, d = values.shape
-    drive = _endpoint_sups(values.reshape(points, lanes * d, 1), dt, driver_alpha=alpha)[3]
-    return drive.reshape(lanes, d).max(axis=1)
 
 
 def g_norm_one_minus_alpha(g: SamplePath, alpha: float,
                            interval: tuple[float, float] | None = None) -> float:
     """Discrete W^(1-alpha,infinity) driver norm of a scalar path: the sup
-    over every start and lag.  Each start's quotients up to _NEAR_LAGS are
-    swept; beyond them only the starts whose bound reaches the best so far
-    are evaluated, each summed in lag order, so the value is bit-equal to a
-    sweep over every pair."""
+    over every start and lag, found as lambda_alpha_bound finds it."""
     if g.dim != 1:
         raise ValueError(f"driver norm is defined per component, got dim={g.dim}")
     g = g.restrict(*interval) if interval else g
-    return float(_driver_norms(g.values[:, None], g.grid.dt, alpha)[0])
+    return float(_endpoint_sups(g.values[:, None], g.grid.dt, driver_alpha=alpha)[3][0])
 
 
 def _lambda_bound(norm: float, alpha: float) -> float:
@@ -606,7 +590,8 @@ def lambda_alpha_bound(g: SamplePath, alpha: float,
     (n + 1) eps), lies below the best quotient so far.
     """
     g = g.restrict(*interval) if interval else g
-    return _lambda_bound(_driver_norms(g.values[:, None], g.grid.dt, alpha)[0], alpha)
+    drive = _endpoint_sups(g.values[:, None], g.grid.dt, driver_alpha=alpha)[3]
+    return _lambda_bound(drive[0], alpha)
 
 
 def f_norm_alpha_1(f: SamplePath, alpha: float,
@@ -699,10 +684,9 @@ def norm_reports(fs: list[SamplePath], alpha: float,
     """norm_report of every path of fs, which share one grid and one
     dimension, as lanes of one pass.
 
-    One _sups gives the largest W^(alpha,infinity) row, plain and damped,
-    the Hoelder quotient and, on paths from t = 0, the driver norm of every
-    lane (for d > 1 a second search, one lane per component), and one fit
-    the exponent estimates.  The lanes go in groups small enough that a
+    One _endpoint_sups gives the largest W^(alpha,infinity) row, plain and
+    damped, the Hoelder quotient and, on paths from t = 0, the driver norm
+    of every lane, and one fit the exponent estimates.  The lanes go in groups small enough that a
     block of two lags stays within _BLOCK_ENTRIES.
     """
     if not fs:
@@ -711,7 +695,7 @@ def norm_reports(fs: list[SamplePath], alpha: float,
     if any(f.grid != grid or f.dim != fs[0].dim for f in fs):
         raise ValueError("norm_reports needs paths of one grid and one dimension")
     params = AlphaParams(alpha=alpha, lambda_weight=lambda_weight)
-    n, d, times = grid.n_steps, fs[0].dim, grid.times
+    n, times = grid.n_steps, grid.times
     from_zero = bool(abs(times[0]) < 1e-12)  # the driver norm is defined on [0, T]
     damping = np.exp(-params.lambda_weight * times)[:, None]
     group = _lane_group(n)
@@ -720,10 +704,8 @@ def norm_reports(fs: list[SamplePath], alpha: float,
         lanes = fs[first : first + group]
         values = np.stack([f.values for f in lanes], axis=1)
         exponents = _holder_exponents(values, grid.dt) if n >= 64 else [(None, None)] * len(lanes)
-        w_alpha, weighted, quot, drive = _sups(values, grid.dt, alpha, damping, 1.0 - alpha,
-                                               alpha if from_zero and d == 1 else None)
-        if from_zero and d > 1:
-            drive = _driver_norms(values, grid.dt, alpha)
+        w_alpha, weighted, quot, drive = _endpoint_sups(values, grid.dt, alpha, damping,
+                                                        1.0 - alpha, alpha if from_zero else None)
         holder = np.linalg.norm(values, axis=2).max(axis=0) + quot
         reports += [
             NormReport(

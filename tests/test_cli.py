@@ -246,14 +246,31 @@ class TestNormsCmd:
         assert rep["component_1"]["norms"]["w_alpha_inf"] == pytest.approx(
             1.0 + 1.0 / 0.6, abs=1e-3)
 
+    @pytest.mark.parametrize("command", ["norms", "skorokhod"])
+    def test_comment_before_header(self, tmp_path, capsys, command):
+        # '#' lines before the header are skipped, as np.loadtxt skips them among the rows
+        rows = "t,f\n0,0\n0.5,1\n1,0.5\n"
+        outputs = []
+        for name, text in (("plain.csv", rows), ("noted.csv", "# note\n\n" + rows)):
+            src = tmp_path / name
+            src.write_text(text)
+            out = tmp_path / f"{name}.out"
+            extra = ["--alpha", "0.3"] if command == "norms" else []
+            assert main([command, str(src), "--out", str(out)] + extra) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        if command == "norms":
+            assert json.loads(outputs[1])["component_1"]["n_steps"] == 2
+
 
 class TestShortCsv:
     @pytest.mark.parametrize("text,why", [
         ("t,f\n", "two data rows"),
         ("t,f\n0.0,1.0\n", "two data rows"),
         ("", "is empty"),
+        ("# a comment\n\n", "is empty"),
         ("t\n0.0\n1.0\n", "no value column"),
-    ], ids=["header_only", "one_row", "empty", "t_only"])
+    ], ids=["header_only", "one_row", "empty", "comments_only", "t_only"])
     @pytest.mark.parametrize("command", ["norms", "skorokhod"])
     def test_exit_one(self, tmp_path, capsys, command, text, why):
         src = tmp_path / "short.csv"
@@ -440,3 +457,9 @@ class TestAuditCmd:
         assert rc == 0
         rep = json.loads(capsys.readouterr().out)
         assert rep["m0_spatial"] == pytest.approx(0.1, abs=0.01)
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_no_samples_exit_one(self, tmp_path, capsys, samples):
+        cfg = write_config(tmp_path, MINIMAL.format(out=tmp_path))
+        assert main(["audit", cfg, "--samples", samples]) == 1
+        assert capsys.readouterr().err == f"error: n_samples must be >= 1, got {samples}\n"

@@ -276,3 +276,9 @@ class TestAudit:
         a = hypothesis_audit(c, ([0.0], [2.0]), n_samples=100, seed=3)
         b = hypothesis_audit(c, ([0.0], [2.0]), n_samples=100, seed=3)
         assert a == b
+
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_rejects_no_samples(self, n_samples):
+        # no sample would leave every estimate at its starting value, 0 or None
+        with pytest.raises(ValueError, match="n_samples must be >= 1"):
+            hypothesis_audit(linear_coeffs(), ([0.0], [2.0]), n_samples=n_samples)

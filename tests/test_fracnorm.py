@@ -86,21 +86,21 @@ def increments(values, lag):
     return np.linalg.norm(values[lag:] - values[:-lag], axis=1)
 
 
-def rows_per_lag(f, alpha):
+def rows_per_lag(f, alpha, max_lag=None):
     n = f.grid.n_steps
     near, far = _lag_weights(n, f.grid.dt, alpha + 1.0)
     rows = np.linalg.norm(f.values, axis=1)
-    for lag in range(1, n + 1):
+    for lag in range(1, (max_lag or n) + 1):
         d = increments(f.values, lag)
         rows[lag:] += far[lag - 1] * d
         rows[lag + 1 :] += near[lag] * d[1:]
     return rows
 
 
-def holder_per_lag(f, lam):
+def holder_per_lag(f, lam, max_lag=None):
     n, dt = f.grid.n_steps, f.grid.dt
     quot = 0.0
-    for lag in range(1, n + 1):
+    for lag in range(1, (max_lag or n) + 1):
         quot = max(quot, float(increments(f.values, lag).max()) / (lag * dt) ** lam)
     return float(np.linalg.norm(f.values, axis=1).max()) + quot
 
@@ -245,6 +245,19 @@ class TestBlockSweep:
                 want = g_norm_per_lag(g, 0.3)
                 assert g_norm_one_minus_alpha(g, 0.3) == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("t0", [0.0, -1.0])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n", [3, 64, 300])
+    def test_sweep_up_to_max_lag_matches_truncated_oracles(self, n, d, t0):
+        # the endpoint search's near part: the sweep over the lags 1..k only
+        f = walk(n + 5 * d, n, d, t0)
+        mags = float(np.linalg.norm(f.values, axis=1).max())
+        for k in sorted({1, min(4, n), min(32, n), n}):
+            rows, quot = _lag_sweep(f.values[:, None], f.grid.dt, 0.3, 0.7, max_lag=k)
+            want = rows_per_lag(f, 0.3, max_lag=k)
+            assert np.max(np.abs(rows[:, 0] - want)) <= 1e-12 * np.max(np.abs(want))
+            assert mags + float(quot[0]) == holder_per_lag(f, 0.7, max_lag=k)
+
     def test_every_start_above_16384_steps_and_dyadic_lags(self, monkeypatch):
         # the driver norm reads every start and lag at any size
         g = walk(1, 16400)
@@ -327,6 +340,8 @@ class TestEndpoints:
                            walk(seed + 1, n, d, t0).values], axis=1)
         dt = f.grid.dt
         with pytest.MonkeyPatch.context() as mp:
+            # below _ENDPOINT_STEPS the sweep covers every lag: no far bound to test
+            mp.setattr(fracnorm, "_ENDPOINT_STEPS", 1)
             mp.setattr(fracnorm, "_NEAR_LAGS", near)
             b = _endpoint_bounds(values, dt, alpha, 1.0 - alpha)
         # each end's row: its near part plus the tail bound; exact where the tail is 0
@@ -360,6 +375,8 @@ class TestEndpoints:
     def test_matches_sweep_and_unpruned_oracle(self, monkeypatch, n, d, budget):
         if budget:  # rounds of one candidate per lane
             monkeypatch.setattr(fracnorm, "_BLOCK_ENTRIES", budget)
+        # far bounds and the search for the ends at every n, not only from 1,024 steps
+        monkeypatch.setattr(fracnorm, "_ENDPOINT_STEPS", 1)
         kinds = ["constant", "linear", "monotone", "tent", "period-4", "walk", "walk"]
         fs = [kind_path(kind, n, seed=p) for p, kind in enumerate(kinds)]
         values = np.stack([f.values[:, 0, None] * np.arange(1.0, d + 1.0) for f in fs], axis=1)
@@ -378,6 +395,35 @@ class TestEndpoints:
             components = values[:, :lanes].reshape(n + 1, lanes * d, 1)
             got = _endpoint_sups(components, dt, driver_alpha=0.3)[3]
             assert np.array_equal(got, drive[:lanes].reshape(-1))
+            # a lane of d components: one search lane per component
+            got = _endpoint_sups(values[:, :lanes], dt, driver_alpha=0.3)[3]
+            assert np.array_equal(got, drive[:lanes].max(axis=1))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n", [1, 33, 300, 1023])
+    def test_below_endpoint_steps_ends_are_the_sweep(self, monkeypatch, n, d):
+        # the sweep covers every lag: no end or cell has a far bound, and the
+        # rows and the quotient are the sweep's, bit for bit
+        search = fracnorm._best_first
+
+        def no_far_ends(bounds, best, widths, exact, tie):
+            if exact.__name__ != "exact_starts":
+                assert not (bounds > 0.0).any()
+            search(bounds, best, widths, exact, tie)
+
+        monkeypatch.setattr(fracnorm, "_best_first", no_far_ends)
+        kinds = ["linear", "tent", "period-4", "walk"]
+        values = np.stack([kind_path(kind, n, seed=p).values[:, 0, None] * np.arange(1.0, d + 1.0)
+                           for p, kind in enumerate(kinds)], axis=1)
+        dt = 2.0 / n
+        damping = np.exp(-0.7 * np.linspace(0.0, 2.0, n + 1))[:, None]
+        got = _endpoint_sups(values, dt, 0.3, damping, 0.7, 0.3)
+        rows, quot = _lag_sweep(values, dt, 0.3, 0.7)
+        assert np.array_equal(got[0], rows.max(axis=0))
+        assert np.array_equal(got[1], (damping * rows).max(axis=0))
+        assert np.array_equal(got[2], quot)
+        drive = unpruned_driver_norms(values.reshape(n + 1, -1, 1), dt, 0.3)
+        assert np.array_equal(got[3], drive.reshape(-1, d).max(axis=1))
 
     def test_fbm_path_evaluates_few_endpoints(self, monkeypatch):
         # the search must stay pruned: on fBm paths at 1,024 steps at most a
@@ -691,6 +737,13 @@ class TestLambdaBound:
         g5 = SamplePath(g.grid, 5.0 * g.values)
         assert lambda_alpha_bound(g5, 0.25) == pytest.approx(
             5.0 * lambda_alpha_bound(g, 0.25), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, -0.1])
+    def test_bad_alpha(self, alpha):
+        for d in (1, 2):
+            g = SamplePath(TimeGrid(0.0, 1.0, 10), np.zeros((11, d)))
+            with pytest.raises(ValueError, match="alpha must lie in"):
+                lambda_alpha_bound(g, alpha)
 
 
 class TestFAlphaOne:
