@@ -386,9 +386,13 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+def _dumps(payload: dict, **kwargs) -> str:
+    """payload as strict JSON: a NaN or infinite value raises ValueError."""
+    return json.dumps(payload, default=_json_default, allow_nan=False, **kwargs)
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, default=_json_default,
-                               sort_keys=True) + "\n")
+    path.write_text(_dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _report(payload: dict, out: str | None) -> int:
@@ -397,7 +401,7 @@ def _report(payload: dict, out: str | None) -> int:
         path = Path(out)
         path.parent.mkdir(parents=True, exist_ok=True)
         _write_json(path, payload)
-    print(json.dumps(payload, default=_json_default))
+    print(_dumps(payload))
     return 0
 
 

@@ -175,9 +175,7 @@ def holder_regularity_report(sol: ReflectedSolution, alpha: float) -> dict:
     # the Hoelder norm and exponent of x on [0, T]
     x = sol.x.restrict(0.0, float(sol.grid.t1))
     h_norm = holder_norm(x, 1.0 - alpha)
-    exponent, constant = None, None  # below 64 steps, as in norm_report
-    if x.grid.n_steps >= 64:
-        exponent, constant = _holder_exponents(x.values[:, None], x.grid.dt)[0]
+    exponent, constant = _holder_exponents(x.values[:, None], x.grid.dt)[0]
     return {
         "holder_norm_1_minus_alpha": h_norm,
         "holder_exponent_estimate": exponent,

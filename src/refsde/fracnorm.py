@@ -14,11 +14,11 @@ The pair-based norms are suprema over endpoints: of each end u's row (the
 W^(alpha,infinity) norm, plain and damped), of the Hoelder quotient over
 each end's lags, and of each start s's driver quotients (Lambda_alpha),
 one lane per component.  Every norm calls one search for them,
-_endpoint_sups.  Its near part is _lag_sweep, one pass over the lagged
-increments |f(t_(s+L)) - f(t_s)| of P paths of one grid in blocks of
-consecutive lags (_lag_blocks), which gives the rows and the quotient over
-every lag below _ENDPOINT_STEPS steps and over the first _NEAR_LAGS lags
-from there up; each start's driver quotients are summed up to _NEAR_LAGS.
+_endpoint_sups, at every size.  Its near part is _lag_sweep, one pass over
+the lagged increments |f(t_(s+L)) - f(t_s)| of P paths of one grid in
+blocks of consecutive lags (_lag_blocks), which gives the rows and the
+quotient over the first _NEAR_LAGS lags; each start's driver quotients are
+summed up to _NEAR_LAGS.
 The longer lags go in blocks whose widths double every _SPLIT blocks, and
 running max/min tables of the path bound every increment of an endpoint in
 a block by the farthest value in the window of its partners there
@@ -37,8 +37,7 @@ The Hoelder quotient and the driver norm are bit-equal to the sweep over
 every pair: a cell's quotients are computed as that sweep computes them,
 and each start's running sum is added in lag order.  An evaluated row is
 summed in another order, within (n + 1) machine epsilons relative of the
-sweep's; below _ENDPOINT_STEPS steps every row is the sweep's.  _lag_sweep
-also gives the full rows of f_norm_alpha_1.
+sweep's.  _lag_sweep also gives the full rows of f_norm_alpha_1.
 """
 
 from __future__ import annotations
@@ -76,13 +75,6 @@ _BLOCK_ENTRIES = 1 << 15
 # 3 times the median, with 8 under 1.5 times.
 _NEAR_LAGS = 32
 _SPLIT = 8
-# Steps from which the lag sweep covers only the first _NEAR_LAGS lags of
-# the rows and the quotient and the search bounds the longer ones; below it
-# the sweep covers every lag.  The measured crossover: at 1,024 steps the
-# search took 1 to 1.5 times a sweep over every lag on one or two lanes and
-# 0.4 to 0.7 times on four or more; at 256 steps 1.1 to 4.5 times; at 2,048
-# 0.3 to 0.6 times.
-_ENDPOINT_STEPS = 1024
 
 
 @dataclass(frozen=True)
@@ -96,8 +88,8 @@ class AlphaParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 0.5:
             raise ValueError(f"alpha must lie in (0, 1/2), got {self.alpha}")
-        if self.lambda_weight < 0.0:
-            raise ValueError(f"lambda_weight must be >= 0, got {self.lambda_weight}")
+        if not 0.0 <= self.lambda_weight < math.inf:
+            raise ValueError(f"lambda_weight must be finite and >= 0, got {self.lambda_weight}")
         if self.interval is not None and self.interval[0] >= self.interval[1]:
             raise ValueError(f"interval must satisfy s < t, got {self.interval}")
 
@@ -303,11 +295,11 @@ class _Bounds:
     quot (P,): the largest quotient over those lags; cells (P, B (n + 1)):
     for blocks[b] = (first, width), the lags first + 1..first + width from
     first = _NEAR_LAGS, 2 _NEAR_LAGS, ..., entry b (n + 1) + u bounds end
-    u's quotients there (0 where it has none); B = 0 where the sweep covers
-    every lag.  peak (P d, n), one lane per component: each start's largest
-    driver quotient up to _NEAR_LAGS; run (P d, n): its running sum there;
-    far (P d, n): a bound on its quotients beyond, less run, 0 where they
-    are all 0.
+    u's quotients there (0 where it has none); B = 0 where n <= _NEAR_LAGS.
+    peak (P d, n), one lane per component: each start's largest driver
+    quotient up to _NEAR_LAGS; run (P d, n): its running sum there; far
+    (P d, n): a bound on its quotients beyond, less run, 0 where they are
+    all 0.
     """
 
     rows: np.ndarray | None = None
@@ -328,12 +320,11 @@ def _endpoint_bounds(values: np.ndarray, dt: float, alpha: float | None = None,
     quotient's with lambda_exponent, the driver norm's with driver_alpha,
     one lane per component.
 
-    _lag_sweep gives the near parts of the rows and the quotient, over every
-    lag below _ENDPOINT_STEPS steps and up to _NEAR_LAGS from there; each
-    start's driver quotients are summed lag by lag up to _NEAR_LAGS.  The
-    longer lags go in blocks of lags first + 1..first + width, _SPLIT
-    blocks of width span / _SPLIT (at least 1) from each span = _NEAR_LAGS,
-    2 _NEAR_LAGS, ... below n.  The increments of an end u (a start s) in
+    _lag_sweep gives the near parts of the rows and the quotient, up to
+    _NEAR_LAGS; each start's driver quotients are summed lag by lag up to
+    _NEAR_LAGS.  The longer lags go in blocks of lags first + 1..first +
+    width, _SPLIT blocks of width span / _SPLIT (at least 1) from each
+    span = _NEAR_LAGS, 2 _NEAR_LAGS, ... below n.  The increments of an end u (a start s) in
     a block are at most _reach over the window of its partners there, read
     from running max/min tables of the path that double in width as the
     blocks do.  An end's row tail is at most the sum over blocks of the
@@ -350,7 +341,7 @@ def _endpoint_bounds(values: np.ndarray, dt: float, alpha: float | None = None,
     out = _Bounds()
     upto = np.arange(1, n + 1)
     spans = [_NEAR_LAGS << k for k in range(((n - 1) // _NEAR_LAGS).bit_length())]  # all < n
-    swept = n if n < _ENDPOINT_STEPS else min(n, _NEAR_LAGS)  # the ends' lags in the sweep
+    swept = min(n, _NEAR_LAGS)  # the near lags
     ends = (alpha is not None or lambda_exponent is not None) and swept < n  # with far lags
     rows, out.quot = _lag_sweep(values, dt, alpha, lambda_exponent, swept)
     if alpha is not None:
@@ -360,13 +351,13 @@ def _endpoint_bounds(values: np.ndarray, dt: float, alpha: float | None = None,
         out.tail = np.zeros_like(out.rows)
     if lambda_exponent is not None:
         powers = _lag_powers(n, dt, lambda_exponent)
-        out.blocks = [(span, min(span, n - span)) for span in spans] if ends else []
+        out.blocks = [(span, min(span, n - span)) for span in spans]
         out.cells = np.zeros((lanes, len(out.blocks) * (n + 1)))
     if driver_alpha is not None:
         w, c = _driver_weights(n, dt, driver_alpha)
         g = f.transpose(0, 2, 1).reshape(lanes * d, n + 1)  # one lane per component
         out.run, out.peak, out.far, far_run = np.zeros((4, lanes * d, n))
-        for lag in range(1, min(n, _NEAR_LAGS) + 1):
+        for lag in range(1, swept + 1):
             h = np.abs(g[:, lag:] - g[:, :-lag])  # h[:, s] starts at s
             run, peak = out.run[:, : n + 1 - lag], out.peak[:, : n + 1 - lag]
             run += w[lag - 1] * h
@@ -429,9 +420,9 @@ def _endpoint_sups(values: np.ndarray, dt: float, alpha: float | None = None,
 
     The best of each starts at the near parts of _endpoint_bounds, and
     _best_first evaluates the ends, quotient cells and starts whose far
-    bound reaches it; ends and starts whose far increments are all 0 are
-    exact after the near lags, and below _ENDPOINT_STEPS steps so is every
-    end.  Every norm calls this search.
+    bound reaches it; ends and starts without far lags, or whose far
+    increments are all 0, are exact after the near lags.  Every norm calls
+    this search.
     """
     n, lanes = values.shape[0] - 1, values.shape[1]
     # a bound and the exact value each sum at most n + 1 positive terms
@@ -615,9 +606,10 @@ def f_norm_alpha_1(f: SamplePath, alpha: float,
     return first + second
 
 
-def _holder_exponents(values: np.ndarray, dt: float) -> list[tuple[float, bool]]:
+def _holder_exponents(values: np.ndarray, dt: float) -> list[tuple[float | None, bool | None]]:
     """(estimate, constant flag) of holder_exponent_estimate for every lane
-    of values, shape (n + 1, P, d).
+    of values, shape (n + 1, P, d); (None, None) below 64 steps, too few
+    for the fit.
 
     The lanes whose maximal increments are positive at every dyadic lag
     share one multi-column fit; each other lane is fitted alone on its
@@ -625,7 +617,7 @@ def _holder_exponents(values: np.ndarray, dt: float) -> list[tuple[float, bool]]
     """
     n = values.shape[0] - 1
     if n < 64:
-        raise ValueError(f"need at least 64 steps for the exponent estimate, got {n}")
+        return [(None, None)] * values.shape[1]
     lags = [1 << j for j in range((n // 4).bit_length())]  # 1, 2, 4, ... <= n // 4
     log_lags = np.log([lag * dt for lag in lags])
     mags = np.array([np.linalg.norm(values[lag:] - values[: n + 1 - lag], axis=2).max(axis=0)
@@ -653,6 +645,8 @@ def holder_exponent_estimate(f: SamplePath, with_flag: bool = False):
     clipped to (0, 1].  Constant paths return 1 with the constant flag.
     """
     est, constant = _holder_exponents(f.values[:, None], f.grid.dt)[0]
+    if est is None:
+        raise ValueError(f"need at least 64 steps for the exponent estimate, got {f.grid.n_steps}")
     return (est, constant) if with_flag else est
 
 
@@ -703,7 +697,7 @@ def norm_reports(fs: list[SamplePath], alpha: float,
     for first in range(0, len(fs), group):
         lanes = fs[first : first + group]
         values = np.stack([f.values for f in lanes], axis=1)
-        exponents = _holder_exponents(values, grid.dt) if n >= 64 else [(None, None)] * len(lanes)
+        exponents = _holder_exponents(values, grid.dt)
         w_alpha, weighted, quot, drive = _endpoint_sups(values, grid.dt, alpha, damping,
                                                         1.0 - alpha, alpha if from_zero else None)
         holder = np.linalg.norm(values, axis=2).max(axis=0) + quot

@@ -471,7 +471,7 @@ def solve_stochastic(p: Problem, cfg: SolverConfig, n_paths: int) -> MonteCarloR
 class ConvergenceTable:
     levels: list[int]
     errors: list[float]
-    empirical_order: float
+    empirical_order: float | None
 
 
 def _check_levels(levels: list[int]) -> None:
@@ -494,7 +494,9 @@ def convergence_study(p: Problem, g_fine: SamplePath, levels: list[int],
 
     The driver (and the initial segment) must be sampled at the finest
     level; coarser levels subsample them, so every level sees the same
-    realization.
+    realization.  The empirical order is the slope of log error against log
+    step over the levels whose error is positive, None when fewer than two
+    are.
     """
     _check_levels(levels)
     finest = levels[-1]
@@ -514,8 +516,13 @@ def convergence_study(p: Problem, g_fine: SamplePath, levels: list[int],
         stride = finest // lvl
         sol = run(lvl)
         errors.append(float(np.max(np.abs(sol.x.values - ref.x.values[::stride]))))
-    slope = np.polyfit(np.log([p.r / lvl for lvl in levels[:-1]]), np.log(errors), 1)[0]
-    return ConvergenceTable(levels=list(levels[:-1]), errors=errors, empirical_order=float(slope))
+    err = np.array(errors)
+    fit = err > 0.0  # an exact level has no log error
+    order = None
+    if fit.sum() >= 2:
+        steps = p.r / np.array(levels[:-1])
+        order = float(np.polyfit(np.log(steps[fit]), np.log(err[fit]), 1)[0])
+    return ConvergenceTable(levels=list(levels[:-1]), errors=errors, empirical_order=order)
 
 
 def check_invariants(sol: ReflectedSolution) -> dict:

@@ -28,6 +28,14 @@ def write_config(tmp_path, body, name="run.cfg"):
     return str(path)
 
 
+def strict_loads(text):
+    """json.loads that refuses NaN and the infinities, which JSON lacks."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 MINIMAL = """\
 [problem]
 hurst = 0.75
@@ -94,7 +102,7 @@ class TestSimulate:
                    "--out", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "path_0000.csv").is_file()
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest = strict_loads((tmp_path / "manifest.json").read_text())
         assert manifest["paths"] == 2
         inv = manifest["runs"][0]["invariants"]
         assert inv["x_nonnegative"] and inv["x_equals_z_plus_y"]
@@ -137,7 +145,7 @@ class TestSimulate:
     def test_manifest_records_picard_residuals(self, tmp_path):
         path = bundled("nonlinear_b.cfg")
         assert main(["simulate", path, "--paths", "2", "--out", str(tmp_path)]) == 0
-        runs = json.loads((tmp_path / "manifest.json").read_text())["runs"]
+        runs = strict_loads((tmp_path / "manifest.json").read_text())["runs"]
         cfg = load_config(path)
         mc = solve_stochastic(cfg.problem, cfg.solver, 2)
         assert [run["picard_iterations"] for run in runs] == [s.iterations_per_interval for s in mc.solutions]
@@ -150,7 +158,7 @@ class TestSimulate:
         path = write_config(tmp_path, body)
         assert main(["simulate", path, "--out", str(tmp_path)]) == 1
         assert "2 of 2 paths failed" in capsys.readouterr().err
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest = strict_loads((tmp_path / "manifest.json").read_text())
         assert manifest["runs"] == []
         cfg = load_config(path)
         mc = solve_stochastic(cfg.problem, cfg.solver, 2)
@@ -172,7 +180,7 @@ class TestSimulate:
             "paths = 4", "paths = 3").replace("seed = 20260826", "seed = 12")
         path = write_config(tmp_path, body)
         assert main(["simulate", path, "--out", str(tmp_path)]) == 1
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest = strict_loads((tmp_path / "manifest.json").read_text())
         cfg = load_config(path)
         err = solve_stochastic(cfg.problem, cfg.solver, 3).failures[1]
         assert isinstance(err, PicardConvergenceError)
@@ -242,9 +250,34 @@ class TestNormsCmd:
             fh.write("t,f\n")
             np.savetxt(fh, np.column_stack([t, t]), fmt="%.17g", delimiter=",")
         assert main(["norms", str(src), "--alpha", "0.4"]) == 0
-        rep = json.loads(capsys.readouterr().out)
+        rep = strict_loads(capsys.readouterr().out)
         assert rep["component_1"]["norms"]["w_alpha_inf"] == pytest.approx(
             1.0 + 1.0 / 0.6, abs=1e-3)
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_lambda_exit_one(self, tmp_path, capsys, lam):
+        src = tmp_path / "g.csv"
+        src.write_text("t,f\n0,0\n0.5,1\n1,0.5\n")
+        out = tmp_path / "norms.json"
+        assert main(["norms", str(src), "--alpha", "0.3", "--lambda", lam, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: lambda_weight must be finite and >= 0, got {lam}\n"
+        assert captured.out == "" and not out.exists()
+
+    def test_non_finite_norm_is_an_error_not_json(self, tmp_path, capsys, monkeypatch):
+        # a value JSON cannot hold ends the command with exit 1 and writes no file
+        class Report:
+            def to_dict(self):
+                return {"norms": {"w_alpha_inf": float("nan")}}
+
+        monkeypatch.setattr(cli, "norm_report", lambda *args, **kwargs: Report())
+        src = tmp_path / "g.csv"
+        src.write_text("t,f\n0,0\n0.5,1\n1,0.5\n")
+        out = tmp_path / "norms.json"
+        assert main(["norms", str(src), "--alpha", "0.3", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: Out of range float values")
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("command", ["norms", "skorokhod"])
     def test_comment_before_header(self, tmp_path, capsys, command):
@@ -260,7 +293,7 @@ class TestNormsCmd:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
         if command == "norms":
-            assert json.loads(outputs[1])["component_1"]["n_steps"] == 2
+            assert strict_loads(outputs[1])["component_1"]["n_steps"] == 2
 
 
 class TestShortCsv:
@@ -385,9 +418,19 @@ class TestConvergeCmd:
         cfg = write_config(tmp_path, MINIMAL.format(out=tmp_path))
         rc = main(["converge", cfg, "--levels", "32,64,128"])
         assert rc == 0
-        table = json.loads(capsys.readouterr().out)
+        table = strict_loads(capsys.readouterr().out)
         assert table["levels"] == [32, 64]
         assert all(e > 0 for e in table["errors"])
+
+    def test_exact_levels_have_no_order(self, tmp_path, capsys):
+        # x stays 1: no level has an error to fit an order to
+        body = (MINIMAL.format(out=tmp_path).replace("eta = t + 1", "eta = 1")
+                .replace("drift = xd1", "drift = 0").replace("diffusion = 0.1 * xd1", "diffusion = 0"))
+        rc = main(["converge", write_config(tmp_path, body), "--levels", "16,32,64"])
+        assert rc == 0
+        table = strict_loads(capsys.readouterr().out)
+        assert table["errors"] == [0.0, 0.0]
+        assert table["empirical_order"] is None
 
 
 class TestSolverErrors:
@@ -447,7 +490,7 @@ class TestReadme:
         assert main(["fbm", "--hurst", "0.7", "--steps", "64", "--out", str(csv)]) == 0
         assert main(["norms", str(csv), "--alpha", "0.3", "--out", str(report)]) == 0
         assert csv.is_file() and report.is_file()
-        assert "component_1" in json.loads(report.read_text())
+        assert "component_1" in strict_loads(report.read_text())
 
 
 class TestAuditCmd:
@@ -455,7 +498,7 @@ class TestAuditCmd:
         cfg = write_config(tmp_path, MINIMAL.format(out=tmp_path))
         rc = main(["audit", cfg, "--samples", "100"])
         assert rc == 0
-        rep = json.loads(capsys.readouterr().out)
+        rep = strict_loads(capsys.readouterr().out)
         assert rep["m0_spatial"] == pytest.approx(0.1, abs=0.01)
 
     @pytest.mark.parametrize("samples", ["0", "-3"])

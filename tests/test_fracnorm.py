@@ -10,6 +10,7 @@ from refsde.fracnorm import (
     _cell_integrals,
     _endpoint_bounds,
     _endpoint_sups,
+    _holder_exponents,
     _lag_blocks,
     _lag_powers,
     _lag_sweep,
@@ -312,6 +313,24 @@ def tie(n):
     return 1.0 + max(1e-12, (n + 1) * np.finfo(float).eps)
 
 
+def count_evaluated(monkeypatch):
+    """Hook the endpoint search: the returned dict gathers, under the name of
+    each exact function, the (lane, candidate) pairs that it evaluates."""
+    evaluated = {}
+    search = fracnorm._best_first
+
+    def counting(bounds, best, widths, exact, tie):
+        def counted(lane, cand):
+            found = evaluated.setdefault(exact.__name__, set())
+            found.update(zip(lane.tolist(), cand.tolist()))
+            return exact(lane, cand)
+
+        search(bounds, best, widths, counted, tie)
+
+    monkeypatch.setattr(fracnorm, "_best_first", counting)
+    return evaluated
+
+
 def exact_cells(values, dt, lambda_exponent, blocks):
     """Per far block, each end's largest quotient over the block's lags,
     shape (P, B (n + 1)), as the sweep computes each quotient."""
@@ -340,8 +359,6 @@ class TestEndpoints:
                            walk(seed + 1, n, d, t0).values], axis=1)
         dt = f.grid.dt
         with pytest.MonkeyPatch.context() as mp:
-            # below _ENDPOINT_STEPS the sweep covers every lag: no far bound to test
-            mp.setattr(fracnorm, "_ENDPOINT_STEPS", 1)
             mp.setattr(fracnorm, "_NEAR_LAGS", near)
             b = _endpoint_bounds(values, dt, alpha, 1.0 - alpha)
         # each end's row: its near part plus the tail bound; exact where the tail is 0
@@ -375,8 +392,6 @@ class TestEndpoints:
     def test_matches_sweep_and_unpruned_oracle(self, monkeypatch, n, d, budget):
         if budget:  # rounds of one candidate per lane
             monkeypatch.setattr(fracnorm, "_BLOCK_ENTRIES", budget)
-        # far bounds and the search for the ends at every n, not only from 1,024 steps
-        monkeypatch.setattr(fracnorm, "_ENDPOINT_STEPS", 1)
         kinds = ["constant", "linear", "monotone", "tent", "period-4", "walk", "walk"]
         fs = [kind_path(kind, n, seed=p) for p, kind in enumerate(kinds)]
         values = np.stack([f.values[:, 0, None] * np.arange(1.0, d + 1.0) for f in fs], axis=1)
@@ -399,48 +414,11 @@ class TestEndpoints:
             got = _endpoint_sups(values[:, :lanes], dt, driver_alpha=0.3)[3]
             assert np.array_equal(got, drive[:lanes].max(axis=1))
 
-    @pytest.mark.parametrize("d", [1, 2])
-    @pytest.mark.parametrize("n", [1, 33, 300, 1023])
-    def test_below_endpoint_steps_ends_are_the_sweep(self, monkeypatch, n, d):
-        # the sweep covers every lag: no end or cell has a far bound, and the
-        # rows and the quotient are the sweep's, bit for bit
-        search = fracnorm._best_first
-
-        def no_far_ends(bounds, best, widths, exact, tie):
-            if exact.__name__ != "exact_starts":
-                assert not (bounds > 0.0).any()
-            search(bounds, best, widths, exact, tie)
-
-        monkeypatch.setattr(fracnorm, "_best_first", no_far_ends)
-        kinds = ["linear", "tent", "period-4", "walk"]
-        values = np.stack([kind_path(kind, n, seed=p).values[:, 0, None] * np.arange(1.0, d + 1.0)
-                           for p, kind in enumerate(kinds)], axis=1)
-        dt = 2.0 / n
-        damping = np.exp(-0.7 * np.linspace(0.0, 2.0, n + 1))[:, None]
-        got = _endpoint_sups(values, dt, 0.3, damping, 0.7, 0.3)
-        rows, quot = _lag_sweep(values, dt, 0.3, 0.7)
-        assert np.array_equal(got[0], rows.max(axis=0))
-        assert np.array_equal(got[1], (damping * rows).max(axis=0))
-        assert np.array_equal(got[2], quot)
-        drive = unpruned_driver_norms(values.reshape(n + 1, -1, 1), dt, 0.3)
-        assert np.array_equal(got[3], drive.reshape(-1, d).max(axis=1))
-
     def test_fbm_path_evaluates_few_endpoints(self, monkeypatch):
         # the search must stay pruned: on fBm paths at 1,024 steps at most a
         # tenth of the ends, of the starts and of the quotient cells are
         # evaluated exactly
-        evaluated = {}
-        search = fracnorm._best_first
-
-        def counting(bounds, best, widths, exact, tie):
-            def counted(lane, cand):
-                found = evaluated.setdefault(exact.__name__, set())
-                found.update(zip(lane.tolist(), cand.tolist()))
-                return exact(lane, cand)
-
-            search(bounds, best, widths, counted, tie)
-
-        monkeypatch.setattr(fracnorm, "_best_first", counting)
+        evaluated = count_evaluated(monkeypatch)
         for hurst in (0.55, 0.75, 0.95):
             g = sample_circulant(TimeGrid(0.0, 1.0, 1024), hurst, 1, seed=(3, 0))
             values, dt = g.values[:, :, None], g.grid.dt
@@ -454,6 +432,25 @@ class TestEndpoints:
             assert drive[0] == unpruned_driver_norms(values, dt, 0.375)[0]
             assert quot[0] == _lag_sweep(values, dt, lambda_exponent=0.625)[1][0]
             assert norm_report(g, 0.375).norms["lambda_alpha_bound"] == lambda_alpha_bound(g, 0.375)
+
+    def test_short_fbm_lanes_evaluate_few_endpoints(self, monkeypatch):
+        # 32 lanes of 256 steps on [-1, 3], the shape of a simulated batch of
+        # short paths: at most a tenth of the ends and of the quotient cells
+        # are evaluated exactly, and the norms are the sweep's
+        evaluated = count_evaluated(monkeypatch)
+        n, lanes = 256, 32
+        g = sample_circulant(TimeGrid(0.0, 4.0, n), 0.75, lanes, seed=(3, 0))
+        grid = TimeGrid(-1.0, 3.0, n)
+        reports = norm_reports([SamplePath(grid, g.values[:, p]) for p in range(lanes)], 0.375)
+        assert 1 <= len(evaluated["exact_rows"]) <= lanes * (n + 1) // 10
+        values = g.values[:, :, None]
+        cells = len(_endpoint_bounds(values, grid.dt, lambda_exponent=0.625).blocks) * (n + 1)
+        assert 1 <= len(evaluated["exact_cells"]) <= lanes * cells // 10
+        rows, quot = _lag_sweep(values, grid.dt, 0.375, 0.625)
+        w_alpha = np.array([r.norms["w_alpha_inf"] for r in reports])
+        assert np.all(np.abs(w_alpha - rows.max(axis=0)) <= row_rel(n) * rows.max(axis=0))
+        holder = np.abs(g.values).max(axis=0) + quot
+        assert [r.norms["holder_1_minus_alpha"] for r in reports] == holder.tolist()
 
     def test_flat_far_lags_evaluate_nothing(self, monkeypatch):
         # a constant path has no far increment: no end or start is evaluated
@@ -658,6 +655,11 @@ class TestWeighted:
         assert weighted_alpha_norm(f, AlphaParams(alpha=0.3, lambda_weight=2.0)) \
             == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
+    def test_bad_lambda(self, lam):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            AlphaParams(alpha=0.3, lambda_weight=lam)
+
     def test_identity_against_dense_oracle(self):
         f = path_on(0.0, 1.0, 4096, lambda t: t)
         got = weighted_alpha_norm(f, AlphaParams(alpha=0.4, lambda_weight=5.0))
@@ -780,8 +782,13 @@ class TestHolderExponent:
 
     def test_too_short(self):
         f = path_on(0.0, 1.0, 32, lambda t: t)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least 64 steps"):
             holder_exponent_estimate(f)
+
+    @pytest.mark.parametrize("n", [1, 63])
+    def test_lanes_below_64_steps_have_no_estimate(self, n):
+        values = np.stack([walk(seed, n, 2).values for seed in range(3)], axis=1)
+        assert _holder_exponents(values, 2.0 / n) == [(None, None)] * 3
 
 
 class TestReport:

@@ -246,6 +246,30 @@ class TestConvergenceStudy:
         t2 = convergence_study(p, g, [64, 128, 256], cfg)
         assert t1.errors == t2.errors
 
+    def test_order_fitted_over_levels_with_an_error(self, monkeypatch):
+        # x stays 1: every level is exact unless its solve is nudged
+        n = 64
+        p = trivial_problem(n, M=1)
+        g = zero_driver(p, n)
+        cfg = SolverConfig(steps_per_delay=n)
+        table = convergence_study(p, g, [16, 32, 64], cfg)
+        assert table.errors == [0.0, 0.0] and table.empirical_order is None
+        nudge = {8: 0.0, 16: 4e-3, 32: 2e-3, 64: 0.0}
+        exact_solve = solver.solve
+
+        def nudged(p_lvl, g_lvl, cfg_lvl):
+            sol = exact_solve(p_lvl, g_lvl, cfg_lvl)
+            sol.x.values[-1] += nudge[cfg_lvl.steps_per_delay]
+            return sol
+
+        monkeypatch.setattr(solver, "solve", nudged)
+        table = convergence_study(p, g, [8, 16, 32, 64], cfg)
+        assert table.errors[0] == 0.0
+        assert table.errors[1:] == pytest.approx([4e-3, 2e-3])
+        assert table.empirical_order == pytest.approx(1.0)
+        # one level with an error: no order
+        assert convergence_study(p, g, [8, 16, 64], cfg).empirical_order is None
+
     def test_too_few_levels(self):
         n = 128
         p = linear_problem(n, M=1)
