@@ -443,8 +443,14 @@ def hypothesis_audit(c: CoefficientSet, box, n_samples: int = 200, seed: int = 0
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
-    if lo.shape != (c.d,) or hi.shape != (c.d,) or np.any(hi <= lo):
-        raise ValueError("box must be a bounded (lo, hi) pair of length d")
+    if lo.shape != (c.d,) or hi.shape != (c.d,):
+        raise ValueError("box must be a (lo, hi) pair of length d")
+    with np.errstate(over="ignore"):
+        width = hi - lo
+    # the uniform draws need a finite width, which inf and nan bounds, and
+    # finite ones too far apart, do not have
+    if not np.all(np.isfinite(width) & (width > 0.0)):
+        raise ValueError(f"box needs lo < hi with a finite width hi - lo, got {box}")
     rng = np.random.default_rng(seed)
 
     # (H1).1 spatial Lipschitz constant of sigma

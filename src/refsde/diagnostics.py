@@ -132,7 +132,8 @@ def moment_probe(p: Problem, cfg: SolverConfig, p_exponent: float,
     Ensembles are nested (size k uses the first k driver streams), so the
     table is deterministic given cfg.seed.  The stability flag is the
     no-blow-up proxy: the largest ensemble's estimate lies inside the
-    bootstrap CI of the second largest.
+    bootstrap CI of the second largest.  An ensemble size whose paths all
+    failed raises ValueError: its mean would be of no value.
     """
     if p_exponent < 1.0:
         raise ValueError("p_exponent must be >= 1")
@@ -148,6 +149,8 @@ def moment_probe(p: Problem, cfg: SolverConfig, p_exponent: float,
     for size in ensemble_sizes:
         sample = norms[:size]
         ok = sample[np.isfinite(sample)] ** p_exponent
+        if not ok.size:
+            raise ValueError(f"no solved path in the ensemble of size {size}")
         excluded.append(size - ok.size)
         estimates.append(float(ok.mean()))
         boot = rng.choice(ok, size=(n_bootstrap, ok.size), replace=True).mean(axis=1)

@@ -15,10 +15,9 @@ W^(alpha,infinity) norm, plain and damped), of the Hoelder quotient over
 each end's lags, and of each start s's driver quotients (Lambda_alpha),
 one lane per component.  Every norm calls one search for them,
 _endpoint_sups, at every size.  Its near part is _lag_sweep, one pass over
-the lagged increments |f(t_(s+L)) - f(t_s)| of P paths of one grid in
-blocks of consecutive lags (_lag_blocks), which gives the rows and the
-quotient over the first _NEAR_LAGS lags; each start's driver quotients are
-summed up to _NEAR_LAGS.
+the lags 1.._NEAR_LAGS: the increments |f(t_(s+L)) - f(t_s)| of P paths of
+one grid at each lag L are one contiguous difference, from which the rows,
+the quotient and each start's driver quotients all read.
 The longer lags go in blocks whose widths double every _SPLIT blocks, and
 running max/min tables of the path bound every increment of an endpoint in
 a block by the farthest value in the window of its partners there
@@ -65,9 +64,8 @@ __all__ = [
     "norm_reports",
 ]
 
-# Lagged increments per block of the lag sweep, and entries per round of
-# exact evaluations of the endpoint search.  A block keeps at least two
-# lags: each block also does O(starts) work, which one lag would not repay.
+# Entries per round of exact evaluations of the endpoint search; it also
+# sizes the groups of lanes (_lane_group).
 _BLOCK_ENTRIES = 1 << 15
 # Lags that the endpoint search sweeps for every end and start, and far
 # blocks per doubling of their width, measured on fBm and solution paths of
@@ -135,40 +133,6 @@ def _lag_weights(n: int, dt: float, kappa: float) -> tuple[np.ndarray, np.ndarra
             _read_only(_cell_integrals(A, B, 0.0, 1.0, kappa)))
 
 
-def _lag_blocks(values: np.ndarray, max_lag: int | None = None):
-    """Sweep the lagged increments of P paths in blocks of consecutive lags
-    1..max_lag (default n).
-
-    values has shape (n + 1, P, d), one lane per path on one grid.  Yields
-    (lags, h): h[j, p, i] = |f_p(t_(i+L)) - f_p(t_i)| for the lag L = lags[j]
-    and every start i with a partner at lags[0].  Entries whose start has no
-    partner at L (i + L > n: row j's last j columns) are zero.  The next
-    block overwrites h.
-    """
-    n, lanes, d = values.shape[0] - 1, values.shape[1], values.shape[2]
-    top = n if max_lag is None else max_lag
-    padded = np.zeros((lanes, d, n + 1 + top))  # the zeros keep every window in bounds
-    padded[:, :, : n + 1] = values.transpose(1, 2, 0)
-    # ahead[a, p, :, b] = padded[p, :, a + b]
-    ahead = sliding_window_view(padded, n + 1, axis=2).transpose(2, 0, 1, 3)
-    buf = np.empty(max(_BLOCK_ENTRIES, 2 * lanes * (n + 1)) * d)  # every block reuses it
-    # corner[tri - k :, : k - 1] marks the partnerless entries in the last
-    # k - 1 columns of a block of k lags; k <= max(2, isqrt(_BLOCK_ENTRIES))
-    tri = math.isqrt(_BLOCK_ENTRIES) + 2
-    corner = np.arange(tri) >= (tri - 1 - np.arange(tri))[:, None]
-    lag0 = 1
-    while lag0 <= top:
-        m = n + 1 - lag0
-        k = min(top + 1 - lag0, max(2, _BLOCK_ENTRIES // (lanes * m)))
-        block = buf[: k * lanes * d * m].reshape(k, lanes, d, m)
-        np.subtract(ahead[lag0 : lag0 + k, :, :, :m], padded[:, :, :m], out=block)
-        # for d == 1, abs of the whole contiguous block: on the strided diff it is 3x slower
-        h = np.abs(block, out=block)[:, :, 0] if d == 1 else np.linalg.norm(block, axis=2)
-        np.copyto(h[:, :, m - k + 1 :], 0.0, where=corner[tri - k :, None, : k - 1])
-        yield np.arange(lag0, lag0 + k), h
-        lag0 += k
-
-
 @lru_cache(maxsize=8)
 def _lag_powers(n: int, dt: float, exponent: float) -> np.ndarray:
     """(L dt)^exponent for L = 1..n by the scalar pow (numpy's vectorised
@@ -177,43 +141,62 @@ def _lag_powers(n: int, dt: float, exponent: float) -> np.ndarray:
 
 
 def _lag_sweep(values: np.ndarray, dt: float, alpha: float | None = None,
-               lambda_exponent: float | None = None, max_lag: int | None = None):
+               lambda_exponent: float | None = None, max_lag: int | None = None,
+               driver_alpha: float | None = None):
     """The pair-based norms of every lane of values, shape (n + 1, P, d), over
-    the lags 1..max_lag (default every lag), as (rows, quot), each None
-    unless asked for: with alpha the rows |f(u)| + int_s^u |f(u)-f(v)|
+    the lags 1..max_lag (default every lag), as (rows, quot, run, peak), each
+    None unless asked for: with alpha the rows |f(u)| + int_s^u |f(u)-f(v)|
     (u-v)^(-alpha-1) dv, shape (n + 1, P); with lambda_exponent the largest
-    |f(v)-f(u)| / (v-u)^lambda_exponent of each lane.
+    |f(v)-f(u)| / (v-u)^lambda_exponent of each lane; with driver_alpha,
+    shape (n, P d), one lane per component, each start's running sum of
+    w h and its largest driver quotient (_driver_weights), summed in lag
+    order.
+
+    One pass: each lag's increments of every lane are one contiguous
+    difference, which every norm asked for reads.
     """
-    n, lanes = values.shape[0] - 1, values.shape[1]
+    n, lanes, d = values.shape[0] - 1, values.shape[1], values.shape[2]
     top = n if max_lag is None else max_lag
-    rows = quot = None
+    rows = run = peak = None
     if alpha is not None:
         near, far = _lag_weights(n, dt, alpha + 1.0)
         weight = far[:-1] + near[1:]
         rows = np.linalg.norm(values, axis=2)
     if lambda_exponent is not None:
         powers = _lag_powers(n, dt, lambda_exponent)
-        quot = np.zeros(lanes)
-    for lags, h in _lag_blocks(values[::-1], top):
-        lag0, k, m = lags[0], len(lags), h.shape[2]
-        at = slice(lag0 - 1, lag0 - 1 + k)  # the lags' entries in the tables
-        # column i of h ends at u = n - i of f; the lag-L increment ending at u
-        # closes cell L-1 and opens cell L
+        # each start's largest quotient so far: a max over the starts at each
+        # lag, rows of only P entries, takes several times longer
+        quots = np.zeros((n, lanes))
+    if driver_alpha is not None:
+        w, c = _driver_weights(n, dt, driver_alpha)
+        run, peak = np.zeros((2, n, lanes * d))
+    for lag in range(1, top + 1):
+        m = n + 1 - lag
+        # entry i: the increment from start i to end i + lag
+        step = values[lag:] - values[:m]
+        h = _magnitudes(step, out=step[..., 0])
+        # the increment ending at u closes cell lag - 1 of u's row and opens cell lag
         if rows is not None:
-            rows[lag0:] += (weight[at] @ h.reshape(k, -1)).reshape(lanes, m).T[::-1]
-        if quot is not None:
-            np.maximum(quot, (h.max(axis=2) / powers[at, None]).max(axis=0), out=quot)
+            rows[lag:] += weight[lag - 1] * h
+        if driver_alpha is not None:
+            a = h if d == 1 else np.abs(step, out=step).reshape(m, -1)  # a lane per component
+            run[:m] += w[lag - 1] * a
+            np.maximum(peak[:m], run[:m] + c[lag - 1] * a, out=peak[:m])
+        if lambda_exponent is not None:  # last, as it overwrites h
+            np.maximum(quots[:m], np.divide(h, powers[lag - 1], out=h), out=quots[:m])
     if rows is not None:
         # the lag-u increment ending at u <= top opens no cell: that cell
         # would lie before t_0
         swept = slice(1, top + 1)
         rows[swept] -= near[swept, None] * np.linalg.norm(values[swept] - values[0], axis=2)
-    return rows, quot
+    # rounding is monotone: the largest quotient is the largest increment's
+    quot = None if lambda_exponent is None else quots.max(axis=0)
+    return rows, quot, run, peak
 
 
 def _magnitudes(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """|a| over its last axis, the components: abs for one, norm for more,
-    as _lag_blocks takes them; into out if given, for one component."""
+    as _lag_sweep takes them; into out if given, for one component."""
     return np.abs(a[..., 0], out=out) if a.shape[-1] == 1 else np.linalg.norm(a, axis=-1)
 
 
@@ -320,14 +303,13 @@ def _endpoint_bounds(values: np.ndarray, dt: float, alpha: float | None = None,
     quotient's with lambda_exponent, the driver norm's with driver_alpha,
     one lane per component.
 
-    _lag_sweep gives the near parts of the rows and the quotient, up to
-    _NEAR_LAGS; each start's driver quotients are summed lag by lag up to
-    _NEAR_LAGS.  The longer lags go in blocks of lags first + 1..first +
-    width, _SPLIT blocks of width span / _SPLIT (at least 1) from each
-    span = _NEAR_LAGS, 2 _NEAR_LAGS, ... below n.  The increments of an end u (a start s) in
-    a block are at most _reach over the window of its partners there, read
-    from running max/min tables of the path that double in width as the
-    blocks do.  An end's row tail is at most the sum over blocks of the
+    One _lag_sweep up to _NEAR_LAGS gives the near parts of the rows, of the
+    quotient and of each start's driver quotients.  The longer lags go in
+    blocks of lags first + 1..first + width, _SPLIT blocks of width
+    span / _SPLIT (at least 1) from each span = _NEAR_LAGS, 2 _NEAR_LAGS,
+    ... below n.  The increments of an end u (a start s) in a block are at
+    most _reach over the window of its partners there, read from running
+    max/min tables of the path that double in width as the blocks do.  An end's row tail is at most the sum over blocks of the
     block's weights times that reach; a quotient cell (end, span..2 span)
     is at most the largest over its blocks of the reach over the power at
     the block's first lag, and is evaluated as one; a start's driver
@@ -343,7 +325,8 @@ def _endpoint_bounds(values: np.ndarray, dt: float, alpha: float | None = None,
     spans = [_NEAR_LAGS << k for k in range(((n - 1) // _NEAR_LAGS).bit_length())]  # all < n
     swept = min(n, _NEAR_LAGS)  # the near lags
     ends = (alpha is not None or lambda_exponent is not None) and swept < n  # with far lags
-    rows, out.quot = _lag_sweep(values, dt, alpha, lambda_exponent, swept)
+    rows, out.quot, run, peak = _lag_sweep(values, dt, alpha, lambda_exponent, swept,
+                                           driver_alpha)
     if alpha is not None:
         near, far = _lag_weights(n, dt, alpha + 1.0)
         weight = far[:-1] + near[1:]
@@ -355,13 +338,8 @@ def _endpoint_bounds(values: np.ndarray, dt: float, alpha: float | None = None,
         out.cells = np.zeros((lanes, len(out.blocks) * (n + 1)))
     if driver_alpha is not None:
         w, c = _driver_weights(n, dt, driver_alpha)
-        g = f.transpose(0, 2, 1).reshape(lanes * d, n + 1)  # one lane per component
-        out.run, out.peak, out.far, far_run = np.zeros((4, lanes * d, n))
-        for lag in range(1, swept + 1):
-            h = np.abs(g[:, lag:] - g[:, :-lag])  # h[:, s] starts at s
-            run, peak = out.run[:, : n + 1 - lag], out.peak[:, : n + 1 - lag]
-            run += w[lag - 1] * h
-            np.maximum(peak, run + c[lag - 1] * h, out=peak)
+        out.run, out.peak = run.T, peak.T
+        out.far, far_run = np.zeros((2, lanes * d, n))
     elif not ends:
         return out  # no far lag: no table
     # hi[:, i] is the max of padded[:, i : i + width], padded with copies of
@@ -512,8 +490,9 @@ def _endpoint_sups(values: np.ndarray, dt: float, alpha: float | None = None,
 
 
 def _lane_group(n: int) -> int:
-    """Lanes per sweep on an n-step grid: a block of two lags of all of them
-    stays within _BLOCK_ENTRIES."""
+    """Lanes per search on an n-step grid: the sweep's increments of all of
+    them at one lag and their weighted copy stay within _BLOCK_ENTRIES per
+    component."""
     return max(1, _BLOCK_ENTRIES // (2 * (n + 1)))
 
 
@@ -680,8 +659,8 @@ def norm_reports(fs: list[SamplePath], alpha: float,
 
     One _endpoint_sups gives the largest W^(alpha,infinity) row, plain and
     damped, the Hoelder quotient and, on paths from t = 0, the driver norm
-    of every lane, and one fit the exponent estimates.  The lanes go in groups small enough that a
-    block of two lags stays within _BLOCK_ENTRIES.
+    of every lane, and one fit the exponent estimates.  The lanes go in
+    groups of _lane_group.
     """
     if not fs:
         return []

@@ -38,6 +38,7 @@ as lanes, in chunks of about _LANE_BYTES of solver state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -151,12 +152,15 @@ class SolverConfig:
             raise ValueError(f"steps_per_delay must be >= 4, got {self.steps_per_delay}")
         if self.scheme not in ("euler", "picard"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if not self.picard_tol > 0.0:  # nan too
-            raise ValueError("picard_tol must be positive")
+        # inf would stop every interval after one iteration; nan fails both
+        if not 0.0 < self.picard_tol < math.inf:
+            raise ValueError(f"picard_tol must be positive and finite, got {self.picard_tol}")
         if self.picard_max_iter < 1:
             raise ValueError("picard_max_iter must be positive")
         if self.initial_iterate not in ("constant", "linear"):
             raise ValueError(f"unknown initial iterate {self.initial_iterate!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

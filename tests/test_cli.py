@@ -460,6 +460,17 @@ class TestSolverErrors:
         assert "picard_tol must be positive" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
+    def test_negative_seed_exit_one(self, tmp_path, capsys, monkeypatch):
+        # the config is rejected, naming the key, before any driver is sampled
+        def sample(*args, **kwargs):
+            raise AssertionError("sampled a driver")
+
+        monkeypatch.setattr(refsde.solver, "sample_circulant", sample)
+        body = MINIMAL.format(out=tmp_path).replace("seed = 5", "seed = -1")
+        assert main(["simulate", write_config(tmp_path, body), "--out", str(tmp_path)]) == 1
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
     @pytest.mark.parametrize("command", [["simulate"], ["converge", "--levels", "8,16,32"]])
     def test_infinite_horizon_exit_one(self, tmp_path, capsys, command):
         body = MINIMAL.format(out=tmp_path).replace("horizon = 1.0", "horizon = inf")
@@ -506,3 +517,10 @@ class TestAuditCmd:
         cfg = write_config(tmp_path, MINIMAL.format(out=tmp_path))
         assert main(["audit", cfg, "--samples", samples]) == 1
         assert capsys.readouterr().err == f"error: n_samples must be >= 1, got {samples}\n"
+
+    @pytest.mark.parametrize("box", [["--box-hi", "inf"], ["--box-lo", "nan"],
+                                     ["--box-lo=-1e308", "--box-hi=1e308"]])
+    def test_box_without_finite_width_exits_one(self, tmp_path, capsys, box):
+        cfg = write_config(tmp_path, MINIMAL.format(out=tmp_path))
+        assert main(["audit", cfg, "--samples", "10", *box]) == 1
+        assert capsys.readouterr().err.startswith("error: box needs lo < hi with a finite width")

@@ -277,6 +277,13 @@ class TestAudit:
         b = hypothesis_audit(c, ([0.0], [2.0]), n_samples=100, seed=3)
         assert a == b
 
+    @pytest.mark.parametrize("lo,hi", [(0.0, float("inf")), (float("nan"), 2.0),
+                                       (-1e308, 1e308)])
+    def test_rejects_a_box_without_finite_width(self, lo, hi):
+        # uniform draws over such a box overflow: an error, not a traceback
+        with pytest.raises(ValueError, match="finite width"):
+            hypothesis_audit(linear_coeffs(), ([lo], [hi]), n_samples=10)
+
     @pytest.mark.parametrize("n_samples", [0, -3])
     def test_rejects_no_samples(self, n_samples):
         # no sample would leave every estimate at its starting value, 0 or None

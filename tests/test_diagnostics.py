@@ -158,6 +158,14 @@ class TestMomentProbe:
         want = [np.nanmean(per_path[:size]) for size in sizes]
         assert tab.estimates == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    def test_ensemble_without_solved_path(self):
+        # every path fails: an error naming the size, not the mean of nothing
+        eta = eta_from_callable(lambda t: np.array([1.0]), 1.0, 16, 1)
+        coeffs = CoefficientSet.from_strings(["1/(x1 - x1)"], [["0"]])
+        p = Problem(eta=eta, coeffs=coeffs, r=1.0, T=1.0, H=0.75)
+        with pytest.raises(ValueError, match="ensemble of size 2"):
+            moment_probe(p, SolverConfig(steps_per_delay=16), 2.0, [2, 4], n_bootstrap=10)
+
     def test_sizes_must_ascend(self):
         p = linear_problem(32, M=1)
         with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from refsde.fracnorm import (
     _endpoint_bounds,
     _endpoint_sups,
     _holder_exponents,
-    _lag_blocks,
     _lag_powers,
     _lag_sweep,
     _lag_weights,
@@ -80,8 +79,7 @@ def holder_over_lags(times, values, lam, lags):
     return float(np.linalg.norm(values, axis=1).max()) + quot
 
 
-# Per-lag references: one Python iteration per lag, as the norms were
-# computed before the block sweep.
+# Per-lag references: one Python iteration per lag, each norm on its own.
 
 def increments(values, lag):
     return np.linalg.norm(values[lag:] - values[:-lag], axis=1)
@@ -132,24 +130,25 @@ def driver_weights(n, dt, alpha):
     return g_far[:-1] + g_near[1:], 1.0 / _lag_powers(n, dt, 1.0 - alpha) - g_near[1:]
 
 
-def unpruned_driver_starts(values, dt, alpha):
-    """Every start's largest driver quotient, shape (n, P), of values, shape
+def driver_per_lag(values, dt, alpha, max_lag=None):
+    """Every start's running sum of w h and largest driver quotient over the
+    lags 1..max_lag (default every lag), each shape (n, P), of values, shape
     (n + 1, P, 1)."""
     n, lanes = values.shape[0] - 1, values.shape[1]
     w, c = driver_weights(n, dt, alpha)
     g = values[:, :, 0]
     run = np.zeros((n, lanes))
     best = np.zeros((n, lanes))
-    for lag in range(1, n + 1):
+    for lag in range(1, (max_lag or n) + 1):
         h = np.abs(g[lag:] - g[:-lag])
         run[: n + 1 - lag] += w[lag - 1] * h
         np.maximum(best[: n + 1 - lag], run[: n + 1 - lag] + c[lag - 1] * h,
                    out=best[: n + 1 - lag])
-    return best
+    return run, best
 
 
 def unpruned_driver_norms(values, dt, alpha):
-    return unpruned_driver_starts(values, dt, alpha).max(axis=0)
+    return driver_per_lag(values, dt, alpha)[1].max(axis=0)
 
 
 def row_rel(n):
@@ -161,27 +160,13 @@ def row_rel(n):
 
 def one_lane_rows(f, alpha, lambda_exponent):
     """_lag_sweep of one path: its rows and its Hoelder quotient."""
-    rows, quot = _lag_sweep(f.values[:, None], f.grid.dt, alpha, lambda_exponent)
+    rows, quot = _lag_sweep(f.values[:, None], f.grid.dt, alpha, lambda_exponent)[:2]
     return rows[:, 0], float(quot[0])
 
 
-# The per-path battery as it was before the norms took a lane axis: one
-# sweep and one fit per path.  The lane-batched norm_reports must agree
-# with it to 1e-12 relative.
-
-def rows_per_path(f, alpha, lambda_exponent):
-    n, dt = f.grid.n_steps, f.grid.dt
-    near, far = _lag_weights(n, dt, alpha + 1.0)
-    weight = far[:-1] + near[1:]
-    powers = _lag_powers(n, dt, lambda_exponent)
-    rows = np.linalg.norm(f.values, axis=1)
-    quot = 0.0
-    for lags, h in _lag_blocks(f.values[::-1, None]):
-        h = h[:, 0]
-        rows[lags[0]:] += (weight[lags - 1] @ h)[::-1]
-        quot = max(quot, float((h.max(axis=1) / powers[lags - 1]).max()))
-    rows[1:] -= near[1:] * np.linalg.norm(f.values[1:] - f.values[0], axis=1)
-    return rows, quot
+# The per-path battery as it was before the norms took a lane axis: the
+# per-lag oracles and one fit per path.  The lane-batched norm_reports must
+# agree with it to 1e-12 relative.
 
 
 def exponent_per_path(f):
@@ -204,11 +189,11 @@ def report_per_path(f, alpha, lambda_weight):
     times = f.times
     exponent, constant = exponent_per_path(f) if f.grid.n_steps >= 64 else (None, None)
     from_zero = bool(abs(times[0]) < 1e-12)
-    rows, quot = rows_per_path(f, alpha, 1.0 - alpha)
+    rows = rows_per_lag(f, alpha)
     return {
         "w_alpha_inf": float(rows.max()),
         "weighted_alpha": float((np.exp(-lambda_weight * times) * rows).max()),
-        "holder_1_minus_alpha": float(np.linalg.norm(f.values, axis=1).max()) + quot,
+        "holder_1_minus_alpha": holder_per_lag(f, 1.0 - alpha),
         "lambda_alpha_bound": lambda_alpha_bound(f, alpha) if from_zero else None,
         "holder_exponent_estimate": exponent,
         "constant_path": constant,
@@ -222,18 +207,7 @@ class TestBlockSweep:
     @pytest.mark.parametrize("n", [1, 2, 3, 64, 300])
     def test_matches_per_lag_oracles(self, monkeypatch, n, d, t0, budget):
         monkeypatch.setattr(fracnorm, "_BLOCK_ENTRIES", budget)
-        f = walk(n + 10 * d, n, d, t0)
-        # blocks change size as the lags leave fewer starts; the last is cut short by n
-        blocks = []
-        for lags, h in _lag_blocks(f.values[:, None]):
-            blocks.append((len(lags), h.shape[2]))
-            # zeros where the start has no partner at that lag
-            for j in range(len(lags)):
-                assert not h[j, 0, h.shape[2] - j :].any()
-        assert sum(k for k, _ in blocks) == n
-        assert blocks[-1][0] < max(2, budget // blocks[-1][1])
-        if n == 300:
-            assert len(blocks) > 100
+        f = walk(n + 10 * d, n, d, t0)  # the budget sets the rounds of exact evaluations
         for interval in [None] + ([(t0 + 0.3, t0 + 1.7)] if n >= 3 else []):
             sub = f.restrict(*interval) if interval else f
             want = rows_per_lag(sub, 0.3)
@@ -250,14 +224,19 @@ class TestBlockSweep:
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("n", [3, 64, 300])
     def test_sweep_up_to_max_lag_matches_truncated_oracles(self, n, d, t0):
-        # the endpoint search's near part: the sweep over the lags 1..k only
+        # the endpoint search's near part: the sweep over the lags 1..k only,
+        # the driver's running sums and quotients one lane per component
         f = walk(n + 5 * d, n, d, t0)
         mags = float(np.linalg.norm(f.values, axis=1).max())
         for k in sorted({1, min(4, n), min(32, n), n}):
-            rows, quot = _lag_sweep(f.values[:, None], f.grid.dt, 0.3, 0.7, max_lag=k)
+            rows, quot, run, peak = _lag_sweep(f.values[:, None], f.grid.dt, 0.3, 0.7,
+                                               max_lag=k, driver_alpha=0.3)
             want = rows_per_lag(f, 0.3, max_lag=k)
             assert np.max(np.abs(rows[:, 0] - want)) <= 1e-12 * np.max(np.abs(want))
             assert mags + float(quot[0]) == holder_per_lag(f, 0.7, max_lag=k)
+            want_run, want_peak = driver_per_lag(f.values[:, :, None], f.grid.dt, 0.3, max_lag=k)
+            assert np.array_equal(run, want_run)
+            assert np.array_equal(peak, want_peak)
 
     def test_every_start_above_16384_steps_and_dyadic_lags(self, monkeypatch):
         # the driver norm reads every start and lag at any size
@@ -381,7 +360,7 @@ class TestEndpoints:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fracnorm, "_NEAR_LAGS", near)
             b = _endpoint_bounds(g, dt, driver_alpha=alpha)
-        starts = unpruned_driver_starts(g, dt, alpha).T
+        starts = driver_per_lag(g, dt, alpha)[1].T
         assert np.all(b.peak <= starts)
         assert np.array_equal(starts[b.far == 0.0], b.peak[b.far == 0.0])
         assert np.all(starts <= np.maximum(b.peak, (b.run + b.far) * tie(n)))
@@ -397,7 +376,7 @@ class TestEndpoints:
         values = np.stack([f.values[:, 0, None] * np.arange(1.0, d + 1.0) for f in fs], axis=1)
         dt = fs[0].grid.dt
         damping = np.exp(-0.7 * fs[0].times)[:, None]
-        rows, quot = _lag_sweep(values, dt, 0.3, 0.7)
+        rows, quot = _lag_sweep(values, dt, 0.3, 0.7)[:2]
         drive = unpruned_driver_norms(values.reshape(n + 1, -1, 1), dt, 0.3).reshape(-1, d)
         # the smooth lanes leave many endpoints to evaluate at 4,096 steps
         for lanes in range(1, 8) if n < 4096 else (1, 7):
@@ -446,7 +425,7 @@ class TestEndpoints:
         values = g.values[:, :, None]
         cells = len(_endpoint_bounds(values, grid.dt, lambda_exponent=0.625).blocks) * (n + 1)
         assert 1 <= len(evaluated["exact_cells"]) <= lanes * cells // 10
-        rows, quot = _lag_sweep(values, grid.dt, 0.375, 0.625)
+        rows, quot = _lag_sweep(values, grid.dt, 0.375, 0.625)[:2]
         w_alpha = np.array([r.norms["w_alpha_inf"] for r in reports])
         assert np.all(np.abs(w_alpha - rows.max(axis=0)) <= row_rel(n) * rows.max(axis=0))
         holder = np.abs(g.values).max(axis=0) + quot
@@ -539,7 +518,7 @@ class TestLanes:
     @pytest.mark.parametrize("budget", [None, 600])
     @pytest.mark.parametrize("n,d,t0", [(40, 1, 0.0), (64, 1, -1.0), (300, 1, 0.0), (257, 2, -1.0)])
     def test_reports_match_per_path(self, monkeypatch, n, d, t0, budget):
-        if budget:  # lane groups of one or two lanes, and blocks of a few lags
+        if budget:  # lane groups of one or two lanes, and rounds of a few candidates
             monkeypatch.setattr(fracnorm, "_BLOCK_ENTRIES", budget)
         fs = self.lanes(n, d, t0)
         reports = norm_reports(fs, 0.3, lambda_weight=0.7)

@@ -298,7 +298,7 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             SolverConfig(scheme="rk4")
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan")])
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan"), float("inf")])
     def test_picard_tol_must_be_positive(self, tol):
         with pytest.raises(ValueError, match="picard_tol"):
             SolverConfig(picard_tol=tol)
