@@ -57,7 +57,7 @@ from .coeff import (
     parse_expr,
 )
 from .fbm import sample_cholesky, sample_circulant
-from .fracnorm import norm_report, norm_reports
+from .fracnorm import norm_report, norm_reports  # noqa: F401  norm_report: the traced layer name
 from .grids import SamplePath, TimeGrid
 from .skorokhod import reflect
 from .solver import (
@@ -489,7 +489,11 @@ def cmd_skorokhod(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    levels = [int(v) for v in args.levels.split(",")]
+    try:
+        levels = [int(v) for v in args.levels.split(",")]
+    except ValueError:
+        msg = f"--levels must be comma-separated integers, got {args.levels!r}"
+        raise ValueError(msg) from None
     _check_levels(levels)  # before the finest driver is sampled
     finest = levels[-1]
     cfg = load_config(args.config, steps_per_delay=finest)
@@ -521,12 +525,10 @@ def cmd_audit(args) -> int:
 
 def cmd_norms(args) -> int:
     f = _read_path_csv(Path(args.input))
-    reports = {
-        f"component_{i + 1}": norm_report(f.component(i), args.alpha,
-                                          lambda_weight=getattr(args, "lambda")).to_dict()
-        for i in range(f.dim)
-    }
-    return _report(reports, args.out)
+    # the components share one grid: one search, a lane each
+    reports = norm_reports([f.component(i) for i in range(f.dim)], args.alpha,
+                           lambda_weight=getattr(args, "lambda"))
+    return _report({f"component_{i + 1}": r.to_dict() for i, r in enumerate(reports)}, args.out)
 
 
 # --- entry point ----------------------------------------------------------

@@ -11,26 +11,15 @@ linear in its two end values, so one table of weights per (n, dt, kernel)
 serves every row and start; the tables are cached read-only.
 
 The pair-based norms are suprema over endpoints: of each end u's row (the
-W^(alpha,infinity) norm, plain and damped), of the Hoelder quotient over
-each end's lags, and of each start s's driver quotients (Lambda_alpha),
-one lane per component.  Every norm calls one search for them,
-_endpoint_sups, at every size.  Its near part is _lag_sweep, one pass over
-the lags 1.._NEAR_LAGS: the increments |f(t_(s+L)) - f(t_s)| of P paths of
-one grid at each lag L are one contiguous difference, from which the rows,
-the quotient and each start's driver quotients all read.
-The longer lags go in blocks whose widths double every _SPLIT blocks, and
-running max/min tables of the path bound every increment of an endpoint in
-a block by the farthest value in the window of its partners there
-(_endpoint_bounds).  That gives an upper bound for each end's row, for each
-quotient cell (an end and its lags span + 1..2 span, span = _NEAR_LAGS,
-2 _NEAR_LAGS, ...) and for each start's driver quotients, in O(n log n).
-_best_first then evaluates exactly, best first, only the candidates whose
-bound times 1 + max(1e-12, (n + 1) eps) reaches the best value so far; the
-margin covers the rounding of a bound and an exact value that each sum at
-most n + 1 positive terms.  Ends and starts without far lags, or whose far
-increments are all 0, are never evaluated.  On fBm paths at 4,096 steps a
-few dozen ends and starts and at most a few hundred cells are evaluated; on
-smooth paths, whose values lie close together, far more.
+W^(alpha,infinity) norm, plain and damped), of the Hoelder quotient over each
+end's lags, and of each start s's driver quotients (Lambda_alpha), one lane
+per component, found by one search, _endpoint_sups: _lag_sweep over the lags
+1.._NEAR_LAGS, then blocks of longer lags whose widths double every _SPLIT
+blocks, where running max/min tables of the path bound the increments of
+ranges of endpoints, then of single ends, cells and starts in the ranges
+whose bound reaches the best so far (_endpoint_bounds); _search evaluates
+exactly, best first, those whose own bound times 1 + max(1e-12, (n + 1) eps)
+does, a margin for the rounding of two sums of at most n + 1 positive terms.
 
 The Hoelder quotient and the driver norm are bit-equal to the sweep over
 every pair: a cell's quotients are computed as that sweep computes them,
@@ -200,62 +189,10 @@ def _magnitudes(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.abs(a[..., 0], out=out) if a.shape[-1] == 1 else np.linalg.norm(a, axis=-1)
 
 
-def _reach(here: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """An upper bound on |here - v| over the values v of a window whose
-    componentwise max and min are hi and lo; rounding is monotone, so it is
-    at or above every increment _magnitudes computes."""
-    return _magnitudes(np.maximum(here - lo, hi - here))
-
-
-def _ranges(start: np.ndarray, stop: np.ndarray) -> np.ndarray:
-    """The ranges start[i]..stop[i] - 1, each nonempty, one after another."""
-    counts = stop - start
-    return np.repeat(start - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-
-
-def _best_first(bounds: np.ndarray, best: np.ndarray, widths: np.ndarray, exact,
-                tie: float) -> None:
-    """Raise best (P,), each lane's largest exact value so far, to its sup
-    over m candidates whose upper bounds are bounds (P, m).
-
-    Candidates are evaluated by exact(lanes, candidates) per lane in
-    descending bound order, in rounds of about _BLOCK_ENTRIES entries, the
-    candidate's width counting its entries; a lane stops at the first one
-    whose bound times tie lies below its best.  Scales bounds by tie in
-    place and zeroes each lane's first.
-    """
-    ids = np.arange(len(best))
-    if not bounds.size:
-        return
-    # each lane's largest bound first: its value is often near the sup, and
-    # then few others reach it
-    lead = bounds.argmax(axis=1)
-    first = ids[bounds[ids, lead] > 0.0]
-    if not len(first):
-        return
-    np.maximum.at(best, first, exact(first, lead[first]))
-    bounds[first, lead[first]] = 0.0
-    bounds *= tie
-    # a candidate of bound 0 has value 0, which cannot raise a best >= 0
-    lane, cand = np.nonzero((bounds > 0.0) & (bounds >= best[:, None]))
-    reach = bounds[lane, cand]
-    order = np.lexsort((-reach, lane))
-    lane, cand, reach = lane[order], cand[order], reach[order]
-    spent = np.cumsum(widths[cand])
-    pos, ends = np.searchsorted(lane, ids), np.searchsorted(lane, ids, side="right")
-    while True:
-        live = np.flatnonzero(pos < ends)
-        live = live[reach[pos[live]] >= best[live]]
-        if not len(live):
-            break
-        start = pos[live]
-        before = np.where(start > 0, spent[start - 1], 0)
-        stop = np.searchsorted(spent, before + _BLOCK_ENTRIES // len(live), side="right")
-        stop = np.clip(stop, start + 1, ends[live])
-        take = _ranges(start, stop)
-        take = take[reach[take] >= best[lane[take]]]
-        np.maximum.at(best, lane[take], exact(lane[take], cand[take]))
-        pos[live] = stop
+def _reach(top: np.ndarray, bottom: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Componentwise, at least |x - v| for x in a range of max top and min bottom and v in a
+    window of max hi and min lo, which it overwrites; rounding keeps it at least any increment."""
+    return np.maximum(np.subtract(top, lo, out=lo), np.subtract(hi, bottom, out=hi), out=lo)
 
 
 def _driver_weights(n: int, dt: float, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -270,120 +207,224 @@ def _driver_weights(n: int, dt: float, alpha: float) -> tuple[np.ndarray, np.nda
 
 @dataclass
 class _Bounds:
-    """What _endpoint_bounds gives of P lanes of d components on n steps;
-    each part is None unless asked for.
+    """What _endpoint_bounds gives of P lanes of d components on n steps.  Near
+    parts, None unless asked for: rows (P, n + 1), each end's row over the lags
+    of _lag_sweep; quot (P,), the largest quotient there; peak and run (P d, n),
+    each start's largest driver quotient and running sum there.  Far bounds, 0
+    where nothing lies beyond, per range j of ends j width..j width + width - 1
+    (start s is end n - s of the reversed path): tail (P, R) of its rows' rest,
+    cells (P, B R) (P, 1 if B = 0), entry k R + j, of its quotients over lags
+    first + 1..first + lags, blocks[k] = (first, lags); far (P d, R) of its
+    driver quotients.  Per end: row_tail, cell (k (n + 1) + end), start_far."""
 
-    rows (P, n + 1): each end's row over the lags that _lag_sweep covers,
-    which is its row where tail is 0; tail (P, n + 1): a bound on the rest.
-    quot (P,): the largest quotient over those lags; cells (P, B (n + 1)):
-    for blocks[b] = (first, width), the lags first + 1..first + width from
-    first = _NEAR_LAGS, 2 _NEAR_LAGS, ..., entry b (n + 1) + u bounds end
-    u's quotients there (0 where it has none); B = 0 where n <= _NEAR_LAGS.
-    peak (P d, n), one lane per component: each start's largest driver
-    quotient up to _NEAR_LAGS; run (P d, n): its running sum there; far
-    (P d, n): a bound on its quotients beyond, less run, 0 where they are
-    all 0.
-    """
-
+    width: int = 1
     rows: np.ndarray | None = None
-    tail: np.ndarray | None = None
     quot: np.ndarray | None = None
-    blocks: list = field(default_factory=list)
-    cells: np.ndarray | None = None
     peak: np.ndarray | None = None
     run: np.ndarray | None = None
+    blocks: list = field(default_factory=list)
+    tail: np.ndarray | None = None
+    cells: np.ndarray | None = None
     far: np.ndarray | None = None
+    row_tail: object = None
+    cell: object = None
+    start_far: object = None
 
 
 def _endpoint_bounds(values: np.ndarray, dt: float, alpha: float | None = None,
                      lambda_exponent: float | None = None,
                      driver_alpha: float | None = None) -> _Bounds:
-    """The near parts and the far bounds of every end and start of every
-    lane of values, shape (n + 1, P, d): the rows' with alpha, the Hoelder
-    quotient's with lambda_exponent, the driver norm's with driver_alpha,
-    one lane per component.
-
-    One _lag_sweep up to _NEAR_LAGS gives the near parts of the rows, of the
-    quotient and of each start's driver quotients.  The longer lags go in
-    blocks of lags first + 1..first + width, _SPLIT blocks of width
-    span / _SPLIT (at least 1) from each span = _NEAR_LAGS, 2 _NEAR_LAGS,
-    ... below n.  The increments of an end u (a start s) in a block are at
-    most _reach over the window of its partners there, read from running
-    max/min tables of the path that double in width as the blocks do.  An end's row tail is at most the sum over blocks of the
-    block's weights times that reach; a quotient cell (end, span..2 span)
-    is at most the largest over its blocks of the reach over the power at
-    the block's first lag, and is evaluated as one; a start's driver
-    quotient in a block is at most its running sum up to _NEAR_LAGS plus
-    the weights times the reaches of the blocks up to it, plus the block's
-    largest c times its reach.
+    """The near parts and the far bounds of every end and start of every lane of
+    values, shape (n + 1, P, d): the rows' with alpha, the Hoelder quotient's
+    with lambda_exponent, the driver norm's with driver_alpha.  One _lag_sweep
+    up to _NEAR_LAGS gives the near parts.  From each span = _NEAR_LAGS,
+    2 _NEAR_LAGS, ... below n go span / w blocks of the lags first + 1..first
+    + w, w = span / _SPLIT (at least 1).  The increments of a range of ends in
+    a block are at most _reach from its max and min to its partners', from
+    running max/min tables of the path, read mirrored for the starts.  So a
+    row's tail is at most its blocks' weights times the reach; a quotient cell
+    (end, span..2 span) the largest reach over the power at a block's first
+    lag; a start's driver quotients through a doubling its near running sum
+    plus the weights times the reaches so far plus the largest c times reach.
+    First level: aligned ranges of min(w, _NEAR_LAGS) ends, whose partners in
+    a block lie in one window of 2 w; second level, on demand: single ends.
     """
     n, lanes, d = values.shape[0] - 1, values.shape[1], values.shape[2]
-    # lane-major, so that each lane's reductions run over contiguous memory
-    f = np.ascontiguousarray(values.transpose(1, 0, 2))
-    out = _Bounds()
-    upto = np.arange(1, n + 1)
+    rows, quot, run, peak = _lag_sweep(values, dt, alpha, lambda_exponent, min(n, _NEAR_LAGS),
+                                       driver_alpha)
     spans = [_NEAR_LAGS << k for k in range(((n - 1) // _NEAR_LAGS).bit_length())]  # all < n
-    swept = min(n, _NEAR_LAGS)  # the near lags
-    ends = (alpha is not None or lambda_exponent is not None) and swept < n  # with far lags
-    rows, out.quot, run, peak = _lag_sweep(values, dt, alpha, lambda_exponent, swept,
-                                           driver_alpha)
+    out = _Bounds(1, None if alpha is None else np.ascontiguousarray(rows.T), quot,
+                  *((None, None) if driver_alpha is None else (peak.T, run.T)),
+                  [(span, min(span, n - span)) for span in spans], np.zeros((lanes, n + 1)),
+                  np.zeros((lanes, 1)), np.zeros((lanes * d, n + 1)))
+    if not spans:
+        return out  # no far lag: every end and start is exact after the near lags
+    widths = [1 << (max(span // _SPLIT, 1) - 1).bit_length() for span in spans]
+    # running max/min tables of widths 1, w, 2 w: entry tables[w] + pad + x spans x..x + w - 1
+    pad, tables, total = widths[-1], {}, 0
+    for wide in sorted({1, *widths, 2 * widths[-1]}):
+        tables[wide], total = total, total + n + 2 * pad + 2 - wide
+    span, w = np.array(spans), np.array(widths)
+    r = np.minimum(w, _NEAR_LAGS)  # ends per range
+    table, double = (np.array([tables[x] for x in a]) for a in (r, 2 * w))
+    full, count = span // w, np.minimum(span // w, -(-(n - span) // w))  # blocks; below n
+    level, start = np.repeat(np.arange(len(w)), count), np.cumsum(count) - count
+    first = np.append(span[level] + (np.arange(len(level)) - start[level]) * w[level], 2 * n)
+    size, last = np.append(w[level], 1), len(level)  # the last block has no lag
+    base, offset = np.append([tables[x] for x in w[level]], 0), np.cumsum(size + 1) - size - 1
+    at, slot = base + pad - first - size, np.arange(full.max())  # at[b] + u: u's partners in b
+    by_level = np.where(slot < count[:, None], start[:, None] + slot, last)
+    ranges = -(-(n + 1) // r) - span // r  # a doubling's ranges from its first lag
+    row, k = np.cumsum(ranges) - ranges, np.repeat(np.arange(len(w)), ranges)
+    u = (np.arange(len(k)) - row[k] + span[k] // r[k]) * r[k]  # each range's first end
+    own, win = table[k] + pad + u, double[k] + pad + u - (full[k] + 1) * w[k]  # and slot 0's
+    mirror_own = 2 * table[k] + n + 2 * pad + 1 - r[k] - own  # the reversed path's
+    mirror_win = 2 * double[k] + n + 2 * pad + 1 - 2 * w[k] - win
+    coarse = np.arange(-(-(n + 1) // w[0])) // (r // w[0])[:, None] - (span // r)[:, None]
+    spread = np.where(coarse >= 0, row[:, None] + coarse, len(k))  # the row holding each range
+    out.width, (hi, lo), width = widths[0], np.empty((2, lanes, total, d)), 1
+    top, bottom = hi[:, : n + 2 * pad + 1], lo[:, : n + 2 * pad + 1]
+    top[...] = bottom[...] = np.pad(values.transpose(1, 0, 2), ((0,), (pad,), (0,)), "edge")
+    for wide, start in sorted(tables.items())[1:]:
+        while width < wide:  # each table from the one of half its width, in its place
+            into = slice(start, start + top.shape[1] - width) if 2 * width == wide else None
+            top = np.maximum(top[:, :-width], top[:, width:], out=into and hi[:, into])
+            bottom = np.minimum(bottom[:, :-width], bottom[:, width:], out=into and lo[:, into])
+            width *= 2
+    hi, lo = hi.reshape(-1, d), lo.reshape(-1, d)  # lane p's tables from p total
+
+    def sums(a):  # from offset[b], block b's sums of a over its first 0..w lags, in lag order
+        a = np.append(a, np.zeros(2 * pad))
+        return np.concatenate([np.concatenate([np.zeros((m, 1)), np.cumsum(
+            a[x : x + m * y].reshape(m, y), axis=1)], axis=1).ravel()
+            for x, m, y in zip(spans, count, widths)] + [np.zeros(2)])
+
+    c_max, power = np.zeros(len(first)), np.full(len(first), np.inf)  # for norms not asked
+    row_weight = drive = np.zeros(offset[-1] + 2)
     if alpha is not None:
         near, far = _lag_weights(n, dt, alpha + 1.0)
-        weight = far[:-1] + near[1:]
-        out.rows = np.ascontiguousarray(rows.T)
-        out.tail = np.zeros_like(out.rows)
+        row_weight = sums(far[:-1] + near[1:])
     if lambda_exponent is not None:
-        powers = _lag_powers(n, dt, lambda_exponent)
-        out.blocks = [(span, min(span, n - span)) for span in spans]
-        out.cells = np.zeros((lanes, len(out.blocks) * (n + 1)))
+        power[:-1] = _lag_powers(n, dt, lambda_exponent)[first[:-1]]
     if driver_alpha is not None:
-        w, c = _driver_weights(n, dt, driver_alpha)
-        out.run, out.peak = run.T, peak.T
-        out.far, far_run = np.zeros((2, lanes * d, n))
-    elif not ends:
-        return out  # no far lag: no table
-    # hi[:, i] is the max of padded[:, i : i + width], padded with copies of
-    # the end values, which lie in every window that the path's ends cut
-    # short: before t_0 for the ends, after t_n for the starts; no window is
-    # wider than n // _SPLIT
-    left = n // _SPLIT if ends else 0
-    right = 0 if driver_alpha is None else n // _SPLIT
-    padded = np.concatenate([np.repeat(f[:, :1], left, axis=1), f,
-                             np.repeat(f[:, -1:], right, axis=1)], axis=1)
-    hi = lo = padded
-    width = 1
-    for level, span in enumerate(spans):
-        while width < span // _SPLIT:
-            hi = np.maximum(hi[:, :-width], hi[:, width:])
-            lo = np.minimum(lo[:, :-width], lo[:, width:])
-            width *= 2
-        for first in range(span, min(2 * span, n), width):
-            # ends first + 1..n and starts 0..m - 1 have partners in the block
-            m = n - first
-            counts = np.minimum(upto[:m], width)  # lags in the block, in end order
-            if ends:
-                # end u = first + 1 + i reaches back to the window from u - first - width
-                at = slice(left + 1 - width, left + 1 - width + m)
-                reach = _reach(f[:, first + 1 :], hi[:, at], lo[:, at])
-                if alpha is not None:
-                    sums = np.concatenate([[0.0], np.cumsum(weight[first : first + width])])
-                    out.tail[:, first + 1 :] += sums[counts] * reach
-                if lambda_exponent is not None:
-                    # the cell of end u and its lags span + 1..2 span
-                    at = level * (n + 1) + first + 1
-                    cell = out.cells[:, at : at + m]
-                    np.maximum(cell, reach / powers[first], out=cell)
-            if driver_alpha is not None:
-                # start s reaches forward to the window from s + first + 1;
-                # each component's reach, >= 0 as hi >= lo, is its own lane's
-                at = slice(left + first + 1, left + first + 1 + m)
-                reach = np.maximum(f[:, :m] - lo[:, at], hi[:, at] - f[:, :m])
-                reach = reach.transpose(0, 2, 1).reshape(lanes * d, m)
-                sums = np.concatenate([[0.0], np.cumsum(w[first : first + width])])
-                far_run[:, :m] += sums[counts[::-1]] * reach
-                np.maximum(out.far[:, :m], far_run[:, :m] + c[first : first + width].max() * reach,
-                           out=out.far[:, :m])
+        drive, c = _driver_weights(n, dt, driver_alpha)
+        c = np.append(c, np.zeros(2 * pad))[: first[-2] + pad]
+        drive, c_max = sums(drive), np.append(np.maximum.reduceat(c, first[:-1]), 0.0)
+
+    def bound(at_lane, own, win, block, at, reversed_path, running=False):
+        """Per row, from own to win per slot of the blocks block, weights at at: tails and
+        cells, or far running sums and largest c times reach, or single starts' quotients."""
+        own, win = own + at_lane, win + at_lane[..., None]
+        g = _reach(np.take(hi, own, axis=0, mode="clip")[..., None, :],
+                   np.take(lo, own, axis=0, mode="clip")[..., None, :],
+                   np.take(hi, win, axis=0, mode="clip"), np.take(lo, win, axis=0, mode="clip"))
+        if reversed_path:
+            run, top = drive[at][..., None] * g, c_max[block][..., None] * g
+            if running:  # in block order, as each start's running sum
+                run = np.cumsum(run, axis=-2)
+                return run[..., -1, :], (run + top).max(axis=-2)
+            return run.sum(axis=-2), top.max(axis=-2)
+        g = _magnitudes(g)
+        return (row_weight[at] * g).sum(axis=-1), (g / power[block]).max(axis=-1)
+
+    def rectangles(i, ends, starts):  # the rows i of the rectangles, per lane
+        step, b = slot * w[k[i]][:, None], by_level[k[i]]
+        last_end = np.minimum(u[i] + r[k[i]] - 1, n)[:, None]
+        block = np.where(last_end > first[b], b, last)[:, None]
+        at_lane, got, at = np.arange(lanes) * total, (), offset[block] + size[block]  # in full
+        if ends:
+            got += bound(at_lane, own[i][:, None], (win[i][:, None] - step)[:, None], block, at,
+                         False)
+        if starts:  # the reversed path's entries
+            got += bound(at_lane, mirror_own[i][:, None], (mirror_win[i][:, None] + step)[:, None],
+                         block, at, True)
+        return got
+
+    def single(lane, end, doubling=None, reversed_path=False):  # every block, or a doubling's
+        b = np.arange(last)[None, None] if doubling is None else by_level[doubling][:, None]
+        own, one = pad + end, at[b] + end[:, None, None]
+        if reversed_path:
+            own, one = n + pad - end, 2 * base[b] + n + 2 * pad + 1 - size[b] - one
+        count = np.minimum(np.maximum(end[:, None, None] - first[b], 0), size[b])
+        return bound((lane * total)[:, None], own[:, None], one, np.where(count > 0, b, last),
+                     offset[b] + count, reversed_path, True)
+
+    def chunked(part, count, entries, *args):  # part over slices of args, joined
+        step = max(1, _BLOCK_ENTRIES // 4 // entries)
+        parts = [part(*(a[i : i + step] for a in args)) for i in range(0, count, step)]
+        return [np.concatenate(a) for a in zip(*parts)]
+
+    def per_range(a):  # per row of the rectangles (rows, ...) -> per lane, doubling, range
+        a = np.concatenate([a.reshape(len(a), -1), np.zeros((1, a[0].size))])
+        return a[spread].transpose(2, 0, 1)
+
+    ends = alpha is not None or lambda_exponent is not None
+    got = chunked(lambda i: rectangles(i, ends, driver_alpha is not None), len(k),
+                  lanes * len(slot) * d, np.arange(len(k)))
+    if ends:
+        out.tail, out.cells = per_range(got[0]).sum(axis=1), per_range(got[1]).reshape(lanes, -1)
+        out.row_tail = lambda lane, end: chunked(single, len(end), last * d, lane, end)[0][:, 0]
+        out.cell = lambda lane, which: chunked(single, len(which), by_level.shape[1] * d, lane,
+                                               which % (n + 1), which // (n + 1))[1][:, 0]
+    if driver_alpha is not None:
+        run, top = (per_range(a.reshape(len(k), -1)) for a in got[-2:])
+        top = (np.cumsum(run, axis=1) + top).max(axis=1)  # after the running sums through each
+        back = np.concatenate([np.zeros((lanes * d, 1)), out.run[:, ::-1]], axis=1)  # start n - u
+        out.far = np.where(top > 0.0, np.maximum.reduceat(back, range(0, n + 1, out.width), 1)
+                           + top, 0.0)
+
+        def start_far(lane, end):  # of the starts n - end
+            top = chunked(lambda *a: single(*a, reversed_path=True), len(end), last * d, lane // d,
+                          end)[1][np.arange(len(end)), 0, lane % d]
+            return np.where(top > 0.0, back[lane, end] + top, 0.0)
+        out.start_far = start_far
     return out
+
+
+def _search(rect: np.ndarray, best: np.ndarray, width: int, size: int, refine, exact,
+            widths: np.ndarray, tie: float) -> None:
+    """Raise best (P,), each lane's largest exact value so far, to its sup over
+    candidates: range k R + j, R = ceil(size / width), holds k size + j width..
+    + width - 1 below (k + 1) size; rect (P, ranges) bounds their values exact(
+    lanes, candidates).  Each lane's best range is evaluated; the ranges whose
+    bound times tie reaches the best are refined, refine(lanes, candidates),
+    and evaluated best first in rounds of _BLOCK_ENTRIES entries by widths."""
+    ids, per = np.arange(len(best)), -(-size // width)
+
+    def candidates(lane, which):  # the lanes and candidates of ranges, each taken once
+        rect[lane, which], local = 0.0, which[:, None] % per * width + np.arange(width)
+        inside = local < size
+        segment = which[:, None] // per * size
+        return np.repeat(lane, width)[inside.ravel()], (segment + local)[inside]
+
+    lead = rect.argmax(axis=1)
+    lane, cand = candidates(*(a[rect[ids, lead] > 0.0] for a in (ids, lead)))
+    if len(lane):
+        np.maximum.at(best, lane, exact(lane, cand))
+    lane, cand = candidates(*np.nonzero((rect > 0.0) & (rect * tie >= best[:, None])))
+    if not len(lane):
+        return
+    reach = refine(lane, cand) * tie
+    # a candidate of bound 0 has value 0, which cannot raise a best >= 0
+    keep = (reach > 0.0) & (reach >= best[lane])
+    order = np.lexsort((-reach[keep], lane[keep]))
+    lane, cand, reach = lane[keep][order], cand[keep][order], reach[keep][order]
+    spent = np.cumsum(widths[cand])
+    pos, ends = np.searchsorted(lane, ids), np.searchsorted(lane, ids, side="right")
+    while True:
+        live = np.flatnonzero(pos < ends)
+        live = live[reach[pos[live]] >= best[live]]
+        if not len(live):
+            break
+        start = pos[live]
+        before = np.where(start > 0, spent[start - 1], 0)
+        stop = np.searchsorted(spent, before + _BLOCK_ENTRIES // len(live), side="right")
+        stop = np.clip(stop, start + 1, ends[live])
+        take = np.repeat(start - np.cumsum(stop - start) + stop - start, stop - start)
+        take = take + np.arange(len(take))  # the ranges start..stop - 1
+        take = take[reach[take] >= best[lane[take]]]
+        np.maximum.at(best, lane[take], exact(lane[take], cand[take]))
+        pos[live] = stop
 
 
 def _endpoint_sups(values: np.ndarray, dt: float, alpha: float | None = None,
@@ -394,19 +435,16 @@ def _endpoint_sups(values: np.ndarray, dt: float, alpha: float | None = None,
     quot, drive), each (P,) or None unless asked for: with alpha the largest
     row and the largest damping (n + 1, 1) times row; with lambda_exponent
     the largest Hoelder quotient; with driver_alpha the driver norm, the
-    largest over the components, each a lane of the search.
-
-    The best of each starts at the near parts of _endpoint_bounds, and
-    _best_first evaluates the ends, quotient cells and starts whose far
-    bound reaches it; ends and starts without far lags, or whose far
-    increments are all 0, are exact after the near lags.  Every norm calls
-    this search.
-    """
+    largest over the components, each a lane of the search.  Each best starts
+    at the near parts of _endpoint_bounds; _search takes the ends, quotient
+    cells and starts whose bounds reach it; those without far increments are
+    exact after the near lags."""
     n, lanes = values.shape[0] - 1, values.shape[1]
     # a bound and the exact value each sum at most n + 1 positive terms
     tie = 1.0 + max(1e-12, (n + 1) * np.finfo(float).eps)
     upto = np.arange(1, n + 1)
     bounds = _endpoint_bounds(values, dt, alpha, lambda_exponent, driver_alpha)
+    width, starts = bounds.width, np.arange(0, n + 1, bounds.width)  # the ranges' first ends
     out = [None] * 4
     if alpha is not None:
         near, far = _lag_weights(n, dt, alpha + 1.0)
@@ -424,11 +462,18 @@ def _endpoint_sups(values: np.ndarray, dt: float, alpha: float | None = None,
                     - near[end] * h[np.arange(len(end)), end - 1])
 
         rows = bounds.rows
-        # the ends without far increments are known; the others once
-        # evaluated, in the pass of the rows or of the damped rows
-        value = np.where(bounds.tail > 0.0, -np.inf, rows)
-        bound = rows + bounds.tail
-        for scale in (np.ones(n + 1),) if damping is None else (np.ones(n + 1), damping[:, 0]):
+        # known: the ends without far increments, and those evaluated
+        value = np.where(np.repeat(bounds.tail, width, axis=1)[:, : n + 1] > 0.0, -np.inf, rows)
+        top = np.maximum.reduceat(rows, starts, axis=1) + bounds.tail
+        plain = damping is None or bool(np.all(damping == 1.0))  # then damped rows are rows
+        for scale in (np.ones(n + 1),) if plain else (np.ones(n + 1), damping[:, 0]):
+            def refine_rows(lane, end):
+                tail = bounds.row_tail(lane, end)
+                flat = (lane[tail == 0.0], end[tail == 0.0])
+                value[flat] = rows[flat]
+                known = value[lane, end] > -np.inf
+                return np.where(known, 0.0, scale[end] * (rows[lane, end] + tail))
+
             def exact_rows(lane, end):
                 value[lane, end] = row_values(lane, end)
                 return scale[end] * value[lane, end]
@@ -436,8 +481,8 @@ def _endpoint_sups(values: np.ndarray, dt: float, alpha: float | None = None,
             known = value > -np.inf
             # every near part is its end's row up to rounding: a start for the best
             best = (scale * np.where(known, value, rows)).max(axis=1)
-            _best_first(np.where(known, 0.0, scale * bound), best, np.full(n + 1, n),
-                        exact_rows, tie)
+            rect = np.where(bounds.tail > 0.0, np.maximum.reduceat(scale, starts) * top, 0.0)
+            _search(rect, best, width, n + 1, refine_rows, exact_rows, np.full(n + 1, n), tie)
             if out[0] is None:  # the damped pass only adds ends below this sup
                 out[0] = value.max(axis=1)
         if damping is not None:
@@ -466,25 +511,25 @@ def _endpoint_sups(values: np.ndarray, dt: float, alpha: float | None = None,
 
         widths = np.repeat([width for _, width in bounds.blocks], n + 1).astype(int)
         out[2] = bounds.quot
-        _best_first(bounds.cells, out[2], widths, exact_cells, tie)
+        _search(bounds.cells, out[2], width, n + 1, bounds.cell, exact_cells, widths, tie)
     if driver_alpha is not None:
         g = values.reshape(n + 1, -1)  # one lane per component, as in _endpoint_bounds
         w, c = _driver_weights(n, dt, driver_alpha)
         # ahead[s + L - 1] = g(t_(s + L)) for the lags L = 1..n - s of start s, then zeros
         ahead = np.concatenate([g[1:], np.zeros_like(g)])
 
-        def exact_starts(lane, start):
-            span = n - start.min()
+        def exact_starts(lane, end):
+            start, span = n - end, end.max()
             h = sliding_window_view(ahead, span, axis=0)[start, lane]
             h = np.abs(np.subtract(h, g[start, lane][:, None], out=h), out=h)
-            h[upto[:span] > (n - start)[:, None]] = 0.0
+            h[upto[:span] > end[:, None]] = 0.0
             q = np.cumsum(w[:span] * h, axis=1)  # in lag order, as the near lags sum it
             q += np.multiply(c[:span], h, out=h)
             return q.max(axis=1)
 
         drive = bounds.peak.max(axis=1)
-        _best_first(np.where(bounds.far > 0.0, bounds.run + bounds.far, 0.0), drive,
-                    np.full(n, n), exact_starts, tie)
+        _search(bounds.far, drive, width, n + 1, bounds.start_far, exact_starts, np.full(n + 1, n),
+                tie)
         out[3] = drive.reshape(lanes, -1).max(axis=1)
     return tuple(out)
 
@@ -554,10 +599,9 @@ def lambda_alpha_bound(g: SamplePath, alpha: float,
     This is the value every estimate downstream uses, not the exact
     supremum of the Weyl derivative; for multi-component g the maximum over
     components is returned.  The driver norm is the discrete sup over every
-    start and lag, at every size, bit-equal to a sweep over every pair: a
-    start is evaluated exactly, its running sum added in lag order, unless
-    its bound from the running max/min tables, times 1 + max(1e-12,
-    (n + 1) eps), lies below the best quotient so far.
+    start and lag, bit-equal to a sweep over every pair: a start is evaluated
+    exactly, its running sum added in lag order, unless a bound of its range
+    or its own (_endpoint_bounds) lies below the best quotient so far.
     """
     g = g.restrict(*interval) if interval else g
     drive = _endpoint_sups(g.values[:, None], g.grid.dt, driver_alpha=alpha)[3]
@@ -599,7 +643,8 @@ def _holder_exponents(values: np.ndarray, dt: float) -> list[tuple[float | None,
         return [(None, None)] * values.shape[1]
     lags = [1 << j for j in range((n // 4).bit_length())]  # 1, 2, 4, ... <= n // 4
     log_lags = np.log([lag * dt for lag in lags])
-    mags = np.array([np.linalg.norm(values[lag:] - values[: n + 1 - lag], axis=2).max(axis=0)
+    f = np.ascontiguousarray(values.transpose(1, 0, 2))  # lane-major: each max runs along a lane
+    mags = np.array([np.linalg.norm(f[:, lag:] - f[:, : n + 1 - lag], axis=2).max(axis=1)
                      for lag in lags])  # (lags, P)
     positive = mags > 0.0
     full = positive.all(axis=0)

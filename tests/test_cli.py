@@ -13,6 +13,9 @@ import pytest
 import refsde
 import refsde.cli as cli
 from refsde.cli import ConfigError, load_config, main
+from refsde.fbm import sample_circulant
+from refsde.fracnorm import norm_report
+from refsde.grids import TimeGrid
 from refsde.solver import BlowUpError, PicardConvergenceError, solve_stochastic
 
 CONFIGS = resources.files("refsde") / "configs"
@@ -270,7 +273,7 @@ class TestNormsCmd:
             def to_dict(self):
                 return {"norms": {"w_alpha_inf": float("nan")}}
 
-        monkeypatch.setattr(cli, "norm_report", lambda *args, **kwargs: Report())
+        monkeypatch.setattr(cli, "norm_reports", lambda fs, *args, **kwargs: [Report()] * len(fs))
         src = tmp_path / "g.csv"
         src.write_text("t,f\n0,0\n0.5,1\n1,0.5\n")
         out = tmp_path / "norms.json"
@@ -278,6 +281,28 @@ class TestNormsCmd:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: Out of range float values")
         assert captured.out == "" and not out.exists()
+
+    def test_components_share_one_search(self, tmp_path, capsys):
+        # a 2-column CSV: one norm_reports call over both components, whose
+        # quotient and driver norm are bit-equal to the per-component reports
+        # and whose rows agree within (n + 1) eps relative
+        n = 1024
+        g = sample_circulant(TimeGrid(0.0, 1.0, n), 0.75, 2, seed=(2, 0))
+        src = tmp_path / "g.csv"
+        with open(src, "w") as fh:
+            fh.write("t,w_1,w_2\n")
+            np.savetxt(fh, np.column_stack([g.times, g.values]), fmt="%.17g", delimiter=",")
+        assert main(["norms", str(src), "--alpha", "0.375", "--lambda", "0.5"]) == 0
+        got = strict_loads(capsys.readouterr().out)
+        f = cli._read_path_csv(src)
+        for i in range(2):
+            want = norm_report(f.component(i), 0.375, lambda_weight=0.5).to_dict()["norms"]
+            norms = got[f"component_{i + 1}"]["norms"]
+            for key in ("holder_1_minus_alpha", "lambda_alpha_bound", "holder_exponent_estimate"):
+                assert norms[key] == want[key]
+            for key in ("w_alpha_inf", "weighted_alpha"):
+                assert norms[key] == pytest.approx(want[key], rel=(n + 1) * np.finfo(float).eps,
+                                                   abs=0.0)
 
     @pytest.mark.parametrize("command", ["norms", "skorokhod"])
     def test_comment_before_header(self, tmp_path, capsys, command):
@@ -459,6 +484,12 @@ class TestSolverErrors:
         assert main(["simulate", write_config(tmp_path, body), "--out", str(tmp_path)]) == 1
         assert "picard_tol must be positive" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
+
+    def test_levels_not_integers_exit_one(self, tmp_path, capsys):
+        body = MINIMAL.format(out=tmp_path)
+        assert main(["converge", write_config(tmp_path, body), "--levels", "2,4,x"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --levels must be comma-separated integers, got '2,4,x'\n")
 
     def test_negative_seed_exit_one(self, tmp_path, capsys, monkeypatch):
         # the config is rejected, naming the key, before any driver is sampled

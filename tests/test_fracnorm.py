@@ -296,18 +296,45 @@ def count_evaluated(monkeypatch):
     """Hook the endpoint search: the returned dict gathers, under the name of
     each exact function, the (lane, candidate) pairs that it evaluates."""
     evaluated = {}
-    search = fracnorm._best_first
+    search = fracnorm._search
 
-    def counting(bounds, best, widths, exact, tie):
+    def counting(rect, best, width, size, refine, exact, widths, tie):
         def counted(lane, cand):
             found = evaluated.setdefault(exact.__name__, set())
             found.update(zip(lane.tolist(), cand.tolist()))
             return exact(lane, cand)
 
-        search(bounds, best, widths, counted, tie)
+        search(rect, best, width, size, refine, counted, widths, tie)
 
-    monkeypatch.setattr(fracnorm, "_best_first", counting)
+    monkeypatch.setattr(fracnorm, "_search", counting)
     return evaluated
+
+
+def count_bound_entries(monkeypatch):
+    """Hook the far bounds: the returned dict counts under "bound" the
+    entries, one per lane, range or end, block and component, that _reach
+    bounds, rectangles and single ends alike."""
+    entries = {"bound": 0}
+    reach = fracnorm._reach
+
+    def counting(top, bottom, hi, lo):
+        got = reach(top, bottom, hi, lo)
+        entries["bound"] += got.size
+        return got
+
+    monkeypatch.setattr(fracnorm, "_reach", counting)
+    return entries
+
+
+def ranges_of(a, width, count):
+    """Per range of width ends, the largest of a (P, ends) over its ends."""
+    return np.maximum.reduceat(a, np.arange(0, a.shape[1], width), axis=1)[:, :count]
+
+
+def every_end(lanes, ends):
+    """Every (lane, end) pair, as the per-end bounds take them."""
+    lane, end = np.divmod(np.arange(lanes * ends), ends)
+    return lane, end
 
 
 def exact_cells(values, dt, lambda_exponent, blocks):
@@ -340,30 +367,58 @@ class TestEndpoints:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fracnorm, "_NEAR_LAGS", near)
             b = _endpoint_bounds(values, dt, alpha, 1.0 - alpha)
-        # each end's row: its near part plus the tail bound; exact where the tail is 0
+            # the per-end bounds of every end, as the search refines them
+            lane, end = every_end(2, n + 1)
+            tail = b.row_tail(lane, end).reshape(2, n + 1) if n > near else np.zeros((2, n + 1))
+            cells = (b.cell(*every_end(2, len(b.blocks) * (n + 1))).reshape(2, -1) if n > near
+                     else np.zeros((2, 0)))
+        count = -(-(n + 1) // b.width)  # ranges of b.width ends
         rows = _lag_sweep(values, dt, alpha)[0].T
-        bound = b.rows + b.tail
-        assert np.all(rows <= bound * tie(n))
         damping = np.exp(-lam * f.times)
+        # each range of ends: the largest near part plus the range's tail
+        # bound, damped by its largest damping, above every end's row
+        rect = ranges_of(b.rows, b.width, count) + b.tail
+        assert b.tail.shape == (2, count)
+        assert np.all(rows <= np.repeat(rect, b.width, axis=1)[:, : n + 1] * tie(n))
+        damped = ranges_of(damping[None], b.width, count) * rect
+        assert np.all(damping * rows <= np.repeat(damped, b.width, axis=1)[:, : n + 1] * tie(n))
+        # each end's row: its near part plus the tail bound; exact where the tail is 0
+        bound = b.rows + tail
+        assert np.all(rows <= bound * tie(n))
         assert np.all(damping * rows <= damping * bound * tie(n))
-        flat = b.tail == 0.0
+        flat = tail == 0.0
         assert np.all(np.abs(b.rows - rows)[flat] <= row_rel(n) * rows[flat])
-        # each (end, block) quotient cell: rounding is monotone, so no tie is needed
-        assert np.all(exact_cells(values, dt, 1.0 - alpha, b.blocks) <= b.cells)
-        assert b.cells.shape == (2, len(b.blocks) * (n + 1))
+        assert np.all(tail[np.repeat(b.tail, b.width, axis=1)[:, : n + 1] == 0.0] == 0.0)
+        # each (end, block) quotient cell, and each range's: rounding is
+        # monotone, so no tie is needed
+        want = exact_cells(values, dt, 1.0 - alpha, b.blocks)
+        assert np.all(want <= cells)
+        assert cells.shape == want.shape == (2, len(b.blocks) * (n + 1))
+        for k in range(len(b.blocks)):
+            rect = b.cells[:, k * count : (k + 1) * count]
+            assert np.all(want[:, k * (n + 1) : (k + 1) * (n + 1)]
+                          <= np.repeat(rect, b.width, axis=1)[:, : n + 1])
         assert np.all(b.quot <= _lag_sweep(values, dt, lambda_exponent=1.0 - alpha)[1])
         # each start of each component, on [0, T]: its largest quotient is at
         # least its near one, equal to it where no far increment is positive,
-        # and otherwise at most the larger of it and its far bound
+        # and otherwise at most the larger of it and its far bound; start s
+        # is the end n - s of the reversed path, by which its ranges go
         g = SamplePath(f.grid, values[:, 0]).restrict(0.0, t0 + 2.0) if t0 < 0.0 else f
-        g = values[-(g.grid.n_steps + 1) :].reshape(g.grid.n_steps + 1, 2 * d, 1)
+        m = g.grid.n_steps
+        g = values[-(m + 1) :].reshape(m + 1, 2 * d, 1)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fracnorm, "_NEAR_LAGS", near)
             b = _endpoint_bounds(g, dt, driver_alpha=alpha)
+            lane, end = every_end(2 * d, m)
+            far = (b.start_far(lane, m - end).reshape(2 * d, m) if m > near
+                   else np.zeros((2 * d, m)))
         starts = driver_per_lag(g, dt, alpha)[1].T
         assert np.all(b.peak <= starts)
-        assert np.array_equal(starts[b.far == 0.0], b.peak[b.far == 0.0])
-        assert np.all(starts <= np.maximum(b.peak, (b.run + b.far) * tie(n)))
+        assert np.array_equal(starts[far == 0.0], b.peak[far == 0.0])
+        assert np.all(starts <= np.maximum(b.peak, far * tie(n)))
+        rect = np.repeat(b.far, b.width, axis=1)[:, 1 : m + 1][:, ::-1]
+        assert np.all(starts <= np.maximum(b.peak, rect * tie(n)))
+        assert np.all(far[rect == 0.0] == 0.0)
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("n,budget", [(n, None) for n in (1, 2, 3, 64, 300, 4096)]
@@ -431,12 +486,34 @@ class TestEndpoints:
         holder = np.abs(g.values).max(axis=0) + quot
         assert [r.norms["holder_1_minus_alpha"] for r in reports] == holder.tolist()
 
-    def test_flat_far_lags_evaluate_nothing(self, monkeypatch):
-        # a constant path has no far increment: no end or start is evaluated
-        def search(bounds, best, widths, exact, tie):
-            assert not bounds.any()
+    @pytest.mark.parametrize("seed", [1, 3, 4])
+    def test_fbm_far_bounds_stay_few(self, monkeypatch, seed):
+        # one bound per (range of ends or starts, block), then per end only
+        # inside the ranges that reach the best: at most 8 n bound entries
+        # per norm at 4,096 steps, where one per (end, block) took 44.6 n
+        n = 4096
+        g = sample_circulant(TimeGrid(0.0, 1.0, n), 0.75, 1, seed=(seed, 0))
+        values, dt = g.values[:, :, None], g.grid.dt
+        lags = dict(enumerate(lag for _, lag in _endpoint_bounds(values, dt, None, 0.625).blocks))
+        entries, evaluated = count_bound_entries(monkeypatch), count_evaluated(monkeypatch)
+        report = norm_report(g, 0.375)
+        assert 0 < entries["bound"] <= 3 * 8 * n
+        exact = n * sum(len(evaluated.get(name, ())) for name in ("exact_rows", "exact_starts"))
+        exact += sum(lags[cell // (n + 1)] for _, cell in evaluated.get("exact_cells", ()))
+        assert exact <= 64 * n
+        assert report.norms["lambda_alpha_bound"] == lambda_alpha_bound(g, 0.375)
+        for norm in ({"alpha": 0.375}, {"lambda_exponent": 0.625}, {"driver_alpha": 0.375}):
+            entries["bound"] = 0
+            _endpoint_sups(values, dt, **norm)
+            assert 0 < entries["bound"] <= 8 * n
 
-        monkeypatch.setattr(fracnorm, "_best_first", search)
+    def test_flat_far_lags_evaluate_nothing(self, monkeypatch):
+        # a constant path has no far increment: no range of ends or starts is
+        # refined or evaluated
+        def search(rect, best, width, size, refine, exact, widths, tie):
+            assert not rect.any()
+
+        monkeypatch.setattr(fracnorm, "_search", search)
         f = kind_path("constant", 2048)
         got = _endpoint_sups(f.values[:, None], f.grid.dt, 0.3, None, 0.7, 0.3)
         assert got == (0.5, None, 0.0, 0.0)
