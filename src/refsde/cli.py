@@ -376,19 +376,9 @@ def _failure_record(exc: Exception) -> dict:
     return record
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if dataclasses.is_dataclass(obj):
-        return dataclasses.asdict(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _dumps(payload: dict, **kwargs) -> str:
     """payload as strict JSON: a NaN or infinite value raises ValueError."""
-    return json.dumps(payload, default=_json_default, allow_nan=False, **kwargs)
+    return json.dumps(payload, allow_nan=False, **kwargs)
 
 
 def _write_json(path: Path, payload: dict) -> None:

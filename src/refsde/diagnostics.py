@@ -15,7 +15,7 @@ import numpy as np
 from .fracnorm import (
     AlphaParams,
     _holder_exponents,
-    _w_alpha_inf_norms,
+    _lane_sups,
     holder_norm,
     lambda_alpha_bound,
     w_alpha_inf_norm,
@@ -97,6 +97,8 @@ def apriori_scaling_probe(runs: list[tuple[ReflectedSolution, float, float]]) ->
         predictors.append(lam ** exponent)
         norm = w_alpha_inf_norm(sol.x, AlphaParams(alpha=alpha))
         log_norms.append(float(np.log(max(norm, 1e-300))))
+    if len(set(predictors)) < 2:  # the line through one driver size has no slope
+        raise ValueError("the scaling probe needs runs of at least two driver sizes")
     slope, intercept = np.polyfit(predictors, log_norms, 1)
     fitted = slope * np.asarray(predictors) + intercept
     resid = np.asarray(log_norms) - fitted
@@ -140,10 +142,11 @@ def moment_probe(p: Problem, cfg: SolverConfig, p_exponent: float,
     if sorted(ensemble_sizes) != list(ensemble_sizes) or len(ensemble_sizes) < 2:
         raise ValueError("ensemble sizes must be ascending, at least two of them")
     mc = solve_stochastic(p, cfg, ensemble_sizes[-1])
-    params = AlphaParams(alpha=alpha)
+    AlphaParams(alpha=alpha)  # checks alpha
     done = [i for i, sol in enumerate(mc.solutions) if sol is not None]
     norms = np.full(len(mc.solutions), np.nan)  # a failed path stays NaN
-    norms[done] = _w_alpha_inf_norms([mc.solutions[i].x for i in done], params.alpha)
+    if done:
+        norms[done] = _lane_sups([mc.solutions[i].x for i in done], alpha)[0]
     rng = np.random.default_rng(cfg.seed)
     estimates, lows, highs, excluded = [], [], [], []
     for size in ensemble_sizes:

@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 # Entries per round of exact evaluations of the endpoint search; it also
-# sizes the groups of lanes (_lane_group).
+# sizes the groups of lanes (_lane_sups).
 _BLOCK_ENTRIES = 1 << 15
 # Lags that the endpoint search sweeps for every end and start, and far
 # blocks per doubling of their width, measured on fBm and solution paths of
@@ -462,31 +462,30 @@ def _endpoint_sups(values: np.ndarray, dt: float, alpha: float | None = None,
                     - near[end] * h[np.arange(len(end)), end - 1])
 
         rows = bounds.rows
-        # known: the ends without far increments, and those evaluated
-        value = np.where(np.repeat(bounds.tail, width, axis=1)[:, : n + 1] > 0.0, -np.inf, rows)
+        # value: the near parts, the rows of the known ends, those without far
+        # increments and those evaluated
+        value, known = rows.copy(), np.repeat(bounds.tail, width, axis=1)[:, : n + 1] == 0.0
         top = np.maximum.reduceat(rows, starts, axis=1) + bounds.tail
         plain = damping is None or bool(np.all(damping == 1.0))  # then damped rows are rows
         for scale in (np.ones(n + 1),) if plain else (np.ones(n + 1), damping[:, 0]):
             def refine_rows(lane, end):
                 tail = bounds.row_tail(lane, end)
                 flat = (lane[tail == 0.0], end[tail == 0.0])
-                value[flat] = rows[flat]
-                known = value[lane, end] > -np.inf
-                return np.where(known, 0.0, scale[end] * (rows[lane, end] + tail))
+                value[flat], known[flat] = rows[flat], True
+                return np.where(known[lane, end], 0.0, scale[end] * (rows[lane, end] + tail))
 
             def exact_rows(lane, end):
-                value[lane, end] = row_values(lane, end)
+                value[lane, end], known[lane, end] = row_values(lane, end), True
                 return scale[end] * value[lane, end]
 
-            known = value > -np.inf
             # every near part is its end's row up to rounding: a start for the best
-            best = (scale * np.where(known, value, rows)).max(axis=1)
+            best = (scale * value).max(axis=1)
             rect = np.where(bounds.tail > 0.0, np.maximum.reduceat(scale, starts) * top, 0.0)
             _search(rect, best, width, n + 1, refine_rows, exact_rows, np.full(n + 1, n), tie)
             if out[0] is None:  # the damped pass only adds ends below this sup
-                out[0] = value.max(axis=1)
+                out[0] = value.max(axis=1, where=known, initial=-np.inf)
         if damping is not None:
-            out[1] = np.where(value > -np.inf, damping[:, 0] * value, -np.inf).max(axis=1)
+            out[1] = (damping[:, 0] * value).max(axis=1, where=known, initial=-np.inf)
     if lambda_exponent is not None:
         powers = _lag_powers(n, dt, lambda_exponent)
         behind = np.concatenate([np.repeat(values[:1], n, axis=0), values])
@@ -534,37 +533,42 @@ def _endpoint_sups(values: np.ndarray, dt: float, alpha: float | None = None,
     return tuple(out)
 
 
-def _lane_group(n: int) -> int:
-    """Lanes per search on an n-step grid: the sweep's increments of all of
-    them at one lag and their weighted copy stay within _BLOCK_ENTRIES per
-    component."""
-    return max(1, _BLOCK_ENTRIES // (2 * (n + 1)))
-
-
-def _w_alpha_inf_norms(fs: list[SamplePath], alpha: float) -> np.ndarray:
-    """w_alpha_inf_norm of every path of fs, which share one grid, as the
-    lanes of one _endpoint_sups per _lane_group."""
-    norms = np.empty(len(fs))
-    if fs:
-        grid = fs[0].grid
-        group = _lane_group(grid.n_steps)
-        for first in range(0, len(fs), group):
-            values = np.stack([f.values for f in fs[first : first + group]], axis=1)
-            norms[first : first + group] = _endpoint_sups(values, grid.dt, alpha)[0]
-    return norms
+def _lane_sups(fs: list[SamplePath], alpha: float | None = None,
+               lambda_weight: float | None = None, lambda_exponent: float | None = None,
+               driver_alpha: float | None = None, interval: tuple[float, float] | None = None):
+    """The norms of every path of fs, which share one grid and one dimension, on
+    interval, as (rows, damped, holder, drive), each (P,) or None unless asked
+    for: with alpha the W^(alpha,infinity) norm, and with lambda_weight its
+    exp(-lambda_weight t)-weighted form; the lambda_exponent-Hoelder norm; the
+    driver norm with driver_alpha.  One _endpoint_sups per group of paths whose
+    increments at one lag and their weighted copy fit _BLOCK_ENTRIES a component."""
+    fs = [f.restrict(*interval) for f in fs] if interval else fs
+    grid = fs[0].grid
+    if any(f.grid != grid or f.dim != fs[0].dim for f in fs):
+        raise ValueError("norm_reports needs paths of one grid and one dimension")
+    with np.errstate(over="ignore"):  # an overflow is an error below
+        damping = None if lambda_weight is None else np.exp(-lambda_weight * grid.times)[:, None]
+    if damping is not None and np.isinf(damping[0, 0]):
+        raise ValueError(f"exp(-lambda t) overflows at lambda = {lambda_weight}, t0 = {grid.t0}")
+    group = max(1, _BLOCK_ENTRIES // (2 * (grid.n_steps + 1)))
+    parts = []
+    for first in range(0, len(fs), group):
+        values = np.stack([f.values for f in fs[first : first + group]], axis=1)
+        rows, damped, quot, drive = _endpoint_sups(values, grid.dt, alpha, damping,
+                                                   lambda_exponent, driver_alpha)
+        holder = None if quot is None else np.linalg.norm(values, axis=2).max(axis=0) + quot
+        parts.append((rows, damped, holder, drive))
+    return tuple(None if field[0] is None else np.concatenate(field) for field in zip(*parts))
 
 
 def w_alpha_inf_norm(f: SamplePath, p: AlphaParams) -> float:
     """Discrete W^(alpha,infinity) norm of f on p.interval."""
-    f = f.restrict(*p.interval) if p.interval else f
-    return float(_endpoint_sups(f.values[:, None], f.grid.dt, p.alpha)[0][0])
+    return float(_lane_sups([f], p.alpha, interval=p.interval)[0][0])
 
 
 def weighted_alpha_norm(f: SamplePath, p: AlphaParams) -> float:
     """Same as w_alpha_inf_norm with each u-term damped by exp(-lambda*u)."""
-    f = f.restrict(*p.interval) if p.interval else f
-    damping = np.exp(-p.lambda_weight * f.times)[:, None]
-    return float(_endpoint_sups(f.values[:, None], f.grid.dt, p.alpha, damping)[1][0])
+    return float(_lane_sups([f], p.alpha, p.lambda_weight, interval=p.interval)[1][0])
 
 
 def holder_norm(f: SamplePath, lambda_exponent: float,
@@ -572,9 +576,7 @@ def holder_norm(f: SamplePath, lambda_exponent: float,
     """sup|f| + sup over grid pairs of |f(v)-f(u)| / (v-u)^lambda."""
     if not 0.0 < lambda_exponent <= 1.0:
         raise ValueError(f"Hoelder exponent must lie in (0, 1], got {lambda_exponent}")
-    f = f.restrict(*interval) if interval else f
-    quot = _endpoint_sups(f.values[:, None], f.grid.dt, lambda_exponent=lambda_exponent)[2]
-    return float(np.linalg.norm(f.values, axis=1).max()) + float(quot[0])
+    return float(_lane_sups([f], lambda_exponent=lambda_exponent, interval=interval)[2][0])
 
 
 def g_norm_one_minus_alpha(g: SamplePath, alpha: float,
@@ -583,8 +585,7 @@ def g_norm_one_minus_alpha(g: SamplePath, alpha: float,
     over every start and lag, found as lambda_alpha_bound finds it."""
     if g.dim != 1:
         raise ValueError(f"driver norm is defined per component, got dim={g.dim}")
-    g = g.restrict(*interval) if interval else g
-    return float(_endpoint_sups(g.values[:, None], g.grid.dt, driver_alpha=alpha)[3][0])
+    return float(_lane_sups([g], driver_alpha=alpha, interval=interval)[3][0])
 
 
 def _lambda_bound(norm: float, alpha: float) -> float:
@@ -603,9 +604,7 @@ def lambda_alpha_bound(g: SamplePath, alpha: float,
     exactly, its running sum added in lag order, unless a bound of its range
     or its own (_endpoint_bounds) lies below the best quotient so far.
     """
-    g = g.restrict(*interval) if interval else g
-    drive = _endpoint_sups(g.values[:, None], g.grid.dt, driver_alpha=alpha)[3]
-    return _lambda_bound(drive[0], alpha)
+    return _lambda_bound(_lane_sups([g], driver_alpha=alpha, interval=interval)[3][0], alpha)
 
 
 def f_norm_alpha_1(f: SamplePath, alpha: float,
@@ -702,47 +701,35 @@ def norm_reports(fs: list[SamplePath], alpha: float,
     """norm_report of every path of fs, which share one grid and one
     dimension, as lanes of one pass.
 
-    One _endpoint_sups gives the largest W^(alpha,infinity) row, plain and
-    damped, the Hoelder quotient and, on paths from t = 0, the driver norm
-    of every lane, and one fit the exponent estimates.  The lanes go in
-    groups of _lane_group.
+    One _lane_sups gives the W^(alpha,infinity) norm, plain and damped, the
+    Hoelder norm and, on paths from t = 0, the driver norm of every path, and
+    one fit the exponent estimates.
     """
     if not fs:
         return []
+    AlphaParams(alpha=alpha, lambda_weight=lambda_weight)  # checks both
     grid = fs[0].grid
-    if any(f.grid != grid or f.dim != fs[0].dim for f in fs):
-        raise ValueError("norm_reports needs paths of one grid and one dimension")
-    params = AlphaParams(alpha=alpha, lambda_weight=lambda_weight)
-    n, times = grid.n_steps, grid.times
-    from_zero = bool(abs(times[0]) < 1e-12)  # the driver norm is defined on [0, T]
-    damping = np.exp(-params.lambda_weight * times)[:, None]
-    group = _lane_group(n)
-    reports = []
-    for first in range(0, len(fs), group):
-        lanes = fs[first : first + group]
-        values = np.stack([f.values for f in lanes], axis=1)
-        exponents = _holder_exponents(values, grid.dt)
-        w_alpha, weighted, quot, drive = _endpoint_sups(values, grid.dt, alpha, damping,
-                                                        1.0 - alpha, alpha if from_zero else None)
-        holder = np.linalg.norm(values, axis=2).max(axis=0) + quot
-        reports += [
-            NormReport(
-                alpha=alpha,
-                lambda_weight=lambda_weight,
-                interval=(float(times[0]), float(times[-1])),
-                n_steps=n,
-                norms={
-                    "w_alpha_inf": float(w_alpha[p]),
-                    "weighted_alpha": float(weighted[p]),
-                    "holder_1_minus_alpha": float(holder[p]),
-                    "lambda_alpha_bound": _lambda_bound(drive[p], alpha) if from_zero else None,
-                    "holder_exponent_estimate": exponents[p][0],
-                    "constant_path": exponents[p][1],
-                },
-            )
-            for p, f in enumerate(lanes)
-        ]
-    return reports
+    from_zero = bool(abs(grid.t0) < 1e-12)  # the driver norm is defined on [0, T]
+    w_alpha, weighted, holder, drive = _lane_sups(fs, alpha, lambda_weight, 1.0 - alpha,
+                                                  alpha if from_zero else None)
+    exponents = _holder_exponents(np.stack([f.values for f in fs], axis=1), grid.dt)
+    return [
+        NormReport(
+            alpha=alpha,
+            lambda_weight=lambda_weight,
+            interval=(float(grid.t0), float(grid.t1)),
+            n_steps=grid.n_steps,
+            norms={
+                "w_alpha_inf": float(w_alpha[p]),
+                "weighted_alpha": float(weighted[p]),
+                "holder_1_minus_alpha": float(holder[p]),
+                "lambda_alpha_bound": _lambda_bound(drive[p], alpha) if from_zero else None,
+                "holder_exponent_estimate": exponents[p][0],
+                "constant_path": exponents[p][1],
+            },
+        )
+        for p in range(len(fs))
+    ]
 
 
 def norm_report(f: SamplePath, alpha: float, lambda_weight: float = 0.0) -> NormReport:

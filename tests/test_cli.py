@@ -267,6 +267,16 @@ class TestNormsCmd:
         assert captured.err == f"error: lambda_weight must be finite and >= 0, got {lam}\n"
         assert captured.out == "" and not out.exists()
 
+    def test_overflowing_damping_names_lambda_and_t0(self, tmp_path, capsys):
+        src = tmp_path / "g.csv"
+        src.write_text("t,f\n-1,0\n0,1\n1,0.5\n")
+        out = tmp_path / "norms.json"
+        assert main(["norms", str(src), "--alpha", "0.3", "--lambda", "1000",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: exp(-lambda t) overflows at lambda = 1000.0, t0 = -1.0\n"
+        assert captured.out == "" and not out.exists()
+
     def test_non_finite_norm_is_an_error_not_json(self, tmp_path, capsys, monkeypatch):
         # a value JSON cannot hold ends the command with exit 1 and writes no file
         class Report:

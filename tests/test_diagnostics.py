@@ -116,6 +116,14 @@ class TestScalingProbe:
         fitted = rep.slope * np.array(rep.predictors)[order] + rep.intercept
         assert np.all(np.diff(fitted) > 0.0)
 
+    def test_one_driver_size_is_an_error(self):
+        # five runs of one driver: a line through one predictor has no slope
+        n_r = 64
+        p = linear_problem(n_r, M=1)
+        runs = [(solved(p, n_r, seed=(42, 0)), 0.3, 1.0)] * 5
+        with pytest.raises(ValueError, match="two driver sizes"):
+            apriori_scaling_probe(runs)
+
     def test_duplicates_deterministic(self):
         n_r = 64
         p = linear_problem(n_r, M=1)

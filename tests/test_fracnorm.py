@@ -14,7 +14,7 @@ from refsde.fracnorm import (
     _lag_powers,
     _lag_sweep,
     _lag_weights,
-    _w_alpha_inf_norms,
+    _lane_sups,
     f_norm_alpha_1,
     g_norm_one_minus_alpha,
     holder_exponent_estimate,
@@ -631,8 +631,7 @@ class TestLanes:
             monkeypatch.setattr(fracnorm, "_BLOCK_ENTRIES", budget)
         fs = self.lanes(257, 2, -1.0)
         want = [w_alpha_inf_norm(f, AlphaParams(alpha=0.3)) for f in fs]
-        assert _w_alpha_inf_norms(fs, 0.3) == pytest.approx(want, rel=1e-12, abs=0.0)
-        assert _w_alpha_inf_norms([], 0.3).shape == (0,)
+        assert _lane_sups(fs, 0.3)[0] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestCachedTables:
@@ -722,6 +721,23 @@ class TestWeighted:
         u = np.linspace(0.0, 1.0, 200_001)
         want = np.max(np.exp(-5.0 * u) * (u + u ** 0.6 / 0.6))
         assert got == pytest.approx(want, abs=1e-3)
+
+    def test_damping_that_underflows_is_clean(self):
+        # exp(-1000 u) is 0 past u ~ 0.745: those ends weigh nothing, and no
+        # warning leaks (the suite turns RuntimeWarnings into errors)
+        f = walk(7, 400, t0=0.0)
+        got = weighted_alpha_norm(f, AlphaParams(alpha=0.3, lambda_weight=1000.0))
+        rows = one_lane_rows(f, 0.3, 0.7)[0]
+        want = (np.exp(-1000.0 * f.times) * rows).max()
+        assert got == pytest.approx(want, rel=row_rel(400), abs=0.0)
+
+    def test_damping_that_overflows_is_an_error(self):
+        # exp(-1000 t) at t0 = -1 is past the largest float
+        f = walk(7, 400, t0=-1.0)
+        with pytest.raises(ValueError, match=r"lambda = 1000\.0, t0 = -1\.0"):
+            weighted_alpha_norm(f, AlphaParams(alpha=0.3, lambda_weight=1000.0))
+        with pytest.raises(ValueError, match=r"lambda = 1000\.0, t0 = -1\.0"):
+            norm_reports([f], 0.3, lambda_weight=1000.0)
 
     @given(st.integers(0, 50), st.floats(0.5, 8.0))
     @settings(max_examples=25, deadline=None)
