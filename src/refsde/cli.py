@@ -523,63 +523,66 @@ def cmd_norms(args) -> int:
 
 # --- entry point ----------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The refsde parser.  With command one of its subcommands, only that one
+    gets its arguments; every subcommand is listed, so the usage and help
+    text stay the same.  Any other command builds them all."""
     parser = argparse.ArgumentParser(
         prog="refsde",
         description="Simulate reflected delay equations driven by fractional noise.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="run a configured Monte Carlo simulation")
-    p.add_argument("config")
-    p.add_argument("--paths", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None, help="output directory override")
-    p.set_defaults(fn=cmd_simulate)
+    def add(name, fn, text):  # the subcommand's parser if its arguments are wanted
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(fn=fn)
+        return p if command in (None, name) else None
 
-    p = sub.add_parser("fbm", help="emit fractional Brownian driver paths as CSV")
-    p.add_argument("--hurst", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--paths", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--method", choices=("cholesky", "circulant"), default="circulant")
-    p.add_argument("--horizon", type=float, default=1.0)
-    p.add_argument("--allow-h-half", action="store_true",
-                   help="accept H = 1/2 (testing only)")
-    p.add_argument("--out", required=True, help="CSV file to write")
-    p.set_defaults(fn=cmd_fbm)
+    if p := add("simulate", cmd_simulate, "run a configured Monte Carlo simulation"):
+        p.add_argument("config")
+        p.add_argument("--paths", type=int, default=None)
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--out", default=None, help="output directory override")
 
-    p = sub.add_parser("skorokhod", help="reflect a free path from CSV")
-    p.add_argument("input")
-    p.add_argument("--out", required=True, help="CSV file to write")
-    p.set_defaults(fn=cmd_skorokhod)
+    if p := add("fbm", cmd_fbm, "emit fractional Brownian driver paths as CSV"):
+        p.add_argument("--hurst", type=float, required=True)
+        p.add_argument("--steps", type=int, required=True)
+        p.add_argument("--paths", type=int, default=1)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--method", choices=("cholesky", "circulant"), default="circulant")
+        p.add_argument("--horizon", type=float, default=1.0)
+        p.add_argument("--allow-h-half", action="store_true",
+                       help="accept H = 1/2 (testing only)")
+        p.add_argument("--out", required=True, help="CSV file to write")
 
-    p = sub.add_parser("converge", help="self-convergence study on one shared driver")
-    p.add_argument("config")
-    p.add_argument("--levels", required=True, help="comma-separated steps per delay")
-    p.add_argument("--out", default=None, help="JSON file to write")
-    p.set_defaults(fn=cmd_converge)
+    if p := add("skorokhod", cmd_skorokhod, "reflect a free path from CSV"):
+        p.add_argument("input")
+        p.add_argument("--out", required=True, help="CSV file to write")
 
-    p = sub.add_parser("audit", help="sample-based estimates of coefficient regularity")
-    p.add_argument("config")
-    p.add_argument("--box-lo", type=float, default=0.0)
-    p.add_argument("--box-hi", type=float, default=2.0)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--out", default=None, help="JSON file to write")
-    p.set_defaults(fn=cmd_audit)
+    if p := add("converge", cmd_converge, "self-convergence study on one shared driver"):
+        p.add_argument("config")
+        p.add_argument("--levels", required=True, help="comma-separated steps per delay")
+        p.add_argument("--out", default=None, help="JSON file to write")
 
-    p = sub.add_parser("norms", help="fractional norm battery of a CSV path")
-    p.add_argument("input")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--lambda", type=float, default=0.0)
-    p.add_argument("--out", default=None, help="JSON file to write")
-    p.set_defaults(fn=cmd_norms)
+    if p := add("audit", cmd_audit, "sample-based estimates of coefficient regularity"):
+        p.add_argument("config")
+        p.add_argument("--box-lo", type=float, default=0.0)
+        p.add_argument("--box-hi", type=float, default=2.0)
+        p.add_argument("--samples", type=int, default=200)
+        p.add_argument("--out", default=None, help="JSON file to write")
 
-    return parser
+    if p := add("norms", cmd_norms, "fractional norm battery of a CSV path"):
+        p.add_argument("input")
+        p.add_argument("--alpha", type=float, required=True)
+        p.add_argument("--lambda", type=float, default=0.0)
+        p.add_argument("--out", default=None, help="JSON file to write")
+
+    return parser if command in (None, *sub.choices) else _build_parser()
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.fn(args)
     except (ConfigError, ValueError, OSError, BlowUpError, PicardConvergenceError) as exc:

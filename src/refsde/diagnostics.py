@@ -139,8 +139,8 @@ def moment_probe(p: Problem, cfg: SolverConfig, p_exponent: float,
     """
     if p_exponent < 1.0:
         raise ValueError("p_exponent must be >= 1")
-    if sorted(ensemble_sizes) != list(ensemble_sizes) or len(ensemble_sizes) < 2:
-        raise ValueError("ensemble sizes must be ascending, at least two of them")
+    if len(ensemble_sizes) < 2 or any(a >= b for a, b in zip(ensemble_sizes, ensemble_sizes[1:])):
+        raise ValueError("ensemble sizes must be strictly ascending, at least two of them")
     mc = solve_stochastic(p, cfg, ensemble_sizes[-1])
     AlphaParams(alpha=alpha)  # checks alpha
     done = [i for i, sol in enumerate(mc.solutions) if sol is not None]

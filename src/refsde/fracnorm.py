@@ -21,11 +21,11 @@ whose bound reaches the best so far (_endpoint_bounds); _search evaluates
 exactly, best first, those whose own bound times 1 + max(1e-12, (n + 1) eps)
 does, a margin for the rounding of two sums of at most n + 1 positive terms.
 
-The Hoelder quotient and the driver norm are bit-equal to the sweep over
-every pair: a cell's quotients are computed as that sweep computes them,
-and each start's running sum is added in lag order.  An evaluated row is
-summed in another order, within (n + 1) machine epsilons relative of the
-sweep's.  _lag_sweep also gives the full rows of f_norm_alpha_1.
+Every norm is bit-equal to the sweep over every pair: a cell's quotients
+are computed as that sweep computes them, and each evaluated row and each
+start's running sum is added in its lag order.  So a path's norms, and its
+exponent estimate, do not depend on the paths that share its call.
+_lag_sweep also gives the full rows of f_norm_alpha_1.
 """
 
 from __future__ import annotations
@@ -452,13 +452,15 @@ def _endpoint_sups(values: np.ndarray, dt: float, alpha: float | None = None,
         # back[n - u + L] = f(t_(u - L)) for the lags L = 1..u of end u, then zeros
         back = np.concatenate([values[::-1], np.zeros_like(values[1:])])
 
-        def row_values(lane, end):
+        def row_values(lane, end):  # in _lag_sweep's order: |f(u)|, w h by lag, - near h
             span = end.max()
             h = sliding_window_view(back, span, axis=0)[n + 1 - end, lane]
             h = np.subtract(values[end, lane][:, :, None], h, out=h).transpose(0, 2, 1)
             h = _magnitudes(h, out=h[..., 0])
             h[upto[:span] > end[:, None]] = 0.0
-            return (_magnitudes(values[end, lane]) + h @ weight[:span]
+            terms = h * weight[:span]
+            terms[:, 0] += _magnitudes(values[end, lane])
+            return (np.cumsum(terms, axis=1)[:, -1]
                     - near[end] * h[np.arange(len(end)), end - 1])
 
         rows = bounds.rows
@@ -633,32 +635,30 @@ def _holder_exponents(values: np.ndarray, dt: float) -> list[tuple[float | None,
     of values, shape (n + 1, P, d); (None, None) below 64 steps, too few
     for the fit.
 
-    The lanes whose maximal increments are positive at every dyadic lag
-    share one multi-column fit; each other lane is fitted alone on its
-    positive lags.
+    Each lane's estimate is the least-squares slope over its positive
+    dyadic lags, every sum taken in lag order within the lane, so it does
+    not depend on the other lanes.
     """
     n = values.shape[0] - 1
     if n < 64:
         return [(None, None)] * values.shape[1]
     lags = [1 << j for j in range((n // 4).bit_length())]  # 1, 2, 4, ... <= n // 4
-    log_lags = np.log([lag * dt for lag in lags])
     f = np.ascontiguousarray(values.transpose(1, 0, 2))  # lane-major: each max runs along a lane
     mags = np.array([np.linalg.norm(f[:, lag:] - f[:, : n + 1 - lag], axis=2).max(axis=1)
                      for lag in lags])  # (lags, P)
     positive = mags > 0.0
-    full = positive.all(axis=0)
-    slopes = np.empty(values.shape[1])
-    if full.any():
-        slopes[full] = np.polyfit(log_lags, np.log(mags[:, full]), 1)[0]
-    estimates = []
-    for p, keep in enumerate(positive.T):
-        if keep.sum() < 2:
-            estimates.append((1.0, True))
-            continue
-        if not full[p]:
-            slopes[p] = np.polyfit(log_lags[keep], np.log(mags[keep, p]), 1)[0]
-        estimates.append((float(min(max(slopes[p], 1e-12), 1.0)), False))
-    return estimates
+    x = np.where(positive, np.log([lag * dt for lag in lags])[:, None], 0.0)
+    y = np.log(mags, out=np.zeros_like(mags), where=positive)
+    count = positive.sum(axis=0)
+    fit = count >= 2
+
+    def total(a):  # per lane, in lag order: pairwise sums would depend on the lane count
+        return np.cumsum(a, axis=0)[-1]
+
+    dx = np.where(positive, x - total(x) / np.maximum(count, 1), 0.0)
+    slopes = total(dx * (y - total(y) / np.maximum(count, 1))) / np.where(fit, total(dx * dx), 1.0)
+    return [(float(min(max(s, 1e-12), 1.0)), False) if ok else (1.0, True)
+            for s, ok in zip(slopes.tolist(), fit)]
 
 
 def holder_exponent_estimate(f: SamplePath, with_flag: bool = False):
@@ -703,7 +703,7 @@ def norm_reports(fs: list[SamplePath], alpha: float,
 
     One _lane_sups gives the W^(alpha,infinity) norm, plain and damped, the
     Hoelder norm and, on paths from t = 0, the driver norm of every path, and
-    one fit the exponent estimates.
+    _holder_exponents its exponent estimate, each as the path alone gives it.
     """
     if not fs:
         return []

@@ -479,11 +479,11 @@ class ConvergenceTable:
 
 
 def _check_levels(levels: list[int]) -> None:
-    """At least 3 ascending positive levels, each dividing the finest."""
+    """At least 3 strictly ascending positive levels, each dividing the finest."""
     if len(levels) < 3:
         raise ValueError("need at least 3 refinement levels")
-    if sorted(levels) != list(levels):
-        raise ValueError("levels must be ascending")
+    if any(a >= b for a, b in zip(levels, levels[1:])):
+        raise ValueError(f"levels must be strictly ascending, got {list(levels)}")
     finest = levels[-1]
     for lvl in levels:
         if lvl < 1:

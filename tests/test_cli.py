@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import io
 import json
 import os
@@ -293,9 +295,8 @@ class TestNormsCmd:
         assert captured.out == "" and not out.exists()
 
     def test_components_share_one_search(self, tmp_path, capsys):
-        # a 2-column CSV: one norm_reports call over both components, whose
-        # quotient and driver norm are bit-equal to the per-component reports
-        # and whose rows agree within (n + 1) eps relative
+        # a 2-column CSV: one norm_reports call over both components, each
+        # bit-equal to its component's report alone
         n = 1024
         g = sample_circulant(TimeGrid(0.0, 1.0, n), 0.75, 2, seed=(2, 0))
         src = tmp_path / "g.csv"
@@ -308,11 +309,7 @@ class TestNormsCmd:
         for i in range(2):
             want = norm_report(f.component(i), 0.375, lambda_weight=0.5).to_dict()["norms"]
             norms = got[f"component_{i + 1}"]["norms"]
-            for key in ("holder_1_minus_alpha", "lambda_alpha_bound", "holder_exponent_estimate"):
-                assert norms[key] == want[key]
-            for key in ("w_alpha_inf", "weighted_alpha"):
-                assert norms[key] == pytest.approx(want[key], rel=(n + 1) * np.finfo(float).eps,
-                                                   abs=0.0)
+            assert norms == want
 
     @pytest.mark.parametrize("command", ["norms", "skorokhod"])
     def test_comment_before_header(self, tmp_path, capsys, command):
@@ -432,6 +429,16 @@ class TestConvergeCmd:
         rc = main(["converge", bundled("linear_a.cfg"), "--levels", "64,128"])
         assert rc == 1
         assert "3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("levels", ["8,8,16", "4,4,4"])
+    def test_repeated_levels_exit_one(self, capsys, levels):
+        # an error line and nothing else: no order, no RankWarning
+        rc = main(["converge", bundled("linear_a.cfg"), "--levels", levels])
+        assert rc == 1
+        captured = capsys.readouterr()
+        want = [int(v) for v in levels.split(",")]
+        assert captured.err == f"error: levels must be strictly ascending, got {want}\n"
+        assert captured.out == ""
 
     def test_nonpositive_level_exit_one(self, tmp_path, capsys):
         rc = main(["converge", write_config(tmp_path, MINIMAL.format(out=tmp_path)),
@@ -565,3 +572,34 @@ class TestAuditCmd:
         cfg = write_config(tmp_path, MINIMAL.format(out=tmp_path))
         assert main(["audit", cfg, "--samples", "10", *box]) == 1
         assert capsys.readouterr().err.startswith("error: box needs lo < hi with a finite width")
+
+
+class TestParser:
+    COMMANDS = ["simulate", "fbm", "skorokhod", "converge", "audit", "norms"]
+
+    @staticmethod
+    def printed(parser, argv):
+        """The exit code, stdout and stderr of parser on argv, which must exit."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as exited:
+                parser.parse_args(argv)
+        return exited.value.code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"]]
+                             + [[c, *rest] for c in COMMANDS
+                                for rest in ([], ["-h"], ["x", "--bogus"])])
+    def test_text_is_the_full_parsers(self, argv):
+        # help, usage and error text do not depend on which arguments are built
+        one = cli._build_parser(argv[0] if argv else None)
+        assert self.printed(one, argv) == self.printed(cli._build_parser(), argv)
+
+    def test_builds_only_the_invoked_arguments(self):
+        parser = cli._build_parser("norms")
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        # each subcommand has its -h; norms also its input, --alpha, --lambda and --out
+        assert {name: len(p._actions) for name, p in sub.choices.items()} == {
+            **dict.fromkeys(self.COMMANDS, 1), "norms": 5}
+        args = parser.parse_args(["norms", "in.csv", "--alpha", "0.3"])
+        assert (args.fn, args.input, args.alpha, getattr(args, "lambda")) == (
+            cli.cmd_norms, "in.csv", 0.3, 0.0)

@@ -179,6 +179,13 @@ class TestMomentProbe:
         with pytest.raises(ValueError):
             moment_probe(p, SolverConfig(steps_per_delay=32), 2.0, [40, 10])
 
+    @pytest.mark.parametrize("sizes", [[10, 10], [5, 10, 10], [10, 10, 20]])
+    def test_repeated_sizes(self, sizes):
+        # a repeated last size would compare an ensemble with its own interval
+        p = linear_problem(32, M=1)
+        with pytest.raises(ValueError, match="strictly ascending"):
+            moment_probe(p, SolverConfig(steps_per_delay=32), 2.0, sizes)
+
 
 def regularity_per_norm(sol, alpha):
     """holder_regularity_report as it was before it read norm_report: one

@@ -152,9 +152,9 @@ def unpruned_driver_norms(values, dt, alpha):
 
 
 def row_rel(n):
-    """Relative distance allowed between a row max of the endpoint search
-    and of the sweep on n steps: each sums at most n + 1 positive terms, in
-    another order."""
+    """Relative distance allowed between a row of the sweep on n steps and
+    of the per-lag oracle rows_per_lag: each sums at most n + 1 positive
+    terms, in another order."""
     return (n + 1) * np.finfo(float).eps
 
 
@@ -387,7 +387,7 @@ class TestEndpoints:
         assert np.all(rows <= bound * tie(n))
         assert np.all(damping * rows <= damping * bound * tie(n))
         flat = tail == 0.0
-        assert np.all(np.abs(b.rows - rows)[flat] <= row_rel(n) * rows[flat])
+        assert np.array_equal(b.rows[flat], rows[flat])
         assert np.all(tail[np.repeat(b.tail, b.width, axis=1)[:, : n + 1] == 0.0] == 0.0)
         # each (end, block) quotient cell, and each range's: rounding is
         # monotone, so no tie is needed
@@ -436,10 +436,8 @@ class TestEndpoints:
         # the smooth lanes leave many endpoints to evaluate at 4,096 steps
         for lanes in range(1, 8) if n < 4096 else (1, 7):
             got = _endpoint_sups(values[:, :lanes], dt, 0.3, damping, 0.7)
-            assert np.all(np.abs(got[0] - rows[:, :lanes].max(axis=0))
-                          <= row_rel(n) * rows[:, :lanes].max(axis=0))
-            damped = (damping * rows[:, :lanes]).max(axis=0)
-            assert np.all(np.abs(got[1] - damped) <= row_rel(n) * damped)
+            assert np.array_equal(got[0], rows[:, :lanes].max(axis=0))
+            assert np.array_equal(got[1], (damping * rows[:, :lanes]).max(axis=0))
             assert np.array_equal(got[2], quot[:lanes])
             components = values[:, :lanes].reshape(n + 1, lanes * d, 1)
             got = _endpoint_sups(components, dt, driver_alpha=0.3)[3]
@@ -482,7 +480,7 @@ class TestEndpoints:
         assert 1 <= len(evaluated["exact_cells"]) <= lanes * cells // 10
         rows, quot = _lag_sweep(values, grid.dt, 0.375, 0.625)[:2]
         w_alpha = np.array([r.norms["w_alpha_inf"] for r in reports])
-        assert np.all(np.abs(w_alpha - rows.max(axis=0)) <= row_rel(n) * rows.max(axis=0))
+        assert w_alpha.tolist() == rows.max(axis=0).tolist()
         holder = np.abs(g.values).max(axis=0) + quot
         assert [r.norms["holder_1_minus_alpha"] for r in reports] == holder.tolist()
 
@@ -506,6 +504,20 @@ class TestEndpoints:
             entries["bound"] = 0
             _endpoint_sups(values, dt, **norm)
             assert 0 < entries["bound"] <= 8 * n
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n", [40, 257, 1000, 2048])
+    def test_fbm_rows_are_the_sweep(self, n, d):
+        # every evaluated row is summed in the sweep's order: the row sups,
+        # plain and damped, are the sweep's bit for bit at every size
+        g = sample_circulant(TimeGrid(0.0, 1.0, n), 0.75, 3 * d, seed=(n, d))
+        values = g.values.reshape(n + 1, 3, d)
+        damping = np.exp(-0.7 * g.times)[:, None]
+        rows = _lag_sweep(values, g.grid.dt, 0.375)[0]
+        for lanes in (slice(0, 1), slice(0, 3)):
+            got = _endpoint_sups(values[:, lanes], g.grid.dt, 0.375, damping)
+            assert got[0].tolist() == rows[:, lanes].max(axis=0).tolist()
+            assert got[1].tolist() == (damping * rows[:, lanes]).max(axis=0).tolist()
 
     def test_flat_far_lags_evaluate_nothing(self, monkeypatch):
         # a constant path has no far increment: no range of ends or starts is
@@ -631,7 +643,28 @@ class TestLanes:
             monkeypatch.setattr(fracnorm, "_BLOCK_ENTRIES", budget)
         fs = self.lanes(257, 2, -1.0)
         want = [w_alpha_inf_norm(f, AlphaParams(alpha=0.3)) for f in fs]
-        assert _lane_sups(fs, 0.3)[0] == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert _lane_sups(fs, 0.3)[0].tolist() == want
+
+    @pytest.mark.parametrize("budget", [None, 3 * 2 * 257])
+    @pytest.mark.parametrize("n", [256, 1024])
+    @pytest.mark.parametrize("d,t0", [(1, 0.0), (2, 0.0), (1, -1.0), (2, -1.0)])
+    def test_each_path_is_its_own(self, monkeypatch, budget, n, d, t0):
+        # a path's report is bit-equal whether it is alone or among other
+        # paths, fBm and smooth, in its call; with budget the 257-point lanes
+        # go in groups of 3, so a batch crosses lane-group boundaries
+        if budget:
+            monkeypatch.setattr(fracnorm, "_BLOCK_ENTRIES", budget)
+        grid = TimeGrid(t0, t0 + 2.0, n)
+        g = sample_circulant(TimeGrid(0.0, 2.0, n), 0.75, 4 * d, seed=(5, n))
+        fs = [SamplePath(grid, g.values[:, p * d : (p + 1) * d]) for p in range(4)]
+        fs += [SamplePath(grid, kind_path(kind, n, t0).values * np.arange(1.0, d + 1.0))
+               for kind in ("linear", "monotone", "tent", "period-4", "constant")]
+        together = norm_reports(fs, 0.3, lambda_weight=0.7)
+        for k in (1, 2, 4):
+            for first in range(0, len(fs), k):
+                batch = norm_reports(fs[first : first + k], 0.3, lambda_weight=0.7)
+                for got, want in zip(batch, together[first : first + k]):
+                    assert got.norms == want.norms
 
 
 class TestCachedTables:
@@ -729,7 +762,7 @@ class TestWeighted:
         got = weighted_alpha_norm(f, AlphaParams(alpha=0.3, lambda_weight=1000.0))
         rows = one_lane_rows(f, 0.3, 0.7)[0]
         want = (np.exp(-1000.0 * f.times) * rows).max()
-        assert got == pytest.approx(want, rel=row_rel(400), abs=0.0)
+        assert got == want
 
     def test_damping_that_overflows_is_an_error(self):
         # exp(-1000 t) at t0 = -1 is past the largest float

@@ -277,6 +277,15 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError):
             convergence_study(p, g, [64, 128], SolverConfig(steps_per_delay=n))
 
+    @pytest.mark.parametrize("levels", [[8, 8, 16], [4, 4, 4], [8, 16, 16]])
+    def test_repeated_levels(self, levels):
+        # two equal levels would fit an order through two identical points
+        n = levels[-1]
+        p = linear_problem(n, M=1)
+        g = zero_driver(p, n)
+        with pytest.raises(ValueError, match="strictly ascending"):
+            convergence_study(p, g, levels, SolverConfig(steps_per_delay=n))
+
 
 class TestProblemValidation:
     def test_horizon_must_be_multiple(self):
