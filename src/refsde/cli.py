@@ -52,6 +52,7 @@ import numpy as np
 from .coeff import (
     CoefficientSet,
     ExprSyntaxError,
+    _param_dict,
     eval_expr,
     hypothesis_audit,
     parse_expr,
@@ -132,17 +133,15 @@ def _loc(path: Path, lines: dict, section: str, key: str | None) -> str:
     return f"{dotted} ({where})"
 
 
-def _parse_params(raw: str) -> dict:
-    params = {}
-    for chunk in raw.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+def _parse_params(raw: str, d: int) -> dict:
+    """The name = value entries as a dict; a repeated name or a variable's is a ValueError."""
+    pairs = []
+    for chunk in filter(None, map(str.strip, raw.split(","))):
         if "=" not in chunk:
             raise ValueError(f"parameter entry {chunk!r} is not name = value")
         name, value = chunk.split("=", 1)
-        params[name.strip()] = float(value)
-    return params
+        pairs.append((name.strip(), float(value)))
+    return _param_dict(pairs, d)
 
 
 def _eta_values(exprs: list, params: dict, grid: TimeGrid, d: int) -> np.ndarray:
@@ -198,7 +197,7 @@ def load_config(path: str | Path, steps_per_delay: int | None = None) -> RunConf
 
     d = get("problem", "dim", int)
     m = get("problem", "noise_dim", int)
-    params = get("problem", "params", _parse_params, {})
+    params = get("problem", "params", lambda raw: _parse_params(raw, d), {})
     delay = get("problem", "delay", float)
     horizon = get("problem", "horizon", float)
     hurst = get("problem", "hurst", float)
@@ -357,9 +356,11 @@ def _read_path_csv(path: Path) -> SamplePath:
         # rows narrower or wider than the header, or nan, inf or an overflow such as 1e400
         _raise_bad_cell(path, text)
     times, values = data[:, 0], data[:, 1:]
-    n = len(times) - 1
-    grid = TimeGrid(float(times[0]), float(times[-1]), n)
-    if not np.allclose(times, grid.times, atol=1e-9 * max(1.0, abs(grid.t1))):
+    grid = TimeGrid(float(times[0]), float(times[-1]), len(times) - 1)
+    # each t within a thousandth of a step of the grid, beyond the rounding
+    # of |t|: a tolerance relative to t lets a point sit steps away at large t
+    tol = 1e-3 * grid.dt + 4 * np.spacing(max(abs(grid.t0), abs(grid.t1)))
+    if not np.allclose(times, grid.times, rtol=0.0, atol=tol):
         raise ValueError(f"{path} is not sampled on a uniform grid")
     return SamplePath(grid, values)
 

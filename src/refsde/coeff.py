@@ -7,32 +7,28 @@ unary functions sin/cos/exp/abs, and infix arithmetic with ^ (or **) for
 powers.  ^ and ** are right-associative and bind tighter than a leading
 minus, so -x1^2 is -(x1^2) and 2^3^2 is 2^9; * and / bind tighter than
 + and -, and all four associate left.  Diffusion expressions may only
-reference t and the delayed state.
+reference t and the delayed state.  A parameter may not take a variable's
+name, nor be given twice.
+
+Each expression of a CoefficientSet is compiled once, on first use, into
+closures that make a tree walk's numpy calls in its order; the compiled
+form is cached by the set's identity, outside the picklable instance.
 """
 
 from __future__ import annotations
 
-import math
+import operator
+import weakref
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 __all__ = [
-    "ExprSyntaxError",
-    "Const",
-    "Param",
-    "Var",
-    "Unary",
-    "Binary",
-    "parse_expr",
-    "print_expr",
-    "eval_expr",
-    "DeclaredMeta",
-    "CoefficientSet",
-    "eval_drift",
-    "eval_diffusion",
-    "AuditReport",
-    "hypothesis_audit",
+    "ExprSyntaxError", "Const", "Param", "Var", "Unary", "Binary",
+    "parse_expr", "print_expr", "eval_expr",
+    "DeclaredMeta", "CoefficientSet", "eval_drift", "eval_diffusion",
+    "AuditReport", "hypothesis_audit",
 ]
 
 UNARY_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs}
@@ -80,10 +76,7 @@ class Binary:
 
 
 def drift_variables(d: int) -> set[str]:
-    names = {"t"}
-    for i in range(1, d + 1):
-        names.update({f"x{i}", f"xd{i}", f"s{i}"})
-    return names
+    return {"t"} | {f"{v}{i}" for v in ("x", "xd", "s") for i in range(1, d + 1)}
 
 
 def diffusion_variables(d: int) -> set[str]:
@@ -240,34 +233,37 @@ def print_expr(node) -> str:
 
 # --- evaluation ---------------------------------------------------------
 
+# / and ^ give IEEE results (1/0 and 0^-1 are inf, (-1)^0.5 is nan) in
+# their own errstate scopes, silently: the callers' finite checks report
+# which component blew up, instead of a warning or a ZeroDivisionError.
+_OPS = {"neg": operator.neg, **UNARY_FUNCS, "+": operator.add, "-": operator.sub,
+        "*": operator.mul, "/": np.errstate(divide="ignore", invalid="ignore")(np.true_divide),
+        "^": np.errstate(divide="ignore", invalid="ignore")(np.float_power)}
+
+
+def _compile(node, params: dict, slots: dict):
+    """node as a function of a tuple v, with v[g][i] the value of the variable
+    that slots maps to (g, i): a tree walk's calls, operands left to right."""
+    match node:
+        case Const(value):
+            return lambda v: value
+        case Param(name):
+            value = params[name]
+            return lambda v: value
+        case Var(name):
+            g, i = slots[name]
+            return lambda v: v[g][i]
+        case Unary(op, arg):
+            fn, arg = _OPS[op], _compile(arg, params, slots)
+            return lambda v: fn(arg(v))
+    fn = _OPS[node.op]
+    left, right = _compile(node.left, params, slots), _compile(node.right, params, slots)
+    return lambda v: fn(left(v), right(v))
+
+
 def eval_expr(node, env: dict, params: dict):
     """Evaluate an AST; env values may be scalars or broadcastable arrays."""
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Param):
-        return params[node.name]
-    if isinstance(node, Var):
-        return env[node.name]
-    if isinstance(node, Unary):
-        arg = eval_expr(node.arg, env, params)
-        if node.op == "neg":
-            return -arg
-        return UNARY_FUNCS[node.op](arg)
-    left = eval_expr(node.left, env, params)
-    right = eval_expr(node.right, env, params)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if node.op == "/":
-        # IEEE semantics (1/0 -> inf) so the callers' finite checks can
-        # report which component blew up instead of a bare ZeroDivisionError.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.true_divide(left, right)
-    with np.errstate(invalid="ignore"):
-        return np.float_power(left, right)
+    return _compile(node, params, {name: (0, i) for i, name in enumerate(env)})((tuple(env.values()),))
 
 
 def collect_vars(node) -> set[str]:
@@ -281,6 +277,18 @@ def collect_vars(node) -> set[str]:
 
 
 # --- coefficient sets ---------------------------------------------------
+
+def _param_dict(params, d: int) -> dict:
+    """params, a mapping or (name, value) pairs, as a dict; a name given
+    twice, or a variable's, which the parser would read instead, is a ValueError."""
+    pairs = list(params.items() if isinstance(params, dict) else params or ())
+    names = [name for name, _ in pairs]
+    for name in names:
+        if names.count(name) > 1 or name in drift_variables(d):
+            why = "given twice" if names.count(name) > 1 else "the name of a variable"
+            raise ValueError(f"parameter {name!r} is {why}")
+    return dict(pairs)
+
 
 @dataclass(frozen=True)
 class DeclaredMeta:
@@ -331,9 +339,9 @@ class CoefficientSet:
 
     @classmethod
     def from_strings(cls, drift: list[str], diffusion: list[list[str]],
-                     params: dict | None = None, meta: DeclaredMeta | None = None) -> "CoefficientSet":
-        params = dict(params or {})
+                     params: dict | list | None = None, meta: DeclaredMeta | None = None) -> "CoefficientSet":
         d = len(drift)
+        params = _param_dict(params, d)
         m = len(diffusion[0]) if diffusion else 0
         drift_ast = tuple(parse_expr(s, params, d) for s in drift)
         diff_ast = tuple(
@@ -344,30 +352,40 @@ class CoefficientSet:
                    params=params, meta=meta or DeclaredMeta())
 
 
+# The compiled drift and diffusion of each live CoefficientSet, by id.
+_COMPILED: dict = {}
+
+
+def _compiled(c: CoefficientSet) -> tuple:
+    fns = _COMPILED.get(id(c))
+    if fns is None:
+        # v[0][0] is t; v[1], v[2] and v[3] hold the columns of x, x(t - r) and the sups
+        slots = {"t": (0, 0)} | {f"{v}{i + 1}": (g, i) for g, v in enumerate(("x", "xd", "s"), 1)
+                                 for i in range(c.d)}
+        fns = _COMPILED[id(c)] = ([_compile(e, c.params, slots) for e in c.drift],
+                                  [[_compile(e, c.params, slots) for e in row] for row in c.diffusion])
+        weakref.finalize(c, _COMPILED.pop, id(c))
+    return fns
+
+
 def drift_values(c: CoefficientSet, t, x, x_delayed, sups) -> np.ndarray:
     """eval_drift without its finite check: non-finite entries are returned
     as they are."""
-    env = {"t": t}
-    for i in range(c.d):
-        env[f"x{i + 1}"] = x.T[i]
-        env[f"xd{i + 1}"] = x_delayed.T[i]
-        env[f"s{i + 1}"] = sups.T[i]
+    v = ((t,), x.T, x_delayed.T, sups.T)
     out = np.empty_like(x)
-    for i, expr in enumerate(c.drift):
-        out.T[i] = eval_expr(expr, env, c.params)
+    for i, fn in enumerate(_compiled(c)[0]):
+        out.T[i] = fn(v)
     return out
 
 
 def diffusion_values(c: CoefficientSet, t, x_delayed) -> np.ndarray:
     """eval_diffusion without its finite check."""
     x_delayed = np.asarray(x_delayed, dtype=float)
-    env = {"t": t}
-    for i in range(c.d):
-        env[f"xd{i + 1}"] = x_delayed.T[i]
+    v = ((t,), None, x_delayed.T)
     out = np.empty(x_delayed.shape + (c.m,))
-    for i, row in enumerate(c.diffusion):
-        for j, expr in enumerate(row):
-            out.T[j, i] = eval_expr(expr, env, c.params)
+    for i, row in enumerate(_compiled(c)[1]):
+        for j, fn in enumerate(row):
+            out.T[j, i] = fn(v)
     return out
 
 
@@ -427,8 +445,10 @@ class AuditReport:
     flags: dict = field(default_factory=dict)
 
 
-def _random_history(rng, lo, hi, times) -> np.ndarray:
-    return rng.uniform(lo, hi, size=(len(times), len(lo)))
+def _draws(n: int, *draw) -> list:
+    """n samples, each calling the draw functions in turn, as one array per
+    function: a loop's draws in its order, for one batched evaluation."""
+    return [np.array(col) for col in zip(*([f() for f in draw] for _ in range(n)))]
 
 
 def hypothesis_audit(c: CoefficientSet, box, n_samples: int = 200, seed: int = 0,
@@ -453,25 +473,21 @@ def hypothesis_audit(c: CoefficientSet, box, n_samples: int = 200, seed: int = 0
         raise ValueError(f"box needs lo < hi with a finite width hi - lo, got {box}")
     rng = np.random.default_rng(seed)
 
-    # (H1).1 spatial Lipschitz constant of sigma
-    m0_spatial = 0.0
-    for _ in range(n_samples):
-        t = rng.uniform(0.0, t_max)
-        x, y = rng.uniform(lo, hi, (2, c.d))
-        dist = float(np.linalg.norm(x - y))
-        if dist > 1e-12:
-            quot = np.linalg.norm(eval_diffusion(c, t, x) - eval_diffusion(c, t, y)) / dist
-            m0_spatial = max(m0_spatial, float(quot))
+    # (H1).1 spatial Lipschitz constant of sigma: sigma at x and y, one t
+    ts, pairs = _draws(n_samples, partial(rng.uniform, 0.0, t_max),
+                       partial(rng.uniform, lo, hi, (2, c.d)))
+    sig = eval_diffusion(c, ts, pairs)
+    dist = np.linalg.norm(pairs[:, 0] - pairs[:, 1], axis=1)
+    quot = np.linalg.norm(sig[:, 0] - sig[:, 1], axis=(1, 2))[dist > 1e-12] / dist[dist > 1e-12]
+    m0_spatial = float(np.max(quot, initial=0.0))
 
     # (H1).2 time Hoelder: log-log fit of max increment vs lag
     lags = t_max * 2.0 ** -np.arange(1, 9)
-    max_incr = np.zeros_like(lags)
-    for _ in range(max(1, n_samples // 8)):
-        x = rng.uniform(lo, hi, c.d)
-        t = rng.uniform(0.0, t_max - lags[0])
-        for k, lag in enumerate(lags):
-            d_sig = np.linalg.norm(eval_diffusion(c, t + lag, x) - eval_diffusion(c, t, x))
-            max_incr[k] = max(max_incr[k], float(d_sig))
+    xs, ts = _draws(max(1, n_samples // 8), partial(rng.uniform, lo, hi, c.d),
+                    partial(rng.uniform, 0.0, t_max - lags[0]))
+    ts = ts[:, None] + np.r_[0.0, lags]  # t, then t + each of the 8 lags
+    sig = eval_diffusion(c, ts.ravel(), np.repeat(xs, 9, axis=0)).reshape(-1, 9, c.d, c.m)
+    max_incr = np.linalg.norm(sig[:, 1:] - sig[:, :1], axis=(2, 3)).max(axis=0)
     if np.all(max_incr > 0.0):
         beta_est = float(np.polyfit(np.log(lags), np.log(max_incr), 1)[0])
         m0_time = float(np.max(max_incr / lags ** min(beta_est, c.meta.beta)))
@@ -484,42 +500,32 @@ def hypothesis_audit(c: CoefficientSet, box, n_samples: int = 200, seed: int = 0
     n_delay = max(1, round(16 * delay / (delay + t_max)))
     step = delay / n_delay
     hist_grid = step * np.arange(-n_delay, int(t_max / step + 1e-9) + 1)
-
-    def drift_on(k, hist):
-        return eval_drift(c, float(hist_grid[k]), hist[k], hist[k - n_delay],
-                          np.abs(hist[: k + 1]).max(axis=0))
-
-    lip = 0.0
-    for _ in range(max(1, n_samples // 4)):
-        hx = _random_history(rng, lo, hi, hist_grid)
-        hy = _random_history(rng, lo, hi, hist_grid)
-        k = int(rng.integers(n_delay, len(hist_grid)))
-        bx = drift_on(k, hx)
-        by = drift_on(k, hy)
-        denom = float(np.abs(hx[: k + 1] - hy[: k + 1]).max())
-        if denom > 1e-12:
-            lip = max(lip, float(np.linalg.norm(bx - by)) / denom)
+    hists, ks = _draws(max(1, n_samples // 4), partial(rng.uniform, lo, hi, (2, len(hist_grid), c.d)),
+                       partial(rng.integers, n_delay, len(hist_grid)))  # a pair of histories, a row k
+    # x, x(t - delay) and the running sup at row k of each history of a pair
+    rows = np.arange(len(ks))
+    sups = np.maximum.accumulate(np.abs(hists), axis=2)[rows, :, ks]
+    b = eval_drift(c, hist_grid[ks], hists[rows, :, ks], hists[rows, :, ks - n_delay], sups)
+    denom = np.maximum.accumulate(np.abs(hists[:, 0] - hists[:, 1]).max(axis=2), axis=1)[rows, ks]
+    quot = np.linalg.norm(b[:, 0] - b[:, 1], axis=1)[denom > 1e-12] / denom[denom > 1e-12]
+    lip = float(np.max(quot, initial=0.0))
 
     # (H2).2 residual b0(t) = |b(t, zero history)|, L^(1/alpha) norm
     taus = np.linspace(0.0, t_max, 65)
     zeros = np.zeros((len(taus), c.d))
     b0 = np.linalg.norm(eval_drift(c, taus, zeros, zeros, zeros), axis=1)
-    rho = 1.0 / alpha
-    b0_norm = float(np.trapezoid(b0 ** rho, taus) ** alpha)
+    b0_norm = float(np.trapezoid(b0 ** (1.0 / alpha), taus) ** alpha)
 
     # (H3) growth: log-log fit of |sigma| against |x| at large radii
     radii = np.logspace(0.0, 3.0, 10)
-    growth = np.zeros_like(radii)
-    for k, radius in enumerate(radii):
-        for _ in range(max(1, n_samples // 10)):
-            direction = rng.standard_normal(c.d)
-            direction /= max(np.linalg.norm(direction), 1e-12)
-            t = rng.uniform(0.0, t_max)
-            growth[k] = max(growth[k], float(np.linalg.norm(eval_diffusion(c, t, radius * direction))))
-    if np.all(growth > 0.0):
-        gamma_est = float(np.clip(np.polyfit(np.log(radii), np.log(growth), 1)[0], 0.0, 1.0))
-    else:
-        gamma_est = 0.0
+    n_dir = max(1, n_samples // 10)
+    directions, ts = _draws(len(radii) * n_dir, partial(rng.standard_normal, c.d),
+                            partial(rng.uniform, 0.0, t_max))
+    directions /= np.maximum(np.linalg.norm(directions, axis=1, keepdims=True), 1e-12)
+    sig = eval_diffusion(c, ts, np.repeat(radii, n_dir)[:, None] * directions)
+    growth = np.linalg.norm(sig, axis=(1, 2)).reshape(len(radii), n_dir).max(axis=1)
+    gamma_est = (float(np.clip(np.polyfit(np.log(radii), np.log(growth), 1)[0], 0.0, 1.0))
+                 if np.all(growth > 0.0) else 0.0)
     k0_est = float(np.max(growth / (1.0 + radii ** c.meta.gamma)))
 
     meta = c.meta
@@ -531,13 +537,5 @@ def hypothesis_audit(c: CoefficientSet, box, n_samples: int = 200, seed: int = 0
         "gamma": gamma_est > 1.05 * meta.gamma + 0.05,
         "b0": b0_norm > 1.05 * meta.b0_bound,
     }
-    return AuditReport(
-        m0_spatial=m0_spatial,
-        m0_time=m0_time,
-        beta=beta_est,
-        lipschitz_drift=lip,
-        k0=k0_est,
-        gamma=gamma_est,
-        b0_l_one_over_alpha=b0_norm,
-        flags=flags,
-    )
+    return AuditReport(m0_spatial=m0_spatial, m0_time=m0_time, beta=beta_est, lipschitz_drift=lip,
+                       k0=k0_est, gamma=gamma_est, b0_l_one_over_alpha=b0_norm, flags=flags)

@@ -95,6 +95,19 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="non-negative"):
             load_config(write_config(tmp_path, body))
 
+    @pytest.mark.parametrize("params,name,why", [
+        ("x1 = 5, t = 2", "x1", "the name of a variable"),  # the drift x1 would read the state
+        ("a = 1, a = 2", "a", "given twice"),
+    ])
+    def test_bad_params_exit_one(self, tmp_path, capsys, params, name, why):
+        body = MINIMAL.format(out=tmp_path).replace("drift = xd1", f"drift = xd1\nparams = {params}")
+        path = write_config(tmp_path, body)
+        with pytest.raises(ConfigError, match=r"^bad value for problem\.params \(.*:9\): ") as exc:
+            load_config(path)
+        assert str(exc.value).endswith(f"parameter {name!r} is {why}")
+        assert main(["simulate", path]) == 1
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
+
     def test_steps_override(self):
         cfg = load_config(bundled("linear_a.cfg"), steps_per_delay=64)
         assert cfg.solver.steps_per_delay == 64
@@ -344,6 +357,46 @@ class TestShortCsv:
         assert main([command, str(src)] + extra) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(src) in err and why in err
+
+
+def write_t_column(path, t):
+    with open(path, "w") as fh:
+        fh.write("t,f\n")
+        np.savetxt(fh, np.column_stack([t, np.sin(t - t[0])]), fmt="%.17g", delimiter=",")
+
+
+class TestUniformGrid:
+    @pytest.mark.parametrize("t", [
+        np.linspace(-1.0, 3.0, 1025),
+        np.linspace(1e6, 1e6 + 1.0, 1001),  # exact [1e6, 1e6 + 1]
+        1e6 + 1e-3 * np.arange(1001),  # the same grid by another rounding of t
+        np.linspace(0.0, 1.0, 4097) + 1e-4 / 4096 * np.sin(np.arange(4097)),  # 1e-4 of a step off
+        TimeGrid(0.0, 1.0, 256).times,  # the grid of refsde fbm
+    ], ids=["minus_1_to_3", "1e6", "1e6_arange", "near_grid", "fbm"])
+    @pytest.mark.parametrize("command", ["norms", "skorokhod"])
+    def test_grids_written_in_full_pass(self, tmp_path, capsys, command, t):
+        src = tmp_path / "f.csv"
+        write_t_column(src, t)
+        extra = ["--alpha", "0.3"] if command == "norms" else ["--out", str(tmp_path / "x.csv")]
+        assert main([command, str(src)] + extra) == 0
+        assert cli._read_path_csv(src).grid == TimeGrid(t[0], t[-1], len(t) - 1)
+
+    @pytest.mark.parametrize("t0,shift", [
+        (1e6, 0.5),  # 500 steps off, and t no longer increasing
+        (1e6, 2e-6),  # 2e-3 of a step
+        (0.0, 1e-5),  # 1e-2 of a step
+        (0.0, -1e-3),  # a whole step back: a repeated t
+    ], ids=["500_steps", "1e6_small", "unit", "repeated"])
+    @pytest.mark.parametrize("command", ["norms", "skorokhod"])
+    def test_a_point_off_the_grid_exits_one(self, tmp_path, capsys, command, t0, shift):
+        # a tolerance relative to t once let these through at large t
+        t = np.linspace(t0, t0 + 1.0, 1001)
+        t[500] += shift
+        src = tmp_path / "f.csv"
+        write_t_column(src, t)
+        extra = ["--alpha", "0.3"] if command == "norms" else ["--out", str(tmp_path / "x.csv")]
+        assert main([command, str(src)] + extra) == 1
+        assert capsys.readouterr().err == f"error: {src} is not sampled on a uniform grid\n"
 
 
 class TestBadCell:

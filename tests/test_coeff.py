@@ -1,3 +1,9 @@
+import dataclasses
+import gc
+import pickle
+import warnings
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +25,7 @@ from refsde.coeff import (
     parse_expr,
     print_expr,
 )
+from refsde.cli import load_config
 
 from conftest import linear_coeffs, nonlinear_coeffs
 
@@ -122,6 +129,96 @@ class TestCoefficientSet:
             CoefficientSet.from_strings(["x1", "x2"], [["t"]])
 
 
+class TestParams:
+    @pytest.mark.parametrize("params,message", [
+        ({"x1": 5.0, "t": 2.0}, "parameter 'x1' is the name of a variable"),
+        ({"s2": 1.0}, "parameter 's2' is the name of a variable"),
+        ([("a", 1.0), ("a", 2.0)], "parameter 'a' is given twice"),
+    ])
+    def test_rejected(self, params, message):
+        # the parser reads a variable before a parameter: x1 = 5 would be ignored
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CoefficientSet.from_strings(["x1", "x2"], [["1"], ["1"]], params=params)
+
+    def test_pairs_or_mapping(self):
+        pairs = CoefficientSet.from_strings(["a * x1"], [["b"]], params=[("a", 2.0), ("b", 3.0)])
+        assert pairs == CoefficientSet.from_strings(["a * x1"], [["b"]], params={"a": 2.0, "b": 3.0})
+        assert pairs.params == {"a": 2.0, "b": 3.0}
+
+
+class TestCompiled:
+    def test_bit_equal_to_the_numpy_expression(self):
+        c = CoefficientSet.from_strings(
+            ["exp(-x1) * xd1 ^ 2 / (1 + s1)", "cos(t * x2) - a * abs(xd2) ^ 0.5 + sin(s1 - s2)"],
+            [["xd1 / (1 + t)", "-xd2 ^ 3"], ["exp(xd1 - xd2)", "a"]], params={"a": 0.7})
+        rng = np.random.default_rng(5)
+        t = rng.uniform(0.0, 2.0, 6)
+        x, xd, s = rng.uniform(-2.0, 2.0, (3, 6, 4, 2))  # (K, P, d) rows
+        tt = t[:, None]
+        want_b = np.stack([
+            np.exp(-x[..., 0]) * np.float_power(xd[..., 0], 2.0) / (1.0 + s[..., 0]),
+            np.cos(tt * x[..., 1]) - 0.7 * np.float_power(np.abs(xd[..., 1]), 0.5)
+            + np.sin(s[..., 0] - s[..., 1]),
+        ], axis=-1)
+        want_sig = np.stack([
+            np.stack([xd[..., 0] / (1.0 + tt), -np.float_power(xd[..., 1], 3.0)], axis=-1),
+            np.stack([np.exp(xd[..., 0] - xd[..., 1]), np.full(xd.shape[:2], 0.7)], axis=-1),
+        ], axis=-2)
+        assert eval_drift(c, t, x, xd, s).tobytes() == want_b.tobytes()
+        assert eval_diffusion(c, t, xd).tobytes() == want_sig.tobytes()
+        # one row, scalar t, as the Euler step loop calls it
+        row = eval_drift(c, float(t[2]), x[2, 1], xd[2, 1], s[2, 1])
+        assert row.tobytes() == want_b[2, 1].tobytes()
+        assert eval_expr(c.drift[0], {"x1": x, "xd1": xd, "s1": s}, c.params).tobytes() == \
+            (np.exp(-x) * np.float_power(xd, 2.0) / (1.0 + s)).tobytes()
+
+    @pytest.mark.parametrize("source,want", [("1 / 0", np.inf), ("0 ^ -1", np.inf),
+                                             ("(-1) ^ 0.5", np.nan), ("x1 / x1", np.nan)])
+    def test_ieee_values_without_warnings(self, source, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = eval_expr(parse_expr(source), {"x1": np.zeros(3)}, {})
+            c = CoefficientSet.from_strings([source], [["1"]])
+            row = coeff.drift_values(c, 0.0, np.zeros(1), np.zeros(1), np.zeros(1))
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(row, [want])
+
+    def test_unknown_name_is_a_key_error(self):
+        with pytest.raises(KeyError):
+            eval_expr(parse_expr("x1 + a", {"a": 1.0}), {"x1": 1.0}, {})
+
+    @pytest.mark.parametrize("name", ["linear_a.cfg", "nonlinear_b.cfg"])
+    def test_pickled_problem_evaluates_the_same(self, name):
+        p = load_config(str(resources.files("refsde") / "configs" / name)).problem
+        t, x = np.linspace(0.0, 1.0, 5), np.linspace(-1.0, 2.0, 10).reshape(5, 2, 1)
+        before = eval_drift(p.coeffs, t, x, x, x), eval_diffusion(p.coeffs, t, x)
+        again = pickle.loads(pickle.dumps(p))  # after the compiled form was made
+        assert again.coeffs == p.coeffs and again.coeffs is not p.coeffs
+        after = eval_drift(again.coeffs, t, x, x, x), eval_diffusion(again.coeffs, t, x)
+        assert [a.tobytes() for a in after] == [b.tobytes() for b in before]
+
+    def test_compiled_once_per_set(self, monkeypatch):
+        compiled = []
+
+        def counted(node, *args):
+            compiled.append(node)
+            return compile_node(node, *args)
+
+        compile_node = coeff._compile
+        monkeypatch.setattr(coeff, "_compile", counted)
+        c = CoefficientSet.from_strings(["cos(x1)", "xd1 * s2"], [["sin(t + xd1)"], ["0.5"]])
+        key = id(c)
+        evaluations = []
+        for _ in range(3):
+            eval_drift(c, 0.5, np.ones(2), np.ones(2), np.ones(2))
+            eval_diffusion(c, np.zeros(2), np.ones((2, 2)))
+            evaluations.append(len(compiled))
+        assert evaluations[0] > 0 and evaluations == evaluations[:1] * 3
+        del c
+        gc.collect()
+        assert key not in coeff._COMPILED  # a set's compiled form goes with it
+
+
 def history_of(values):
     """Grid values of x over one delay interval that ends at the current time."""
     return np.asarray(values, float)
@@ -219,7 +316,59 @@ class TestEvaluation:
             eval_drift(c, 0.75, x[2], x[2], x[2])  # one row per lane, scalar t
 
 
+AUDIT_SETS = {
+    "linear_a": (["xd1"], [["a * xd1 + b"]], {"a": 0.2, "b": 0.1}, 1),
+    "nonlinear_b": (["cos(x1)"], [["sin(t + xd1)"]], {}, 2),
+    "two_dim": (["cos(x1) - 0.5 * xd2", "sin(x2) * xd1 - s1"],
+                [["0.2 * xd1", "0.1"], ["sin(xd2)", "0.3"]], {}, 3),
+}
+# hypothesis_audit(..., n_samples=200, seed, delay=0.3) over the box [0, 2]^d,
+# as it reported with one evaluator call per sample; the flags that are set
+AUDIT_GOLDEN = {
+    "linear_a": (dict(m0_spatial=0.2000000000000024, m0_time=None, beta=None,
+                      lipschitz_drift=1.0, k0=0.19990009990009988, gamma=0.954662446384412,
+                      b0_l_one_over_alpha=0.0), []),
+    "nonlinear_b": (dict(m0_spatial=0.9797183865399307, m0_time=0.8475176397309669,
+                         beta=0.9874996267957441, lipschitz_drift=0.8817837729778075,
+                         k0=0.4982376789900071, gamma=0.0, b0_l_one_over_alpha=1.0), []),
+    "two_dim": (dict(m0_spatial=0.9805987726461927, m0_time=None, beta=None,
+                     lipschitz_drift=1.327255569614407, k0=0.44907488157500697,
+                     gamma=0.8236482591154879, b0_l_one_over_alpha=1.0), ["l0"]),
+}
+
+
+def audit_of(name):
+    drift, diffusion, params, seed = AUDIT_SETS[name]
+    c = CoefficientSet.from_strings(drift, diffusion, params=params)
+    box = ([0.0] * c.d, [2.0] * c.d)
+    return hypothesis_audit(c, box, n_samples=200, seed=seed, delay=0.3)
+
+
 class TestAudit:
+    @pytest.mark.parametrize("name", sorted(AUDIT_GOLDEN))
+    def test_report_as_recorded(self, name):
+        # the draws, their order and their counts are those of the one-call-
+        # per-sample audit; only the rounding of the norms may differ
+        report = dataclasses.asdict(audit_of(name))
+        want, flagged = AUDIT_GOLDEN[name]
+        assert [key for key, on in report.pop("flags").items() if on] == flagged
+        for key, value in want.items():
+            assert report[key] == (value if value is None else pytest.approx(value, rel=1e-12))
+
+    @pytest.mark.parametrize("name", sorted(AUDIT_GOLDEN))
+    def test_one_evaluator_call_per_probe(self, name, monkeypatch):
+        calls = []
+        for fn in ("eval_drift", "eval_diffusion"):
+            def counted(*args, _fn=getattr(coeff, fn), _name=fn):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(coeff, fn, counted)
+        audit_of(name)
+        # sigma's Lipschitz and Hoelder probes, the drift's Lipschitz probe,
+        # the residual b0 and sigma's growth
+        assert sorted(calls) == ["eval_diffusion"] * 3 + ["eval_drift"] * 2
+
     def test_sine_diffusion(self):
         c = nonlinear_coeffs()
         rep = hypothesis_audit(c, ([0.0], [2.0]), n_samples=400, seed=0)
@@ -243,33 +392,35 @@ class TestAudit:
     def test_delayed_reads_are_grid_values(self, monkeypatch):
         # at a delay that is no multiple of 1/16 the delayed argument must still
         # be a sampled grid value, not an interpolation between two of them
-        histories, calls = [], []
-        draw, evaluate = coeff._random_history, coeff.eval_drift
+        draws, calls = [], []
+        draw, evaluate = coeff._draws, coeff.eval_drift
 
-        def recording_draw(*args):
-            histories.append(draw(*args))
-            return histories[-1]
+        def recording_draws(*args):
+            draws.append(draw(*args))
+            return draws[-1]
 
         def recording_eval(c, t, x, x_delayed, sups):
             calls.append((t, x, x_delayed, sups))
             return evaluate(c, t, x, x_delayed, sups)
 
-        monkeypatch.setattr(coeff, "_random_history", recording_draw)
+        monkeypatch.setattr(coeff, "_draws", recording_draws)
         monkeypatch.setattr(coeff, "eval_drift", recording_eval)
         c = CoefficientSet.from_strings(["cos(x1) + xd1 * s1"], [["0.5 * xd1"]])
         hypothesis_audit(c, ([0.0], [2.0]), n_samples=200, seed=1, delay=0.3)
-        checked = 0
-        for t, x, xd, sups in calls:
-            for hist in histories:  # the Lipschitz samples; the b0 residual reads zeros
-                rows = np.flatnonzero((hist == x).all(axis=1)) if np.ndim(x) == 1 else []
-                if len(rows):
-                    k = int(rows[0])  # row k sits at t on a uniform grid that starts at -delay
-                    delayed = np.flatnonzero((hist[:k] == xd).all(axis=1))
-                    assert len(delayed) == 1
-                    assert (k - delayed[0]) * (t + 0.3) / k == pytest.approx(0.3, abs=1e-12)
-                    assert np.array_equal(sups, np.abs(hist[: k + 1]).max(axis=0))
-                    checked += 1
-        assert checked == len(histories) > 0
+        # the Lipschitz probe draws a pair of histories and a row k per sample,
+        # and evaluates the drift at row k of both in one call; the b0
+        # residual's call reads zeros
+        (hists, ks), = [d for d in draws if d[0].ndim == 4]
+        (t, x, xd, sups), = [call for call in calls if np.ndim(call[1]) == 3]
+        assert x.shape == (50, 2, 1) and hists.shape == (50, 2, 18, 1)
+        for j, lane in np.ndindex(x.shape[:2]):
+            hist, k = hists[j, lane], ks[j]
+            # row k sits at t on a uniform grid that starts at -delay, and the
+            # delayed argument is the grid value n_delay = 4 steps of 0.075 earlier
+            assert t[j] == pytest.approx(-0.3 + 0.075 * k, abs=1e-12)
+            assert np.array_equal(x[j, lane], hist[k])
+            assert np.array_equal(xd[j, lane], hist[k - 4])
+            assert np.array_equal(sups[j, lane], np.abs(hist[: k + 1]).max(axis=0))
 
     def test_deterministic(self):
         c = linear_coeffs()

@@ -382,6 +382,74 @@ class TestGolden:
         assert np.array_equal(sol.x.values[:, 0], x)
 
 
+# SHA-256 of the bytes of x, y and z per path from the Euler step loop
+# (_euler_steps), recorded before the coefficients were compiled:
+# (problem, paths) -> one (x, y, z) triple per path.
+STATE_EULER_GOLDEN = {
+    ("nonlinear_b", 1): [
+        ("533075285b08def73dc4366b79d3e1249e794d5c3a9b1c4bd7d1d592d7a5a34a",
+         "dc8138cda54f46c0ee3098d5028983c16b8c95de1cf73429fb29a161ed8a3720",
+         "750858d1aacf05c97434f3598b32f9bbb96b6ec932605a7e3f3568f85f28d8cd"),
+    ],
+    ("nonlinear_b", 3): [
+        ("533075285b08def73dc4366b79d3e1249e794d5c3a9b1c4bd7d1d592d7a5a34a",
+         "dc8138cda54f46c0ee3098d5028983c16b8c95de1cf73429fb29a161ed8a3720",
+         "750858d1aacf05c97434f3598b32f9bbb96b6ec932605a7e3f3568f85f28d8cd"),
+        ("d0ef145c9685cd145c7cf3648ba6ccec4c52d22618add1e5184874f9527dc91c",
+         "d3514e0fdd176535f20ab43470afdbf1de44622618f81fbe108567812a043ba0",
+         "33fcde929b641112203b36e846af9c718cb2f5e6e70698ae6524b7c69d4758a3"),
+        ("fa166f610f6a392405f71141592e2a90ee6368b9893b1dc8ebcf70622ca29271",
+         "10ceaee90094010886a429453f61d959a3a4fe0b6344a3c3b1a11ced5d470859",
+         "b7c6c4e35f7e84c6aa6cfc87143608e97255b890d026d509ddec0e40a69256a0"),
+    ],
+    ("two_dim", 2): [
+        ("f97ee32562eb5ca584030508966cdedd27a4b7653b3ad400cc7fc903556f4804",
+         "1d830c8af4ff60b1ec36350ea25d99c4247d5d040d8d2c9acbe28011ebb9039e",
+         "f97ee32562eb5ca584030508966cdedd27a4b7653b3ad400cc7fc903556f4804"),
+        ("451a6e4a8194431ea41ab6284f79543f5d634e0cd39cfd153a6d89887d4133e7",
+         "1d830c8af4ff60b1ec36350ea25d99c4247d5d040d8d2c9acbe28011ebb9039e",
+         "451a6e4a8194431ea41ab6284f79543f5d634e0cd39cfd153a6d89887d4133e7"),
+    ],
+    ("pinned", 2): [
+        ("afbe0e18340dbf1eaf717a7457fefa375e06fb8e05ac1f96b151b1f86baca0fd",
+         "00ac2e9037469aaf43040f18a0d9dce66fe06c6da70ce05b83973ccd40996a64",
+         "f45ef61ab338a4f5d02b0993c02ebbf1aea9379058fae45d29e0712f5fa877ad"),
+        ("934ee56ad6539fb9e5c276ecee2f3985f2d252d22acd690108bda80313c6bd58",
+         "5af6bdfad5f2ff758d1efc4ba94d01cecd2c608bed3b89ee7793db8f3ca100a0",
+         "6545becf3a46030907d688991cf73e998af8f7d92f29111a2654d963508963ad"),
+    ],
+}
+
+
+class TestStateEulerGolden:
+    @pytest.mark.parametrize("name,paths", sorted(STATE_EULER_GOLDEN))
+    def test_step_loop_bytes(self, name, paths, monkeypatch):
+        steps = []
+
+        def counted(*args):
+            steps.append(None)
+            return euler_steps(*args)
+
+        euler_steps = solver._euler_steps
+        monkeypatch.setattr(solver, "_euler_steps", counted)
+        if name == "nonlinear_b":
+            run = load_config(str(resources.files("refsde") / "configs" / "nonlinear_b.cfg"),
+                              steps_per_delay=64)
+            p, cfg = run.problem, replace(run.solver, scheme="euler")
+        elif name == "two_dim":  # exp, a negative power, / and the running sups
+            p = lane_problem(["exp(-x1) * (1 + xd2) ^ -2 / (1 + s1)",
+                              "(x1 + 1) ^ -0.5 - x2 / (2 + s2)"], TWO_DIM[1], 32)
+            cfg = SolverConfig(steps_per_delay=32, seed=3)
+        else:  # the regulator holds x at 0 nearly throughout
+            p = lane_problem(["-1 - 0.5 * cos(x1)"], [["0.3"]], 32, eta0=0.0)
+            cfg = SolverConfig(steps_per_delay=32, seed=3)
+        mc = solve_stochastic(p, cfg, paths)
+        assert steps and not mc.failures
+        got = [tuple(hashlib.sha256(sp.values.tobytes()).hexdigest() for sp in (s.x, s.y, s.z))
+               for s in mc.solutions]
+        assert got == STATE_EULER_GOLDEN[(name, paths)]
+
+
 class TestPathFailures:
     @pytest.mark.parametrize("scheme", ["euler", "picard"])
     def test_blow_up_names_its_component(self, scheme):
