@@ -57,7 +57,7 @@ from .coeff import (
     hypothesis_audit,
     parse_expr,
 )
-from .fbm import sample_cholesky, sample_circulant
+from .fbm import _hurst_value, sample_cholesky, sample_circulant
 from .fracnorm import norm_report, norm_reports  # noqa: F401  norm_report: the traced layer name
 from .grids import SamplePath, TimeGrid
 from .skorokhod import reflect
@@ -357,10 +357,7 @@ def _read_path_csv(path: Path) -> SamplePath:
         _raise_bad_cell(path, text)
     times, values = data[:, 0], data[:, 1:]
     grid = TimeGrid(float(times[0]), float(times[-1]), len(times) - 1)
-    # each t within a thousandth of a step of the grid, beyond the rounding
-    # of |t|: a tolerance relative to t lets a point sit steps away at large t
-    tol = 1e-3 * grid.dt + 4 * np.spacing(max(abs(grid.t0), abs(grid.t1)))
-    if not np.allclose(times, grid.times, rtol=0.0, atol=tol):
+    if not np.allclose(times, grid.times, rtol=0.0, atol=grid._tol):  # the grid's own rule
         raise ValueError(f"{path} is not sampled on a uniform grid")
     return SamplePath(grid, values)
 
@@ -451,11 +448,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fbm(args) -> int:
-    half_ok = args.allow_h_half and args.hurst == 0.5
-    if not (0.5 < args.hurst < 1.0) and not half_ok:
-        raise ValueError(
-            "--hurst must lie in (0.5, 1); pass --allow-h-half to test at exactly 1/2"
-        )
+    try:
+        _hurst_value(args.hurst, allow_half=args.allow_h_half)
+    except ValueError:
+        msg = "--hurst must lie in (0.5, 1); pass --allow-h-half to test at exactly 1/2"
+        raise ValueError(msg) from None
     grid = TimeGrid(0.0, args.horizon, args.steps)
     if args.method == "cholesky":
         path = sample_cholesky(grid, args.hurst, args.paths, seed=args.seed)
@@ -509,7 +506,7 @@ def cmd_audit(args) -> int:
     box = ([args.box_lo] * d, [args.box_hi] * d)
     report = hypothesis_audit(cfg.problem.coeffs, box,
                               n_samples=args.samples, seed=cfg.solver.seed,
-                              delay=cfg.problem.r)
+                              t_max=cfg.problem.T, delay=cfg.problem.r)
     payload = dataclasses.asdict(report)
     return _report(payload, args.out)
 

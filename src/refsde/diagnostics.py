@@ -41,8 +41,7 @@ class PhiParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if not 0.0 < self.alpha < 0.5:
-            raise ValueError(f"alpha must lie in (0, 1/2), got {self.alpha}")
+        AlphaParams(alpha=self.alpha)  # checks alpha
 
     @property
     def region_boundary(self) -> float:

@@ -47,19 +47,19 @@ class HurstParameter:
     value: float
 
     def __post_init__(self) -> None:
-        if not 0.5 < self.value < 1.0:
-            raise ValueError(f"Hurst parameter must lie in (0.5, 1), got {self.value}")
+        object.__setattr__(self, "value", _hurst_value(self.value, allow_half=False))
 
     def __float__(self) -> float:
         return self.value
 
 
 def _hurst_value(H, allow_half: bool = True) -> float:
-    """Accept HurstParameter or plain float; samplers also admit H = 1/2."""
+    """H as a float in (1/2, 1), the one check of the Hurst range; samplers
+    also admit H = 1/2.  Accepts a HurstParameter or a plain float."""
     h = float(H)
-    lo_ok = h > 0.5 or (allow_half and h == 0.5)
-    if not (lo_ok and h < 1.0):
-        raise ValueError(f"Hurst parameter must lie in [0.5, 1), got {h}")
+    if not ((h > 0.5 or allow_half and h == 0.5) and h < 1.0):
+        lower = "[0.5" if allow_half else "(0.5"
+        raise ValueError(f"Hurst parameter must lie in {lower}, 1), got {h}")
     return h
 
 

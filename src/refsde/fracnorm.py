@@ -199,8 +199,7 @@ def _driver_weights(n: int, dt: float, alpha: float) -> tuple[np.ndarray, np.nda
     """(w, c) of the driver quotient: with h(0) = 0 the kernel integral of a
     start out to lag L is sum_(l<=L) w[l-1] h(l) - g_near[L] h(L), so its
     quotient at L is the running sum C(L) of w h plus c[L-1] h(L); w, c > 0."""
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
+    AlphaParams(alpha=alpha)  # checks alpha
     g_near, g_far = _lag_weights(n, dt, 2.0 - alpha)
     return g_far[:-1] + g_near[1:], 1.0 / _lag_powers(n, dt, 1.0 - alpha) - g_near[1:]
 
@@ -614,8 +613,7 @@ def f_norm_alpha_1(f: SamplePath, alpha: float,
     """Discrete W^(alpha,1) norm of a scalar path on [0, T]."""
     if f.dim != 1:
         raise ValueError(f"W^(alpha,1) norm expects a scalar path, got dim={f.dim}")
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
+    AlphaParams(alpha=alpha)  # checks alpha
     f = f.restrict(*interval) if interval else f
     times = f.times
     if times[0] < -1e-12:

@@ -38,26 +38,29 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return np.linspace(self.t0, self.t1, self.n_steps + 1)
 
-    def index_of(self, t: float, tol: float = 1e-9) -> int:
+    @property
+    def _tol(self) -> float:
+        """How far a time may lie from a grid point and still be that point: a
+        thousandth of a step beyond the rounding of the grid's largest |t| (a
+        tolerance relative to t would let a point sit steps away at large t)."""
+        return 1e-3 * self.dt + 4 * float(np.spacing(max(abs(self.t0), abs(self.t1))))
+
+    def index_of(self, t: float) -> int:
         """Index of the grid point at time t; t must sit on the grid."""
         k = round((t - self.t0) / self.dt)
-        if k < 0 or k > self.n_steps or abs(self.t0 + k * self.dt - t) > tol * max(1.0, abs(t)):
+        if k < 0 or k > self.n_steps or abs(self.t0 + k * self.dt - t) > self._tol:
             raise ValueError(f"time {t} is not a point of {self}")
         return int(k)
 
-    def contains(self, s: float, t: float, tol: float = 1e-9) -> bool:
-        slack = tol * max(1.0, abs(self.t0), abs(self.t1))
-        return s >= self.t0 - slack and t <= self.t1 + slack
+    def contains(self, s: float, t: float) -> bool:
+        return s >= self.t0 - self._tol and t <= self.t1 + self._tol
 
     def subgrid(self, s: float, t: float) -> tuple[int, int]:
         """Index range [i, j] of grid points inside [s, t] (inclusive)."""
         if not self.contains(s, t) or s >= t:
             raise ValueError(f"interval ({s}, {t}) not covered by {self}")
-        dt = self.dt
-        i = int(np.ceil((s - self.t0) / dt - 1e-9))
-        j = int(np.floor((t - self.t0) / dt + 1e-9))
-        i = max(i, 0)
-        j = min(j, self.n_steps)
+        i = max(int(np.ceil((s - self._tol - self.t0) / self.dt)), 0)
+        j = min(int(np.floor((t + self._tol - self.t0) / self.dt)), self.n_steps)
         if j - i < 1:
             raise ValueError(f"interval ({s}, {t}) contains fewer than two grid points")
         return i, j

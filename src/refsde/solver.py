@@ -479,7 +479,8 @@ class ConvergenceTable:
 
 
 def _check_levels(levels: list[int]) -> None:
-    """At least 3 strictly ascending positive levels, each dividing the finest."""
+    """At least 3 strictly ascending levels, each dividing the finest, the
+    coarsest a valid SolverConfig.steps_per_delay."""
     if len(levels) < 3:
         raise ValueError("need at least 3 refinement levels")
     if any(a >= b for a, b in zip(levels, levels[1:])):
@@ -490,6 +491,7 @@ def _check_levels(levels: list[int]) -> None:
             raise ValueError(f"level {lvl} is not a positive number of steps per delay")
         if finest % lvl:
             raise ValueError(f"level {lvl} does not divide the finest level {finest}")
+    SolverConfig(steps_per_delay=levels[0])  # the solver's minimum, before any sampling
 
 
 def convergence_study(p: Problem, g_fine: SamplePath, levels: list[int],

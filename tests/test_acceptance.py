@@ -63,6 +63,7 @@ def _random_path(rng, n, d, scale=1.0):
     return SamplePath(TimeGrid(0.0, 1.0, n), vals)
 
 
+@pytest.mark.slow
 def test_criterion_01_regulator_exactness():
     rng = np.random.default_rng(1)
     n, d = 500, 3
@@ -94,6 +95,7 @@ def test_criterion_02_lipschitz_ratios():
                f"<= 1, reflector {worst_x:.15f} <= 2", ok)
 
 
+@pytest.mark.slow
 def test_criterion_03_invariants_and_residual_halving():
     levels = [256, 512, 1024]
     n_paths = 40
@@ -121,6 +123,7 @@ def test_criterion_03_invariants_and_residual_halving():
                "in [0.4, 0.6]", pointwise_ok and halving_ok)
 
 
+@pytest.mark.slow
 def test_criterion_04_fbm_law():
     n, n_paths = 32, 20_000
     grid = TimeGrid(0.0, 1.0, n)

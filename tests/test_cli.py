@@ -15,6 +15,7 @@ import pytest
 import refsde
 import refsde.cli as cli
 from refsde.cli import ConfigError, load_config, main
+from refsde.coeff import hypothesis_audit
 from refsde.fbm import sample_circulant
 from refsde.fracnorm import norm_report
 from refsde.grids import TimeGrid
@@ -107,6 +108,12 @@ class TestLoadConfig:
         assert str(exc.value).endswith(f"parameter {name!r} is {why}")
         assert main(["simulate", path]) == 1
         assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+    def test_hurst_half_names_the_open_interval(self, tmp_path, capsys):
+        # a config's H must be above 1/2; only the fbm command can admit 1/2
+        body = MINIMAL.format(out=tmp_path).replace("hurst = 0.75", "hurst = 0.5")
+        assert main(["simulate", write_config(tmp_path, body)]) == 1
+        assert capsys.readouterr().err.endswith(": Hurst parameter must lie in (0.5, 1), got 0.5\n")
 
     def test_steps_override(self):
         cfg = load_config(bundled("linear_a.cfg"), steps_per_delay=64)
@@ -238,6 +245,14 @@ class TestFbm:
         rc = main(["fbm", "--hurst", "0.5", "--steps", "16", "--allow-h-half",
                    "--out", str(tmp_path / "w.csv")])
         assert rc == 0
+
+    @pytest.mark.parametrize("hurst", ["1.0", "0.3", "nan"])
+    def test_hurst_outside_names_the_flag_even_with_it(self, tmp_path, capsys, hurst):
+        rc = main(["fbm", "--hurst", hurst, "--steps", "16", "--allow-h-half",
+                   "--out", str(tmp_path / "w.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: --hurst must lie in (0.5, 1); pass --allow-h-half to test at exactly 1/2\n")
 
     def test_cholesky_cap(self, tmp_path, capsys):
         rc = main(["fbm", "--hurst", "0.75", "--steps", "4096",
@@ -509,6 +524,15 @@ class TestConvergeCmd:
         assert rc == 1
         assert "does not divide" in capsys.readouterr().err
 
+    def test_level_below_the_solver_minimum_before_sampling(self, tmp_path, capsys, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the driver was sampled before the levels were checked")
+
+        monkeypatch.setattr("refsde.cli.sample_circulant", no_sampling)
+        rc = main(["converge", bundled("linear_a.cfg"), "--levels", "2,4,8"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: steps_per_delay must be >= 4, got 2\n"
+
     def test_runs(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MINIMAL.format(out=tmp_path))
         rc = main(["converge", cfg, "--levels", "32,64,128"])
@@ -612,6 +636,19 @@ class TestAuditCmd:
         assert rc == 0
         rep = strict_loads(capsys.readouterr().out)
         assert rep["m0_spatial"] == pytest.approx(0.1, abs=0.01)
+
+    def test_probes_cover_the_horizon(self, tmp_path, capsys):
+        # the residual b0 = t stays under its declared constant on [0, 1] and
+        # passes it on [0, T] = [0, 3], where the probes must draw their times
+        body = Path(bundled("linear_a.cfg")).read_text().replace("drift = xd1", "drift = t")
+        path = write_config(tmp_path, body)
+        assert main(["audit", path]) == 0
+        rep = strict_loads(capsys.readouterr().out)
+        cfg = load_config(path)
+        want = hypothesis_audit(cfg.problem.coeffs, ([0.0], [2.0]), seed=cfg.solver.seed,
+                                t_max=3.0, delay=cfg.problem.r)
+        assert rep["b0_l_one_over_alpha"] == want.b0_l_one_over_alpha > 1.05
+        assert rep["flags"]["b0"] is True
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_no_samples_exit_one(self, tmp_path, capsys, samples):

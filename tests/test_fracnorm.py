@@ -420,9 +420,10 @@ class TestEndpoints:
         assert np.all(starts <= np.maximum(b.peak, rect * tie(n)))
         assert np.all(far[rect == 0.0] == 0.0)
 
-    @pytest.mark.parametrize("d", [1, 2])
-    @pytest.mark.parametrize("n,budget", [(n, None) for n in (1, 2, 3, 64, 300, 4096)]
-                             + [(n, 64) for n in (1, 2, 3, 64, 300)])
+    @pytest.mark.parametrize("n,budget,d", [
+        pytest.param(n, budget, d, marks=pytest.mark.slow if (n, d) == (4096, 2) else ())
+        for d in (1, 2) for n, budget in [(n, None) for n in (1, 2, 3, 64, 300, 4096)]
+        + [(n, 64) for n in (1, 2, 3, 64, 300)]])
     def test_matches_sweep_and_unpruned_oracle(self, monkeypatch, n, d, budget):
         if budget:  # rounds of one candidate per lane
             monkeypatch.setattr(fracnorm, "_BLOCK_ENTRIES", budget)
