@@ -77,9 +77,11 @@ __all__ = ["RunConfig", "load_config", "main"]
 
 OUTPUT_DIR_ENV = "REFSDE_OUTPUT_DIR"
 FLOAT_FMT = "%.17g"
-# Cells per %-format call of the CSV writer: the formatted text of a file
-# is built in row blocks of about this many cells.
-_CSV_CELLS = 1 << 16
+# Cells per row block of the CSV writer: a file is written a block at a
+# time, and a block's new values are formatted in one %-format call.
+# Until its block is written each cell's text is a str of its own, so a
+# block of 1 << 14 cells peaks near one % over 1 << 16 float cells.
+_CSV_CELLS = 1 << 14
 
 _REQUIRED_KEYS = {
     "problem": {"delay", "horizon", "dim", "noise_dim", "eta", "drift", "diffusion"},
@@ -262,27 +264,83 @@ def _resolve_outdir(cfg_dir: str, flag_out: str | None) -> Path:
     return path
 
 
-def _write_csvs(paths: list, header: list, t: np.ndarray, lanes: list) -> None:
-    """Write one CSV per lane: the t column, which every file shares and
-    which is formatted once, then the columns of lanes[j], an (n + 1, k)
-    array, to paths[j].  The bytes are those of np.savetxt with FLOAT_FMT
-    and "," as the delimiter: each row block is one %-format of its cells.
+def _format_values(values: list) -> list:
+    """The FLOAT_FMT text of each of the values: one %-format per
+    _CSV_CELLS of them."""
+    text = []
+    for first in range(0, len(values), _CSV_CELLS):
+        chunk = tuple(values[first : first + _CSV_CELLS])
+        text += (",".join([FLOAT_FMT] * len(chunk)) % chunk).split(",")
+    return text
+
+
+def _write_csvs(paths: list, header: list, t: np.ndarray, lanes: list,
+                twins: dict | None = None) -> None:
+    """Write one CSV per lane: the t column, then the columns of lanes[j],
+    an (n + 1, k) float array, to paths[j].  The bytes are those of
+    np.savetxt with FLOAT_FMT and "," as the delimiter.
+
+    Only new values are formatted, by _format_values: t once for every
+    file, then, one lane and one row block at a time, the cells whose bits
+    (compared as int64, so -0.0 is not 0.0) repeat no earlier cell's.  A
+    cell that repeats one takes that cell's text, the first of:
+    - the cell above it, as a regulator's value between reflections;
+    - the same cell of lanes[0], as the rows of a shared initial segment;
+      only the text of the first lane's cells that a later lane repeats
+      is kept;
+    - the cell of column twins[c] in its row, for each key c of twins,
+      as z = x where the regulator is 0.  No value of twins is a key.
     """
-    t_cells = [FLOAT_FMT % v for v in t.tolist()]
-    head = ",".join(header) + "\n"
-    for path, values in zip(paths, lanes):
-        k = values.shape[1]
-        row = "%s," + ",".join([FLOAT_FMT] * k) + "\n"
-        step = max(1, _CSV_CELLS // (k + 1))
+    t_text = np.array(_format_values(t.tolist()), dtype=object)
+    first = lanes[0].view(np.int64)
+    if len(lanes) > 1:  # the first lane's cells that a later lane repeats, and their text
+        shared = np.zeros(first.shape, dtype=bool)
+        for values in lanes[1:]:
+            shared |= values.view(np.int64) == first
+        first_text = np.empty(first.shape, dtype=object)  # None elsewhere
+    k = first.shape[1]
+    cols = np.arange(k)
+    twin_of = cols.copy()
+    for c, s in (twins or {}).items():
+        twin_of[c] = s
+    has_twin = twin_of != cols
+    step = max(1, _CSV_CELLS // (k + 1))
+    # a row block's text: t and the k cells of each row, "," between them, "\n" after
+    line = np.empty((min(step, len(first)), 2 * k + 2), dtype=object)
+    line[:, 1:-1:2], line[:, -1] = ",", "\n"
+    # row 0: the text of the row above a block; row i + 1: of its row i's new cells
+    cell = np.empty((len(line) + 1, k), dtype=object)
+    own, cell_flat = cell[1:], cell.ravel()
+    below = np.arange(1, len(line) + 1)[:, None] * k + cols  # own's cells in cell_flat
+    for j, (path, values) in enumerate(zip(paths, lanes)):
+        bits = values.view(np.int64)
         with open(path, "w", newline="") as fh:
-            fh.write(head)
-            for first in range(0, len(t_cells), step):
-                block = values[first : first + step]
-                cells = [None] * (len(block) * (k + 1))
-                cells[:: k + 1] = t_cells[first : first + step]
-                for c in range(k):
-                    cells[c + 1 :: k + 1] = block[:, c].tolist()
-                fh.write(row * len(block) % tuple(cells))
+            fh.write(",".join(header) + "\n")
+            for a in range(0, len(bits), step):
+                block = bits[a : a + step]
+                rows = len(block)
+                new = np.empty((rows, k), dtype=bool)  # not a repeat of the cell above
+                new[0] = block[0] != bits[a - 1] if a else True
+                np.not_equal(block[1:], block[:-1], out=new[1:])
+                fresh = new.copy()
+                if j:
+                    from_first = new & (block == first[a : a + rows])
+                    own[:rows][from_first] = first_text[a : a + rows][from_first]
+                    fresh ^= from_first
+                twin = fresh & (block == block[:, twin_of]) & has_twin
+                fresh ^= twin
+                own[:rows][fresh] = _format_values(values[a : a + rows][fresh].tolist())
+                # each cell takes the text of the last new cell at or above it
+                src = np.maximum.accumulate(np.where(new, below[:rows], cols), axis=0)
+                own[:rows][twin] = cell_flat[src[:, twin_of][twin]]  # no value of twins is a key
+                text = cell_flat[src]
+                if j == 0 and len(lanes) > 1:
+                    kept = shared[a : a + rows]
+                    first_text[a : a + rows][kept] = text[kept]
+                cell[0] = text[-1]
+                line[:rows, 0] = t_text[a : a + rows]
+                line[:rows, 2::2] = text
+                fh.write("".join(line[:rows].ravel().tolist()))
 
 
 def _write_csv(path: Path, header: list, columns: list) -> None:
@@ -297,7 +355,7 @@ def _solution_csvs(paths: list, sols: list) -> None:
     d = sols[0].x.dim
     header = ["t"] + [f"{name}_{i + 1}" for name in "xyz" for i in range(d)]
     lanes = [np.column_stack([sol.x.values, sol.y.values, sol.z.values]) for sol in sols]
-    _write_csvs(paths, header, sols[0].x.times, lanes)
+    _write_csvs(paths, header, sols[0].x.times, lanes, twins={2 * d + i: i for i in range(d)})
 
 
 def _csv_header(path: Path, lines: list) -> tuple[int, list]:
@@ -393,6 +451,14 @@ def _report(payload: dict, out: str | None) -> int:
     return 0
 
 
+def _versions() -> dict:
+    """The versions of refsde, numpy and python, for a manifest."""
+    import platform
+
+    from . import __version__
+    return {"refsde": __version__, "numpy": np.__version__, "python": platform.python_version()}
+
+
 # --- subcommands ----------------------------------------------------------
 
 def cmd_simulate(args) -> int:
@@ -408,6 +474,7 @@ def cmd_simulate(args) -> int:
     h = cfg.problem.H
     alpha = 0.5 * ((1.0 - h) + 0.5)  # midpoint of the admissible (1-H, 1/2)
     manifest = {
+        "versions": _versions(),
         "config": cfg.echo,
         "paths": paths,
         "seeds": [[cfg.solver.seed, i] for i in range(paths)],

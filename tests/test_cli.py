@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -18,7 +19,8 @@ from refsde.cli import ConfigError, load_config, main
 from refsde.coeff import hypothesis_audit
 from refsde.fbm import sample_circulant
 from refsde.fracnorm import norm_report
-from refsde.grids import TimeGrid
+from refsde.grids import SamplePath, TimeGrid
+from refsde.skorokhod import reflect
 from refsde.solver import BlowUpError, PicardConvergenceError, solve_stochastic
 
 CONFIGS = resources.files("refsde") / "configs"
@@ -166,6 +168,13 @@ class TestSimulate:
         main(["simulate", cfg, "--out", str(b)])
         for name in ("path_0000.csv", "path_0001.csv", "manifest.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_manifest_records_versions(self, tmp_path):
+        cfg = write_config(tmp_path, MINIMAL.format(out=tmp_path))
+        assert main(["simulate", cfg, "--paths", "1", "--out", str(tmp_path)]) == 0
+        manifest = strict_loads((tmp_path / "manifest.json").read_text())
+        assert manifest["versions"] == {"refsde": refsde.__version__, "numpy": np.__version__,
+                                        "python": platform.python_version()}
 
     def test_manifest_records_picard_residuals(self, tmp_path):
         path = bundled("nonlinear_b.cfg")
@@ -490,6 +499,87 @@ class TestCsvWriter:
         cli._write_csvs(paths, header, t, lanes)
         for path, values in zip(paths, lanes):
             assert path.read_bytes() == self.savetxt_bytes(header, np.column_stack([t, values]))
+
+    def assert_solution_bytes(self, paths, sols):
+        d = sols[0].x.dim
+        header = ["t"] + [f"{name}_{i + 1}" for name in "xyz" for i in range(d)]
+        for path, sol in zip(paths, sols):
+            data = np.column_stack([sol.x.times, sol.x.values, sol.y.values, sol.z.values])
+            assert path.read_bytes() == self.savetxt_bytes(header, data)
+
+    @pytest.mark.parametrize("cells", [None, 1, 5])  # 1 and 5: row blocks of one row
+    def test_reflected_lanes_and_shared_rows(self, tmp_path, monkeypatch, cells):
+        if cells:
+            monkeypatch.setattr(cli, "_CSV_CELLS", cells)
+        grid = TimeGrid(-1.0, 1.0, 60)
+        steps = np.random.default_rng(6).standard_normal((60, 2)) * 0.3
+        z = np.vstack([[0.5, 0.0], 0.5 + np.cumsum(steps - 0.05, axis=0)])
+        prefix = z.copy()
+        prefix[25:] += 0.125  # the first lane's rows up to 24, its own after
+        other = z + 0.25  # no row of the first lane's
+        sols = [reflect(SamplePath(grid, v)) for v in (z, prefix, z, other)]
+        y = sols[0].y.values[:, 0]
+        assert len(np.unique(y)) >= 4 and (np.diff(y) == 0).sum() > 30  # several runs
+        assert (sols[0].z.values != sols[0].x.values).sum() > 30  # z is not x after a reflection
+        paths = [tmp_path / f"p{j}.csv" for j in range(len(sols))]
+        cli._solution_csvs(paths, sols)
+        self.assert_solution_bytes(paths, sols)
+
+    @pytest.mark.parametrize("cells", [None, 1, 5])
+    def test_signed_zeros_stay_apart(self, tmp_path, monkeypatch, cells):
+        if cells:
+            monkeypatch.setattr(cli, "_CSV_CELLS", cells)
+        t = np.linspace(0.0, 1.0, 7)
+        x = np.array([0.0, 0.0, 1.5, 0.0, -0.0, 2.0, 0.0])
+        y = np.array([0.0, -0.0, -0.0, 0.0, 0.0, 1.0, 1.0])
+        z = np.array([-0.0, 0.0, 1.5, -0.0, -0.0, 2.0, -1.0])  # -0.0 below x's +0.0
+        first = np.column_stack([x, y, z])
+        later = np.where(first == 0.0, -first, first)  # -0.0 where the first lane has +0.0
+        header = ["t", "x_1", "y_1", "z_1"]
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        cli._write_csvs(paths, header, t, [first, later], twins={2: 0})
+        for path, values in zip(paths, [first, later]):
+            want = self.savetxt_bytes(header, np.column_stack([t, values]))
+            assert b",-0," in want and b",0," in want
+            assert path.read_bytes() == want
+
+    def test_fbm_paths_csv(self, tmp_path):
+        out = tmp_path / "w.csv"
+        assert main(["fbm", "--hurst", "0.7", "--steps", "64", "--paths", "3", "--seed", "2",
+                     "--out", str(out)]) == 0
+        grid = TimeGrid(0.0, 1.0, 64)
+        w = sample_circulant(grid, 0.7, 3, seed=2).values
+        want = self.savetxt_bytes(["t", "w_1", "w_2", "w_3"], np.column_stack([grid.times, w]))
+        assert out.read_bytes() == want
+
+    def test_skorokhod_csv(self, tmp_path):
+        t = np.linspace(0.0, 1.0, 81)
+        z = np.column_stack([np.sin(12.0 * t) - t, 0.2 - t * t])
+        src, out = tmp_path / "z.csv", tmp_path / "x.csv"
+        src.write_bytes(self.savetxt_bytes(["t", "z_1", "z_2"], np.column_stack([t, z])))
+        assert main(["skorokhod", str(src), "--out", str(out)]) == 0
+        self.assert_solution_bytes([out], [reflect(cli._read_path_csv(src))])
+
+    def test_formats_each_repeated_value_once(self, tmp_path, monkeypatch):
+        cfg = load_config(write_config(tmp_path, MINIMAL.format(out=tmp_path)))
+        n_paths = 3
+        sols = solve_stochastic(cfg.problem, cfg.solver, n_paths).solutions
+        assert not any(sol.y.values.any() for sol in sols)  # no path reflects
+        n, n_r = len(sols[0].x.times) - 1, cfg.solver.steps_per_delay
+        formatted = []
+        format_values = cli._format_values
+
+        def counted(values):
+            formatted.append(len(values))
+            return format_values(values)
+
+        monkeypatch.setattr(cli, "_format_values", counted)
+        paths = [tmp_path / f"p{j}.csv" for j in range(n_paths)]
+        cli._solution_csvs(paths, sols)
+        self.assert_solution_bytes(paths, sols)
+        # t once, the first lane's x and one y, then each later lane's x
+        # after the initial segment; every cell would be (n + 1)(3P + 1)
+        assert sum(formatted) <= 2 * n + 3 + (n_paths - 1) * (n - n_r)
 
 
 class TestConvergeCmd:
