@@ -78,9 +78,9 @@ __all__ = ["RunConfig", "load_config", "main"]
 OUTPUT_DIR_ENV = "REFSDE_OUTPUT_DIR"
 FLOAT_FMT = "%.17g"
 # Cells per row block of the CSV writer: a file is written a block at a
-# time, and a block's new values are formatted in one %-format call.
-# Until its block is written each cell's text is a str of its own, so a
-# block of 1 << 14 cells peaks near one % over 1 << 16 float cells.
+# time, and a block's new distinct values are formatted in one %-format
+# call.  Each distinct value's text is a str of its own, and the first
+# file's are kept for the later files.
 _CSV_CELLS = 1 << 14
 
 _REQUIRED_KEYS = {
@@ -274,72 +274,43 @@ def _format_values(values: list) -> list:
     return text
 
 
-def _write_csvs(paths: list, header: list, t: np.ndarray, lanes: list,
-                twins: dict | None = None) -> None:
-    """Write one CSV per lane: the t column, then the columns of lanes[j],
-    an (n + 1, k) float array, to paths[j].  The bytes are those of
-    np.savetxt with FLOAT_FMT and "," as the delimiter.
+def _write_csvs(paths: list, header: list, t: np.ndarray, lanes) -> None:
+    """Write one CSV per lane to paths[j]: header (t's name and k column
+    names), then t and the columns of the j-th lane, an (n + 1, k) float
+    array.  lanes is any iterable; it is read one lane at a time.  The
+    bytes are those of np.savetxt with FLOAT_FMT and "," as the delimiter.
 
     Only new values are formatted, by _format_values: t once for every
-    file, then, one lane and one row block at a time, the cells whose bits
-    (compared as int64, so -0.0 is not 0.0) repeat no earlier cell's.  A
-    cell that repeats one takes that cell's text, the first of:
-    - the cell above it, as a regulator's value between reflections;
-    - the same cell of lanes[0], as the rows of a shared initial segment;
-      only the text of the first lane's cells that a later lane repeats
-      is kept;
-    - the cell of column twins[c] in its row, for each key c of twins,
-      as z = x where the regulator is 0.  No value of twins is a key.
+    file, then each row block's distinct values, told apart by their bits
+    (so -0.0 is not 0.0), except those whose text the first file's same
+    row block already holds.
     """
     t_text = np.array(_format_values(t.tolist()), dtype=object)
-    first = lanes[0].view(np.int64)
-    if len(lanes) > 1:  # the first lane's cells that a later lane repeats, and their text
-        shared = np.zeros(first.shape, dtype=bool)
-        for values in lanes[1:]:
-            shared |= values.view(np.int64) == first
-        first_text = np.empty(first.shape, dtype=object)  # None elsewhere
-    k = first.shape[1]
-    cols = np.arange(k)
-    twin_of = cols.copy()
-    for c, s in (twins or {}).items():
-        twin_of[c] = s
-    has_twin = twin_of != cols
+    k = len(header) - 1
     step = max(1, _CSV_CELLS // (k + 1))
     # a row block's text: t and the k cells of each row, "," between them, "\n" after
-    line = np.empty((min(step, len(first)), 2 * k + 2), dtype=object)
+    line = np.empty((min(step, len(t)), 2 * k + 2), dtype=object)
     line[:, 1:-1:2], line[:, -1] = ",", "\n"
-    # row 0: the text of the row above a block; row i + 1: of its row i's new cells
-    cell = np.empty((len(line) + 1, k), dtype=object)
-    own, cell_flat = cell[1:], cell.ravel()
-    below = np.arange(1, len(line) + 1)[:, None] * k + cols  # own's cells in cell_flat
+    firsts = []  # each row block of the first file: its distinct bits, sorted, and their text
     for j, (path, values) in enumerate(zip(paths, lanes)):
-        bits = values.view(np.int64)
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\n")
-            for a in range(0, len(bits), step):
-                block = bits[a : a + step]
+            for b, a in enumerate(range(0, len(values), step)):
+                block = values[a : a + step]
+                bits, cells = np.unique(block.view(np.int64).ravel(), return_inverse=True)
+                text = np.empty(len(bits), dtype=object)
+                if j:  # the text of the bits that the first file's block holds
+                    known, known_text = firsts[b]
+                    at = np.searchsorted(known, bits).clip(max=len(known) - 1)
+                    new = known[at] != bits
+                    text[~new] = known_text[at[~new]]
+                else:
+                    new = slice(None)
+                    firsts.append((bits, text))
+                text[new] = _format_values(bits[new].view(np.float64).tolist())
                 rows = len(block)
-                new = np.empty((rows, k), dtype=bool)  # not a repeat of the cell above
-                new[0] = block[0] != bits[a - 1] if a else True
-                np.not_equal(block[1:], block[:-1], out=new[1:])
-                fresh = new.copy()
-                if j:
-                    from_first = new & (block == first[a : a + rows])
-                    own[:rows][from_first] = first_text[a : a + rows][from_first]
-                    fresh ^= from_first
-                twin = fresh & (block == block[:, twin_of]) & has_twin
-                fresh ^= twin
-                own[:rows][fresh] = _format_values(values[a : a + rows][fresh].tolist())
-                # each cell takes the text of the last new cell at or above it
-                src = np.maximum.accumulate(np.where(new, below[:rows], cols), axis=0)
-                own[:rows][twin] = cell_flat[src[:, twin_of][twin]]  # no value of twins is a key
-                text = cell_flat[src]
-                if j == 0 and len(lanes) > 1:
-                    kept = shared[a : a + rows]
-                    first_text[a : a + rows][kept] = text[kept]
-                cell[0] = text[-1]
                 line[:rows, 0] = t_text[a : a + rows]
-                line[:rows, 2::2] = text
+                line[:rows, 2::2] = text[cells].reshape(rows, k)
                 fh.write("".join(line[:rows].ravel().tolist()))
 
 
@@ -354,8 +325,8 @@ def _solution_csvs(paths: list, sols: list) -> None:
     of one grid."""
     d = sols[0].x.dim
     header = ["t"] + [f"{name}_{i + 1}" for name in "xyz" for i in range(d)]
-    lanes = [np.column_stack([sol.x.values, sol.y.values, sol.z.values]) for sol in sols]
-    _write_csvs(paths, header, sols[0].x.times, lanes, twins={2 * d + i: i for i in range(d)})
+    lanes = (np.column_stack([sol.x.values, sol.y.values, sol.z.values]) for sol in sols)
+    _write_csvs(paths, header, sols[0].x.times, lanes)
 
 
 def _csv_header(path: Path, lines: list) -> tuple[int, list]:

@@ -447,7 +447,8 @@ def solve_stochastic(p: Problem, cfg: SolverConfig, n_paths: int) -> MonteCarloR
     """Sample one fBm driver per path (streams keyed by (seed, path index))
     and solve the paths as lanes of one pass, in chunks of about
     _LANE_BYTES of solver state; one path's failure does not abort the
-    others."""
+    others.  A ValueError is run-wide (the sampler's limits, or an initial
+    segment the solver refuses): it ends the run."""
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     if p.H is None:
@@ -460,12 +461,8 @@ def solve_stochastic(p: Problem, cfg: SolverConfig, n_paths: int) -> MonteCarloR
     failures: dict = {}
     for first in range(0, n_paths, chunk):
         paths = range(first, min(first + chunk, n_paths))
-        try:
-            gs = [sample_circulant(grid, p.H, p.m, seed=(cfg.seed, i)) for i in paths]
-            sols, errors = _solve_lanes(p, gs, cfg)
-        except ValueError as exc:  # a check that every path fails alike
-            failures.update(dict.fromkeys(paths, exc))
-            continue
+        gs = [sample_circulant(grid, p.H, p.m, seed=(cfg.seed, i)) for i in paths]
+        sols, errors = _solve_lanes(p, gs, cfg)
         solutions[first : first + len(sols)] = sols
         failures.update({first + j: err for j, err in errors.items()})
     return MonteCarloResult(solutions=solutions, failures=dict(sorted(failures.items())))

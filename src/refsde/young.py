@@ -13,13 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fracnorm import lambda_alpha_bound, w_alpha_inf_norm, AlphaParams
 from .grids import SamplePath
 
 __all__ = [
     "IndefiniteIntegral",
     "young_integral",
-    "young_constant_probe",
 ]
 
 SCHEMES = ("left_point", "trapezoid")
@@ -86,21 +84,3 @@ def young_integral(f, g: SamplePath, scheme: str = "trapezoid") -> IndefiniteInt
     np.cumsum(incr, axis=0, out=out[1:])
     return IndefiniteIntegral(path=SamplePath(g.grid, out), scheme=scheme)
 
-
-def young_constant_probe(f: SamplePath, g: SamplePath, alpha: float,
-                         sub: tuple[float, float]) -> float | None:
-    """Empirical ratio |int_s^t f dg| / (Lambda_alpha(g) (t-s)^(1-alpha) |f|_{alpha,inf}).
-
-    A reported diagnostic for the interval estimate's unspecified constant;
-    None when the denominator vanishes (indeterminate).
-    """
-    s, t = sub
-    integral = young_integral(f, g, scheme="trapezoid").path
-    i, j = g.grid.subgrid(s, t)
-    value = float(np.linalg.norm(integral.values[j] - integral.values[i]))
-    lam = lambda_alpha_bound(g, alpha, interval=sub)
-    fnorm = w_alpha_inf_norm(f, AlphaParams(alpha=alpha, interval=sub))
-    denom = lam * (t - s) ** (1.0 - alpha) * fnorm
-    if denom == 0.0:
-        return None if value > 0.0 else 0.0
-    return value / denom

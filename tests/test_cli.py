@@ -117,6 +117,48 @@ class TestLoadConfig:
         assert main(["simulate", write_config(tmp_path, body)]) == 1
         assert capsys.readouterr().err.endswith(": Hurst parameter must lie in (0.5, 1), got 0.5\n")
 
+    def test_missing_file_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "absent.cfg"
+        assert main(["simulate", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: config file not found: {path}\n"
+
+    def test_missing_section_exit_one(self, tmp_path, capsys):
+        body = MINIMAL.format(out=tmp_path).split("[output]")[0]
+        path = write_config(tmp_path, body)
+        assert main(["simulate", path]) == 1
+        assert capsys.readouterr().err == f"error: missing section [output] in {path}\n"
+
+    @pytest.mark.parametrize("old,new,key,line,want", [
+        ("drift = xd1; xd2", "drift = xd1", "drift", 8, "expected 2 expressions"),
+        ("diffusion = 0.1 * xd1; 0.1 * xd2", "diffusion = 0.1 * xd1, 0.0; 0.1 * xd2",
+         "diffusion", 9, "expected a 2x1 matrix"),
+        ("eta = t + 1", "eta = t + 1; t + 2; t + 3", "eta", 7, "expected 1 or 2 expressions"),
+    ], ids=["drift", "diffusion", "eta"])
+    def test_expression_counts_exit_one(self, tmp_path, capsys, old, new, key, line, want):
+        body = MINIMAL.format(out=tmp_path).replace("\ndim = 1\n", "\ndim = 2\n").replace(
+            "drift = xd1", "drift = xd1; xd2").replace(
+            "diffusion = 0.1 * xd1", "diffusion = 0.1 * xd1; 0.1 * xd2")
+        load_config(write_config(tmp_path, body, name="two.cfg"))  # a valid 2-dimensional problem
+        path = write_config(tmp_path, body.replace(old, new))
+        assert main(["simulate", path]) == 1
+        assert capsys.readouterr().err == f"error: problem.{key} ({path}:{line}): {want}\n"
+
+    def test_unknown_format_exit_one(self, tmp_path, capsys):
+        path = write_config(tmp_path, MINIMAL.format(out=tmp_path) + "formats = csv, xml\n")
+        assert main(["simulate", path]) == 1
+        assert capsys.readouterr().err == (
+            f"error: output.formats ({path}:21): unknown formats ['xml']\n")
+
+    @pytest.mark.parametrize("argv,what", [
+        (["simulate"], "sample drivers"),
+        (["converge", "--levels", "8,16,32"], "sample the shared driver"),
+    ], ids=["simulate", "converge"])
+    def test_hurst_required_to_sample(self, tmp_path, capsys, argv, what):
+        path = write_config(tmp_path, MINIMAL.format(out=tmp_path).replace("hurst = 0.75\n", ""))
+        assert main([argv[0], path, *argv[1:]]) == 1
+        assert capsys.readouterr().err == f"error: problem.hurst is required to {what}\n"
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_steps_override(self):
         cfg = load_config(bundled("linear_a.cfg"), steps_per_delay=64)
         assert cfg.solver.steps_per_delay == 64
@@ -168,6 +210,26 @@ class TestSimulate:
         main(["simulate", cfg, "--out", str(b)])
         for name in ("path_0000.csv", "path_0001.csv", "manifest.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_seed_flag_overrides_the_config(self, tmp_path):
+        runs = {}
+        for name, seed, flag in (("flag", 5, ["--seed", "7"]), ("config", 7, []), ("five", 5, [])):
+            body = MINIMAL.format(out=tmp_path / name).replace("seed = 5", f"seed = {seed}")
+            assert main(["simulate", write_config(tmp_path, body, f"{name}.cfg"), *flag]) == 0
+            runs[name] = [(tmp_path / name / f"path_{i:04d}.csv").read_bytes() for i in range(2)]
+        assert runs["flag"] == runs["config"] != runs["five"]
+        manifest = json.loads((tmp_path / "flag" / "manifest.json").read_text())
+        assert manifest["seeds"] == [[7, 0], [7, 1]]
+        assert manifest["config"]["mc"]["seed"] == "5"  # the echo is the file's
+
+    def test_invariant_violation_exit_two(self, tmp_path, capsys, monkeypatch):
+        real = cli.check_invariants
+        monkeypatch.setattr(cli, "check_invariants", lambda sol: {**real(sol), "y_nondecreasing": False})
+        assert main(["simulate", write_config(tmp_path, MINIMAL.format(out=tmp_path))]) == 2
+        assert capsys.readouterr().err == "invariant violation; see manifest\n"
+        runs = json.loads((tmp_path / "manifest.json").read_text())["runs"]
+        assert [run["invariants"]["y_nondecreasing"] for run in runs] == [False, False]
+        assert (tmp_path / "path_0001.csv").exists()
 
     def test_manifest_records_versions(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL.format(out=tmp_path))
@@ -372,7 +434,8 @@ class TestShortCsv:
         ("", "is empty"),
         ("# a comment\n\n", "is empty"),
         ("t\n0.0\n1.0\n", "no value column"),
-    ], ids=["header_only", "one_row", "empty", "comments_only", "t_only"])
+        ("s,f\n0.0,1.0\n1.0,2.0\n", "must be t, got s"),
+    ], ids=["header_only", "one_row", "empty", "comments_only", "t_only", "first_not_t"])
     @pytest.mark.parametrize("command", ["norms", "skorokhod"])
     def test_exit_one(self, tmp_path, capsys, command, text, why):
         src = tmp_path / "short.csv"
@@ -537,7 +600,7 @@ class TestCsvWriter:
         later = np.where(first == 0.0, -first, first)  # -0.0 where the first lane has +0.0
         header = ["t", "x_1", "y_1", "z_1"]
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
-        cli._write_csvs(paths, header, t, [first, later], twins={2: 0})
+        cli._write_csvs(paths, header, t, [first, later])
         for path, values in zip(paths, [first, later]):
             want = self.savetxt_bytes(header, np.column_stack([t, values]))
             assert b",-0," in want and b",0," in want
@@ -581,6 +644,38 @@ class TestCsvWriter:
         # after the initial segment; every cell would be (n + 1)(3P + 1)
         assert sum(formatted) <= 2 * n + 3 + (n_paths - 1) * (n - n_r)
 
+    @pytest.mark.parametrize("cells", [None, 12])  # 12: row blocks of three rows
+    def test_formats_each_distinct_value_of_a_block_once(self, tmp_path, monkeypatch, cells):
+        if cells:
+            monkeypatch.setattr(cli, "_CSV_CELLS", cells)
+        t = np.linspace(0.0, 1.0, 7)
+        x = np.array([0.0, 0.0, 1.5, 0.25, -0.0, 2.0, 0.0])
+        y = np.array([0.0, 0.0, 0.0, 0.5, 0.5, 0.5, 1.0])
+        first = np.column_stack([x, y, x])  # z = x
+        later = first.copy()
+        later[4:] += 3.0  # the first file's rows up to 3, then its own
+        later[5, 2] = -0.0  # a value of the first file's, in another row
+        formatted = []
+        format_values = cli._format_values
+
+        def counted(values):
+            formatted.append(len(values))
+            return format_values(values)
+
+        monkeypatch.setattr(cli, "_format_values", counted)
+        header = ["t", "x_1", "y_1", "z_1"]
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        cli._write_csvs(paths, header, t, iter([first, later]))
+        for path, values in zip(paths, [first, later]):
+            assert path.read_bytes() == self.savetxt_bytes(header, np.column_stack([t, values]))
+        # t once; then each block's distinct bits, less the first file's same block's in a later file
+        step = cli._CSV_CELLS // 4
+        blocks = [{v.tobytes() for v in first[a : a + step].ravel()} for a in range(0, 7, step)]
+        later_new = [{v.tobytes() for v in later[a : a + step].ravel()} - known
+                     for a, known in zip(range(0, 7, step), blocks)]
+        assert sum(formatted) == len(t) + sum(map(len, blocks)) + sum(map(len, later_new))
+        if not cells:  # one block: 7 distinct values in the first file, of 21 cells, 4 new in the later
+            assert sum(formatted) == 7 + 7 + 4
 
 class TestConvergeCmd:
     def test_too_few_levels(self, tmp_path, capsys):
@@ -684,6 +779,15 @@ class TestSolverErrors:
         body = MINIMAL.format(out=tmp_path).replace("seed = 5", "seed = -1")
         assert main(["simulate", write_config(tmp_path, body), "--out", str(tmp_path)]) == 1
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_sampler_cap_ends_the_run(self, tmp_path, capsys):
+        # a run-wide error: one message, no manifest, not one failure per path
+        body = MINIMAL.format(out=tmp_path).replace("horizon = 1.0", "horizon = 3.0").replace(
+            "steps_per_delay = 32", "steps_per_delay = 1400000")
+        assert main(["simulate", write_config(tmp_path, body)]) == 1
+        assert capsys.readouterr().err == (
+            "error: circulant sampler capped at 4194304 steps, got 4200000\n")
         assert not (tmp_path / "manifest.json").exists()
 
     @pytest.mark.parametrize("command", [["simulate"], ["converge", "--levels", "8,16,32"]])

@@ -1,3 +1,4 @@
+import logging
 import tracemalloc
 
 import numpy as np
@@ -184,6 +185,39 @@ class TestCholesky:
         with pytest.raises(ValueError, match="capped"):
             sample_cholesky(TimeGrid(0.0, 1.0, CHOLESKY_CAP + 1), 0.75, 1, seed=0)
 
+    @pytest.fixture
+    def fresh_factors(self):
+        # a factor made under a patched np.linalg.cholesky must not stay cached
+        fbm._cholesky_factor.cache_clear()
+        yield
+        fbm._cholesky_factor.cache_clear()
+
+    def test_jitter_retry(self, monkeypatch, caplog, fresh_factors):
+        real = np.linalg.cholesky
+        seen = []
+
+        def refuse_first(a):
+            seen.append(a)
+            if len(seen) == 1:
+                raise np.linalg.LinAlgError("not positive definite")
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse_first)
+        with caplog.at_level(logging.WARNING, logger="refsde.fbm"):
+            L = fbm._cholesky_factor(12, 0.7)
+        assert len(seen) == 2
+        assert np.array_equal(seen[1], seen[0] + fbm.CHOLESKY_JITTER * np.eye(12))
+        assert np.array_equal(L, real(seen[1]))
+        assert "not PD at n=12, H=0.7000; adding 1e-12 jitter" in caplog.text
+
+    def test_jitter_failure_raises(self, monkeypatch, fresh_factors):
+        def refuse(a):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        with pytest.raises(np.linalg.LinAlgError, match=r"failed even with jitter \(n=12, H=0\.7\)$"):
+            fbm._cholesky_factor(12, 0.7)
+
     def test_covariance_small_ensemble(self):
         # light version of the acceptance-scale check
         grid = TimeGrid(0.0, 1.0, 16)
@@ -243,6 +277,25 @@ class TestCirculant:
     def test_grid_must_start_at_zero(self):
         with pytest.raises(ValueError):
             sample_circulant(TimeGrid(-1.0, 1.0, 16), 0.75, 1, seed=0)
+
+    @staticmethod
+    def clip(monkeypatch, frac):
+        """Make the eigenvalue table report a clipped mass of frac."""
+        real = fbm._circulant_eigenvalues
+        monkeypatch.setattr(fbm, "_circulant_eigenvalues", lambda size, h: (real(size, h)[0], frac))
+
+    def test_clipped_mass_above_threshold_refused(self, monkeypatch):
+        self.clip(monkeypatch, 2 * fbm.CIRCULANT_CLIP_THRESHOLD)
+        with pytest.raises(ValueError, match=r"mass 2\.000e-08 exceeds threshold 1\.000e-08 \(n=100, H=0\.7\)"):
+            sample_circulant(TimeGrid(0.0, 1.0, 100), 0.7, 1, seed=0)
+
+    def test_clipped_mass_below_threshold_warns(self, monkeypatch):
+        grid = TimeGrid(0.0, 1.0, 100)
+        want = sample_circulant(grid, 0.7, 2, seed=3).values
+        self.clip(monkeypatch, fbm.CIRCULANT_CLIP_THRESHOLD / 2)
+        with pytest.warns(RuntimeWarning, match=r"clipped negative eigenvalue mass 5\.000e-09"):
+            got = sample_circulant(grid, 0.7, 2, seed=3).values
+        assert np.array_equal(got, want)  # the warning changes no draw
 
     def test_eigenvalue_cache_keyed_by_padded_size(self):
         # 100 and 120 steps both embed in 128

@@ -3,7 +3,7 @@ import pytest
 
 from refsde.fbm import sample_circulant
 from refsde.grids import SamplePath, TimeGrid
-from refsde.young import young_constant_probe, young_integral
+from refsde.young import young_integral
 
 from conftest import path_on
 
@@ -105,26 +105,3 @@ class TestYoungIntegral:
         with pytest.raises(ValueError):
             young_integral(f, f, "midpoint")
 
-
-class TestConstantProbe:
-    def test_zero_integrand(self):
-        f = path_on(0.0, 1.0, 128, lambda t: np.zeros_like(t))
-        g = path_on(0.0, 1.0, 128, lambda t: t)
-        assert young_constant_probe(f, g, 0.4, (0.0, 1.0)) == 0.0
-
-    def test_unit_integrand_identity_driver(self):
-        f = path_on(0.0, 1.0, 4096, lambda t: np.ones_like(t))
-        g = path_on(0.0, 1.0, 4096, lambda t: t)
-        ratio = young_constant_probe(f, g, 0.4, (0.0, 1.0))
-        assert ratio == pytest.approx(0.9437, abs=2e-3)
-
-    def test_bounded_over_random_pairs(self):
-        worst = 0.0
-        for i in range(30):
-            f = sample_circulant(TimeGrid(0.0, 1.0, 256), 0.75, 1, seed=(30, i))
-            g = sample_circulant(TimeGrid(0.0, 1.0, 256), 0.75, 1, seed=(31, i))
-            f = SamplePath(f.grid, f.values + 1.0)  # keep the norm away from 0
-            ratio = young_constant_probe(f, g, 0.3, (0.0, 1.0))
-            if ratio is not None:
-                worst = max(worst, ratio)
-        assert 0.0 < worst < 50.0
