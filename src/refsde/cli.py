@@ -283,15 +283,15 @@ def _write_csvs(paths: list, header: list, t: np.ndarray, lanes) -> None:
     Only new values are formatted, by _format_values: t once for every
     file, then each row block's distinct values, told apart by their bits
     (so -0.0 is not 0.0), except those whose text the first file's same
-    row block already holds.
+    row block already holds.  The first file's text of a row block is kept
+    while a later file can read it.
     """
-    t_text = np.array(_format_values(t.tolist()), dtype=object)
     k = len(header) - 1
     step = max(1, _CSV_CELLS // (k + 1))
     # a row block's text: t and the k cells of each row, "," between them, "\n" after
     line = np.empty((min(step, len(t)), 2 * k + 2), dtype=object)
     line[:, 1:-1:2], line[:, -1] = ",", "\n"
-    firsts = []  # each row block of the first file: its distinct bits, sorted, and their text
+    firsts = []  # each row block of the first file: t's text, its distinct bits, sorted, and theirs
     for j, (path, values) in enumerate(zip(paths, lanes)):
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\n")
@@ -300,16 +300,19 @@ def _write_csvs(paths: list, header: list, t: np.ndarray, lanes) -> None:
                 bits, cells = np.unique(block.view(np.int64).ravel(), return_inverse=True)
                 text = np.empty(len(bits), dtype=object)
                 if j:  # the text of the bits that the first file's block holds
-                    known, known_text = firsts[b]
+                    t_text, known, known_text = firsts[b]
+                    if j + 1 == len(paths):
+                        firsts[b] = None  # no later file reads it
                     at = np.searchsorted(known, bits).clip(max=len(known) - 1)
                     new = known[at] != bits
                     text[~new] = known_text[at[~new]]
                 else:
-                    new = slice(None)
-                    firsts.append((bits, text))
+                    t_text, new = _format_values(t[a : a + step].tolist()), slice(None)
+                    if len(paths) > 1:
+                        firsts.append((t_text, bits, text))
                 text[new] = _format_values(bits[new].view(np.float64).tolist())
                 rows = len(block)
-                line[:rows, 0] = t_text[a : a + rows]
+                line[:rows, 0] = t_text
                 line[:rows, 2::2] = text[cells].reshape(rows, k)
                 fh.write("".join(line[:rows].ravel().tolist()))
 
@@ -329,14 +332,15 @@ def _solution_csvs(paths: list, sols: list) -> None:
     _write_csvs(paths, header, sols[0].x.times, lanes)
 
 
-def _csv_header(path: Path, lines: list) -> tuple[int, list]:
-    """(index, column names) of the header of a CSV's lines: the first line
-    that is not blank once a '#' comment is cut off, as np.loadtxt reads
-    the data rows."""
-    at = next((i for i, line in enumerate(lines) if line.split("#", 1)[0].strip()), None)
-    if at is None:
-        raise ValueError(f"{path} is empty")
-    return at, [name.strip() for name in lines[at].split("#", 1)[0].split(",")]
+def _csv_header(path: Path, lines) -> tuple[int, list]:
+    """(index, column names) of the header of a CSV's lines, any iterable,
+    read up to it: the first line that is not blank once a '#' comment is
+    cut off, as np.loadtxt reads the data rows."""
+    for at, line in enumerate(lines):
+        cells = line.split("#", 1)[0]
+        if cells.strip():
+            return at, [name.strip() for name in cells.split(",")]
+    raise ValueError(f"{path} is empty")
 
 
 def _raise_bad_cell(path: Path, text: str) -> None:
@@ -364,17 +368,21 @@ def _raise_bad_cell(path: Path, text: str) -> None:
 
 
 def _read_path_csv(path: Path) -> SamplePath:
-    text = path.read_text()
-    lines = text.splitlines()
-    header_at, names = _csv_header(path, lines)
-    body = lines[header_at + 1 :]
-    if not any(line.strip() for line in body):  # loadtxt would warn, then return no rows
-        raise ValueError(f"{path} needs at least two data rows, got 0")
-    try:
-        data = np.loadtxt(body, delimiter=",", ndmin=2)
-    except ValueError:
-        _raise_bad_cell(path, text)  # a cell that is not a number, or a row of another width
-        raise
+    """The path of a CSV: np.loadtxt reads the rows after the header from
+    the file; the text is read whole only to name a bad cell."""
+    with open(path) as fh:
+        lines = iter(fh.readline, "")  # readline, not next: tell stays open
+        _, names = _csv_header(path, lines)
+        body = fh.tell()
+        if not any(line.split("#", 1)[0].strip() for line in lines):  # loadtxt would warn
+            raise ValueError(f"{path} needs at least two data rows, got 0")
+        fh.seek(body)
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError:
+            # a cell that is not a number, or a row of another width
+            _raise_bad_cell(path, path.read_text())
+            raise
     if len(data) < 2:
         raise ValueError(f"{path} needs at least two data rows, got {len(data)}")
     if names[0] != "t":
@@ -383,7 +391,7 @@ def _read_path_csv(path: Path) -> SamplePath:
         raise ValueError(f"{path} has no value column after t")
     if data.shape[1] != len(names) or not np.isfinite(data).all():
         # rows narrower or wider than the header, or nan, inf or an overflow such as 1e400
-        _raise_bad_cell(path, text)
+        _raise_bad_cell(path, path.read_text())
     times, values = data[:, 0], data[:, 1:]
     grid = TimeGrid(float(times[0]), float(times[-1]), len(times) - 1)
     if not np.allclose(times, grid.times, rtol=0.0, atol=grid._tol):  # the grid's own rule

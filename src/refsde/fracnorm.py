@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import accumulate
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -190,9 +191,9 @@ def _magnitudes(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _reach(top: np.ndarray, bottom: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """Componentwise, at least |x - v| for x in a range of max top and min bottom and v in a
-    window of max hi and min lo, which it overwrites; rounding keeps it at least any increment."""
-    return np.maximum(np.subtract(top, lo, out=lo), np.subtract(hi, bottom, out=hi), out=lo)
+    """Componentwise, at least |x - v| for x in a range of max top and min -bottom and v in a
+    window of max hi and min -lo, which it overwrites; rounding keeps it at least any increment."""
+    return np.maximum(np.add(top, lo, out=lo), np.add(hi, bottom, out=hi), out=lo)
 
 
 def _driver_weights(n: int, dt: float, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -208,19 +209,18 @@ def _driver_weights(n: int, dt: float, alpha: float) -> tuple[np.ndarray, np.nda
 class _Bounds:
     """What _endpoint_bounds gives of P lanes of d components on n steps.  Near
     parts, None unless asked for: rows (P, n + 1), each end's row over the lags
-    of _lag_sweep; quot (P,), the largest quotient there; peak and run (P d, n),
-    each start's largest driver quotient and running sum there.  Far bounds, 0
-    where nothing lies beyond, per range j of ends j width..j width + width - 1
-    (start s is end n - s of the reversed path): tail (P, R) of its rows' rest,
-    cells (P, B R) (P, 1 if B = 0), entry k R + j, of its quotients over lags
-    first + 1..first + lags, blocks[k] = (first, lags); far (P d, R) of its
-    driver quotients.  Per end: row_tail, cell (k (n + 1) + end), start_far."""
+    of _lag_sweep; quot (P,), the largest quotient there; peak (P d, n), each
+    start's largest driver quotient there.  Far bounds, 0 where nothing lies
+    beyond, per range j of ends j width..j width + width - 1 (start s is end
+    n - s of the reversed path): tail (P, R) of its rows' rest, cells (P, B R)
+    (P, 1 if B = 0), entry k R + j, of its quotients over lags first + 1..first
+    + lags, blocks[k] = (first, lags); far (P d, R) of its driver quotients.
+    Per end: row_tail, cell (k (n + 1) + end), start_far (tables of widths width, 4 width, ...)."""
 
     width: int = 1
     rows: np.ndarray | None = None
     quot: np.ndarray | None = None
     peak: np.ndarray | None = None
-    run: np.ndarray | None = None
     blocks: list = field(default_factory=list)
     tail: np.ndarray | None = None
     cells: np.ndarray | None = None
@@ -240,38 +240,40 @@ def _endpoint_bounds(values: np.ndarray, dt: float, alpha: float | None = None,
     2 _NEAR_LAGS, ... below n go span / w blocks of the lags first + 1..first
     + w, w = span / _SPLIT (at least 1).  The increments of a range of ends in
     a block are at most _reach from its max and min to its partners', from
-    running max/min tables of the path, read mirrored for the starts.  So a
-    row's tail is at most its blocks' weights times the reach; a quotient cell
-    (end, span..2 span) the largest reach over the power at a block's first
-    lag; a start's driver quotients through a doubling its near running sum
-    plus the weights times the reaches so far plus the largest c times reach.
-    First level: aligned ranges of min(w, _NEAR_LAGS) ends, whose partners in
-    a block lie in one window of 2 w; second level, on demand: single ends.
+    running max tables of the path and of its negation, read mirrored for the
+    starts: those of widths w0, 4 w0, 16 w0, ..., w0 the least w, are stored,
+    and each other one is read as two windows of half its width.  So a row's
+    tail is at most its blocks' weights times the reach; a quotient cell (end,
+    span..2 span) the largest reach over the power at a block's first lag; a
+    start's driver quotients through a doubling its near running sum plus the
+    weights times the reaches so far plus the largest c times reach.  First
+    level: aligned ranges of min(w, _NEAR_LAGS) ends, whose partners in a block
+    lie in one window of 2 w; second level, on demand: single ends.
     """
     n, lanes, d = values.shape[0] - 1, values.shape[1], values.shape[2]
     rows, quot, run, peak = _lag_sweep(values, dt, alpha, lambda_exponent, min(n, _NEAR_LAGS),
                                        driver_alpha)
     spans = [_NEAR_LAGS << k for k in range(((n - 1) // _NEAR_LAGS).bit_length())]  # all < n
     out = _Bounds(1, None if alpha is None else np.ascontiguousarray(rows.T), quot,
-                  *((None, None) if driver_alpha is None else (peak.T, run.T)),
+                  None if driver_alpha is None else peak.T,
                   [(span, min(span, n - span)) for span in spans], np.zeros((lanes, n + 1)),
                   np.zeros((lanes, 1)), np.zeros((lanes * d, n + 1)))
     if not spans:
         return out  # no far lag: every end and start is exact after the near lags
     widths = [1 << (max(span // _SPLIT, 1) - 1).bit_length() for span in spans]
-    # running max/min tables of widths 1, w, 2 w: entry tables[w] + pad + x spans x..x + w - 1
-    pad, tables, total = widths[-1], {}, 0
-    for wide in sorted({1, *widths, 2 * widths[-1]}):
-        tables[wide], total = total, total + n + 2 * pad + 2 - wide
+    pad, tables, total = widths[-1], {}, 0  # tables[w] = (at, step): see window
+    for j, wide in enumerate(sorted({*widths, 2 * widths[-1]})):
+        tables[wide] = (tables[wide // 2][0], wide // 2) if j % 2 else (total, 0)
+        total += 0 if j % 2 else n + 2 * pad + 2 - wide
     span, w = np.array(spans), np.array(widths)
     r = np.minimum(w, _NEAR_LAGS)  # ends per range
-    table, double = (np.array([tables[x] for x in a]) for a in (r, 2 * w))
+    (table, own_step), (double, win_step) = (np.array([tables[x] for x in a]).T for a in (r, 2 * w))
     full, count = span // w, np.minimum(span // w, -(-(n - span) // w))  # blocks; below n
     level, start = np.repeat(np.arange(len(w)), count), np.cumsum(count) - count
     first = np.append(span[level] + (np.arange(len(level)) - start[level]) * w[level], 2 * n)
     size, last = np.append(w[level], 1), len(level)  # the last block has no lag
-    base, offset = np.append([tables[x] for x in w[level]], 0), np.cumsum(size + 1) - size - 1
-    at, slot = base + pad - first - size, np.arange(full.max())  # at[b] + u: u's partners in b
+    base, base_step = np.array([tables[x] for x in w[level]] + [(0, 0)]).T
+    slot, offset = np.arange(full.max()), np.cumsum(size + 1) - size - 1
     by_level = np.where(slot < count[:, None], start[:, None] + slot, last)
     ranges = -(-(n + 1) // r) - span // r  # a doubling's ranges from its first lag
     row, k = np.cumsum(ranges) - ranges, np.repeat(np.arange(len(w)), ranges)
@@ -279,18 +281,16 @@ def _endpoint_bounds(values: np.ndarray, dt: float, alpha: float | None = None,
     own, win = table[k] + pad + u, double[k] + pad + u - (full[k] + 1) * w[k]  # and slot 0's
     mirror_own = 2 * table[k] + n + 2 * pad + 1 - r[k] - own  # the reversed path's
     mirror_win = 2 * double[k] + n + 2 * pad + 1 - 2 * w[k] - win
-    coarse = np.arange(-(-(n + 1) // w[0])) // (r // w[0])[:, None] - (span // r)[:, None]
-    spread = np.where(coarse >= 0, row[:, None] + coarse, len(k))  # the row holding each range
-    out.width, (hi, lo), width = widths[0], np.empty((2, lanes, total, d)), 1
-    top, bottom = hi[:, : n + 2 * pad + 1], lo[:, : n + 2 * pad + 1]
-    top[...] = bottom[...] = np.pad(values.transpose(1, 0, 2), ((0,), (pad,), (0,)), "edge")
-    for wide, start in sorted(tables.items())[1:]:
+    out.width, maxima, width = widths[0], np.empty((2, lanes, total, d)), 1
+    top = np.pad(np.stack([values, -values]), ((0,), (pad,), (0,), (0,)), "edge").swapaxes(1, 2)
+    for wide, start in sorted((x, at) for x, (at, step) in tables.items() if not step):
         while width < wide:  # each table from the one of half its width, in its place
-            into = slice(start, start + top.shape[1] - width) if 2 * width == wide else None
-            top = np.maximum(top[:, :-width], top[:, width:], out=into and hi[:, into])
-            bottom = np.minimum(bottom[:, :-width], bottom[:, width:], out=into and lo[:, into])
+            into = slice(start, start + top.shape[2] - width) if 2 * width == wide else None
+            top = np.maximum(top[:, :, :-width], top[:, :, width:], out=into and maxima[:, :, into])
             width *= 2
-    hi, lo = hi.reshape(-1, d), lo.reshape(-1, d)  # lane p's tables from p total
+        if wide == 1:  # blocks of one lag: the path itself
+            maxima[:, :, : top.shape[2]] = top
+    maxima = maxima.reshape(2, -1, d)  # lane p's tables from p total
 
     def sums(a):  # from offset[b], block b's sums of a over its first 0..w lags, in lag order
         a = np.append(a, np.zeros(2 * pad))
@@ -299,7 +299,7 @@ def _endpoint_bounds(values: np.ndarray, dt: float, alpha: float | None = None,
             for x, m, y in zip(spans, count, widths)] + [np.zeros(2)])
 
     c_max, power = np.zeros(len(first)), np.full(len(first), np.inf)  # for norms not asked
-    row_weight = drive = np.zeros(offset[-1] + 2)
+    row_weight = drive = np.broadcast_to(0.0, offset[-1] + 2)  # no memory
     if alpha is not None:
         near, far = _lag_weights(n, dt, alpha + 1.0)
         row_weight = sums(far[:-1] + near[1:])
@@ -310,65 +310,70 @@ def _endpoint_bounds(values: np.ndarray, dt: float, alpha: float | None = None,
         c = np.append(c, np.zeros(2 * pad))[: first[-2] + pad]
         drive, c_max = sums(drive), np.append(np.maximum.reduceat(c, first[:-1]), 0.0)
 
-    def bound(at_lane, own, win, block, at, reversed_path, running=False):
-        """Per row, from own to win per slot of the blocks block, weights at at: tails and
-        cells, or far running sums and largest c times reach, or single starts' quotients."""
-        own, win = own + at_lane, win + at_lane[..., None]
-        g = _reach(np.take(hi, own, axis=0, mode="clip")[..., None, :],
-                   np.take(lo, own, axis=0, mode="clip")[..., None, :],
-                   np.take(hi, win, axis=0, mode="clip"), np.take(lo, win, axis=0, mode="clip"))
-        if reversed_path:
-            run, top = drive[at][..., None] * g, c_max[block][..., None] * g
-            if running:  # in block order, as each start's running sum
-                run = np.cumsum(run, axis=-2)
-                return run[..., -1, :], (run + top).max(axis=-2)
-            return run.sum(axis=-2), top.max(axis=-2)
-        g = _magnitudes(g)
-        return (row_weight[at] * g).sum(axis=-1), (g / power[block]).max(axis=-1)
+    def window(at, step):  # the max and -min of the windows at at, a scratch array: of width w
+        # at x, entry tables[w][0] + pad + x and, where step = tables[w][1] > 0, entry + step
+        got = np.take(maxima, at, axis=1, mode="clip")
+        if np.any(step):
+            np.maximum(got, np.take(maxima, np.add(at, step, out=at), axis=1, mode="clip"), out=got)
+        return got
 
-    def rectangles(i, ends, starts):  # the rows i of the rectangles, per lane
+    def bound(top, bottom, win, step, block, at, reversed_path, running=False):
+        """Per row, from its max top and min -bottom to its windows win, step as in window,
+        per slot of the blocks block, weights at at: tails and cells, or far running sums
+        and largest c times reach, or single starts' quotients."""
+        g = _reach(top[..., None, :], bottom[..., None, :], *window(win, step))
+        if reversed_path:
+            run, top = drive[at][..., None] * g, np.multiply(c_max[block][..., None], g, out=g)
+            if running:  # in block order, as each start's running sum
+                run = np.cumsum(run, axis=-2, out=run)
+                return run[..., -1, :], np.add(top, run, out=top).max(axis=-2)
+            return run.sum(axis=-2), top.max(axis=-2)
+        g = _magnitudes(g, out=g[..., 0])
+        top = (g / power[block]).max(axis=-1)
+        return np.multiply(row_weight[at], g, out=g).sum(axis=-1), top
+
+    def rectangles(i):  # the rows i of the rectangles, per lane
         step, b = slot * w[k[i]][:, None], by_level[k[i]]
         last_end = np.minimum(u[i] + r[k[i]] - 1, n)[:, None]
         block = np.where(last_end > first[b], b, last)[:, None]
         at_lane, got, at = np.arange(lanes) * total, (), offset[block] + size[block]  # in full
-        if ends:
-            got += bound(at_lane, own[i][:, None], (win[i][:, None] - step)[:, None], block, at,
-                         False)
-        if starts:  # the reversed path's entries
-            got += bound(at_lane, mirror_own[i][:, None], (mirror_win[i][:, None] + step)[:, None],
-                         block, at, True)
+        for mirror in (False,) * ends + (True,) * (driver_alpha is not None):  # then starts
+            o, v, sign = (mirror_own, mirror_win, 1) if mirror else (own, win, -1)
+            got += bound(*window(o[i][:, None] + at_lane, own_step[k[i], None]),
+                         (v[i][:, None] + sign * step)[:, None] + at_lane[:, None],
+                         win_step[k[i], None, None], block, at, mirror)
         return got
 
     def single(lane, end, doubling=None, reversed_path=False):  # every block, or a doubling's
         b = np.arange(last)[None, None] if doubling is None else by_level[doubling][:, None]
-        own, one = pad + end, at[b] + end[:, None, None]
-        if reversed_path:
-            own, one = n + pad - end, 2 * base[b] + n + 2 * pad + 1 - size[b] - one
-        count = np.minimum(np.maximum(end[:, None, None] - first[b], 0), size[b])
-        return bound((lane * total)[:, None], own[:, None], one, np.where(count > 0, b, last),
-                     offset[b] + count, reversed_path, True)
+        own, end = values[n - end if reversed_path else end, lane][:, None], end[:, None, None]
+        one = (n + 1 + first[b] - end if reversed_path else end - first[b] - size[b]) + base[b]
+        one += (lane * total)[:, None, None] + pad  # end's partners, mirrored for a start
+        count = np.minimum(np.maximum(end - first[b], 0), size[b])
+        block, count = np.where(count > 0, b, last), count + offset[b]
+        return bound(own, -own, one, base_step[b], block, count, reversed_path, True)
 
     def chunked(part, count, entries, *args):  # part over slices of args, joined
-        step = max(1, _BLOCK_ENTRIES // 4 // entries)
+        step = max(1, _BLOCK_ENTRIES // 8 // entries)
         parts = [part(*(a[i : i + step] for a in args)) for i in range(0, count, step)]
         return [np.concatenate(a) for a in zip(*parts)]
 
-    def per_range(a):  # per row of the rectangles (rows, ...) -> per lane, doubling, range
-        a = np.concatenate([a.reshape(len(a), -1), np.zeros((1, a[0].size))])
-        return a[spread].transpose(2, 0, 1)
+    def per_range(a):  # rows of the rectangles (rows, ...) -> per doubling, per lane and range
+        for j, skip in enumerate(span // w[0]):  # 0 below its first lag
+            g = np.repeat(a[row[j] : row[j] + ranges[j]].reshape(ranges[j], -1).T, r[j] // w[0], 1)
+            yield np.concatenate([np.zeros((len(g), skip)), g], axis=1)[:, : (n + w[0]) // w[0]]
 
     ends = alpha is not None or lambda_exponent is not None
-    got = chunked(lambda i: rectangles(i, ends, driver_alpha is not None), len(k),
-                  lanes * len(slot) * d, np.arange(len(k)))
+    got = chunked(rectangles, len(k), lanes * len(slot) * d, np.arange(len(k)))
     if ends:
-        out.tail, out.cells = per_range(got[0]).sum(axis=1), per_range(got[1]).reshape(lanes, -1)
+        out.tail, out.cells = sum(per_range(got[0])), np.concatenate([*per_range(got[1])], axis=1)
         out.row_tail = lambda lane, end: chunked(single, len(end), last * d, lane, end)[0][:, 0]
         out.cell = lambda lane, which: chunked(single, len(which), by_level.shape[1] * d, lane,
                                                which % (n + 1), which // (n + 1))[1][:, 0]
     if driver_alpha is not None:
-        run, top = (per_range(a.reshape(len(k), -1)) for a in got[-2:])
-        top = (np.cumsum(run, axis=1) + top).max(axis=1)  # after the running sums through each
-        back = np.concatenate([np.zeros((lanes * d, 1)), out.run[:, ::-1]], axis=1)  # start n - u
+        back = np.concatenate([np.zeros((lanes * d, 1)), run.T[:, ::-1]], axis=1)  # start n - u
+        # the largest after the running sums through each doubling
+        top = reduce(np.maximum, map(np.add, accumulate(per_range(got[-2])), per_range(got[-1])))
         out.far = np.where(top > 0.0, np.maximum.reduceat(back, range(0, n + 1, out.width), 1)
                            + top, 0.0)
 
@@ -387,7 +392,7 @@ def _search(rect: np.ndarray, best: np.ndarray, width: int, size: int, refine, e
     + width - 1 below (k + 1) size; rect (P, ranges) bounds their values exact(
     lanes, candidates).  Each lane's best range is evaluated; the ranges whose
     bound times tie reaches the best are refined, refine(lanes, candidates),
-    and evaluated best first in rounds of _BLOCK_ENTRIES entries by widths."""
+    and evaluated best first in rounds of _BLOCK_ENTRIES entries, widths[k] in segment k."""
     ids, per = np.arange(len(best)), -(-size // width)
 
     def candidates(lane, which):  # the lanes and candidates of ranges, each taken once
@@ -398,8 +403,9 @@ def _search(rect: np.ndarray, best: np.ndarray, width: int, size: int, refine, e
 
     lead = rect.argmax(axis=1)
     lane, cand = candidates(*(a[rect[ids, lead] > 0.0] for a in (ids, lead)))
-    if len(lane):
-        np.maximum.at(best, lane, exact(lane, cand))
+    step = max(1, len(lane) * _BLOCK_ENTRIES // max(1, widths[cand // size].sum()))  # in rounds
+    for i in range(0, len(lane), step):
+        np.maximum.at(best, lane[i : i + step], exact(lane[i : i + step], cand[i : i + step]))
     lane, cand = candidates(*np.nonzero((rect > 0.0) & (rect * tie >= best[:, None])))
     if not len(lane):
         return
@@ -408,7 +414,7 @@ def _search(rect: np.ndarray, best: np.ndarray, width: int, size: int, refine, e
     keep = (reach > 0.0) & (reach >= best[lane])
     order = np.lexsort((-reach[keep], lane[keep]))
     lane, cand, reach = lane[keep][order], cand[keep][order], reach[keep][order]
-    spent = np.cumsum(widths[cand])
+    spent = np.cumsum(widths[cand // size])
     pos, ends = np.searchsorted(lane, ids), np.searchsorted(lane, ids, side="right")
     while True:
         live = np.flatnonzero(pos < ends)
@@ -444,28 +450,27 @@ def _endpoint_sups(values: np.ndarray, dt: float, alpha: float | None = None,
     upto = np.arange(1, n + 1)
     bounds = _endpoint_bounds(values, dt, alpha, lambda_exponent, driver_alpha)
     width, starts = bounds.width, np.arange(0, n + 1, bounds.width)  # the ranges' first ends
+    # edged[n + x] = f(t_x), f(t_0) before and f(t_n) after: an end's or a start's lags are a window
+    edged = np.pad(values, ((n, 0 if driver_alpha is None else n), (0, 0), (0, 0)), "edge")
     out = [None] * 4
     if alpha is not None:
         near, far = _lag_weights(n, dt, alpha + 1.0)
         weight = far[:-1] + near[1:]
-        # back[n - u + L] = f(t_(u - L)) for the lags L = 1..u of end u, then zeros
-        back = np.concatenate([values[::-1], np.zeros_like(values[1:])])
 
         def row_values(lane, end):  # in _lag_sweep's order: |f(u)|, w h by lag, - near h
             span = end.max()
-            h = sliding_window_view(back, span, axis=0)[n + 1 - end, lane]
-            h = np.subtract(values[end, lane][:, :, None], h, out=h).transpose(0, 2, 1)
+            h = sliding_window_view(edged, span, axis=0)[n + end - span, lane]  # lags span..1
+            h = np.subtract(values[end, lane][:, :, None], h, out=h)[..., ::-1].transpose(0, 2, 1)
             h = _magnitudes(h, out=h[..., 0])
             h[upto[:span] > end[:, None]] = 0.0
-            terms = h * weight[:span]
-            terms[:, 0] += _magnitudes(values[end, lane])
-            return (np.cumsum(terms, axis=1)[:, -1]
-                    - near[end] * h[np.arange(len(end)), end - 1])
+            opened = near[end] * h[np.arange(len(end)), end - 1]
+            np.multiply(h, weight[:span], out=h)[:, 0] += _magnitudes(values[end, lane])
+            return np.cumsum(h, axis=1, out=h)[:, -1] - opened
 
         rows = bounds.rows
         # value: the near parts, the rows of the known ends, those without far
         # increments and those evaluated
-        value, known = rows.copy(), np.repeat(bounds.tail, width, axis=1)[:, : n + 1] == 0.0
+        value, known = rows.copy(), np.repeat(bounds.tail == 0.0, width, axis=1)[:, : n + 1]
         top = np.maximum.reduceat(rows, starts, axis=1) + bounds.tail
         plain = damping is None or bool(np.all(damping == 1.0))  # then damped rows are rows
         for scale in (np.ones(n + 1),) if plain else (np.ones(n + 1), damping[:, 0]):
@@ -482,15 +487,14 @@ def _endpoint_sups(values: np.ndarray, dt: float, alpha: float | None = None,
             # every near part is its end's row up to rounding: a start for the best
             best = (scale * value).max(axis=1)
             rect = np.where(bounds.tail > 0.0, np.maximum.reduceat(scale, starts) * top, 0.0)
-            _search(rect, best, width, n + 1, refine_rows, exact_rows, np.full(n + 1, n), tie)
+            _search(rect, best, width, n + 1, refine_rows, exact_rows, np.array([n]), tie)
             if out[0] is None:  # the damped pass only adds ends below this sup
                 out[0] = value.max(axis=1, where=known, initial=-np.inf)
         if damping is not None:
             out[1] = (damping[:, 0] * value).max(axis=1, where=known, initial=-np.inf)
     if lambda_exponent is not None:
         powers = _lag_powers(n, dt, lambda_exponent)
-        behind = np.concatenate([np.repeat(values[:1], n, axis=0), values])
-        windows = {}  # width -> sliding windows of behind
+        windows = {}  # width -> sliding windows of edged
 
         def exact_cells(lane, cell):
             which, end = np.divmod(cell, n + 1)
@@ -499,37 +503,33 @@ def _endpoint_sups(values: np.ndarray, dt: float, alpha: float | None = None,
                 first, width = bounds.blocks[b]
                 here = which == b
                 u, p = end[here], lane[here]
-                # lags first + width down to first + 1; a lag past u reads
-                # f(t_0) again, a quotient below that of lag u
+                # lags first + width..first + 1; past u they read f(t_0), below lag u's quotient
                 if width not in windows:
-                    windows[width] = sliding_window_view(behind, width, axis=0)
+                    windows[width] = sliding_window_view(edged, width, axis=0)
                 h = windows[width][u - first - width + n, p]
                 h = np.subtract(values[u, p][:, :, None], h, out=h).transpose(0, 2, 1)
                 h = _magnitudes(h, out=h[..., 0])
                 top[here] = np.divide(h, powers[first : first + width][::-1], out=h).max(axis=1)
             return top
 
-        widths = np.repeat([width for _, width in bounds.blocks], n + 1).astype(int)
         out[2] = bounds.quot
-        _search(bounds.cells, out[2], width, n + 1, bounds.cell, exact_cells, widths, tie)
+        _search(bounds.cells, out[2], width, n + 1, bounds.cell, exact_cells,
+                np.array([lags for _, lags in bounds.blocks]), tie)
     if driver_alpha is not None:
         g = values.reshape(n + 1, -1)  # one lane per component, as in _endpoint_bounds
         w, c = _driver_weights(n, dt, driver_alpha)
-        # ahead[s + L - 1] = g(t_(s + L)) for the lags L = 1..n - s of start s, then zeros
-        ahead = np.concatenate([g[1:], np.zeros_like(g)])
 
-        def exact_starts(lane, end):
+        def exact_starts(lane, end):  # lags 1..span, those past t_n set to 0
             start, span = n - end, end.max()
-            h = sliding_window_view(ahead, span, axis=0)[start, lane]
+            h = sliding_window_view(edged.reshape(3 * n + 1, -1), span, axis=0)[n + 1 + start, lane]
             h = np.abs(np.subtract(h, g[start, lane][:, None], out=h), out=h)
             h[upto[:span] > end[:, None]] = 0.0
-            q = np.cumsum(w[:span] * h, axis=1)  # in lag order, as the near lags sum it
-            q += np.multiply(c[:span], h, out=h)
-            return q.max(axis=1)
+            top = c[:span] * h
+            q = np.cumsum(np.multiply(w[:span], h, out=h), axis=1, out=h)  # in lag order, as the
+            return np.add(q, top, out=q).max(axis=1)  # near lags sum it, then c h
 
         drive = bounds.peak.max(axis=1)
-        _search(bounds.far, drive, width, n + 1, bounds.start_far, exact_starts, np.full(n + 1, n),
-                tie)
+        _search(bounds.far, drive, width, n + 1, bounds.start_far, exact_starts, np.array([n]), tie)
         out[3] = drive.reshape(lanes, -1).max(axis=1)
     return tuple(out)
 

@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -446,6 +447,16 @@ class TestShortCsv:
         assert err.startswith("error: ") and str(src) in err and why in err
 
 
+def test_comment_rows_alone_are_no_data(tmp_path):
+    # a body of comments holds no data row: the error, and no np.loadtxt warning
+    src = tmp_path / "c.csv"
+    src.write_text("t,f\n# a comment\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="needs at least two data rows, got 0"):
+            cli._read_path_csv(src)
+
+
 def write_t_column(path, t):
     with open(path, "w") as fh:
         fh.write("t,f\n")
@@ -676,6 +687,39 @@ class TestCsvWriter:
         assert sum(formatted) == len(t) + sum(map(len, blocks)) + sum(map(len, later_new))
         if not cells:  # one block: 7 distinct values in the first file, of 21 cells, 4 new in the later
             assert sum(formatted) == 7 + 7 + 4
+
+
+class TestCsvMemory:
+    """Traced peaks of the CSV reader and writer, each against its data."""
+
+    n = 1 << 14
+
+    @staticmethod
+    def traced_peak(call):
+        call()  # lazy imports and caches, paid first
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_reader_peak(self, tmp_path):
+        # 5.1 times the file with its whole text and lines kept, 1.3 with np.loadtxt
+        # reading the file itself
+        src = tmp_path / "w.csv"
+        write_t_column(src, TimeGrid(0.0, 1.0, self.n).times)
+        assert self.traced_peak(lambda: cli._read_path_csv(src)) <= 2 * src.stat().st_size
+
+    def test_one_lane_writer_peak(self, tmp_path):
+        # 12.5 times the data with t's text and every block's kept for the whole
+        # write, 7 with one row block's text at a time
+        t = np.linspace(0.0, 1.0, self.n + 1)
+        x = np.random.default_rng(7).standard_normal((self.n + 1, 3))
+        header = ["t", "x_1", "y_1", "z_1"]
+        peak = self.traced_peak(lambda: cli._write_csvs([tmp_path / "a.csv"], header, t, [x]))
+        assert peak <= 9 * (t.nbytes + x.nbytes)
+
 
 class TestConvergeCmd:
     def test_too_few_levels(self, tmp_path, capsys):

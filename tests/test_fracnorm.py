@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +31,7 @@ from refsde.fracnorm import (
     w_alpha_inf_norm,
     weighted_alpha_norm,
 )
+import refsde
 from refsde.fbm import sample_circulant
 from refsde.grids import SamplePath, TimeGrid
 
@@ -697,6 +704,51 @@ class TestCachedTables:
         assert built() == (1, 2)
         lambda_alpha_bound(f, 0.3)  # reads the report's tables
         assert built() == (1, 2)
+
+
+class TestMemory:
+    def test_traced_peak_of_one_report(self):
+        # in units of the path's 8 (n + 1) bytes: 70 to 75 with a max/min
+        # table of every width kept, about 40 with every other one
+        n = 1 << 14
+        g = sample_circulant(TimeGrid(0.0, 1.0, n), 0.75, 1, seed=(3, 0))
+        norm_reports([walk(1, 64)], 0.375)  # lazy imports inside numpy, paid first
+        _lag_weights.cache_clear()
+        _lag_powers.cache_clear()
+        tracemalloc.start()
+        try:
+            norm_reports([g], 0.375)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 55 * 8 * (n + 1)
+
+    @pytest.mark.slow
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+    def test_resident_peak_at_scale(self):
+        # one report of a 2^18-step lane in a fresh interpreter raises its
+        # peak resident set by 75 MB, 174 MB with every width's table kept.
+        # VmHWM, not ru_maxrss: on Linux a child's ru_maxrss starts at the
+        # high-water mark of the process that spawned it, here pytest's.
+        # Seed (5, 0) searches in 0.6 to 0.9 s on a 2-core x86-64 VM; how much
+        # exact work a seed leaves is not what this checks.
+        code = (
+            "import re\n"
+            "from refsde.fbm import sample_circulant\n"
+            "from refsde.fracnorm import norm_reports\n"
+            "from refsde.grids import TimeGrid\n"
+            "def hwm():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return int(re.search(r'VmHWM:\\s+(\\d+) kB', fh.read()).group(1))\n"
+            "g = sample_circulant(TimeGrid(0.0, 1.0, 1 << 18), 0.75, 1, seed=(5, 0))\n"
+            "before = hwm()\n"
+            "norm_reports([g], 0.375)\n"
+            "print(hwm() - before)\n")
+        src = str(Path(refsde.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                             check=True)
+        assert int(run.stdout) <= 90 * 1024  # kB
 
 
 class TestWAlphaInf:
