@@ -19,16 +19,19 @@ every lane over the interval:
   forward recursion with the regulator applied each step, so the drift's
   x and s arguments always see reflected values.
 
+Every stepper writes only the rows i0 + 1..i1 of its interval, so x, y
+and z keep the initial segment's bytes on [-r, 0] under both schemes.
 The coefficients are evaluated unchecked: a non-finite drift or
 diffusion value makes z non-finite at its step (inf * dt is inf, inf - inf
 and inf * 0 are nan, and nan stays nan), and x = z + y with it.  x can
 also overflow where z stays finite, once y has taken up a large negative
-z.  So each stepper scans x once and _blow_ups reports every lane at its
-first non-finite row.  A lane that fails on an interval (a non-finite x,
-or Picard out of iterations) is dropped at the interval's end with the
-error a solve of that path alone raises; the other lanes' bytes do not
-depend on it, since on the interval each path depends only on its own
-driver.
+z.  The steppers only step; after each interval _solve_lanes alone
+decides failures.  One scan of the interval's x gives a lane a
+BlowUpError at its first non-finite row; under Picard, a lane that did
+not blow up and whose final residual is above picard_tol gets a
+PicardConvergenceError.  A failed lane is dropped with the error a solve
+of that path alone raises; the other lanes' bytes do not depend on it,
+since on the interval each path depends only on its own driver.
 
 ``solve`` is the one-lane case and raises the lane's error;
 ``solve_euler`` and ``solve_picard`` are ``solve`` with the scheme forced.
@@ -224,17 +227,16 @@ def _start(p: Problem, gs: list[SamplePath], cfg: SolverConfig):
     return grid, x, y, z, sups, dg
 
 
-def _blow_ups(x_rows, i: int, times, n_r: int, lanes=None) -> dict:
+def _blow_ups(x_rows, i: int, times, n_r: int) -> dict:
     """A BlowUpError for each lane of x_rows (the rows of x from grid point
     i on, lanes on axis 1) that holds a non-finite value, at its first
     non-finite row and that row's first non-finite component; keyed by
-    lanes[j] (or j)."""
+    the lane's position j."""
     bad = ~np.isfinite(x_rows)
     errors = {}
     for j in np.flatnonzero(bad.any(axis=(0, 2))):
         k, c = np.argwhere(bad[:, j])[0]
-        errors[int(j if lanes is None else lanes[j])] = BlowUpError(
-            i + int(k) - n_r, float(times[i + k]), int(c) + 1)
+        errors[int(j)] = BlowUpError(i + int(k) - n_r, float(times[i + k]), int(c) + 1)
     return errors
 
 
@@ -254,19 +256,18 @@ def _batched_diffusion_increments(p: Problem, times, x, dg, i0: int, i1: int, n_
 
 
 def _close_interval(x, y, z, sups, z_new, i0: int, i1: int) -> None:
-    """Write z_new as the rows of z that end at i1, with the regulator
-    continued from y[i0], x = z + y, and the running sups of |x| on [i0, i1]."""
-    rows = slice(i1 + 1 - len(z_new), i1 + 1)
+    """Write z_new as the rows i0 + 1..i1 of z, with the regulator
+    continued from y[i0], x = z + y, and the running sups of |x|."""
+    rows = slice(i0 + 1, i1 + 1)
     z[rows] = z_new
     y[rows] = regulator_values(z_new, y[i0])
     x[rows] = z_new + y[rows]
-    np.maximum.accumulate(np.maximum(sups[i0 - 1], np.abs(x[i0 : i1 + 1])), axis=0, out=sups[i0 : i1 + 1])
+    np.maximum.accumulate(np.maximum(sups[i0], np.abs(x[rows])), axis=0, out=sups[rows])
 
 
-def _euler_steps(p: Problem, cfg: SolverConfig, times, dt: float, x, y, z, sups, sig_dg, i0: int, i1: int):
+def _euler_steps(p: Problem, cfg: SolverConfig, times, dt: float, x, y, z, sups, sig_dg, i0: int, i1: int) -> None:
     """The Euler recursion on [i0, i1], one grid step at a time for all
-    lanes; a lane that turns non-finite steps on in nan until the scan of
-    the interval's x rows at its end."""
+    lanes; a lane that turns non-finite steps on in nan."""
     n_r = cfg.steps_per_delay
     for k in range(i0, i1):
         b = eval_drift(p.coeffs, float(times[k]), x[k], x[k - n_r], sups[k])
@@ -275,14 +276,13 @@ def _euler_steps(p: Problem, cfg: SolverConfig, times, dt: float, x, y, z, sups,
         y[k + 1] = np.maximum(y[k], np.maximum(-z[k + 1], 0.0))
         x[k + 1] = z[k + 1] + y[k + 1]
         sups[k + 1] = np.maximum(sups[k], np.abs(x[k + 1]))
-    return None, _blow_ups(x[i0 + 1 : i1 + 1], i0 + 1, times, n_r)
 
 
-def _euler_interval(p: Problem, cfg: SolverConfig, times, dt: float, x, y, z, sups, sig_dg, i0: int, i1: int):
+def _euler_interval(p: Problem, cfg: SolverConfig, times, dt: float, x, y, z, sups, sig_dg, i0: int, i1: int) -> None:
     """The Euler recursion on [i0, i1] for a drift that reads only t and the
     delayed state, which is already fixed there: one drift call and one
-    cumulative sum for all lanes, with the step loop's rounding, so the
-    first non-finite row of x is the step loop's."""
+    cumulative sum for all lanes, with the step loop's rounding, so x
+    turns non-finite at the step loop's row."""
     n_r = cfg.steps_per_delay
     xd = x[i0 - n_r : i1 - n_r]
     b = eval_drift(p.coeffs, times[i0:i1], xd, xd, xd)  # x and s are not read
@@ -292,21 +292,19 @@ def _euler_interval(p: Problem, cfg: SolverConfig, times, dt: float, x, y, z, su
     terms[0] = z[i0]
     terms[1::2] = b * dt
     terms[2::2] = sig_dg
-    z_new = np.cumsum(terms, axis=0)[2::2]
-    _close_interval(x, y, z, sups, z_new, i0, i1)
-    return None, _blow_ups(x[i0 + 1 : i1 + 1], i0 + 1, times, n_r)
+    _close_interval(x, y, z, sups, np.cumsum(terms, axis=0)[2::2], i0, i1)
 
 
 def _picard_interval(p: Problem, cfg: SolverConfig, times, dt: float, x, y, z, sups, sig_dg, i0: int, i1: int):
     """The fixed-point construction on [i0, i1]; returns each lane's
-    iteration count and final residual, and the failed lanes.
+    iteration count and final residual.
 
     The map u -> z(i0) + drift integral + Young term + regulator is
     iterated to a sup-norm fixed point from the configured initial iterate,
     with one batched drift call per iteration over the lanes still
-    iterating.  A lane is frozen at the first iterate within tolerance and
-    dropped at the first with a non-finite x; the lanes still iterating
-    after max_iter fail with PicardConvergenceError.
+    iterating.  A lane stops at the first iterate that is within
+    tolerance, non-finite, or the max_iter-th, and its x, y and z on the
+    interval are that iterate's.
     """
     n_r = cfg.steps_per_delay
     young = np.zeros((n_r + 1,) + sig_dg.shape[1:])
@@ -322,7 +320,6 @@ def _picard_interval(p: Problem, cfg: SolverConfig, times, dt: float, x, y, z, s
     z_int = np.empty_like(u)  # each lane's z at the iterate it stopped on
     iterations = np.empty(u.shape[1], dtype=int)
     residuals = np.empty(u.shape[1])
-    failures: dict = {}
     # the lanes still iterating, and their slices of the fixed data
     live = np.arange(u.shape[1])
     xd, s0, z0, y0 = x[i0 - n_r : i0 + 1], sups[i0 - 1], z[i0], y[i0]
@@ -334,38 +331,30 @@ def _picard_interval(p: Problem, cfg: SolverConfig, times, dt: float, x, y, z, s
         z_new = z0 + drift_cum + young
         u_new = z_new + regulator_values(z_new, y0)
         res = np.max(np.abs(u_new - u), axis=(0, 2))
-        finite = np.isfinite(u_new).all(axis=(0, 2))  # u_new is x on this iterate
-        going = finite & (res > cfg.picard_tol)  # a nan residual is not above tol
+        # u_new is x on this iterate; a nan residual is not above tol
+        going = np.isfinite(u_new).all(axis=(0, 2)) & (res > cfg.picard_tol) & (n_iter < cfg.picard_max_iter)
         if not going.all():
-            if not finite.all():
-                failures.update(_blow_ups(u_new[:, ~finite], i0, times, n_r, lanes=live[~finite]))
-            stop = finite & ~going
+            stop = ~going
             done = live[stop]
             z_int[:, done] = z_new[:, stop]
             iterations[done] = n_iter
             residuals[done] = res[stop]
             if not going.any():
                 break
-            live, res = live[going], res[going]
+            live = live[going]
             u_new, xd, s0, z0, y0, young = (a[..., going, :] for a in (u_new, xd, s0, z0, y0, young))
         u = u_new
-    else:
-        failures.update({int(j): PicardConvergenceError(i0 // n_r - 1, float(r), cfg.picard_max_iter)
-                         for j, r in zip(live, res)})
-    # z_int covers [i0, i1]: rewriting row i0 keeps its bytes (z[i0] + 0.0 turns -0.0 into 0.0);
-    # the columns of failed lanes are never set, and those lanes are dropped
-    _close_interval(x, y, z, sups, z_int, i0, i1)
-    return (iterations, residuals), failures
+    _close_interval(x, y, z, sups, z_int[1:], i0, i1)
+    return iterations, residuals
 
 
 def _solve_lanes(p: Problem, gs: list[SamplePath], cfg: SolverConfig) -> tuple[list, dict]:
     """Solve on every driver of gs at once, one lane per driver, one delay
     interval at a time.
 
-    Returns the solutions in driver order and a dict of failures: a lane
-    that fails on an interval is dropped at the interval's end with the
-    error its own solve raises (solutions[j] is None); the other lanes'
-    bytes do not depend on which lanes share the pass.
+    Returns the solutions in driver order and a dict of failures, which
+    only this function decides, after each interval (see the module
+    docstring); a failed lane's solutions[j] is None.
     """
     grid, x, y, z, sups, dg = _start(p, gs, cfg)
     n_r = cfg.steps_per_delay
@@ -383,11 +372,17 @@ def _solve_lanes(p: Problem, gs: list[SamplePath], cfg: SolverConfig) -> tuple[l
         for i0 in range(n_r, grid.n_steps, n_r):
             if not lanes.size:
                 break
-            sig_dg = _batched_diffusion_increments(p, times, x, dg, i0, i0 + n_r, n_r)
-            stats, errors = step(p, cfg, times, grid.dt, x, y, z, sups, sig_dg, i0, i0 + n_r)
-            if stats is not None:
-                for lane, n_iter, residual in zip(lanes, *stats):
+            i1 = i0 + n_r
+            sig_dg = _batched_diffusion_increments(p, times, x, dg, i0, i1, n_r)
+            stats = step(p, cfg, times, grid.dt, x, y, z, sups, sig_dg, i0, i1)
+            errors = _blow_ups(x[i0 + 1 : i1 + 1], i0 + 1, times, n_r)
+            if stats is not None:  # Picard: a lane that did not blow up fails above tolerance
+                iterations, residuals = stats
+                for lane, n_iter, residual in zip(lanes, iterations, residuals):
                     picard[lane].append((int(n_iter), float(residual)))
+                for j in np.flatnonzero(residuals > cfg.picard_tol):
+                    errors.setdefault(int(j), PicardConvergenceError(
+                        i0 // n_r - 1, float(residuals[j]), cfg.picard_max_iter))
             if errors:
                 failures.update((int(lanes[j]), err) for j, err in errors.items())
                 keep = np.ones(lanes.size, dtype=bool)

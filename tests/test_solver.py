@@ -1,7 +1,9 @@
 import hashlib
+import json
 import warnings
 from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -730,3 +732,90 @@ class TestLanes:
                 x, _, z = euler_per_step(p, gs[i], cfg, scan="z")
                 assert np.isfinite(z).all()
                 assert mc.failures[i].step == np.flatnonzero(~np.isfinite(x[:, 0]))[0] - 64
+
+
+# State-dependent drifts of the Euler step loop: (drift, diffusion, eta0).
+STATE_DRIFTS = {
+    "cos_x1": (["cos(x1)"], [["0.2 * xd1 + 0.1"]], 1.0),
+    "exp_ratio": (["exp(-x1) * xd1 ^ 2 / (1 + s1)"], [["0.3"]], 1.0),
+    "two_dim": TWO_DIM + (1.0,),
+    "stiff": (["-200 * x1"], [["0.2 * xd1 + 0.1"]], 0.0),  # 200 dt > 2: x bounces off 0
+}
+
+
+class TestStateEuler:
+    @pytest.mark.parametrize("n_r", [32, 64])
+    @pytest.mark.parametrize("case", sorted(STATE_DRIFTS))
+    def test_bytes_match_per_step_loop(self, case, n_r):
+        drift, diffusion, eta0 = STATE_DRIFTS[case]
+        p = delay_problem(drift, diffusion, n_r, eta0=eta0)
+        cfg = SolverConfig(steps_per_delay=n_r)
+        for seed in (1, 2):
+            g = sample_circulant(driver_grid(p, n_r), 0.75, p.m, seed=seed)
+            sol = solve_euler(p, g, cfg)
+            for got, want in zip((sol.x, sol.y, sol.z), euler_per_step(p, g, cfg)):
+                assert got.values.tobytes() == want.tobytes()  # signed zeros too
+
+    @pytest.mark.parametrize("drift", [
+        "(1.5 - x1) ^ 0.5",  # x crosses 1.5 mid-interval and the drift turns nan
+        "1e308 * x1",  # the drift overflows once x has grown
+    ])
+    def test_same_failure_same_step(self, drift):
+        p = delay_problem([drift], [["0.5"]], 32, M=2)
+        cfg = SolverConfig(steps_per_delay=32)
+        for seed in (1, 3):  # at seed 2 x stays below 1.5
+            g = sample_circulant(driver_grid(p, 32), 0.75, 1, seed=seed)
+            want = failure(euler_per_step, p, g, cfg)
+            assert want is not None and want[0] is BlowUpError
+            assert want[1] % 32 not in (0, 1)  # neither an interval's first step nor its last
+            assert failure(solve_euler, p, g, cfg) == want
+
+
+class TestInitialSegment:
+    @pytest.mark.parametrize("scheme", ["euler", "picard"])
+    @pytest.mark.parametrize("drift", ["cos(x1)", "xd1"], ids=["state", "delay_only"])
+    def test_rows_on_minus_r_to_0_are_eta(self, scheme, drift):
+        # eta = -t is -0.0 at t = 0, and x and z keep that sign
+        n_r = 16
+        eta = eta_from_callable(lambda t: np.array([-t]), 1.0, n_r, 1)
+        p = Problem(eta=eta, coeffs=CoefficientSet.from_strings([drift], [["0.3"]]), r=1.0, T=2.0)
+        g = sample_circulant(driver_grid(p, n_r), 0.75, 1, seed=1)
+        sol = solve(p, g, SolverConfig(steps_per_delay=n_r, scheme=scheme))
+        assert np.signbit(eta.values[-1, 0])
+        for sp in (sol.x, sol.z):
+            assert sp.values[: n_r + 1].tobytes() == eta.values.tobytes()
+
+
+# Each failed path's error facts and one digest of the surviving paths'
+# solution facts, recorded while the interval steppers still decided
+# failures themselves: every PARTIAL_FAILURES case at n_r = 16 and 64 (8
+# paths), and the x-overflow case of TestLanes under both schemes.
+LANE_FAILURES = json.loads(Path(__file__).with_name("lane_failures.json").read_text())
+
+
+def failure_run(key):
+    """The Monte Carlo run that a key of LANE_FAILURES names."""
+    case, size = key.split("/")
+    if case == "x_overflow":
+        p = lane_problem(["0"], [["1e308"]], 64, M=4)
+        return solve_stochastic(p, SolverConfig(steps_per_delay=64, scheme=size, seed=1), 20)
+    drift, diffusion, scheme, max_iter, _ = PARTIAL_FAILURES[case]
+    n_r = int(size)
+    cfg = SolverConfig(steps_per_delay=n_r, scheme=scheme, seed=1, picard_max_iter=max_iter)
+    return solve_stochastic(lane_problem(drift, diffusion, n_r), cfg, 8)
+
+
+def lane_record(mc):
+    """A run's entry of LANE_FAILURES, as JSON reads it back."""
+    digest = hashlib.sha256()
+    for i, sol in enumerate(mc.solutions):
+        if sol is not None:
+            digest.update(repr((i, solution_facts(sol))).encode())
+    return {"failures": [[i, type(exc).__name__, *error_facts(exc)[1:]] for i, exc in mc.failures.items()],
+            "survivors": digest.hexdigest()}
+
+
+class TestRecordedFailures:
+    @pytest.mark.parametrize("key", sorted(LANE_FAILURES))
+    def test_failures_as_recorded(self, key):
+        assert lane_record(failure_run(key)) == LANE_FAILURES[key]
