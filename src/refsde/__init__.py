@@ -34,7 +34,6 @@ from .skorokhod import (
 from .young import young_integral, IndefiniteIntegral
 from .coeff import (
     CoefficientSet,
-    DeclaredMeta,
     ExprSyntaxError,
     parse_expr,
     print_expr,
@@ -78,7 +77,7 @@ __all__ = [
     "SkorokhodSolution", "regulator", "regulator_values", "reflect",
     "complementarity_residual", "lipschitz_witness",
     "young_integral", "IndefiniteIntegral",
-    "CoefficientSet", "DeclaredMeta", "ExprSyntaxError", "parse_expr",
+    "CoefficientSet", "ExprSyntaxError", "parse_expr",
     "print_expr", "eval_expr", "eval_drift", "eval_diffusion", "hypothesis_audit",
     "Problem", "SolverConfig", "ReflectedSolution", "MonteCarloResult",
     "BlowUpError", "PicardConvergenceError", "eta_from_callable", "solve",

@@ -67,19 +67,16 @@ _SPLIT = 8
 
 @dataclass(frozen=True)
 class AlphaParams:
-    """Fractional exponent, exponential weight and evaluation interval."""
+    """Fractional exponent and exponential weight, on the path's own grid."""
 
     alpha: float
     lambda_weight: float = 0.0
-    interval: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 0.5:
             raise ValueError(f"alpha must lie in (0, 1/2), got {self.alpha}")
         if not 0.0 <= self.lambda_weight < math.inf:
             raise ValueError(f"lambda_weight must be finite and >= 0, got {self.lambda_weight}")
-        if self.interval is not None and self.interval[0] >= self.interval[1]:
-            raise ValueError(f"interval must satisfy s < t, got {self.interval}")
 
 
 def _cell_integrals(A, B, h_lo, h_hi, kappa: float) -> np.ndarray:
@@ -536,14 +533,13 @@ def _endpoint_sups(values: np.ndarray, dt: float, alpha: float | None = None,
 
 def _lane_sups(fs: list[SamplePath], alpha: float | None = None,
                lambda_weight: float | None = None, lambda_exponent: float | None = None,
-               driver_alpha: float | None = None, interval: tuple[float, float] | None = None):
-    """The norms of every path of fs, which share one grid and one dimension, on
-    interval, as (rows, damped, holder, drive), each (P,) or None unless asked
+               driver_alpha: float | None = None):
+    """The norms of every path of fs, which share one grid and one dimension,
+    as (rows, damped, holder, drive), each (P,) or None unless asked
     for: with alpha the W^(alpha,infinity) norm, and with lambda_weight its
     exp(-lambda_weight t)-weighted form; the lambda_exponent-Hoelder norm; the
     driver norm with driver_alpha.  One _endpoint_sups per group of paths whose
     increments at one lag and their weighted copy fit _BLOCK_ENTRIES a component."""
-    fs = [f.restrict(*interval) for f in fs] if interval else fs
     grid = fs[0].grid
     if any(f.grid != grid or f.dim != fs[0].dim for f in fs):
         raise ValueError("norm_reports needs paths of one grid and one dimension")
@@ -563,30 +559,28 @@ def _lane_sups(fs: list[SamplePath], alpha: float | None = None,
 
 
 def w_alpha_inf_norm(f: SamplePath, p: AlphaParams) -> float:
-    """Discrete W^(alpha,infinity) norm of f on p.interval."""
-    return float(_lane_sups([f], p.alpha, interval=p.interval)[0][0])
+    """Discrete W^(alpha,infinity) norm of f."""
+    return float(_lane_sups([f], p.alpha)[0][0])
 
 
 def weighted_alpha_norm(f: SamplePath, p: AlphaParams) -> float:
     """Same as w_alpha_inf_norm with each u-term damped by exp(-lambda*u)."""
-    return float(_lane_sups([f], p.alpha, p.lambda_weight, interval=p.interval)[1][0])
+    return float(_lane_sups([f], p.alpha, p.lambda_weight)[1][0])
 
 
-def holder_norm(f: SamplePath, lambda_exponent: float,
-                interval: tuple[float, float] | None = None) -> float:
+def holder_norm(f: SamplePath, lambda_exponent: float) -> float:
     """sup|f| + sup over grid pairs of |f(v)-f(u)| / (v-u)^lambda."""
     if not 0.0 < lambda_exponent <= 1.0:
         raise ValueError(f"Hoelder exponent must lie in (0, 1], got {lambda_exponent}")
-    return float(_lane_sups([f], lambda_exponent=lambda_exponent, interval=interval)[2][0])
+    return float(_lane_sups([f], lambda_exponent=lambda_exponent)[2][0])
 
 
-def g_norm_one_minus_alpha(g: SamplePath, alpha: float,
-                           interval: tuple[float, float] | None = None) -> float:
+def g_norm_one_minus_alpha(g: SamplePath, alpha: float) -> float:
     """Discrete W^(1-alpha,infinity) driver norm of a scalar path: the sup
     over every start and lag, found as lambda_alpha_bound finds it."""
     if g.dim != 1:
         raise ValueError(f"driver norm is defined per component, got dim={g.dim}")
-    return float(_lane_sups([g], driver_alpha=alpha, interval=interval)[3][0])
+    return float(_lane_sups([g], driver_alpha=alpha)[3][0])
 
 
 def _lambda_bound(norm: float, alpha: float) -> float:
@@ -594,8 +588,7 @@ def _lambda_bound(norm: float, alpha: float) -> float:
     return float(norm / (math.gamma(1.0 - alpha) * math.gamma(alpha)))
 
 
-def lambda_alpha_bound(g: SamplePath, alpha: float,
-                       interval: tuple[float, float] | None = None) -> float:
+def lambda_alpha_bound(g: SamplePath, alpha: float) -> float:
     """Lambda_alpha(g) as driver norm / (Gamma(1-a) Gamma(a)).
 
     This is the value every estimate downstream uses, not the exact
@@ -605,16 +598,14 @@ def lambda_alpha_bound(g: SamplePath, alpha: float,
     exactly, its running sum added in lag order, unless a bound of its range
     or its own (_endpoint_bounds) lies below the best quotient so far.
     """
-    return _lambda_bound(_lane_sups([g], driver_alpha=alpha, interval=interval)[3][0], alpha)
+    return _lambda_bound(_lane_sups([g], driver_alpha=alpha)[3][0], alpha)
 
 
-def f_norm_alpha_1(f: SamplePath, alpha: float,
-                   interval: tuple[float, float] | None = None) -> float:
+def f_norm_alpha_1(f: SamplePath, alpha: float) -> float:
     """Discrete W^(alpha,1) norm of a scalar path on [0, T]."""
     if f.dim != 1:
         raise ValueError(f"W^(alpha,1) norm expects a scalar path, got dim={f.dim}")
     AlphaParams(alpha=alpha)  # checks alpha
-    f = f.restrict(*interval) if interval else f
     times = f.times
     if times[0] < -1e-12:
         raise ValueError("W^(alpha,1) norm is defined on [0, T]")
@@ -659,16 +650,16 @@ def _holder_exponents(values: np.ndarray, dt: float) -> list[tuple[float | None,
             for s, ok in zip(slopes.tolist(), fit)]
 
 
-def holder_exponent_estimate(f: SamplePath, with_flag: bool = False):
+def holder_exponent_estimate(f: SamplePath) -> float:
     """Regression estimate of the path Hoelder exponent.
 
     Slope of log max-increment against log lag over dyadic scales,
-    clipped to (0, 1].  Constant paths return 1 with the constant flag.
+    clipped to (0, 1].  Constant paths return 1 (norm_report flags them).
     """
-    est, constant = _holder_exponents(f.values[:, None], f.grid.dt)[0]
+    est = _holder_exponents(f.values[:, None], f.grid.dt)[0][0]
     if est is None:
         raise ValueError(f"need at least 64 steps for the exponent estimate, got {f.grid.n_steps}")
-    return (est, constant) if with_flag else est
+    return est
 
 
 @dataclass

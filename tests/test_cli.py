@@ -897,6 +897,13 @@ class TestAuditCmd:
         assert rep["b0_l_one_over_alpha"] == want.b0_l_one_over_alpha > 1.05
         assert rep["flags"]["b0"] is True
 
+    def test_non_finite_coefficient_exits_one(self, tmp_path, capsys):
+        # the b0 probe evaluates the drift on the zero history, where 1 / x1 is inf
+        body = Path(bundled("linear_a.cfg")).read_text().replace("drift = xd1", "drift = 1 / x1")
+        path = write_config(tmp_path, body)
+        assert main(["audit", path]) == 1
+        assert capsys.readouterr().err == "error: drift component 1 evaluated to inf at t=0.0\n"
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_no_samples_exit_one(self, tmp_path, capsys, samples):
         cfg = write_config(tmp_path, MINIMAL.format(out=tmp_path))

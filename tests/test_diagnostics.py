@@ -191,8 +191,10 @@ def regularity_per_norm(sol, alpha):
     """holder_regularity_report as it was before it read norm_report: one
     call per norm."""
     t_end = float(sol.grid.t1)
-    h_norm = holder_norm(sol.x, 1.0 - alpha, interval=(0.0, t_end))
-    exponent, constant = holder_exponent_estimate(sol.x.restrict(0.0, t_end), with_flag=True)
+    x = sol.x.restrict(0.0, t_end)
+    h_norm = holder_norm(x, 1.0 - alpha)
+    exponent = holder_exponent_estimate(x)
+    constant = fracnorm.norm_report(x, alpha).norms["constant_path"]
     w_norm = w_alpha_inf_norm(sol.x, AlphaParams(alpha=alpha))
     lam = lambda_alpha_bound(sol.driver, alpha)
     return {

@@ -18,3 +18,12 @@ def test_module_exports_resolve(name):
     module = importlib.import_module(f"refsde.{name}")
     missing = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
     assert not missing
+
+
+def test_package_exports_are_module_exports():
+    # a public name dropped from its module's __all__ but not the package's
+    # (or the other way round) fails here
+    names = [n for n in refsde.__all__ if n != "__version__"]
+    stray = [n for n in names
+             if n not in getattr(importlib.import_module(getattr(refsde, n).__module__), "__all__", [])]
+    assert not stray

@@ -220,7 +220,7 @@ class TestBlockSweep:
             want = rows_per_lag(sub, 0.3)
             rows, quot = one_lane_rows(sub, 0.3, 0.7)
             assert np.max(np.abs(rows - want)) <= 1e-12 * np.max(np.abs(want))
-            assert holder_norm(f, 0.7, interval) == holder_per_lag(sub, 0.7)
+            assert holder_norm(sub, 0.7) == holder_per_lag(sub, 0.7)
             assert float(np.linalg.norm(sub.values, axis=1).max()) + quot == holder_per_lag(sub, 0.7)
             for i in range(d):
                 g = sub.component(i)
@@ -573,7 +573,7 @@ class TestLagQuadrature:
         for interval in (None, (t0 + 0.3, t0 + 1.7)):
             sub = g.restrict(*interval) if interval else g
             want = g_norm_per_start(sub.times, sub.values[:, 0], alpha)
-            assert g_norm_one_minus_alpha(g, alpha, interval) == pytest.approx(want, rel=1e-12)
+            assert g_norm_one_minus_alpha(sub, alpha) == pytest.approx(want, rel=1e-12)
 
     def test_every_lag_not_only_dyadic_ones(self):
         # the largest increment of the tent spans lag 150, which is not dyadic
@@ -769,8 +769,8 @@ class TestWAlphaInf:
 
     def test_monotone_in_t(self):
         f = random_path(2)
-        a = w_alpha_inf_norm(f, AlphaParams(alpha=0.3, interval=(0.0, 0.5)))
-        b = w_alpha_inf_norm(f, AlphaParams(alpha=0.3, interval=(0.0, 1.0)))
+        a = w_alpha_inf_norm(f.restrict(0.0, 0.5), AlphaParams(alpha=0.3))
+        b = w_alpha_inf_norm(f.restrict(0.0, 1.0), AlphaParams(alpha=0.3))
         assert b >= a - 1e-14
 
     def test_triangle_inequality(self):
@@ -935,7 +935,7 @@ class TestHolderExponent:
 
     def test_constant_flag(self):
         f = path_on(0.0, 1.0, 128, lambda t: np.full_like(t, 2.0))
-        est, const = holder_exponent_estimate(f, with_flag=True)
+        est, const = holder_exponent_estimate(f), norm_report(f, 0.25).norms["constant_path"]
         assert est == 1.0 and const
 
     def test_too_short(self):
