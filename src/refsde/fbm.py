@@ -140,28 +140,36 @@ def sample_cholesky(grid: TimeGrid, H, m: int = 1, seed=0) -> SamplePath:
 
 
 @lru_cache(maxsize=16)
-def _circulant_eigenvalues(size: int, h: float) -> tuple[np.ndarray, float]:
-    """Eigenvalues of the circulant embedding of the fGn covariance of
-    `size` (a power of two) increments.
+def _circulant_amplitudes(size: int, h: float) -> tuple[np.ndarray, float]:
+    """Amplitudes of the circulant embedding of the fGn covariance of
+    `size` (a power of two) increments, and its clipped eigenvalue mass.
 
     The embedding row goes into the real part of one complex array of
-    2*size entries, which is transformed in place; the eigenvalues are a
-    contiguous copy of its real part.  Negative eigenvalues are clipped;
-    the relative clipped mass is returned so the caller can decide
-    between warning and failing.
+    m2 = 2*size entries, which is transformed in place; its real part
+    holds the eigenvalues lambda_0..lambda_{m2-1}.  Negative eigenvalues
+    are clipped; the relative clipped mass is returned so the caller can
+    decide between warning and failing.  The table holds what a draw
+    reads, size + 1 floats: sqrt(lambda_k / m2) at k = 0 and k = size,
+    sqrt(lambda_k / (2 m2)) in between.  Besides the transform itself,
+    the build holds only the table beside the complex array.
     """
     rho = _fgn_autocov(size + 1, h)
     c = np.zeros(2 * size, dtype=complex)
     c.real[:size + 1] = rho
     c.real[size + 1:] = rho[-2:0:-1]
-    lam = np.fft.fft(c, out=c).real.copy()
-    del c  # before the temporaries below, which would otherwise sit beside it
+    del rho
+    m2 = c.size
+    lam = np.fft.fft(c, out=c).real  # a view of c
     neg = -lam[lam < 0].sum()
-    total = np.abs(lam).sum()
+    amp = np.clip(lam[:size + 1], 0.0, None)
+    total = np.abs(lam, out=lam).sum()  # in place, now that the table is taken
     clipped_frac = float(neg / total) if total > 0 else 0.0
-    np.clip(lam, 0.0, None, out=lam)
-    lam.setflags(write=False)
-    return lam, clipped_frac
+    amp[0] /= m2
+    amp[1:size] /= 2.0 * m2
+    amp[size] /= m2
+    np.sqrt(amp, out=amp)
+    amp.setflags(write=False)
+    return amp, clipped_frac
 
 
 def sample_circulant(grid: TimeGrid, H, m: int = 1, seed=0) -> SamplePath:
@@ -174,10 +182,13 @@ def sample_circulant(grid: TimeGrid, H, m: int = 1, seed=0) -> SamplePath:
     the rows of their batch and one cumulative sum, which give each
     component the bytes of its own transform.
 
-    Each batch lives in one complex buffer of 2*size entries per
+    Every batch reuses one complex buffer of 2*size entries per
     component: the normals are drawn into it, scaled into the embedding
-    in place and transformed in place.  One component's draw thus peaks
-    at about 4 x 8*2*size bytes, eigenvalue table and output included.
+    in place and transformed in place.  Beside that buffer the draw holds
+    only the cached amplitude table (size + 1 floats) and, from the first
+    transform on, the output; numpy's transform adds its own scratch.
+    Traced, one component's draw peaks at about 3.1 float arrays of the
+    embedding's length, three components at about 8.2.
     """
     _check_sampling_grid(grid)
     h = _hurst_value(H)
@@ -187,7 +198,7 @@ def sample_circulant(grid: TimeGrid, H, m: int = 1, seed=0) -> SamplePath:
     if m < 1:
         raise ValueError("m must be positive")
     size = 1 << max(1, int(np.ceil(np.log2(n))))  # grids that pad alike share one embedding
-    lam, clipped = _circulant_eigenvalues(size, h)
+    amp, clipped = _circulant_amplitudes(size, h)
     if clipped > CIRCULANT_CLIP_THRESHOLD:
         raise ValueError(
             f"circulant embedding clipped eigenvalue mass {clipped:.3e} exceeds "
@@ -199,14 +210,14 @@ def sample_circulant(grid: TimeGrid, H, m: int = 1, seed=0) -> SamplePath:
             RuntimeWarning,
             stacklevel=2,
         )
-    m2 = lam.size
-    half = m2 // 2
-    amp = np.sqrt(lam[1:half] / (2.0 * m2))
-    out = np.zeros((n + 1, m))
-    width = max(1, _FFT_ENTRIES // m2)  # components per transform
+    half = size
+    m2 = 2 * size
+    width = min(m, max(1, _FFT_ENTRIES // m2))  # components per transform
+    buf = np.empty((width, m2), dtype=complex)
+    out = None
     for first in range(0, m, width):
         cols = range(first, min(first + width, m))
-        w = np.empty((len(cols), m2), dtype=complex)
+        w = buf[:len(cols)]
         # Each row's m2 normals are drawn into the floats of its entries
         # half..m2-1.  Write order: the scalars of entries 0 and half are
         # taken from g first; entries 1..half-1 (all floats below m2) are
@@ -215,15 +226,17 @@ def sample_circulant(grid: TimeGrid, H, m: int = 1, seed=0) -> SamplePath:
         g = w.view(float)[:, m2:]
         for row, j in zip(g, cols):
             _component_rng(seed, j).standard_normal(out=row)
-        w0 = np.sqrt(lam[0] / m2) * g[:, 0]
-        w_half = np.sqrt(lam[half] / m2) * g[:, half]
-        np.multiply(g[:, 1:half], amp, out=w.real[:, 1:half])
-        np.multiply(g[:, half + 1:], amp, out=w.imag[:, 1:half])
+        w0 = amp[0] * g[:, 0]
+        w_half = amp[half] * g[:, half]
+        np.multiply(g[:, 1:half], amp[1:half], out=w.real[:, 1:half])
+        np.multiply(g[:, half + 1:], amp[1:half], out=w.imag[:, 1:half])
         w[:, 0] = w0
         w[:, half] = w_half
         np.conjugate(w[:, half - 1:0:-1], out=w[:, half + 1:])
         fgn = np.fft.fft(w, axis=1, out=w).real[:, :n]
         fgn *= grid.dt ** h
+        if out is None:  # only now, so it is not held through the first transform
+            out = np.zeros((n + 1, m))
         np.cumsum(fgn.T, axis=0, out=out[1:, cols.start:cols.stop])
     return SamplePath(grid, out)
 

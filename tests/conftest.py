@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import refsde
 from refsde import (
     CoefficientSet,
     Problem,
@@ -41,3 +47,30 @@ def nonlinear_problem(n_r, M=1, H=0.75):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260826)
+
+
+needs_vmhwm = pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                                 reason="reads VmHWM from /proc")
+
+
+def resident_peak_rise(setup, measured):
+    """Rise in kB of a fresh interpreter's peak resident set while it runs
+    the code `measured`, after the code `setup`.
+
+    VmHWM, not ru_maxrss: on Linux a child's ru_maxrss starts at the
+    high-water mark of the process that spawned it, here pytest's.
+    """
+    code = (
+        "import re\n"
+        f"{setup}\n"
+        "def hwm():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return int(re.search(r'VmHWM:\\s+(\\d+) kB', fh.read()).group(1))\n"
+        "before = hwm()\n"
+        f"{measured}\n"
+        "print(hwm() - before)\n")
+    src = str(Path(refsde.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True)
+    return int(run.stdout)

@@ -904,6 +904,18 @@ class TestAuditCmd:
         assert main(["audit", path]) == 1
         assert capsys.readouterr().err == "error: drift component 1 evaluated to inf at t=0.0\n"
 
+    def test_growth_probe_stays_in_the_orthant(self, tmp_path, capsys):
+        # x ^ 1.5 is nan for x < 0, a state reflection never reaches; audit
+        # runs wherever simulate does
+        body = Path(bundled("linear_a.cfg")).read_text().replace(
+            "diffusion = a * xd1 + b", "diffusion = a * xd1 ^ 1.5 + b")
+        path = write_config(tmp_path, body)
+        assert main(["simulate", path, "--paths", "2", "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert main(["audit", path]) == 0
+        rep = strict_loads(capsys.readouterr().out)
+        assert rep["gamma"] == 1.0 and rep["flags"]["gamma"] is True  # slope about 1.5
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_no_samples_exit_one(self, tmp_path, capsys, samples):
         cfg = write_config(tmp_path, MINIMAL.format(out=tmp_path))

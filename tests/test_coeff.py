@@ -330,7 +330,7 @@ AUDIT_GOLDEN = {
                       b0_l_one_over_alpha=0.0), []),
     "nonlinear_b": (dict(m0_spatial=0.9797183865399307, m0_time=0.8475176397309669,
                          beta=0.9874996267957441, lipschitz_drift=0.8817837729778075,
-                         k0=0.4982376789900071, gamma=0.0, b0_l_one_over_alpha=1.0), []),
+                         k0=0.4999829802582746, gamma=0.0, b0_l_one_over_alpha=1.0), []),
     "two_dim": (dict(m0_spatial=0.9805987726461927, m0_time=None, beta=None,
                      lipschitz_drift=1.327255569614407, k0=0.44907488157500697,
                      gamma=0.8236482591154879, b0_l_one_over_alpha=1.0), ["l0"]),
@@ -383,6 +383,15 @@ class TestAudit:
         rep = hypothesis_audit(c, ([0.0], [2.0]), n_samples=400, seed=1)
         assert rep.m0_spatial == pytest.approx(2.0, abs=0.05)
         assert rep.gamma == pytest.approx(1.0, abs=0.05)
+        assert not rep.flags["gamma"]
+
+    def test_superlinear_diffusion_sets_the_gamma_flag(self):
+        # the fitted slope is 2; the reported gamma is clipped to 1, the flag
+        # reads the slope before the clip
+        c = CoefficientSet.from_strings(["xd1"], [["xd1 ^ 2"]])
+        rep = hypothesis_audit(c, ([0.0], [2.0]), n_samples=200, seed=0)
+        assert rep.gamma == 1.0
+        assert rep.flags["gamma"]
 
     def test_constant_diffusion(self):
         c = CoefficientSet.from_strings(["0"], [["3"]])

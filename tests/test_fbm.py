@@ -8,7 +8,7 @@ from scipy import stats
 import refsde.fbm as fbm
 from refsde.fbm import (
     CHOLESKY_CAP,
-    _circulant_eigenvalues,
+    _circulant_amplitudes,
     _component_rng,
     _fgn_autocov,
     HurstParameter,
@@ -19,13 +19,15 @@ from refsde.fbm import (
 )
 from refsde.grids import SamplePath, TimeGrid
 
+from conftest import needs_vmhwm, resident_peak_rise
+
 
 def circulant_per_component(grid, h, m, seed):
     """sample_circulant as it was before its components shared one FFT:
     one transform and one cumulative sum per component."""
     n = grid.n_steps
     size = 1 << max(1, int(np.ceil(np.log2(n))))
-    lam, _ = _circulant_eigenvalues(size, h)
+    lam, _ = circulant_eigenvalues_concat(size, h)
     m2 = lam.size
     half = m2 // 2
     out = np.zeros((n + 1, m))
@@ -48,8 +50,9 @@ def fgn_autocov_three_powers(n, h):
 
 
 def circulant_eigenvalues_concat(size, h):
-    """_circulant_eigenvalues as it was before the in-place transform:
-    a real embedding row, a fresh transform and a clipped copy."""
+    """The eigenvalues and clipped mass of the circulant embedding as the
+    sampler computed them before its in-place transform: a real embedding
+    row, a fresh transform and a clipped copy."""
     rho = fgn_autocov_three_powers(size + 1, h)
     lam = np.fft.fft(np.concatenate([rho[:-1], rho[-1:], rho[-2:0:-1]])).real
     neg = -lam[lam < 0].sum()
@@ -66,23 +69,32 @@ class TestInPlaceConstruction:
 
     @pytest.mark.parametrize("h", [0.5, 0.55, 0.75, 0.95])
     def test_eigenvalues_bit_equal_to_concat(self, h):
+        # the cached table holds the amplitudes the draw reads, each taken
+        # from the oracle's eigenvalue as the draw once took it
         for size in (1 << k for k in range(1, 18)):
-            _circulant_eigenvalues.cache_clear()
-            lam, clipped = _circulant_eigenvalues(size, h)
-            want, want_clipped = circulant_eigenvalues_concat(size, h)
-            assert np.array_equal(lam, want) and clipped == want_clipped
-            assert lam.flags.c_contiguous and not lam.flags.writeable
+            _circulant_amplitudes.cache_clear()
+            amp, clipped = _circulant_amplitudes(size, h)
+            lam, want_clipped = circulant_eigenvalues_concat(size, h)
+            m2 = 2 * size
+            want = np.concatenate([[np.sqrt(lam[0] / m2)], np.sqrt(lam[1:size] / (2.0 * m2)),
+                                   [np.sqrt(lam[size] / m2)]])
+            assert np.array_equal(amp.view(np.uint64), want.view(np.uint64))
+            assert clipped == want_clipped
+            assert amp.flags.c_contiguous and not amp.flags.writeable
 
-    @pytest.mark.parametrize("m, bound", [(1, 4.5), (3, 10.0)])
+    @pytest.mark.parametrize("m, bound", [(1, 3.1), (3, 8.25)])
     def test_traced_peak_of_one_draw(self, m, bound):
-        # in units of one float array of the embedding (8 * m2 bytes);
-        # the imports are lazy inside numpy, so pay for them first
+        # in units of one float array of the embedding (8 * m2 bytes): the
+        # complex buffer (2 per component), the amplitude table (1/2) and
+        # the output (1/2 per component), 3.07 and 8.19 measured; pocketfft's
+        # scratch is not traced.  The imports are lazy inside numpy, so pay
+        # for them first
         import numpy.fft  # noqa: F401
         import numpy.random  # noqa: F401
 
         n = 1 << 16
         grid = TimeGrid(0.0, 1.0, n)
-        _circulant_eigenvalues.cache_clear()
+        _circulant_amplitudes.cache_clear()
         tracemalloc.start()
         try:
             sample_circulant(grid, 0.75, m, seed=1)
@@ -90,6 +102,28 @@ class TestInPlaceConstruction:
         finally:
             tracemalloc.stop()
         assert peak <= bound * 8 * (2 * n)
+
+    @pytest.mark.slow
+    @needs_vmhwm
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_resident_peak_at_scale(self, m):
+        # A draw of 2^20 steps in a fresh interpreter, cold table included,
+        # holds the transform buffer of a batch, numpy's copy of it and
+        # pocketfft's scratch, plus the amplitude table and the output: its
+        # peak resident set rises by 107 / 139 MB for m = 1 / 4, against a
+        # bound of 120 / 144 MB.  A full-length eigenvalue table, or a
+        # second buffer held through a transform, puts it above the bound
+        # (129 / 193 MB measured).
+        n = 1 << 20
+        rise = resident_peak_rise(
+            "import numpy.fft, numpy.random\n"
+            "from refsde.fbm import sample_circulant\n"
+            "from refsde.grids import TimeGrid",
+            f"sample_circulant(TimeGrid(0.0, 1.0, {n}), 0.75, {m}, seed=1)")
+        m2 = 2 * n
+        buffer = 16 * m2 * min(m, max(1, fbm._FFT_ENTRIES // m2))
+        output = 8 * (n + 1) * m
+        assert rise * 1024 <= 3.5 * buffer + output
 
 
 class TestSeedTypes:
@@ -280,9 +314,9 @@ class TestCirculant:
 
     @staticmethod
     def clip(monkeypatch, frac):
-        """Make the eigenvalue table report a clipped mass of frac."""
-        real = fbm._circulant_eigenvalues
-        monkeypatch.setattr(fbm, "_circulant_eigenvalues", lambda size, h: (real(size, h)[0], frac))
+        """Make the amplitude table report a clipped mass of frac."""
+        real = fbm._circulant_amplitudes
+        monkeypatch.setattr(fbm, "_circulant_amplitudes", lambda size, h: (real(size, h)[0], frac))
 
     def test_clipped_mass_above_threshold_refused(self, monkeypatch):
         self.clip(monkeypatch, 2 * fbm.CIRCULANT_CLIP_THRESHOLD)
@@ -299,10 +333,10 @@ class TestCirculant:
 
     def test_eigenvalue_cache_keyed_by_padded_size(self):
         # 100 and 120 steps both embed in 128
-        _circulant_eigenvalues.cache_clear()
+        _circulant_amplitudes.cache_clear()
         sample_circulant(TimeGrid(0.0, 1.0, 100), 0.7, 1, seed=0)
         sample_circulant(TimeGrid(0.0, 1.0, 120), 0.7, 1, seed=0)
-        info = _circulant_eigenvalues.cache_info()
+        info = _circulant_amplitudes.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
 

@@ -1,8 +1,4 @@
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,11 +27,10 @@ from refsde.fracnorm import (
     w_alpha_inf_norm,
     weighted_alpha_norm,
 )
-import refsde
 from refsde.fbm import sample_circulant
 from refsde.grids import SamplePath, TimeGrid
 
-from conftest import path_on
+from conftest import needs_vmhwm, path_on, resident_peak_rise
 
 
 def random_path(seed, n=200, scale=1.0):
@@ -724,31 +719,21 @@ class TestMemory:
         assert peak <= 55 * 8 * (n + 1)
 
     @pytest.mark.slow
-    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+    @needs_vmhwm
     def test_resident_peak_at_scale(self):
         # one report of a 2^18-step lane in a fresh interpreter raises its
-        # peak resident set by 75 MB, 174 MB with every width's table kept.
-        # VmHWM, not ru_maxrss: on Linux a child's ru_maxrss starts at the
-        # high-water mark of the process that spawned it, here pytest's.
-        # Seed (5, 0) searches in 0.6 to 0.9 s on a 2-core x86-64 VM; how much
-        # exact work a seed leaves is not what this checks.
-        code = (
-            "import re\n"
+        # peak resident set by 81 MB, 174 MB with every width's table kept.
+        # The rise is taken from the peak the sampler left, so a lower
+        # sampler peak leaves more of the report above it.  Seed (5, 0)
+        # searches in 0.6 to 0.9 s on a 2-core x86-64 VM; how much exact
+        # work a seed leaves is not what this checks.
+        rise = resident_peak_rise(
             "from refsde.fbm import sample_circulant\n"
             "from refsde.fracnorm import norm_reports\n"
             "from refsde.grids import TimeGrid\n"
-            "def hwm():\n"
-            "    with open('/proc/self/status') as fh:\n"
-            "        return int(re.search(r'VmHWM:\\s+(\\d+) kB', fh.read()).group(1))\n"
-            "g = sample_circulant(TimeGrid(0.0, 1.0, 1 << 18), 0.75, 1, seed=(5, 0))\n"
-            "before = hwm()\n"
-            "norm_reports([g], 0.375)\n"
-            "print(hwm() - before)\n")
-        src = str(Path(refsde.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
-                             check=True)
-        assert int(run.stdout) <= 90 * 1024  # kB
+            "g = sample_circulant(TimeGrid(0.0, 1.0, 1 << 18), 0.75, 1, seed=(5, 0))",
+            "norm_reports([g], 0.375)")
+        assert rise <= 90 * 1024  # kB
 
 
 class TestWAlphaInf:
