@@ -16,12 +16,14 @@ end's lags, and of each start s's driver quotients (Lambda_alpha), one lane
 per component, found by one search, _endpoint_sups: _lag_sweep over the lags
 1.._NEAR_LAGS, then blocks of longer lags whose widths double every _SPLIT
 blocks, where running max/min tables of the path bound the increments of
-ranges of endpoints, then of single ends, cells and starts in the ranges
-whose bound reaches the best so far (_endpoint_bounds); _search evaluates
-exactly, best first, those whose own bound times 1 + max(1e-12, (n + 1) eps)
-does, a margin for the rounding of two sums of at most n + 1 positive terms.
+ranges of endpoints, then of single ends, starts and quotient nodes (an end's
+doubling, its blocks, halves, leaves of _NEAR_LAGS lags) in the ranges whose
+bound reaches the best so far (_endpoint_bounds); _search evaluates exactly,
+best first, the ends, starts and leaves whose own bound times 1 + max(1e-12,
+(n + 1) eps) does, a margin for the rounding of two sums of at most n + 1
+positive terms: on smooth paths at most 2 n log2 n exact quotient entries.
 
-Every norm is bit-equal to the sweep over every pair: a cell's quotients
+Every norm is bit-equal to the sweep over every pair: a leaf's quotients
 are computed as that sweep computes them, and each evaluated row and each
 start's running sum is added in its lag order.  So a path's norms, and its
 exponent estimate, do not depend on the paths that share its call.
@@ -113,11 +115,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def _lag_weights(n: int, dt: float, kappa: float) -> tuple[np.ndarray, np.ndarray]:
     """Weights of the near (w = L dt) and far (w = (L+1) dt) end values in
     the cell integral over [L dt, (L+1) dt], for lags L = 0..n; cached
-    read-only."""
-    lags = np.arange(n + 1)
-    A, B = lags * dt, (lags + 1) * dt
-    return (_read_only(_cell_integrals(A, B, 1.0, 0.0, kappa)),
-            _read_only(_cell_integrals(A, B, 0.0, 1.0, kappa)))
+    read-only.  Built _BLOCK_ENTRIES lags at a time, whose temporaries are few."""
+    near, far = np.empty((2, n + 1))
+    for lo in range(0, n + 1, _BLOCK_ENTRIES):
+        lags = np.arange(lo, min(lo + _BLOCK_ENTRIES, n + 1))
+        A, B = lags * dt, (lags + 1) * dt
+        near[lags], far[lags] = (_cell_integrals(A, B, 1.0 - h, h, kappa) for h in (0.0, 1.0))
+    return _read_only(near), _read_only(far)
 
 
 @lru_cache(maxsize=8)
@@ -212,7 +216,7 @@ class _Bounds:
     n - s of the reversed path): tail (P, R) of its rows' rest, cells (P, B R)
     (P, 1 if B = 0), entry k R + j, of its quotients over lags first + 1..first
     + lags, blocks[k] = (first, lags); far (P d, R) of its driver quotients.
-    Per end: row_tail, cell (k (n + 1) + end), start_far (tables of widths width, 4 width, ...)."""
+    Per end: row_tail, start_far, node (quotients over lags first + 1..first + lags, a width)."""
 
     width: int = 1
     rows: np.ndarray | None = None
@@ -223,8 +227,8 @@ class _Bounds:
     cells: np.ndarray | None = None
     far: np.ndarray | None = None
     row_tail: object = None
-    cell: object = None
     start_far: object = None
+    node: object = None
 
 
 def _endpoint_bounds(values: np.ndarray, dt: float, alpha: float | None = None,
@@ -245,7 +249,7 @@ def _endpoint_bounds(values: np.ndarray, dt: float, alpha: float | None = None,
     start's driver quotients through a doubling its near running sum plus the
     weights times the reaches so far plus the largest c times reach.  First
     level: aligned ranges of min(w, _NEAR_LAGS) ends, whose partners in a block
-    lie in one window of 2 w; second level, on demand: single ends.
+    lie in one window of 2 w; second level, on demand: single ends, and nodes.
     """
     n, lanes, d = values.shape[0] - 1, values.shape[1], values.shape[2]
     rows, quot, run, peak = _lag_sweep(values, dt, alpha, lambda_exponent, min(n, _NEAR_LAGS),
@@ -258,18 +262,19 @@ def _endpoint_bounds(values: np.ndarray, dt: float, alpha: float | None = None,
     if not spans:
         return out  # no far lag: every end and start is exact after the near lags
     widths = [1 << (max(span // _SPLIT, 1) - 1).bit_length() for span in spans]
-    pad, tables, total = widths[-1], {}, 0  # tables[w] = (at, step): see window
-    for j, wide in enumerate(sorted({*widths, 2 * widths[-1]})):
-        tables[wide] = (tables[wide // 2][0], wide // 2) if j % 2 else (total, 0)
+    tables = sorted({*widths, 2 * widths[-1], _NEAR_LAGS})  # _NEAR_LAGS: the quotient's leaves
+    pad, total, (offs, steps) = max(widths[-1], _NEAR_LAGS), 0, np.zeros((2, tables[-1] + 1), int)
+    for j, wide in enumerate(tables):  # offs and steps by width: see window
+        offs[wide], steps[wide] = (offs[wide // 2], wide // 2) if j % 2 else (total, 0)
         total += 0 if j % 2 else n + 2 * pad + 2 - wide
     span, w = np.array(spans), np.array(widths)
     r = np.minimum(w, _NEAR_LAGS)  # ends per range
-    (table, own_step), (double, win_step) = (np.array([tables[x] for x in a]).T for a in (r, 2 * w))
+    table, own_step, double, win_step = offs[r], steps[r], offs[2 * w], steps[2 * w]
     full, count = span // w, np.minimum(span // w, -(-(n - span) // w))  # blocks; below n
     level, start = np.repeat(np.arange(len(w)), count), np.cumsum(count) - count
     first = np.append(span[level] + (np.arange(len(level)) - start[level]) * w[level], 2 * n)
     size, last = np.append(w[level], 1), len(level)  # the last block has no lag
-    base, base_step = np.array([tables[x] for x in w[level]] + [(0, 0)]).T
+    base, base_step = np.append(offs[w[level]], 0), np.append(steps[w[level]], 0)
     slot, offset = np.arange(full.max()), np.cumsum(size + 1) - size - 1
     by_level = np.where(slot < count[:, None], start[:, None] + slot, last)
     ranges = -(-(n + 1) // r) - span // r  # a doubling's ranges from its first lag
@@ -280,7 +285,7 @@ def _endpoint_bounds(values: np.ndarray, dt: float, alpha: float | None = None,
     mirror_win = 2 * double[k] + n + 2 * pad + 1 - 2 * w[k] - win
     out.width, maxima, width = widths[0], np.empty((2, lanes, total, d)), 1
     top = np.pad(np.stack([values, -values]), ((0,), (pad,), (0,), (0,)), "edge").swapaxes(1, 2)
-    for wide, start in sorted((x, at) for x, (at, step) in tables.items() if not step):
+    for wide, start in zip(tables[::2], offs[tables[::2]]):
         while width < wide:  # each table from the one of half its width, in its place
             into = slice(start, start + top.shape[2] - width) if 2 * width == wide else None
             top = np.maximum(top[:, :, :-width], top[:, :, width:], out=into and maxima[:, :, into])
@@ -308,7 +313,7 @@ def _endpoint_bounds(values: np.ndarray, dt: float, alpha: float | None = None,
         drive, c_max = sums(drive), np.append(np.maximum.reduceat(c, first[:-1]), 0.0)
 
     def window(at, step):  # the max and -min of the windows at at, a scratch array: of width w
-        # at x, entry tables[w][0] + pad + x and, where step = tables[w][1] > 0, entry + step
+        # at x, entry offs[w] + pad + x and, where step = steps[w] > 0, entry + step
         got = np.take(maxima, at, axis=1, mode="clip")
         if np.any(step):
             np.maximum(got, np.take(maxima, np.add(at, step, out=at), axis=1, mode="clip"), out=got)
@@ -341,8 +346,8 @@ def _endpoint_bounds(values: np.ndarray, dt: float, alpha: float | None = None,
                          win_step[k[i], None, None], block, at, mirror)
         return got
 
-    def single(lane, end, doubling=None, reversed_path=False):  # every block, or a doubling's
-        b = np.arange(last)[None, None] if doubling is None else by_level[doubling][:, None]
+    def single(lane, end, reversed_path=False):  # over every block
+        b = np.arange(last)[None, None]
         own, end = values[n - end if reversed_path else end, lane][:, None], end[:, None, None]
         one = (n + 1 + first[b] - end if reversed_path else end - first[b] - size[b]) + base[b]
         one += (lane * total)[:, None, None] + pad  # end's partners, mirrored for a start
@@ -352,7 +357,7 @@ def _endpoint_bounds(values: np.ndarray, dt: float, alpha: float | None = None,
 
     def chunked(part, count, entries, *args):  # part over slices of args, joined
         step = max(1, _BLOCK_ENTRIES // 8 // entries)
-        parts = [part(*(a[i : i + step] for a in args)) for i in range(0, count, step)]
+        parts = [part(*(a[i : i + step] for a in args)) for i in range(0, count or 1, step)]
         return [np.concatenate(a) for a in zip(*parts)]
 
     def per_range(a):  # rows of the rectangles (rows, ...) -> per doubling, per lane and range
@@ -365,8 +370,13 @@ def _endpoint_bounds(values: np.ndarray, dt: float, alpha: float | None = None,
     if ends:
         out.tail, out.cells = sum(per_range(got[0])), np.concatenate([*per_range(got[1])], axis=1)
         out.row_tail = lambda lane, end: chunked(single, len(end), last * d, lane, end)[0][:, 0]
-        out.cell = lambda lane, which: chunked(single, len(which), by_level.shape[1] * d, lane,
-                                               which % (n + 1), which // (n + 1))[1][:, 0]
+    if lambda_exponent is not None:
+        def node(lane, end, first, lags, powers=_lag_powers(n, dt, lambda_exponent)):
+            own = values[end, lane]  # its partners: the window at end - first - lags
+            g = _reach(own, -own, *window(offs[lags] + pad - lags + end - first + lane * total,
+                                          steps[lags]))
+            return np.where(first < end, _magnitudes(g) / powers[np.minimum(first, n - 1)], 0.0)
+        out.node = lambda *args: chunked(lambda *a: (node(*a),), len(args[0]), _SPLIT * d, *args)[0]
     if driver_alpha is not None:
         back = np.concatenate([np.zeros((lanes * d, 1)), run.T[:, ::-1]], axis=1)  # start n - u
         # the largest after the running sums through each doubling
@@ -383,50 +393,50 @@ def _endpoint_bounds(values: np.ndarray, dt: float, alpha: float | None = None,
 
 
 def _search(rect: np.ndarray, best: np.ndarray, width: int, size: int, refine, exact,
-            widths: np.ndarray, tie: float) -> None:
+            entries: int, tie: float, split=None) -> None:
     """Raise best (P,), each lane's largest exact value so far, to its sup over
     candidates: range k R + j, R = ceil(size / width), holds k size + j width..
-    + width - 1 below (k + 1) size; rect (P, ranges) bounds their values exact(
-    lanes, candidates).  Each lane's best range is evaluated; the ranges whose
-    bound times tie reaches the best are refined, refine(lanes, candidates),
-    and evaluated best first in rounds of _BLOCK_ENTRIES entries, widths[k] in segment k."""
+    + width - 1 below (k + 1) size; rect (P, ranges) bounds their values.  Each
+    lane's best range is taken first, then the ranges whose bound times tie
+    reaches the best, with refine(lanes, candidates) bounds if given.  Level by
+    level, of the candidates whose bound times tie reaches the best, exact(lanes,
+    candidates) evaluates the leaves, best first in rounds of _BLOCK_ENTRIES entries,
+    entries a leaf; split(lanes, candidates) -> (leaf mask, (lanes, children,
+    bounds)), if given, gives the others' children."""
     ids, per = np.arange(len(best)), -(-size // width)
 
-    def candidates(lane, which):  # the lanes and candidates of ranges, each taken once
-        rect[lane, which], local = 0.0, which[:, None] % per * width + np.arange(width)
-        inside = local < size
-        segment = which[:, None] // per * size
-        return np.repeat(lane, width)[inside.ravel()], (segment + local)[inside]
+    def evaluate(lane, cand, reach):
+        count = np.bincount(lane, minlength=len(best))
+        step = max(1, _BLOCK_ENTRIES // entries // max(1, np.count_nonzero(count)))
+        if count.max(initial=0) <= step:  # one round: the order changes nothing
+            return np.maximum.at(best, lane, exact(lane, cand)) if len(lane) else None
+        order = np.lexsort((-reach, lane))
+        lane, cand, reach = lane[order], cand[order], reach[order]
+        rank = np.arange(len(lane)) - np.searchsorted(lane, lane)  # in its lane, best first
+        for top in range(0, count.max(), step):
+            take = np.flatnonzero((rank >= top) & (rank < top + step) & (reach >= best[lane]))
+            if not len(take):  # each lane's next bound lies below its best
+                return
+            np.maximum.at(best, lane[take], exact(lane[take], cand[take]))
 
-    lead = rect.argmax(axis=1)
-    lane, cand = candidates(*(a[rect[ids, lead] > 0.0] for a in (ids, lead)))
-    step = max(1, len(lane) * _BLOCK_ENTRIES // max(1, widths[cand // size].sum()))  # in rounds
-    for i in range(0, len(lane), step):
-        np.maximum.at(best, lane[i : i + step], exact(lane[i : i + step], cand[i : i + step]))
-    lane, cand = candidates(*np.nonzero((rect > 0.0) & (rect * tie >= best[:, None])))
-    if not len(lane):
-        return
-    reach = refine(lane, cand) * tie
-    # a candidate of bound 0 has value 0, which cannot raise a best >= 0
-    keep = (reach > 0.0) & (reach >= best[lane])
-    order = np.lexsort((-reach[keep], lane[keep]))
-    lane, cand, reach = lane[keep][order], cand[keep][order], reach[keep][order]
-    spent = np.cumsum(widths[cand // size])
-    pos, ends = np.searchsorted(lane, ids), np.searchsorted(lane, ids, side="right")
-    while True:
-        live = np.flatnonzero(pos < ends)
-        live = live[reach[pos[live]] >= best[live]]
-        if not len(live):
-            break
-        start = pos[live]
-        before = np.where(start > 0, spent[start - 1], 0)
-        stop = np.searchsorted(spent, before + _BLOCK_ENTRIES // len(live), side="right")
-        stop = np.clip(stop, start + 1, ends[live])
-        take = np.repeat(start - np.cumsum(stop - start) + stop - start, stop - start)
-        take = take + np.arange(len(take))  # the ranges start..stop - 1
-        take = take[reach[take] >= best[lane[take]]]
-        np.maximum.at(best, lane[take], exact(lane[take], cand[take]))
-        pos[live] = stop
+    def run(lane, which, refine=None):  # the ranges which, each taken once
+        local = (which[:, None] % per * width + np.arange(width)).ravel()
+        inside, top, rect[lane, which] = local < size, rect[lane, which], 0.0
+        lane, top, cand = (np.repeat(a, width)[inside] for a in (lane, top, which // per * size))
+        cand += local[inside]
+        reach = tie * (refine(lane, cand) if refine and len(lane) else top)
+        while True:
+            # a candidate of bound 0 has value 0, which cannot raise a best >= 0
+            keep = (reach > 0.0) & (reach >= best[lane])
+            lane, cand, reach = lane[keep], cand[keep], reach[keep]
+            if split is None or not len(lane):
+                return evaluate(lane, cand, reach)
+            leaf, (kids, child, bound) = split(lane, cand)
+            evaluate(lane[leaf], cand[leaf], reach[leaf])
+            lane, cand, reach = np.broadcast_to(kids, child.shape), child, bound * tie
+
+    run(ids, rect.argmax(axis=1))
+    run(*np.nonzero((rect > 0.0) & (rect * tie >= best[:, None])), refine)
 
 
 def _endpoint_sups(values: np.ndarray, dt: float, alpha: float | None = None,
@@ -439,7 +449,7 @@ def _endpoint_sups(values: np.ndarray, dt: float, alpha: float | None = None,
     the largest Hoelder quotient; with driver_alpha the driver norm, the
     largest over the components, each a lane of the search.  Each best starts
     at the near parts of _endpoint_bounds; _search takes the ends, quotient
-    cells and starts whose bounds reach it; those without far increments are
+    leaves and starts whose bounds reach it; those without far increments are
     exact after the near lags."""
     n, lanes = values.shape[0] - 1, values.shape[1]
     # a bound and the exact value each sum at most n + 1 positive terms
@@ -484,34 +494,47 @@ def _endpoint_sups(values: np.ndarray, dt: float, alpha: float | None = None,
             # every near part is its end's row up to rounding: a start for the best
             best = (scale * value).max(axis=1)
             rect = np.where(bounds.tail > 0.0, np.maximum.reduceat(scale, starts) * top, 0.0)
-            _search(rect, best, width, n + 1, refine_rows, exact_rows, np.array([n]), tie)
+            _search(rect, best, width, n + 1, refine_rows, exact_rows, n, tie)
             if out[0] is None:  # the damped pass only adds ends below this sup
                 out[0] = value.max(axis=1, where=known, initial=-np.inf)
         if damping is not None:
             out[1] = (damping[:, 0] * value).max(axis=1, where=known, initial=-np.inf)
     if lambda_exponent is not None:
-        powers = _lag_powers(n, dt, lambda_exponent)
-        windows = {}  # width -> sliding windows of edged
+        # a heap of nodes of the far lags over J >= n / _NEAR_LAGS leaves: node h, candidate
+        # (B + h) (n + 1) + end, has lags first[h] + 1..first[h] + size[h] and kids[h, :fan[h]]:
+        # a doubling's blocks (at least a leaf wide), else at most _SPLIT leaves, else halves;
+        # node 0, past every lag, fills the rest.  Doubling k's cell k (n + 1) + end is heads[k].
+        B, J = len(bounds.blocks), 1 << (-(-n // _NEAR_LAGS) - 1).bit_length()
+        h = np.arange(2 * J)
+        level = np.maximum(np.frexp(h)[1] - 1, 0)
+        size = (J >> level) * _NEAR_LAGS
+        first = (h - (1 << level)) * size
+        fan = np.minimum(size // _NEAR_LAGS,
+                         np.where((first == size) | (size <= _SPLIT * _NEAR_LAGS), _SPLIT, 2))
+        kids = (h[:, None] * fan[:, None] + np.arange(_SPLIT)) * (np.arange(_SPLIT) < fan[:, None])
+        first[0], size[0] = J * _NEAR_LAGS, _NEAR_LAGS
+        heads = np.append(J * _NEAR_LAGS // np.array([f for f, _ in bounds.blocks], int) + 1, h)
+        powers = np.append(_lag_powers(n, dt, lambda_exponent), np.full(_NEAR_LAGS, np.inf))
+        # each leaf's partners and powers (past n infinite)
+        partners, powers = (B and sliding_window_view(a, _NEAR_LAGS, 0) for a in (edged, powers))
 
-        def exact_cells(lane, cell):
-            which, end = np.divmod(cell, n + 1)
-            top = np.empty(len(cell))
-            for b in set(which.tolist()):  # np.unique costs ~15 ms on its first call
-                first, width = bounds.blocks[b]
-                here = which == b
-                u, p = end[here], lane[here]
-                # lags first + width..first + 1; past u they read f(t_0), below lag u's quotient
-                if width not in windows:
-                    windows[width] = sliding_window_view(edged, width, axis=0)
-                h = windows[width][u - first - width + n, p]
-                h = np.subtract(values[u, p][:, :, None], h, out=h).transpose(0, 2, 1)
-                h = _magnitudes(h, out=h[..., 0])
-                top[here] = np.divide(h, powers[first : first + width][::-1], out=h).max(axis=1)
-            return top
+        def split(lane, code):  # a cell, even one leaf wide, is bounded before it is evaluated
+            x, end = np.divmod(code, n + 1)
+            node = np.flatnonzero(x < B + J)
+            h, lane, end = heads[x[node]], lane[node, None], end[node, None]
+            kid = kids[h, : fan[h].max(initial=0)]
+            bound = bounds.node(lane, end, first[kid], size[kid[:, :1]])  # one width a node
+            return x >= B + J, (lane, (B + kid) * (n + 1) + end, bound)
+
+        def exact_leaves(lane, code):  # lags first + _NEAR_LAGS..first + 1: one gather
+            h, u = np.divmod(code, n + 1)
+            lag = first[h - B]  # past u they read f(t_0), below lag u's quotient
+            g = np.subtract(values[u, lane][:, :, None], partners[u - lag - _NEAR_LAGS + n, lane])
+            g = _magnitudes(g.transpose(0, 2, 1), out=g[:, 0])
+            return np.divide(g, powers[lag, ::-1], out=g).max(axis=1)
 
         out[2] = bounds.quot
-        _search(bounds.cells, out[2], width, n + 1, bounds.cell, exact_cells,
-                np.array([lags for _, lags in bounds.blocks]), tie)
+        _search(bounds.cells, out[2], width, n + 1, None, exact_leaves, _NEAR_LAGS, tie, split)
     if driver_alpha is not None:
         g = values.reshape(n + 1, -1)  # one lane per component, as in _endpoint_bounds
         w, c = _driver_weights(n, dt, driver_alpha)
@@ -526,7 +549,7 @@ def _endpoint_sups(values: np.ndarray, dt: float, alpha: float | None = None,
             return np.add(q, top, out=q).max(axis=1)  # near lags sum it, then c h
 
         drive = bounds.peak.max(axis=1)
-        _search(bounds.far, drive, width, n + 1, bounds.start_far, exact_starts, np.array([n]), tie)
+        _search(bounds.far, drive, width, n + 1, bounds.start_far, exact_starts, n, tie)
         out[3] = drive.reshape(lanes, -1).max(axis=1)
     return tuple(out)
 

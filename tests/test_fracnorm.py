@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -27,8 +29,10 @@ from refsde.fracnorm import (
     w_alpha_inf_norm,
     weighted_alpha_norm,
 )
+from refsde.cli import load_config
 from refsde.fbm import sample_circulant
 from refsde.grids import SamplePath, TimeGrid
+from refsde.solver import solve_stochastic
 
 from conftest import needs_vmhwm, path_on, resident_peak_rise
 
@@ -296,20 +300,32 @@ def tie(n):
 
 def count_evaluated(monkeypatch):
     """Hook the endpoint search: the returned dict gathers, under the name of
-    each exact function, the (lane, candidate) pairs that it evaluates."""
+    each exact function, the (lane, candidate) pairs that it evaluates: ends,
+    starts, and quotient leaves of _NEAR_LAGS lags."""
     evaluated = {}
     search = fracnorm._search
 
-    def counting(rect, best, width, size, refine, exact, widths, tie):
+    def counting(rect, best, width, size, refine, exact, entries, tie, split=None):
         def counted(lane, cand):
             found = evaluated.setdefault(exact.__name__, set())
             found.update(zip(lane.tolist(), cand.tolist()))
             return exact(lane, cand)
 
-        search(rect, best, width, size, refine, counted, widths, tie)
+        search(rect, best, width, size, refine, counted, entries, tie, split)
 
     monkeypatch.setattr(fracnorm, "_search", counting)
     return evaluated
+
+
+def quotient_entries(evaluated):
+    """Exact Hoelder quotient entries: the lags summed over the evaluated leaves."""
+    return fracnorm._NEAR_LAGS * len(evaluated.get("exact_leaves", ()))
+
+
+def linear_a_x(steps_per_delay):
+    """x of the bundled linear_a.cfg, path 0 of its seed, on [-1, 3]."""
+    cfg = load_config(str(files("refsde").joinpath("configs/linear_a.cfg")), steps_per_delay)
+    return solve_stochastic(cfg.problem, cfg.solver, 1).solutions[0].x
 
 
 def count_bound_entries(monkeypatch):
@@ -352,6 +368,33 @@ def exact_cells(values, dt, lambda_exponent, blocks):
     return cells.reshape(-1, lanes).T
 
 
+def quotient_nodes(n, near):
+    """(first, lags) of each node below the cells that the quotient search
+    bounds, lags first + 1..first + lags: per doubling its blocks, at least
+    near wide, and their halves down to near lags."""
+    nodes, span = [], near
+    while span < n:
+        width = max(1 << (max(span // fracnorm._SPLIT, 1) - 1).bit_length(), near)
+        while width >= near:
+            nodes += [(first, width) for first in range(span, min(2 * span, n), width)]
+            width //= 2
+        span *= 2
+    return nodes
+
+
+def smooth_path(name, steps):
+    """x of linear_a.cfg at steps per delay, or the kind_path of that name."""
+    return linear_a_x(steps) if name == "linear_a" else kind_path(name, steps)
+
+
+def quotient_search(monkeypatch, f):
+    """The Hoelder quotient of f, exponent 0.625, by the endpoint search, and
+    its exact entries."""
+    evaluated = count_evaluated(monkeypatch)
+    quot = _endpoint_sups(f.values[:, None], f.grid.dt, lambda_exponent=0.625)[2]
+    return quot, quotient_entries(evaluated)
+
+
 class TestEndpoints:
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(["walk", "constant", "monotone", "tent"]),
@@ -372,8 +415,6 @@ class TestEndpoints:
             # the per-end bounds of every end, as the search refines them
             lane, end = every_end(2, n + 1)
             tail = b.row_tail(lane, end).reshape(2, n + 1) if n > near else np.zeros((2, n + 1))
-            cells = (b.cell(*every_end(2, len(b.blocks) * (n + 1))).reshape(2, -1) if n > near
-                     else np.zeros((2, 0)))
         count = -(-(n + 1) // b.width)  # ranges of b.width ends
         rows = _lag_sweep(values, dt, alpha)[0].T
         damping = np.exp(-lam * f.times)
@@ -391,16 +432,27 @@ class TestEndpoints:
         flat = tail == 0.0
         assert np.array_equal(b.rows[flat], rows[flat])
         assert np.all(tail[np.repeat(b.tail, b.width, axis=1)[:, : n + 1] == 0.0] == 0.0)
-        # each (end, block) quotient cell, and each range's: rounding is
-        # monotone, so no tie is needed
+        # each range's (end, doubling) quotient cells: rounding is monotone,
+        # so no tie is needed
         want = exact_cells(values, dt, 1.0 - alpha, b.blocks)
-        assert np.all(want <= cells)
-        assert cells.shape == want.shape == (2, len(b.blocks) * (n + 1))
+        assert want.shape == (2, len(b.blocks) * (n + 1))
         for k in range(len(b.blocks)):
             rect = b.cells[:, k * count : (k + 1) * count]
             assert np.all(want[:, k * (n + 1) : (k + 1) * (n + 1)]
                           <= np.repeat(rect, b.width, axis=1)[:, : n + 1])
         assert np.all(b.quot <= _lag_sweep(values, dt, lambda_exponent=1.0 - alpha)[1])
+        # each (end, node) of the quotient search below the cells: none is
+        # below its exact value, and none is positive without a lag below its end
+        nodes = np.array(quotient_nodes(n, near), dtype=int).reshape(-1, 2)
+        lane, which = every_end(2, len(nodes) * (n + 1))
+        node, end = np.divmod(which, n + 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fracnorm, "_NEAR_LAGS", near)
+            b = _endpoint_bounds(values, dt, lambda_exponent=1.0 - alpha)
+            got = (b.node(lane, end, *nodes[node].T).reshape(2, -1) if n > near
+                   else np.zeros((2, 0)))
+        assert np.all(exact_cells(values, dt, 1.0 - alpha, nodes) <= got)
+        assert not np.any(got.ravel()[nodes[node, 0] >= end])
         # each start of each component, on [0, T]: its largest quotient is at
         # least its near one, equal to it where no far increment is positive,
         # and otherwise at most the larger of it and its far bound; start s
@@ -451,8 +503,8 @@ class TestEndpoints:
 
     def test_fbm_path_evaluates_few_endpoints(self, monkeypatch):
         # the search must stay pruned: on fBm paths at 1,024 steps at most a
-        # tenth of the ends, of the starts and of the quotient cells are
-        # evaluated exactly
+        # tenth of the ends and of the starts are evaluated exactly, and
+        # quotient leaves number at most a tenth of the (end, doubling) cells
         evaluated = count_evaluated(monkeypatch)
         for hurst in (0.55, 0.75, 0.95):
             g = sample_circulant(TimeGrid(0.0, 1.0, 1024), hurst, 1, seed=(3, 0))
@@ -463,15 +515,16 @@ class TestEndpoints:
             assert 1 <= len(evaluated["exact_rows"]) <= 1025 // 10
             assert 1 <= len(evaluated["exact_starts"]) <= 1024 // 10
             cells = len(_endpoint_bounds(values, dt, lambda_exponent=0.625).blocks) * 1025
-            assert len(evaluated["exact_cells"]) <= cells // 10
+            assert len(evaluated.get("exact_leaves", ())) <= cells // 10
             assert drive[0] == unpruned_driver_norms(values, dt, 0.375)[0]
             assert quot[0] == _lag_sweep(values, dt, lambda_exponent=0.625)[1][0]
             assert norm_report(g, 0.375).norms["lambda_alpha_bound"] == lambda_alpha_bound(g, 0.375)
 
     def test_short_fbm_lanes_evaluate_few_endpoints(self, monkeypatch):
         # 32 lanes of 256 steps on [-1, 3], the shape of a simulated batch of
-        # short paths: at most a tenth of the ends and of the quotient cells
-        # are evaluated exactly, and the norms are the sweep's
+        # short paths: at most a tenth of the ends are evaluated exactly, and as
+        # many quotient leaves as a tenth of the (end, doubling) cells; the
+        # norms are the sweep's
         evaluated = count_evaluated(monkeypatch)
         n, lanes = 256, 32
         g = sample_circulant(TimeGrid(0.0, 4.0, n), 0.75, lanes, seed=(3, 0))
@@ -480,7 +533,7 @@ class TestEndpoints:
         assert 1 <= len(evaluated["exact_rows"]) <= lanes * (n + 1) // 10
         values = g.values[:, :, None]
         cells = len(_endpoint_bounds(values, grid.dt, lambda_exponent=0.625).blocks) * (n + 1)
-        assert 1 <= len(evaluated["exact_cells"]) <= lanes * cells // 10
+        assert 1 <= len(evaluated["exact_leaves"]) <= lanes * cells // 10
         rows, quot = _lag_sweep(values, grid.dt, 0.375, 0.625)[:2]
         w_alpha = np.array([r.norms["w_alpha_inf"] for r in reports])
         assert w_alpha.tolist() == rows.max(axis=0).tolist()
@@ -495,18 +548,52 @@ class TestEndpoints:
         n = 4096
         g = sample_circulant(TimeGrid(0.0, 1.0, n), 0.75, 1, seed=(seed, 0))
         values, dt = g.values[:, :, None], g.grid.dt
-        lags = dict(enumerate(lag for _, lag in _endpoint_bounds(values, dt, None, 0.625).blocks))
         entries, evaluated = count_bound_entries(monkeypatch), count_evaluated(monkeypatch)
         report = norm_report(g, 0.375)
         assert 0 < entries["bound"] <= 3 * 8 * n
         exact = n * sum(len(evaluated.get(name, ())) for name in ("exact_rows", "exact_starts"))
-        exact += sum(lags[cell // (n + 1)] for _, cell in evaluated.get("exact_cells", ()))
+        exact += quotient_entries(evaluated)
         assert exact <= 64 * n
         assert report.norms["lambda_alpha_bound"] == lambda_alpha_bound(g, 0.375)
         for norm in ({"alpha": 0.375}, {"lambda_exponent": 0.625}, {"driver_alpha": 0.375}):
             entries["bound"] = 0
             _endpoint_sups(values, dt, **norm)
             assert 0 < entries["bound"] <= 8 * n
+
+    @pytest.mark.parametrize("name,steps", [("linear_a", 4096), ("linear_a", 16384),
+                                            ("linear", 16384), ("monotone", 16384),
+                                            ("tent", 16384)])
+    def test_smooth_paths_evaluate_few_quotient_entries(self, monkeypatch, name, steps):
+        # a passing cell is split down to leaves before any lag is evaluated:
+        # at most 2 n log2 n exact entries, where evaluating each passing
+        # (end, doubling) cell over all its lags took 5.9 to 47.6 n log2 n
+        f = smooth_path(name, steps)
+        n = f.grid.n_steps
+        assert 0 < quotient_search(monkeypatch, f)[1] <= 2 * n * math.log2(n)
+
+    @pytest.mark.parametrize("name,steps", [("linear_a", 1024), ("linear_a", 4096),
+                                            ("linear", 4096), ("monotone", 4096), ("tent", 4096)])
+    def test_smooth_quotients_are_the_sweep(self, name, steps):
+        f = smooth_path(name, steps)
+        values = f.values[:, None]
+        got = _endpoint_sups(values, f.grid.dt, lambda_exponent=0.625)[2]
+        assert got.tolist() == _lag_sweep(values, f.grid.dt, lambda_exponent=0.625)[1].tolist()
+
+    @pytest.mark.parametrize("seed,n,cells", [(3, 1 << 16, 6720), (6, 1 << 16, 129536),
+                                              (3, 1 << 17, 467328), (6, 1 << 17, 994432)])
+    def test_fbm_quotient_entries_stay_below_whole_cells(self, monkeypatch, seed, n, cells):
+        # cells: the entries of evaluating each passing (end, doubling) cell
+        # over all its lags
+        g = sample_circulant(TimeGrid(0.0, 1.0, n), 0.75, 1, seed=(seed, 0))
+        assert quotient_search(monkeypatch, g)[1] <= cells
+
+    @pytest.mark.slow
+    def test_quotient_entries_at_scale(self, monkeypatch):
+        # n = 262,144, where evaluating each passing (end, doubling) cell over
+        # all its lags took 350 n log2 n entries
+        f = linear_a_x(65536)
+        n = f.grid.n_steps
+        assert 0 < quotient_search(monkeypatch, f)[1] <= 2 * n * math.log2(n)
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("n", [40, 257, 1000, 2048])
@@ -525,7 +612,7 @@ class TestEndpoints:
     def test_flat_far_lags_evaluate_nothing(self, monkeypatch):
         # a constant path has no far increment: no range of ends or starts is
         # refined or evaluated
-        def search(rect, best, width, size, refine, exact, widths, tie):
+        def search(rect, best, width, size, refine, exact, entries, tie, split=None):
             assert not rect.any()
 
         monkeypatch.setattr(fracnorm, "_search", search)
@@ -717,6 +804,23 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 55 * 8 * (n + 1)
+
+    def test_traced_peak_of_the_weight_tables(self):
+        # a cold build of both 2 MiB tables at 2^18 lags, bit for bit the cell
+        # integrals: 22.3 MiB when built whole, 11 arrays of the tables' length
+        n, dt = 1 << 18, 2.0 ** -18
+        _lag_weights.cache_clear()
+        tracemalloc.start()
+        try:
+            near, far = _lag_weights(n, dt, 1.375)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            _lag_weights.cache_clear()
+        assert peak < 10 * 2 ** 20
+        lags = np.arange(n + 1)
+        assert np.array_equal(near, _cell_integrals(lags * dt, (lags + 1) * dt, 1.0, 0.0, 1.375))
+        assert np.array_equal(far, _cell_integrals(lags * dt, (lags + 1) * dt, 0.0, 1.0, 1.375))
 
     @pytest.mark.slow
     @needs_vmhwm
