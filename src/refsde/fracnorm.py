@@ -12,22 +12,21 @@ serves every row and start; the tables are cached read-only.
 
 The pair-based norms are suprema over endpoints: of each end u's row (the
 W^(alpha,infinity) norm, plain and damped), of the Hoelder quotient over each
-end's lags, and of each start s's driver quotients (Lambda_alpha), one lane
-per component, found by one search, _endpoint_sups: _lag_sweep over the lags
-1.._NEAR_LAGS, then blocks of longer lags whose widths double every _SPLIT
-blocks, where running max/min tables of the path bound the increments of
-ranges of endpoints, then of single ends, starts and quotient nodes (an end's
-doubling, its blocks, halves, leaves of _NEAR_LAGS lags) in the ranges whose
-bound reaches the best so far (_endpoint_bounds); _search evaluates exactly,
-best first, the ends, starts and leaves whose own bound times 1 + max(1e-12,
-(n + 1) eps) does, a margin for the rounding of two sums of at most n + 1
-positive terms: on smooth paths at most 2 n log2 n exact quotient entries.
-
-Every norm is bit-equal to the sweep over every pair: a leaf's quotients
-are computed as that sweep computes them, and each evaluated row and each
-start's running sum is added in its lag order.  So a path's norms, and its
-exponent estimate, do not depend on the paths that share its call.
-_lag_sweep also gives the full rows of f_norm_alpha_1.
+end's lags, and of each start s's driver quotients (Lambda_alpha), one lane per
+component, found by one search, _endpoint_sups.  _lag_sweep takes the lags
+1.._NEAR_LAGS; running max/min tables of the path bound the longer lags, in
+blocks whose widths double every _SPLIT blocks, first for ranges of endpoints,
+then for single ends, starts and quotient nodes: an end's doubling, its blocks,
+halves and leaves of _NEAR_LAGS lags (_endpoint_bounds).  _search evaluates
+exactly, best first, the ends, starts and leaves whose bound times 1 +
+max(1e-12, (n + 1) eps), a margin for the rounding of two sums of at most n + 1
+positive terms, reaches the best so far.  The quotient's best starts at the
+pairs of a lattice of ends: on smooth paths few leaves reach it, at most
+2 n log2 n exact quotient entries.  Every norm is bit-equal to the sweep over
+every pair: each quotient is computed as that sweep computes it, and each
+evaluated row and each start's running sum is added in its lag order, so a
+path's norms and exponent estimate do not depend on the paths that share its
+call.  _lag_sweep also gives the full rows of f_norm_alpha_1.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -118,9 +117,10 @@ def _lag_weights(n: int, dt: float, kappa: float) -> tuple[np.ndarray, np.ndarra
     read-only.  Built _BLOCK_ENTRIES lags at a time, whose temporaries are few."""
     near, far = np.empty((2, n + 1))
     for lo in range(0, n + 1, _BLOCK_ENTRIES):
-        lags = np.arange(lo, min(lo + _BLOCK_ENTRIES, n + 1))
-        A, B = lags * dt, (lags + 1) * dt
-        near[lags], far[lags] = (_cell_integrals(A, B, 1.0 - h, h, kappa) for h in (0.0, 1.0))
+        hi = min(lo + _BLOCK_ENTRIES, n + 1)
+        A, B = np.arange(lo, hi) * dt, np.arange(lo + 1, hi + 1) * dt
+        near[lo:hi], far[lo:hi] = (_cell_integrals(A, B, 1.0, 0.0, kappa),
+                                   _cell_integrals(A, B, 0.0, 1.0, kappa))
     return _read_only(near), _read_only(far)
 
 
@@ -128,7 +128,8 @@ def _lag_weights(n: int, dt: float, kappa: float) -> tuple[np.ndarray, np.ndarra
 def _lag_powers(n: int, dt: float, exponent: float) -> np.ndarray:
     """(L dt)^exponent for L = 1..n by the scalar pow (numpy's vectorised
     power can differ from it in the last bit); cached read-only."""
-    return _read_only(np.array([(lag * dt) ** exponent for lag in range(1, n + 1)]))
+    return _read_only(np.fromiter(map(pow, (np.arange(1, n + 1) * dt).tolist(), repeat(exponent)),
+                                  float, n))
 
 
 def _lag_sweep(values: np.ndarray, dt: float, alpha: float | None = None,
@@ -141,18 +142,15 @@ def _lag_sweep(values: np.ndarray, dt: float, alpha: float | None = None,
     |f(v)-f(u)| / (v-u)^lambda_exponent of each lane; with driver_alpha,
     shape (n, P d), one lane per component, each start's running sum of
     w h and its largest driver quotient (_driver_weights), summed in lag
-    order.
-
-    One pass: each lag's increments of every lane are one contiguous
-    difference, which every norm asked for reads.
-    """
+    order.  One pass: each lag's increments of every lane are one contiguous
+    difference, which every norm asked for reads."""
     n, lanes, d = values.shape[0] - 1, values.shape[1], values.shape[2]
     top = n if max_lag is None else max_lag
     rows = run = peak = None
     if alpha is not None:
         near, far = _lag_weights(n, dt, alpha + 1.0)
         weight = far[:-1] + near[1:]
-        rows = np.linalg.norm(values, axis=2)
+        rows = _magnitudes(values)
     if lambda_exponent is not None:
         powers = _lag_powers(n, dt, lambda_exponent)
         # each start's largest quotient so far: a max over the starts at each
@@ -179,7 +177,7 @@ def _lag_sweep(values: np.ndarray, dt: float, alpha: float | None = None,
         # the lag-u increment ending at u <= top opens no cell: that cell
         # would lie before t_0
         swept = slice(1, top + 1)
-        rows[swept] -= near[swept, None] * np.linalg.norm(values[swept] - values[0], axis=2)
+        rows[swept] -= near[swept, None] * _magnitudes(values[swept] - values[0])
     # rounding is monotone: the largest quotient is the largest increment's
     quot = None if lambda_exponent is None else quots.max(axis=0)
     return rows, quot, run, peak
@@ -249,8 +247,7 @@ def _endpoint_bounds(values: np.ndarray, dt: float, alpha: float | None = None,
     start's driver quotients through a doubling its near running sum plus the
     weights times the reaches so far plus the largest c times reach.  First
     level: aligned ranges of min(w, _NEAR_LAGS) ends, whose partners in a block
-    lie in one window of 2 w; second level, on demand: single ends, and nodes.
-    """
+    lie in one window of 2 w; second level, on demand: single ends, and nodes."""
     n, lanes, d = values.shape[0] - 1, values.shape[1], values.shape[2]
     rows, quot, run, peak = _lag_sweep(values, dt, alpha, lambda_exponent, min(n, _NEAR_LAGS),
                                        driver_alpha)
@@ -284,7 +281,8 @@ def _endpoint_bounds(values: np.ndarray, dt: float, alpha: float | None = None,
     mirror_own = 2 * table[k] + n + 2 * pad + 1 - r[k] - own  # the reversed path's
     mirror_win = 2 * double[k] + n + 2 * pad + 1 - 2 * w[k] - win
     out.width, maxima, width = widths[0], np.empty((2, lanes, total, d)), 1
-    top = np.pad(np.stack([values, -values]), ((0,), (pad,), (0,), (0,)), "edge").swapaxes(1, 2)
+    top = np.concatenate([values[:1].repeat(pad, 0), values, values[-1:].repeat(pad, 0)])
+    top = np.stack([top, -top]).swapaxes(1, 2)
     for wide, start in zip(tables[::2], offs[tables[::2]]):
         while width < wide:  # each table from the one of half its width, in its place
             into = slice(start, start + top.shape[2] - width) if 2 * width == wide else None
@@ -321,36 +319,36 @@ def _endpoint_bounds(values: np.ndarray, dt: float, alpha: float | None = None,
 
     def bound(top, bottom, win, step, block, at, reversed_path, running=False):
         """Per row, from its max top and min -bottom to its windows win, step as in window,
-        per slot of the blocks block, weights at at: tails and cells, or far running sums
-        and largest c times reach, or single starts' quotients."""
-        g = _reach(top[..., None, :], bottom[..., None, :], *window(win, step))
+        per slot (the first axis, which numpy reduces many times faster than a short last one)
+        of the blocks block, weights at at: tails and cells, or far running sums and largest
+        c times reach, or single starts' quotients."""
+        g = _reach(top[None], bottom[None], *window(win, step))
         if reversed_path:
             run, top = drive[at][..., None] * g, np.multiply(c_max[block][..., None], g, out=g)
             if running:  # in block order, as each start's running sum
-                run = np.cumsum(run, axis=-2, out=run)
-                return run[..., -1, :], np.add(top, run, out=top).max(axis=-2)
-            return run.sum(axis=-2), top.max(axis=-2)
-        g = _magnitudes(g, out=g[..., 0])
-        top = (g / power[block]).max(axis=-1)
-        return np.multiply(row_weight[at], g, out=g).sum(axis=-1), top
+                run = np.cumsum(run, axis=0, out=run)
+                return run[-1], np.add(top, run, out=top).max(axis=0)
+            return run.sum(axis=0), top.max(axis=0)
+        g = g[..., 0] if d == 1 else _magnitudes(g)  # a reach is >= 0: one component needs no abs
+        top = (g / power[block]).max(axis=0)
+        return np.multiply(row_weight[at], g, out=g).sum(axis=0), top
 
     def rectangles(i):  # the rows i of the rectangles, per lane
-        step, b = slot * w[k[i]][:, None], by_level[k[i]]
-        last_end = np.minimum(u[i] + r[k[i]] - 1, n)[:, None]
-        block = np.where(last_end > first[b], b, last)[:, None]
+        step, b = slot[:, None] * w[k[i]], by_level[k[i]].T  # (slots, rows)
+        block = np.where(np.minimum(u[i] + r[k[i]] - 1, n) > first[b], b, last)[..., None]
         at_lane, got, at = np.arange(lanes) * total, (), offset[block] + size[block]  # in full
         for mirror in (False,) * ends + (True,) * (driver_alpha is not None):  # then starts
             o, v, sign = (mirror_own, mirror_win, 1) if mirror else (own, win, -1)
             got += bound(*window(o[i][:, None] + at_lane, own_step[k[i], None]),
-                         (v[i][:, None] + sign * step)[:, None] + at_lane[:, None],
-                         win_step[k[i], None, None], block, at, mirror)
+                         (v[i] + sign * step)[..., None] + at_lane, win_step[k[i], None],
+                         block, at, mirror)
         return got
 
     def single(lane, end, reversed_path=False):  # over every block
-        b = np.arange(last)[None, None]
-        own, end = values[n - end if reversed_path else end, lane][:, None], end[:, None, None]
+        b = np.arange(last)[:, None, None]
+        own, end = values[n - end if reversed_path else end, lane][:, None], end[:, None]
         one = (n + 1 + first[b] - end if reversed_path else end - first[b] - size[b]) + base[b]
-        one += (lane * total)[:, None, None] + pad  # end's partners, mirrored for a start
+        one += (lane * total)[:, None] + pad  # end's partners, mirrored for a start
         count = np.minimum(np.maximum(end - first[b], 0), size[b])
         block, count = np.where(count > 0, b, last), count + offset[b]
         return bound(own, -own, one, base_step[b], block, count, reversed_path, True)
@@ -375,7 +373,8 @@ def _endpoint_bounds(values: np.ndarray, dt: float, alpha: float | None = None,
             own = values[end, lane]  # its partners: the window at end - first - lags
             g = _reach(own, -own, *window(offs[lags] + pad - lags + end - first + lane * total,
                                           steps[lags]))
-            return np.where(first < end, _magnitudes(g) / powers[np.minimum(first, n - 1)], 0.0)
+            g = g[..., 0] if d == 1 else _magnitudes(g)
+            return np.where(first < end, g / powers[np.minimum(first, n - 1)], 0.0)
         out.node = lambda *args: chunked(lambda *a: (node(*a),), len(args[0]), _SPLIT * d, *args)[0]
     if driver_alpha is not None:
         back = np.concatenate([np.zeros((lanes * d, 1)), run.T[:, ::-1]], axis=1)  # start n - u
@@ -392,65 +391,77 @@ def _endpoint_bounds(values: np.ndarray, dt: float, alpha: float | None = None,
     return out
 
 
-def _search(rect: np.ndarray, best: np.ndarray, width: int, size: int, refine, exact,
-            entries: int, tie: float, split=None) -> None:
+def _search(rect: np.ndarray, best: np.ndarray, width: int, size: int, split, exact,
+            entries: int, tie: float, lead: np.ndarray) -> None:
     """Raise best (P,), each lane's largest exact value so far, to its sup over
     candidates: range k R + j, R = ceil(size / width), holds k size + j width..
-    + width - 1 below (k + 1) size; rect (P, ranges) bounds their values.  Each
-    lane's best range is taken first, then the ranges whose bound times tie
-    reaches the best, with refine(lanes, candidates) bounds if given.  Level by
-    level, of the candidates whose bound times tie reaches the best, exact(lanes,
-    candidates) evaluates the leaves, best first in rounds of _BLOCK_ENTRIES entries,
-    entries a leaf; split(lanes, candidates) -> (leaf mask, (lanes, children,
-    bounds)), if given, gives the others' children."""
-    ids, per = np.arange(len(best)), -(-size // width)
-
+    + width - 1 below (k + 1) size; rect (P, ranges) bounds their values.  The
+    best range of each lane of lead goes first, then each range whose bound
+    times tie reaches the best.  Level by level, of the candidates that reach
+    it, split(lanes, candidates) -> (leaf mask, (lanes, children, bounds)) gives
+    the others' children, and exact(lanes, candidates) evaluates the leaves,
+    best first in rounds of _BLOCK_ENTRIES entries (the first _SPLIT times
+    shorter), entries a leaf."""
     def evaluate(lane, cand, reach):
         count = np.bincount(lane, minlength=len(best))
         step = max(1, _BLOCK_ENTRIES // entries // max(1, np.count_nonzero(count)))
-        if count.max(initial=0) <= step:  # one round: the order changes nothing
+        top, size = 0, max(1, step // _SPLIT)
+        if count.max(initial=0) <= size:  # one round: the order changes nothing
             return np.maximum.at(best, lane, exact(lane, cand)) if len(lane) else None
         order = np.lexsort((-reach, lane))
         lane, cand, reach = lane[order], cand[order], reach[order]
         rank = np.arange(len(lane)) - np.searchsorted(lane, lane)  # in its lane, best first
-        for top in range(0, count.max(), step):
-            take = np.flatnonzero((rank >= top) & (rank < top + step) & (reach >= best[lane]))
+        while top < count.max():
+            take = np.flatnonzero((rank >= top) & (rank < top + size) & (reach >= best[lane]))
             if not len(take):  # each lane's next bound lies below its best
                 return
             np.maximum.at(best, lane[take], exact(lane[take], cand[take]))
+            top, size = top + size, step
 
-    def run(lane, which, refine=None):  # the ranges which, each taken once
+    def run(lane, which):  # the ranges which, each taken once, down to the leaves depth first
         local = (which[:, None] % per * width + np.arange(width)).ravel()
-        inside, top, rect[lane, which] = local < size, rect[lane, which], 0.0
-        lane, top, cand = (np.repeat(a, width)[inside] for a in (lane, top, which // per * size))
-        cand += local[inside]
-        reach = tie * (refine(lane, cand) if refine and len(lane) else top)
-        while True:
+        inside, reach, rect[lane, which] = local < size, rect[lane, which] * tie, 0.0
+        lane, reach, cand = (np.repeat(a, width)[inside] for a in (lane, reach, which // per * size))
+        stack = [(lane, cand + local[inside], reach)]
+        while stack:
+            lane, cand, reach = stack.pop()
             # a candidate of bound 0 has value 0, which cannot raise a best >= 0
             keep = (reach > 0.0) & (reach >= best[lane])
             lane, cand, reach = lane[keep], cand[keep], reach[keep]
-            if split is None or not len(lane):
-                return evaluate(lane, cand, reach)
-            leaf, (kids, child, bound) = split(lane, cand)
-            evaluate(lane[leaf], cand[leaf], reach[leaf])
-            lane, cand, reach = np.broadcast_to(kids, child.shape), child, bound * tie
+            if len(lane) > chunk:  # best first, _BLOCK_ENTRIES / _SPLIT at a time
+                order = np.argsort(-reach)
+                lane, cand, reach = lane[order], cand[order], reach[order]
+                stack += [(lane[i : i + chunk], cand[i : i + chunk], reach[i : i + chunk])
+                          for i in reversed(range(0, len(lane), chunk))]
+            elif len(lane):
+                leaf, (kids, child, bound) = split(lane, cand)
+                evaluate(lane[leaf], cand[leaf], reach[leaf])
+                stack.append((np.broadcast_to(kids, child.shape), child, bound * tie))
 
-    run(ids, rect.argmax(axis=1))
-    run(*np.nonzero((rect > 0.0) & (rect * tie >= best[:, None])), refine)
+    per, chunk = -(-size // width), max(1, _BLOCK_ENTRIES // _SPLIT)
+    if len(lead):
+        run(lead, rect[lead].argmax(axis=1))
+    run(*np.nonzero((rect > 0.0) & (rect * tie >= best[:, None])))
+
+
+def _pair_quotients(points: np.ndarray, powers: np.ndarray, step: int) -> np.ndarray:
+    """Each lane's largest quotient between two of points, (m, P, d), each step
+    grid steps after the next, as _lag_sweep computes it; powers[L - 1] = (L dt)^exponent."""
+    apart = np.subtract.outer(np.arange(len(points)), np.arange(len(points)))  # later i, earlier j
+    quot = _magnitudes(points[:, None] - points) / powers[np.maximum(-apart, 1) * step - 1, None]
+    return np.where(apart[..., None] < 0, quot, 0.0).max(axis=(0, 1), initial=0.0)
 
 
 def _endpoint_sups(values: np.ndarray, dt: float, alpha: float | None = None,
                    damping: np.ndarray | None = None, lambda_exponent: float | None = None,
                    driver_alpha: float | None = None):
-    """The suprema of the pair-based norms of every lane of values, shape
-    (n + 1, P, d), by branch and bound over endpoints, as (rows, damped,
-    quot, drive), each (P,) or None unless asked for: with alpha the largest
-    row and the largest damping (n + 1, 1) times row; with lambda_exponent
-    the largest Hoelder quotient; with driver_alpha the driver norm, the
-    largest over the components, each a lane of the search.  Each best starts
-    at the near parts of _endpoint_bounds; _search takes the ends, quotient
-    leaves and starts whose bounds reach it; those without far increments are
-    exact after the near lags."""
+    """The suprema of the pair-based norms of every lane of values, shape (n + 1,
+    P, d), by branch and bound over endpoints, as (rows, damped, quot, drive),
+    each (P,) or None unless asked for: with alpha the largest row and the largest
+    damping (n + 1, 1) times row; with lambda_exponent the largest Hoelder
+    quotient; with driver_alpha the driver norm, the largest over the components,
+    each a lane of the search.  Each best starts at the near parts of
+    _endpoint_bounds; _search takes the ends, leaves and starts that reach it."""
     n, lanes = values.shape[0] - 1, values.shape[1]
     # a bound and the exact value each sum at most n + 1 positive terms
     tie = 1.0 + max(1e-12, (n + 1) * np.finfo(float).eps)
@@ -458,8 +469,16 @@ def _endpoint_sups(values: np.ndarray, dt: float, alpha: float | None = None,
     bounds = _endpoint_bounds(values, dt, alpha, lambda_exponent, driver_alpha)
     width, starts = bounds.width, np.arange(0, n + 1, bounds.width)  # the ranges' first ends
     # edged[n + x] = f(t_x), f(t_0) before and f(t_n) after: an end's or a start's lags are a window
-    edged = np.pad(values, ((n, 0 if driver_alpha is None else n), (0, 0), (0, 0)), "edge")
+    edged = np.concatenate([values[:1].repeat(n, 0), values,
+                            values[-1:].repeat(0 if driver_alpha is None else n, 0)])
     out = [None] * 4
+
+    def bounded(bound):  # ends or starts, each by its own bound, then exactly as n + 1 + end
+        def split(lane, code):
+            lane, end = lane[code <= n], code[code <= n]
+            return code > n, (lane, end + n + 1, bound(lane, end) if len(end) else end * 0.0)
+        return split
+
     if alpha is not None:
         near, far = _lag_weights(n, dt, alpha + 1.0)
         weight = far[:-1] + near[1:]
@@ -475,8 +494,7 @@ def _endpoint_sups(values: np.ndarray, dt: float, alpha: float | None = None,
             return np.cumsum(h, axis=1, out=h)[:, -1] - opened
 
         rows = bounds.rows
-        # value: the near parts, the rows of the known ends, those without far
-        # increments and those evaluated
+        # value: the near parts, the rows of the known ends (no far increment, or evaluated)
         value, known = rows.copy(), np.repeat(bounds.tail == 0.0, width, axis=1)[:, : n + 1]
         top = np.maximum.reduceat(rows, starts, axis=1) + bounds.tail
         plain = damping is None or bool(np.all(damping == 1.0))  # then damped rows are rows
@@ -487,14 +505,16 @@ def _endpoint_sups(values: np.ndarray, dt: float, alpha: float | None = None,
                 value[flat], known[flat] = rows[flat], True
                 return np.where(known[lane, end], 0.0, scale[end] * (rows[lane, end] + tail))
 
-            def exact_rows(lane, end):
+            def exact_rows(lane, code):
+                end = code - n - 1
                 value[lane, end], known[lane, end] = row_values(lane, end), True
                 return scale[end] * value[lane, end]
 
             # every near part is its end's row up to rounding: a start for the best
             best = (scale * value).max(axis=1)
             rect = np.where(bounds.tail > 0.0, np.maximum.reduceat(scale, starts) * top, 0.0)
-            _search(rect, best, width, n + 1, refine_rows, exact_rows, n, tie)
+            _search(rect, best, width, n + 1, bounded(refine_rows), exact_rows, n, tie,
+                    np.arange(lanes))
             if out[0] is None:  # the damped pass only adds ends below this sup
                 out[0] = value.max(axis=1, where=known, initial=-np.inf)
         if damping is not None:
@@ -515,6 +535,10 @@ def _endpoint_sups(values: np.ndarray, dt: float, alpha: float | None = None,
         first[0], size[0] = J * _NEAR_LAGS, _NEAR_LAGS
         heads = np.append(J * _NEAR_LAGS // np.array([f for f, _ in bounds.blocks], int) + 1, h)
         powers = np.append(_lag_powers(n, dt, lambda_exponent), np.full(_NEAR_LAGS, np.inf))
+        # a lead: every pair of the ends t_n, t_(n - s), ..., s = max(_NEAR_LAGS, n / _NEAR_LAGS);
+        # where it lies below the near lags' best, the best range leads
+        step = max(_NEAR_LAGS, n // _NEAR_LAGS)
+        out[2] = np.maximum(bounds.quot, _pair_quotients(values[n::-step], powers, step))
         # each leaf's partners and powers (past n infinite)
         partners, powers = (B and sliding_window_view(a, _NEAR_LAGS, 0) for a in (edged, powers))
 
@@ -529,17 +553,19 @@ def _endpoint_sups(values: np.ndarray, dt: float, alpha: float | None = None,
         def exact_leaves(lane, code):  # lags first + _NEAR_LAGS..first + 1: one gather
             h, u = np.divmod(code, n + 1)
             lag = first[h - B]  # past u they read f(t_0), below lag u's quotient
-            g = np.subtract(values[u, lane][:, :, None], partners[u - lag - _NEAR_LAGS + n, lane])
-            g = _magnitudes(g.transpose(0, 2, 1), out=g[:, 0])
-            return np.divide(g, powers[lag, ::-1], out=g).max(axis=1)
+            g = partners[u - lag - _NEAR_LAGS + n, lane]
+            # lag-major: a max over the long axis, which numpy reduces many times faster
+            g = _magnitudes(np.subtract(values[u, lane][:, :, None], g, out=g).transpose(2, 0, 1))
+            return np.divide(g, powers[lag, ::-1].T, out=g).max(axis=0)
 
-        out[2] = bounds.quot
-        _search(bounds.cells, out[2], width, n + 1, None, exact_leaves, _NEAR_LAGS, tie, split)
+        _search(bounds.cells, out[2], width, n + 1, split, exact_leaves, _NEAR_LAGS, tie,
+                np.flatnonzero(out[2] == bounds.quot))
     if driver_alpha is not None:
         g = values.reshape(n + 1, -1)  # one lane per component, as in _endpoint_bounds
         w, c = _driver_weights(n, dt, driver_alpha)
 
-        def exact_starts(lane, end):  # lags 1..span, those past t_n set to 0
+        def exact_starts(lane, code):  # lags 1..span, those past t_n set to 0
+            end = code - n - 1
             start, span = n - end, end.max()
             h = sliding_window_view(edged.reshape(3 * n + 1, -1), span, axis=0)[n + 1 + start, lane]
             h = np.abs(np.subtract(h, g[start, lane][:, None], out=h), out=h)
@@ -549,7 +575,8 @@ def _endpoint_sups(values: np.ndarray, dt: float, alpha: float | None = None,
             return np.add(q, top, out=q).max(axis=1)  # near lags sum it, then c h
 
         drive = bounds.peak.max(axis=1)
-        _search(bounds.far, drive, width, n + 1, bounds.start_far, exact_starts, n, tie)
+        _search(bounds.far, drive, width, n + 1, bounded(bounds.start_far), exact_starts, n, tie,
+                np.arange(len(drive)))
         out[3] = drive.reshape(lanes, -1).max(axis=1)
     return tuple(out)
 
@@ -557,12 +584,12 @@ def _endpoint_sups(values: np.ndarray, dt: float, alpha: float | None = None,
 def _lane_sups(fs: list[SamplePath], alpha: float | None = None,
                lambda_weight: float | None = None, lambda_exponent: float | None = None,
                driver_alpha: float | None = None):
-    """The norms of every path of fs, which share one grid and one dimension,
-    as (rows, damped, holder, drive), each (P,) or None unless asked
-    for: with alpha the W^(alpha,infinity) norm, and with lambda_weight its
-    exp(-lambda_weight t)-weighted form; the lambda_exponent-Hoelder norm; the
-    driver norm with driver_alpha.  One _endpoint_sups per group of paths whose
-    increments at one lag and their weighted copy fit _BLOCK_ENTRIES a component."""
+    """The norms of every path of fs, which share one grid and one dimension, as
+    (rows, damped, holder, drive), each (P,) or None unless asked for: with alpha
+    the W^(alpha,infinity) norm, and with lambda_weight its exp(-lambda_weight
+    t)-weighted form; the lambda_exponent-Hoelder norm; the driver norm with
+    driver_alpha.  One _endpoint_sups per group of paths whose increments at one
+    lag and their weighted copy fit _BLOCK_ENTRIES a component."""
     grid = fs[0].grid
     if any(f.grid != grid or f.dim != fs[0].dim for f in fs):
         raise ValueError("norm_reports needs paths of one grid and one dimension")
@@ -576,7 +603,7 @@ def _lane_sups(fs: list[SamplePath], alpha: float | None = None,
         values = np.stack([f.values for f in fs[first : first + group]], axis=1)
         rows, damped, quot, drive = _endpoint_sups(values, grid.dt, alpha, damping,
                                                    lambda_exponent, driver_alpha)
-        holder = None if quot is None else np.linalg.norm(values, axis=2).max(axis=0) + quot
+        holder = None if quot is None else _magnitudes(values).max(axis=0) + quot
         parts.append((rows, damped, holder, drive))
     return tuple(None if field[0] is None else np.concatenate(field) for field in zip(*parts))
 
@@ -607,20 +634,16 @@ def g_norm_one_minus_alpha(g: SamplePath, alpha: float) -> float:
 
 
 def _lambda_bound(norm: float, alpha: float) -> float:
-    """Lambda_alpha of a driver norm."""
-    return float(norm / (math.gamma(1.0 - alpha) * math.gamma(alpha)))
+    return float(norm / (math.gamma(1.0 - alpha) * math.gamma(alpha)))  # Lambda_alpha
 
 
 def lambda_alpha_bound(g: SamplePath, alpha: float) -> float:
-    """Lambda_alpha(g) as driver norm / (Gamma(1-a) Gamma(a)).
-
-    This is the value every estimate downstream uses, not the exact
-    supremum of the Weyl derivative; for multi-component g the maximum over
-    components is returned.  The driver norm is the discrete sup over every
-    start and lag, bit-equal to a sweep over every pair: a start is evaluated
-    exactly, its running sum added in lag order, unless a bound of its range
-    or its own (_endpoint_bounds) lies below the best quotient so far.
-    """
+    """Lambda_alpha(g) as driver norm / (Gamma(1-a) Gamma(a)): the value every
+    estimate downstream uses, not the exact supremum of the Weyl derivative;
+    the maximum over components of a multi-component g.  The driver norm is
+    the discrete sup over every start and lag, bit-equal to a sweep over every
+    pair: a start is evaluated exactly, its running sum added in lag order,
+    unless a bound of its range or its own lies below the best so far."""
     return _lambda_bound(_lane_sups([g], driver_alpha=alpha)[3][0], alpha)
 
 
@@ -637,26 +660,22 @@ def f_norm_alpha_1(f: SamplePath, alpha: float) -> float:
     first = float(_cell_integrals(times[:-1], times[1:], vals[:-1], vals[1:], alpha).sum())
     # double integral: trapezoid in the outer variable of the singular rows
     rows = _lag_sweep(f.values[:, None], f.grid.dt, alpha)[0][:, 0]
-    inner = rows - vals  # strip the |f(u)| part, keep the singular integral
-    second = float(np.trapezoid(inner, times))
-    return first + second
+    # strip the |f(u)| part, keep the singular integral
+    return first + float(np.trapezoid(rows - vals, times))
 
 
 def _holder_exponents(values: np.ndarray, dt: float) -> list[tuple[float | None, bool | None]]:
     """(estimate, constant flag) of holder_exponent_estimate for every lane
-    of values, shape (n + 1, P, d); (None, None) below 64 steps, too few
-    for the fit.
-
-    Each lane's estimate is the least-squares slope over its positive
-    dyadic lags, every sum taken in lag order within the lane, so it does
-    not depend on the other lanes.
-    """
+    of values, shape (n + 1, P, d); (None, None) below 64 steps, too few for
+    the fit.  Each lane's estimate is the least-squares slope over its positive
+    dyadic lags, every sum taken in lag order within the lane, so it does not
+    depend on the other lanes."""
     n = values.shape[0] - 1
     if n < 64:
         return [(None, None)] * values.shape[1]
     lags = [1 << j for j in range((n // 4).bit_length())]  # 1, 2, 4, ... <= n // 4
     f = np.ascontiguousarray(values.transpose(1, 0, 2))  # lane-major: each max runs along a lane
-    mags = np.array([np.linalg.norm(f[:, lag:] - f[:, : n + 1 - lag], axis=2).max(axis=1)
+    mags = np.array([_magnitudes(f[:, lag:] - f[:, : n + 1 - lag]).max(axis=1)
                      for lag in lags])  # (lags, P)
     positive = mags > 0.0
     x = np.where(positive, np.log([lag * dt for lag in lags])[:, None], 0.0)
@@ -674,11 +693,9 @@ def _holder_exponents(values: np.ndarray, dt: float) -> list[tuple[float | None,
 
 
 def holder_exponent_estimate(f: SamplePath) -> float:
-    """Regression estimate of the path Hoelder exponent.
-
-    Slope of log max-increment against log lag over dyadic scales,
-    clipped to (0, 1].  Constant paths return 1 (norm_report flags them).
-    """
+    """Regression estimate of the path Hoelder exponent: the slope of log
+    max-increment against log lag over dyadic scales, clipped to (0, 1].
+    Constant paths return 1 (norm_report flags them)."""
     est = _holder_exponents(f.values[:, None], f.grid.dt)[0][0]
     if est is None:
         raise ValueError(f"need at least 64 steps for the exponent estimate, got {f.grid.n_steps}")
@@ -698,14 +715,9 @@ class NormReport:
     approximate_pair_sup: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "lambda": self.lambda_weight,
-            "interval": list(self.interval),
-            "n_steps": self.n_steps,
-            "norms": self.norms,
-            "approximate_pair_sup": self.approximate_pair_sup,
-        }
+        return {"alpha": self.alpha, "lambda": self.lambda_weight, "interval": list(self.interval),
+                "n_steps": self.n_steps, "norms": self.norms,
+                "approximate_pair_sup": self.approximate_pair_sup}
 
 
 def norm_reports(fs: list[SamplePath], alpha: float,
@@ -725,26 +737,14 @@ def norm_reports(fs: list[SamplePath], alpha: float,
     w_alpha, weighted, holder, drive = _lane_sups(fs, alpha, lambda_weight, 1.0 - alpha,
                                                   alpha if from_zero else None)
     exponents = _holder_exponents(np.stack([f.values for f in fs], axis=1), grid.dt)
-    return [
-        NormReport(
-            alpha=alpha,
-            lambda_weight=lambda_weight,
-            interval=(float(grid.t0), float(grid.t1)),
-            n_steps=grid.n_steps,
-            norms={
-                "w_alpha_inf": float(w_alpha[p]),
-                "weighted_alpha": float(weighted[p]),
-                "holder_1_minus_alpha": float(holder[p]),
-                "lambda_alpha_bound": _lambda_bound(drive[p], alpha) if from_zero else None,
-                "holder_exponent_estimate": exponents[p][0],
-                "constant_path": exponents[p][1],
-            },
-        )
-        for p in range(len(fs))
-    ]
+    return [NormReport(alpha, lambda_weight, (float(grid.t0), float(grid.t1)), grid.n_steps, {
+        "w_alpha_inf": float(w_alpha[p]), "weighted_alpha": float(weighted[p]),
+        "holder_1_minus_alpha": float(holder[p]),
+        "lambda_alpha_bound": _lambda_bound(drive[p], alpha) if from_zero else None,
+        "holder_exponent_estimate": exponents[p][0], "constant_path": exponents[p][1]})
+        for p in range(len(fs))]
 
 
 def norm_report(f: SamplePath, alpha: float, lambda_weight: float = 0.0) -> NormReport:
-    """Evaluate the standard battery of norms on one path: the one-lane
-    norm_reports."""
+    """The standard battery of norms on one path: the one-lane norm_reports."""
     return norm_reports([f], alpha, lambda_weight)[0]

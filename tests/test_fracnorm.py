@@ -301,25 +301,33 @@ def tie(n):
 def count_evaluated(monkeypatch):
     """Hook the endpoint search: the returned dict gathers, under the name of
     each exact function, the (lane, candidate) pairs that it evaluates: ends,
-    starts, and quotient leaves of _NEAR_LAGS lags."""
+    starts, and quotient leaves of _NEAR_LAGS lags; under "pairs" it counts
+    the quotients of the quotient search's lead, one per lane and pair."""
     evaluated = {}
-    search = fracnorm._search
+    search, pairs = fracnorm._search, fracnorm._pair_quotients
 
-    def counting(rect, best, width, size, refine, exact, entries, tie, split=None):
+    def counting(rect, best, width, size, split, exact, entries, tie, lead):
         def counted(lane, cand):
             found = evaluated.setdefault(exact.__name__, set())
             found.update(zip(lane.tolist(), cand.tolist()))
             return exact(lane, cand)
 
-        search(rect, best, width, size, refine, counted, entries, tie, split)
+        search(rect, best, width, size, split, counted, entries, tie, lead)
+
+    def counting_pairs(points, powers, step):
+        m = len(points)
+        evaluated["pairs"] = evaluated.get("pairs", 0) + m * (m - 1) // 2 * points.shape[1]
+        return pairs(points, powers, step)
 
     monkeypatch.setattr(fracnorm, "_search", counting)
+    monkeypatch.setattr(fracnorm, "_pair_quotients", counting_pairs)
     return evaluated
 
 
 def quotient_entries(evaluated):
-    """Exact Hoelder quotient entries: the lags summed over the evaluated leaves."""
-    return fracnorm._NEAR_LAGS * len(evaluated.get("exact_leaves", ()))
+    """Exact Hoelder quotient entries: the lags summed over the evaluated
+    leaves, and the lead's pairs."""
+    return fracnorm._NEAR_LAGS * len(evaluated.get("exact_leaves", ())) + evaluated.get("pairs", 0)
 
 
 def linear_a_x(steps_per_delay):
@@ -504,7 +512,9 @@ class TestEndpoints:
     def test_fbm_path_evaluates_few_endpoints(self, monkeypatch):
         # the search must stay pruned: on fBm paths at 1,024 steps at most a
         # tenth of the ends and of the starts are evaluated exactly, and
-        # quotient leaves number at most a tenth of the (end, doubling) cells
+        # quotient leaves number at most a tenth of the (end, doubling) cells;
+        # at H = 0.55 the quotient's sup lies at the near lags, and no leaf
+        # reaches it
         evaluated = count_evaluated(monkeypatch)
         for hurst in (0.55, 0.75, 0.95):
             g = sample_circulant(TimeGrid(0.0, 1.0, 1024), hurst, 1, seed=(3, 0))
@@ -515,7 +525,8 @@ class TestEndpoints:
             assert 1 <= len(evaluated["exact_rows"]) <= 1025 // 10
             assert 1 <= len(evaluated["exact_starts"]) <= 1024 // 10
             cells = len(_endpoint_bounds(values, dt, lambda_exponent=0.625).blocks) * 1025
-            assert len(evaluated.get("exact_leaves", ())) <= cells // 10
+            leaves = len(evaluated.get("exact_leaves", ()))
+            assert (hurst == 0.55 or 1 <= leaves) and leaves <= cells // 10
             assert drive[0] == unpruned_driver_norms(values, dt, 0.375)[0]
             assert quot[0] == _lag_sweep(values, dt, lambda_exponent=0.625)[1][0]
             assert norm_report(g, 0.375).norms["lambda_alpha_bound"] == lambda_alpha_bound(g, 0.375)
@@ -612,7 +623,7 @@ class TestEndpoints:
     def test_flat_far_lags_evaluate_nothing(self, monkeypatch):
         # a constant path has no far increment: no range of ends or starts is
         # refined or evaluated
-        def search(rect, best, width, size, refine, exact, entries, tie, split=None):
+        def search(rect, best, width, size, split, exact, entries, tie, lead):
             assert not rect.any()
 
         monkeypatch.setattr(fracnorm, "_search", search)
