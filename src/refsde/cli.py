@@ -51,8 +51,8 @@ import numpy as np
 
 from .coeff import (
     CoefficientSet,
-    ExprSyntaxError,
     _param_dict,
+    diffusion_variables,
     eval_expr,
     hypothesis_audit,
     parse_expr,
@@ -192,7 +192,7 @@ def load_config(path: str | Path, steps_per_delay: int | None = None) -> RunConf
         raw = cp[section][key]
         try:
             return cast(raw)
-        except (ValueError, ExprSyntaxError) as exc:
+        except ValueError as exc:  # ExprSyntaxError among them
             raise ConfigError(
                 f"bad value for {_loc(path, lines, section, key)}: {exc}"
             ) from exc
@@ -205,24 +205,22 @@ def load_config(path: str | Path, steps_per_delay: int | None = None) -> RunConf
     hurst = get("problem", "hurst", float)
     n_r = steps_per_delay or get("solver", "steps_per_delay", int)
 
-    def split_exprs(raw):
-        return [s.strip() for s in raw.split(";") if s.strip()]
+    def parsed(exprs, variables=None):
+        return [parse_expr(s.strip(), params, d, variables) for s in exprs]
 
-    drift_src = get("problem", "drift", split_exprs)
-    diffusion_src = get("problem", "diffusion",
-                        lambda raw: [[e.strip() for e in row.split(",")]
-                                     for row in raw.split(";") if row.strip()])
-    eta_src = get("problem", "eta", split_exprs)
-    if len(drift_src) != d:
+    drift = get("problem", "drift", lambda raw: parsed(filter(str.strip, raw.split(";"))))
+    diffusion = get("problem", "diffusion", lambda raw: [parsed(row.split(","), diffusion_variables(d))
+                                                         for row in raw.split(";") if row.strip()])
+    eta_exprs = get("problem", "eta", lambda raw: parsed(filter(str.strip, raw.split(";")), {"t"}))
+    if len(drift) != d:
         raise ConfigError(f"{_loc(path, lines, 'problem', 'drift')}: expected {d} expressions")
-    if len(diffusion_src) != d or any(len(row) != m for row in diffusion_src):
+    if len(diffusion) != d or any(len(row) != m for row in diffusion):
         raise ConfigError(f"{_loc(path, lines, 'problem', 'diffusion')}: expected a {d}x{m} matrix")
-    if len(eta_src) not in (1, d):
+    if len(eta_exprs) not in (1, d):
         raise ConfigError(f"{_loc(path, lines, 'problem', 'eta')}: expected 1 or {d} expressions")
 
     try:
-        coeffs = CoefficientSet.from_strings(drift_src, diffusion_src, params=params)
-        eta_exprs = [parse_expr(s, params, d, variables={"t"}) for s in eta_src]
+        coeffs = CoefficientSet(d, m, tuple(drift), tuple(map(tuple, diffusion)), params)
         eta_grid = TimeGrid(-delay, 0.0, n_r)
         eta = SamplePath(eta_grid, _eta_values(eta_exprs, params, eta_grid, d))
         problem = Problem(eta=eta, coeffs=coeffs, r=delay, T=horizon, H=hurst)
@@ -234,7 +232,7 @@ def load_config(path: str | Path, steps_per_delay: int | None = None) -> RunConf
             **{key: get("solver", key, type(getattr(SolverConfig, key)))
                for key in cp["solver"] if key != "steps_per_delay"},
         )
-    except (ValueError, ExprSyntaxError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid configuration in {path}: {exc}") from exc
 
     formats = tuple(

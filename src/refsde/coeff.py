@@ -4,11 +4,12 @@ A small expression language covers the representable coefficient class:
 constants, named parameters, current state x1..xd, delayed state
 xd1..xdd, running sups s1..sd of |x_i| over the visible history, the
 unary functions sin/cos/exp/abs, and infix arithmetic with ^ (or **) for
-powers.  ^ and ** are right-associative and bind tighter than a leading
-minus, so -x1^2 is -(x1^2) and 2^3^2 is 2^9; * and / bind tighter than
-+ and -, and all four associate left.  Diffusion expressions may only
-reference t and the delayed state.  A parameter may not take a variable's
-name, nor be given twice.
+powers.  Its grammar is Python's, read by the ast module with ^ as **: ^
+is right-associative and binds tighter than a leading minus, so -x1^2 is
+-(x1^2) and 2^3^2 is 2^9; * and / bind tighter than + and -, and all four
+associate left.  Diffusion expressions may only reference t and the
+delayed state.  A parameter may not take a variable's name, nor be given
+twice.
 
 Each expression of a CoefficientSet is compiled once, on first use, into
 closures that make a tree walk's numpy calls in its order; the compiled
@@ -19,7 +20,9 @@ hypothesis_audit samples the constants of (H1)-(H3), each flagged against 1.
 
 from __future__ import annotations
 
+import ast
 import operator
+import re
 import weakref
 from dataclasses import dataclass, field
 from functools import partial
@@ -35,14 +38,14 @@ __all__ = [
 
 UNARY_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs}
 
-# Binding power of each operator, read by both the parser and the printer.
+# Binding power of each operator, as Python's grammar has it, for the printer.
 # "neg" is a leading minus: it binds tighter than * and / but looser than
 # ^, so -x1^2 is -(x1^2).  ^ is right-associative, the others left.
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 
 class ExprSyntaxError(ValueError):
-    """Malformed expression; carries the byte offset of the failure."""
+    """Malformed expression; carries the offset of the failure into its source."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
@@ -85,114 +88,47 @@ def diffusion_variables(d: int) -> set[str]:
     return {"t"} | {f"xd{i}" for i in range(1, d + 1)}
 
 
-# --- tokenizer / parser -------------------------------------------------
+# --- parser -------------------------------------------------------------
 
-_TOKEN_CHARS = set("+-*/^()")
-
-
-def _tokenize(source: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-        elif source.startswith("**", i):
-            tokens.append(("op", "^", i))
-            i += 2
-        elif ch in _TOKEN_CHARS:
-            kind = "op" if ch in _PRECEDENCE else ch
-            tokens.append((kind, ch, i))
-            i += 1
-        elif ch.isdigit() or ch == ".":
-            j = i
-            while j < n and (source[j].isdigit() or source[j] in ".eE" or
-                             (source[j] in "+-" and j > i and source[j - 1] in "eE")):
-                j += 1
-            try:
-                value = float(source[i:j])
-            except ValueError:
-                raise ExprSyntaxError(f"bad numeric literal {source[i:j]!r}", i) from None
-            tokens.append(("num", source[i:j], i))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(("name", source[i:j], i))
-            i = j
-        else:
-            raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", n))
-    return tokens
+# The source as Python reads it, a match at a time: an exponent or a name is kept
+# whole, so that its digits keep their zeros, and the leading zeros of a number,
+# which Python rejects in an integer (007), become spaces, ^ becomes ** and any
+# other whitespace a space.  A character outside the language, and a letter or _
+# straight after a number (0x1, 1_0, 1j, 1if), which Python would read, are errors.
+_LEXEMES = re.compile(r"(?<=[0-9.])[eE][+-]?[0-9]+|(?P<bad>(?<=[0-9.])[^\W\d]|[^\w\s.+\-*/^()])"
+                      r"|[^\W\d]\w*|(?P<zeros>(?<![0-9.])0+(?=[0-9]))|(?P<power>\^)|(?P<space>[^\S ])")
+_BINARY = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
 
 
-class _Parser:
-    def __init__(self, tokens, params: dict, variables: set[str]):
-        self.tokens = tokens
-        self.pos = 0
-        self.params = params
-        self.variables = variables
+def _as_python(m: re.Match) -> str:
+    if m["bad"]:
+        raise ExprSyntaxError(f"unexpected character {m[0]!r}", m.start())
+    return " " * len(m[0]) if m["zeros"] else "**" if m["power"] else " " if m["space"] else m[0]
 
-    def peek(self):
-        return self.tokens[self.pos]
 
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ExprSyntaxError(f"expected {kind}, got {tok[1] or 'end of input'}", tok[2])
-
-    def parse(self):
-        node = self.expression()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ExprSyntaxError(f"unexpected trailing input {tok[1]!r}", tok[2])
-        return node
-
-    def expression(self, min_prec: int = 1):
-        """Precedence climbing: an operand, then every binary operator that
-        binds at least min_prec, with its right operand."""
-        kind, value, _ = self.peek()
-        if kind == "op" and value in ("+", "-"):  # a leading sign takes only ^ inside
-            self.advance()
-            node = self.expression(_PRECEDENCE["neg"] + 1)
-            if value == "-":
-                node = Unary("neg", node)
-        else:
-            node = self.atom()
-        while self.peek()[0] == "op" and _PRECEDENCE[self.peek()[1]] >= min_prec:
-            op = self.advance()[1]
-            prec = _PRECEDENCE[op]
-            node = Binary(op, node, self.expression(prec if op == "^" else prec + 1))
-        return node
-
-    def atom(self):
-        kind, value, offset = self.advance()
-        if kind == "num":
-            return Const(float(value))
-        if kind == "(":
-            node = self.expression()
-            self.expect(")")
-            return node
-        if kind == "name":
-            if self.peek()[0] == "(":
-                if value not in UNARY_FUNCS:
-                    raise ExprSyntaxError(f"unknown function {value!r}", offset)
-                self.advance()
-                arg = self.expression()
-                self.expect(")")
-                return Unary(value, arg)
-            if value in self.variables:
-                return Var(value)
-            if value in self.params:
-                return Param(value)
-            raise ExprSyntaxError(f"unknown identifier {value!r}", offset)
-        raise ExprSyntaxError(f"unexpected token {value!r}" if value else "unexpected end of input", offset)
+def _tree(node, params: dict, variables: set[str], fail):
+    """The language's tree of a Python expression, by a whitelist; else fail(node, message)."""
+    match node:
+        case ast.Constant(value=int() | float() as value) if not isinstance(value, bool):
+            return Const(float(str(value)))  # a long integer is inf, as float("1e999")
+        case ast.Name(id=name) if name in variables or name in params:
+            return Var(name) if name in variables else Param(name)
+        case ast.Name(id=name):
+            raise fail(node, f"unknown identifier {name!r}")
+        case ast.UnaryOp(op=ast.USub(), operand=arg):
+            return Unary("neg", _tree(arg, params, variables, fail))
+        case ast.UnaryOp(op=ast.UAdd(), operand=arg):
+            return _tree(arg, params, variables, fail)
+        case ast.BinOp(op=op, left=left, right=right) if type(op) in _BINARY:
+            return Binary(_BINARY[type(op)], _tree(left, params, variables, fail),
+                          _tree(right, params, variables, fail))
+        # a function's name stands right before its (: (sin)(x1) is no call
+        case ast.Call(func=ast.Name(id=name, col_offset=at), args=[arg], keywords=[]) \
+                if name in UNARY_FUNCS and at == node.col_offset:
+            return Unary(name, _tree(arg, params, variables, fail))
+        case ast.Call(func=ast.Name(id=name)) if name not in UNARY_FUNCS:
+            raise fail(node, f"unknown function {name!r}")
+    raise fail(node, "not an arithmetic expression of the language")
 
 
 def parse_expr(source: str, params: dict | None = None, d: int = 1,
@@ -200,12 +136,27 @@ def parse_expr(source: str, params: dict | None = None, d: int = 1,
     """Parse an expression over the drift variables for dimension d.
 
     Pass variables=diffusion_variables(d) to restrict to the diffusion
-    subclass.  Raises ExprSyntaxError with the byte offset on failure.
+    subclass.  Raises ExprSyntaxError with the offset into source on failure.
     """
     if not source or not source.strip():
         raise ExprSyntaxError("empty expression", 0)
-    allowed = variables if variables is not None else drift_variables(d)
-    return _Parser(_tokenize(source), params or {}, allowed).parse()
+    text = _LEXEMES.sub(_as_python, source)
+    body = text.lstrip(" ")
+
+    def fail(at: int, message: str | None = None) -> ExprSyntaxError:  # at column at of body
+        where = [i for i, ch in enumerate(source) for _ in range(1 + (ch == "^"))] + [len(source)]
+        at = where[min(len(text) - len(body) + at, len(text))]
+        got = f"unexpected {source[at]!r}" if at < len(source) else "unexpected end of input"
+        return ExprSyntaxError(message or got, at)
+
+    try:
+        tree = ast.parse(body + "\n", mode="eval").body  # \n: an unfinished input fails at its end
+    except SyntaxError as exc:
+        at = exc.offset - 1 if exc.lineno == 1 and exc.offset else len(body)
+        # Python places a ( never closed at itself: its ) is missing at the end
+        raise fail(len(body) if body[at : at + 1] == "(" else at) from None
+    return _tree(tree, params or {}, variables if variables is not None else drift_variables(d),
+                 lambda node, message: fail(len(body.encode()[: node.col_offset].decode()), message))
 
 
 # --- canonical printer --------------------------------------------------

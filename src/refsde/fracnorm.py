@@ -406,8 +406,6 @@ def _search(rect: np.ndarray, best: np.ndarray, width: int, size: int, split, ex
         count = np.bincount(lane, minlength=len(best))
         step = max(1, _BLOCK_ENTRIES // entries // max(1, np.count_nonzero(count)))
         top, size = 0, max(1, step // _SPLIT)
-        if count.max(initial=0) <= size:  # one round: the order changes nothing
-            return np.maximum.at(best, lane, exact(lane, cand)) if len(lane) else None
         order = np.lexsort((-reach, lane))
         lane, cand, reach = lane[order], cand[order], reach[order]
         rank = np.arange(len(lane)) - np.searchsorted(lane, lane)  # in its lane, best first
@@ -494,31 +492,24 @@ def _endpoint_sups(values: np.ndarray, dt: float, alpha: float | None = None,
             return np.cumsum(h, axis=1, out=h)[:, -1] - opened
 
         rows = bounds.rows
-        # value: the near parts, the rows of the known ends (no far increment, or evaluated)
-        value, known = rows.copy(), np.repeat(bounds.tail == 0.0, width, axis=1)[:, : n + 1]
         top = np.maximum.reduceat(rows, starts, axis=1) + bounds.tail
         plain = damping is None or bool(np.all(damping == 1.0))  # then damped rows are rows
-        for scale in (np.ones(n + 1),) if plain else (np.ones(n + 1), damping[:, 0]):
-            def refine_rows(lane, end):
+        for i, scale in enumerate((np.ones(n + 1),) if plain else (np.ones(n + 1), damping[:, 0])):
+            def refine_rows(lane, end):  # an end without far lags has its near part in the best
                 tail = bounds.row_tail(lane, end)
-                flat = (lane[tail == 0.0], end[tail == 0.0])
-                value[flat], known[flat] = rows[flat], True
-                return np.where(known[lane, end], 0.0, scale[end] * (rows[lane, end] + tail))
+                return np.where(tail > 0.0, scale[end] * (rows[lane, end] + tail), 0.0)
 
             def exact_rows(lane, code):
                 end = code - n - 1
-                value[lane, end], known[lane, end] = row_values(lane, end), True
-                return scale[end] * value[lane, end]
+                return scale[end] * row_values(lane, end)
 
             # every near part is its end's row up to rounding: a start for the best
-            best = (scale * value).max(axis=1)
+            out[i] = (scale * rows).max(axis=1)
             rect = np.where(bounds.tail > 0.0, np.maximum.reduceat(scale, starts) * top, 0.0)
-            _search(rect, best, width, n + 1, bounded(refine_rows), exact_rows, n, tie,
+            _search(rect, out[i], width, n + 1, bounded(refine_rows), exact_rows, n, tie,
                     np.arange(lanes))
-            if out[0] is None:  # the damped pass only adds ends below this sup
-                out[0] = value.max(axis=1, where=known, initial=-np.inf)
-        if damping is not None:
-            out[1] = (damping[:, 0] * value).max(axis=1, where=known, initial=-np.inf)
+        if damping is not None and plain:
+            out[1] = out[0]
     if lambda_exponent is not None:
         # a heap of nodes of the far lags over J >= n / _NEAR_LAGS leaves: node h, candidate
         # (B + h) (n + 1) + end, has lags first[h] + 1..first[h] + size[h] and kids[h, :fan[h]]:

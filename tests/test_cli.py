@@ -144,6 +144,18 @@ class TestLoadConfig:
         assert main(["simulate", path]) == 1
         assert capsys.readouterr().err == f"error: problem.{key} ({path}:{line}): {want}\n"
 
+    @pytest.mark.parametrize("old,new,key,line,offset", [
+        ("drift = xd1", "drift = x1 +", "drift", 8, 4),
+        ("diffusion = 0.1 * xd1", "diffusion = foo(xd1)", "diffusion", 9, 0),
+        ("eta = t + 1", "eta = (t", "eta", 7, 2),
+    ], ids=["drift", "diffusion", "eta"])
+    def test_expression_error_names_key_and_line(self, tmp_path, capsys, old, new, key, line, offset):
+        path = write_config(tmp_path, MINIMAL.format(out=tmp_path).replace(old, new))
+        assert main(["simulate", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad value for problem.{key} ({path}:{line}): ")
+        assert err.endswith(f" (offset {offset})\n") and err.count("\n") == 1
+
     def test_unknown_format_exit_one(self, tmp_path, capsys):
         path = write_config(tmp_path, MINIMAL.format(out=tmp_path) + "formats = csv, xml\n")
         assert main(["simulate", path]) == 1

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import pickle
 import warnings
+from contextlib import contextmanager
 from importlib import resources
 
 import numpy as np
@@ -10,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from refsde import coeff
 from refsde.coeff import (
+    _PRECEDENCE,
+    UNARY_FUNCS,
     Binary,
     CoefficientSet,
     Const,
@@ -18,6 +21,7 @@ from refsde.coeff import (
     Unary,
     Var,
     collect_vars,
+    drift_variables,
     eval_diffusion,
     eval_drift,
     eval_expr,
@@ -112,6 +116,191 @@ class TestRoundTrip:
         again = parse_expr(text, params={"p": 1.0}, d=2)
         assert print_expr(again) == text
         assert again == ast
+
+
+# --- the hand-written tokenizer and precedence climber that parse_expr
+# replaced, kept as its oracle -------------------------------------------
+
+_TOKEN_CHARS = set("+-*/^()")
+
+
+def _tokenize(source: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    i, n = 0, len(source)
+    while i < n:
+        ch = source[i]
+        if ch.isspace():
+            i += 1
+        elif source.startswith("**", i):
+            tokens.append(("op", "^", i))
+            i += 2
+        elif ch in _TOKEN_CHARS:
+            kind = "op" if ch in _PRECEDENCE else ch
+            tokens.append((kind, ch, i))
+            i += 1
+        elif ch.isdigit() or ch == ".":
+            j = i
+            while j < n and (source[j].isdigit() or source[j] in ".eE" or
+                             (source[j] in "+-" and j > i and source[j - 1] in "eE")):
+                j += 1
+            try:
+                value = float(source[i:j])
+            except ValueError:
+                raise ExprSyntaxError(f"bad numeric literal {source[i:j]!r}", i) from None
+            tokens.append(("num", source[i:j], i))
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            tokens.append(("name", source[i:j], i))
+            i = j
+        else:
+            raise ExprSyntaxError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", "", n))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens, params: dict, variables: set[str]):
+        self.tokens = tokens
+        self.pos = 0
+        self.params = params
+        self.variables = variables
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.advance()
+        if tok[0] != kind:
+            raise ExprSyntaxError(f"expected {kind}, got {tok[1] or 'end of input'}", tok[2])
+
+    def parse(self):
+        node = self.expression()
+        tok = self.peek()
+        if tok[0] != "end":
+            raise ExprSyntaxError(f"unexpected trailing input {tok[1]!r}", tok[2])
+        return node
+
+    def expression(self, min_prec: int = 1):
+        """Precedence climbing: an operand, then every binary operator that
+        binds at least min_prec, with its right operand."""
+        kind, value, _ = self.peek()
+        if kind == "op" and value in ("+", "-"):  # a leading sign takes only ^ inside
+            self.advance()
+            node = self.expression(_PRECEDENCE["neg"] + 1)
+            if value == "-":
+                node = Unary("neg", node)
+        else:
+            node = self.atom()
+        while self.peek()[0] == "op" and _PRECEDENCE[self.peek()[1]] >= min_prec:
+            op = self.advance()[1]
+            prec = _PRECEDENCE[op]
+            node = Binary(op, node, self.expression(prec if op == "^" else prec + 1))
+        return node
+
+    def atom(self):
+        kind, value, offset = self.advance()
+        if kind == "num":
+            return Const(float(value))
+        if kind == "(":
+            node = self.expression()
+            self.expect(")")
+            return node
+        if kind == "name":
+            if self.peek()[0] == "(":
+                if value not in UNARY_FUNCS:
+                    raise ExprSyntaxError(f"unknown function {value!r}", offset)
+                self.advance()
+                arg = self.expression()
+                self.expect(")")
+                return Unary(value, arg)
+            if value in self.variables:
+                return Var(value)
+            if value in self.params:
+                return Param(value)
+            raise ExprSyntaxError(f"unknown identifier {value!r}", offset)
+        raise ExprSyntaxError(f"unexpected token {value!r}" if value else "unexpected end of input", offset)
+
+
+def oracle_parse(source: str, params: dict | None = None, d: int = 1,
+                 variables: set[str] | None = None):
+    if not source or not source.strip():
+        raise ExprSyntaxError("empty expression", 0)
+    allowed = variables if variables is not None else drift_variables(d)
+    return _Parser(_tokenize(source), params or {}, allowed).parse()
+
+
+@contextmanager
+def no_warnings():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+    assert [str(w.message) for w in caught] == []
+
+
+# the language's tokens, and Python's that it has not
+DSL_TOKENS = ["x1", "x2", "xd1", "s1", "t", "p", "e", "α", "q1", "sin", "cos", "exp", "abs", "foo",
+              "0", "1", "2.5", ".5", "5.", "05", "007", "1e3", "1E-2", "1e+05",
+              "+", "-", "*", "/", "^", "**", "(", ")", "(", ")"]
+PYTHON_TOKENS = ["0x1", "1_0", "1j", "True", "x1.real", "if", "else", "and", "not", "<", "#", ",",
+                 "1if", "2x1", "//", "%", "[", "]", ":", "lambda", "...", "'a'", "=", "@"]
+PARAMS = {"p": 1.5, "e": 2.0, "α": 3.0}
+
+
+class TestAgainstOracle:
+    @given(st.lists(st.tuples(st.sampled_from(["", "", " ", "\t", "\n"]),
+                              st.sampled_from(DSL_TOKENS * 3 + PYTHON_TOKENS)), max_size=9))
+    @settings(max_examples=1500, deadline=None)
+    def test_same_trees_and_rejections(self, parts):
+        source = "".join(sep + token for sep, token in parts)
+        try:
+            want = repr(oracle_parse(source, PARAMS, d=2))
+        except ExprSyntaxError:
+            want = None
+        with no_warnings():
+            try:
+                got = repr(parse_expr(source, PARAMS, d=2))
+            except ExprSyntaxError as exc:
+                got = None
+                assert 0 <= exc.offset <= len(source)
+        assert got == want
+
+    @pytest.mark.parametrize("source,want", [
+        # Python rejects an integer with leading zeros
+        ("05", Const(5.0)),
+        ("007 * x1", Binary("*", Const(7.0), Var("x1"))),
+        (" \t\n x1 +\n\txd1", Binary("+", Var("x1"), Var("xd1"))),
+        ("α * 2", Binary("*", Param("α"), Const(2.0))),  # ast's columns count UTF-8 bytes
+        ("e+05 * 1e+05", Binary("+", Param("e"), Binary("*", Const(5.0), Const(1e5)))),
+    ])
+    def test_named_inputs(self, source, want):
+        with no_warnings():
+            assert parse_expr(source, PARAMS) == oracle_parse(source, PARAMS) == want
+
+    @pytest.mark.parametrize("source,offset", [
+        ("x1 +", 4), ("1 + * 2", 4), ("q1 + 1", 0), ("x1 + q1", 5), ("foo(x1)", 0), ("(x1", 3),
+        ("x1)", 2), ("x1 2", 3), ("2 ^^ 3", 3), ("x1 $ 2", 3), ("α + q1", 4),
+    ])
+    def test_error_offsets(self, source, offset):
+        with no_warnings(), pytest.raises(ExprSyntaxError) as exc:
+            parse_expr(source, PARAMS)
+        assert exc.value.offset == offset
+
+    @pytest.mark.parametrize("source", ["1if", "2x1", "(sin)(x1)", "sin(x1,)", "x1 # 2", "True",
+                                        "x1 if t else 2", "1j", "0x1", "1_0", "x1.real", "٣"])
+    def test_python_only_input_rejected(self, source):
+        # the hand-written parser read ٣, an Arabic-Indic digit, as 3.0; Python's
+        # tokenizer rejects every digit outside 0-9
+        with no_warnings(), pytest.raises(ExprSyntaxError) as exc:
+            parse_expr(source, PARAMS)
+        assert 0 <= exc.value.offset <= len(source)
 
 
 class TestCoefficientSet:
