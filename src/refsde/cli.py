@@ -67,7 +67,8 @@ from .solver import (
     Problem,
     SolverConfig,
     _check_levels,
-    check_invariants,
+    _lane_invariants,
+    check_invariants,  # noqa: F401  the traced layer name
     convergence_study,
     driver_grid,
     solve_stochastic,
@@ -263,71 +264,66 @@ def _resolve_outdir(cfg_dir: str, flag_out: str | None) -> Path:
 
 
 def _format_values(values: list) -> list:
-    """The FLOAT_FMT text of each of the values: one %-format per
-    _CSV_CELLS of them."""
-    text = []
-    for first in range(0, len(values), _CSV_CELLS):
-        chunk = tuple(values[first : first + _CSV_CELLS])
-        text += (",".join([FLOAT_FMT] * len(chunk)) % chunk).split(",")
-    return text
+    """The FLOAT_FMT text of each of the values, by one %-format; the
+    writer passes at most a block's cells."""
+    return ((FLOAT_FMT + ",") * len(values) % tuple(values)).split(",")[:-1]
 
 
-def _write_csvs(paths: list, header: list, t: np.ndarray, lanes) -> None:
+def _write_csvs(paths: list, header: list, t: np.ndarray, columns: list) -> None:
     """Write one CSV per lane to paths[j]: header (t's name and k column
-    names), then t and the columns of the j-th lane, an (n + 1, k) float
-    array.  lanes is any iterable; it is read one lane at a time.  The
-    bytes are those of np.savetxt with FLOAT_FMT and "," as the delimiter.
+    names), then t and lane j's columns of the arrays columns, each of shape
+    (n + 1, P, c), side by side; the bytes of np.savetxt with FLOAT_FMT.
 
-    Only new values are formatted, by _format_values: t once for every
-    file, then each row block's distinct values, told apart by their bits
-    (so -0.0 is not 0.0), except those whose text the first file's same
-    row block already holds.  The first file's text of a row block is kept
-    while a later file can read it.
+    A block of at most _CSV_CELLS cells holds a group of whole files if a
+    file fits it, else rows of one file.  Only new values are formatted: t
+    once, then each block's distinct bits (so -0.0 is not 0.0) less those
+    whose text the first group's same row block holds, kept while a later
+    group can read it.
     """
-    k = len(header) - 1
-    step = max(1, _CSV_CELLS // (k + 1))
-    # a row block's text: t and the k cells of each row, "," between them, "\n" after
-    line = np.empty((min(step, len(t)), 2 * k + 2), dtype=object)
-    line[:, 1:-1:2], line[:, -1] = ",", "\n"
-    firsts = []  # each row block of the first file: t's text, its distinct bits, sorted, and theirs
-    for j, (path, values) in enumerate(zip(paths, lanes)):
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for b, a in enumerate(range(0, len(values), step)):
-                block = values[a : a + step]
-                bits, cells = np.unique(block.view(np.int64).ravel(), return_inverse=True)
-                text = np.empty(len(bits), dtype=object)
-                if j:  # the text of the bits that the first file's block holds
-                    t_text, known, known_text = firsts[b]
-                    if j + 1 == len(paths):
-                        firsts[b] = None  # no later file reads it
-                    at = np.searchsorted(known, bits).clip(max=len(known) - 1)
-                    new = known[at] != bits
-                    text[~new] = known_text[at[~new]]
-                else:
-                    t_text, new = _format_values(t[a : a + step].tolist()), slice(None)
-                    if len(paths) > 1:
-                        firsts.append((t_text, bits, text))
-                text[new] = _format_values(bits[new].view(np.float64).tolist())
-                rows = len(block)
-                line[:rows, 0] = t_text
-                line[:rows, 2::2] = text[cells].reshape(rows, k)
-                fh.write("".join(line[:rows].ravel().tolist()))
+    k, n = len(header) - 1, len(t)
+    step = max(1, _CSV_CELLS // (k + 1))  # rows per block
+    group = max(1, _CSV_CELLS // ((k + 1) * n))  # lanes per block: 1 unless a file fits one
+    # a block's text: t and the k cells of each row of each lane, "," between them, "\n" after
+    line = np.empty((group, min(step, n), 2 * k + 2), dtype=object)
+    line[..., 1:-1:2], line[..., -1] = ",", "\n"
+    firsts = []  # each row block of the first group: t's text, its distinct bits, sorted, and theirs
+    for g in range(0, len(paths), group):
+        files = paths[g : g + group]
+        for b, a in enumerate(range(0, n, step)):
+            block = np.concatenate([c[a : a + step, g : g + group] for c in columns], axis=2)
+            bits, cells = np.unique(block.view(np.int64).ravel(), return_inverse=True)
+            text = np.empty(len(bits), dtype=object)
+            if g:  # the text of the bits that the first group's block holds
+                t_text, known, known_text = firsts[b]
+                if g + group >= len(paths):
+                    firsts[b] = None  # no later group reads it
+                at = np.searchsorted(known, bits).clip(max=len(known) - 1)
+                new = known[at] != bits
+                text[~new] = known_text[at[~new]]
+            else:
+                t_text, new = _format_values(t[a : a + step].tolist()), slice(None)
+                if len(paths) > group:
+                    firsts.append((t_text, bits, text))
+            text[new] = _format_values(bits[new].view(np.float64).tolist())
+            rows = len(block)
+            line[:, :rows, 0] = t_text
+            line[: len(files), :rows, 2::2] = text[cells].reshape(rows, len(files), k).transpose(1, 0, 2)
+            for j, path in enumerate(files):
+                with open(path, "a" if a else "w", newline="") as fh:
+                    fh.write(("" if a else ",".join(header) + "\n") + "".join(line[j, :rows].ravel().tolist()))
 
 
 def _write_csv(path: Path, header: list, columns: list) -> None:
     """One CSV of the columns, t first: the one-lane _write_csvs."""
     data = np.column_stack(columns)
-    _write_csvs([path], header, data[:, 0], [data[:, 1:]])
+    _write_csvs([path], header, data[:, 0], [data[:, None, 1:]])
 
 
-def _solution_csvs(paths: list, sols: list) -> None:
-    """t, then the x, y and z columns of each solver or Skorokhod solution
-    of one grid."""
-    d = sols[0].x.dim
-    header = ["t"] + [f"{name}_{i + 1}" for name in "xyz" for i in range(d)]
-    lanes = (np.column_stack([sol.x.values, sol.y.values, sol.z.values]) for sol in sols)
-    _write_csvs(paths, header, sols[0].x.times, lanes)
+def _solution_csvs(paths: list, t: np.ndarray, x, y, z) -> None:
+    """t, then the x, y and z columns of each lane of x, y and z, arrays of
+    shape (n + 1, P, d), lane j to paths[j]."""
+    header = ["t"] + [f"{name}_{i + 1}" for name in "xyz" for i in range(x.shape[2])]
+    _write_csvs(paths, header, t, [x, y, z])
 
 
 def _csv_header(path: Path, lines) -> tuple[int, list]:
@@ -450,37 +446,23 @@ def cmd_simulate(args) -> int:
     outdir = _resolve_outdir(cfg.directory, args.out)
 
     mc = solve_stochastic(cfg.problem, cfg.solver, paths)
-    h = cfg.problem.H
-    alpha = 0.5 * ((1.0 - h) + 0.5)  # midpoint of the admissible (1-H, 1/2)
-    manifest = {
-        "versions": _versions(),
-        "config": cfg.echo,
-        "paths": paths,
-        "seeds": [[cfg.solver.seed, i] for i in range(paths)],
-        "alpha": alpha,
-        "runs": [],
-        "failures": {str(i): _failure_record(e) for i, e in mc.failures.items()},
-    }
-    done = [i for i, sol in enumerate(mc.solutions) if sol is not None]
-    sols = [mc.solutions[i] for i in done]
+    alpha = 0.5 * ((1.0 - cfg.problem.H) + 0.5)  # midpoint of the admissible (1-H, 1/2)
+    manifest = {"versions": _versions(), "config": cfg.echo, "paths": paths,
+                "seeds": [[cfg.solver.seed, i] for i in range(paths)], "alpha": alpha, "runs": [],
+                "failures": {str(i): _failure_record(e) for i, e in mc.failures.items()}}
     d = cfg.problem.d
     # every component of every path, as lanes of one norm sweep
-    reports = norm_reports([sol.x.component(c) for sol in sols for c in range(d)], alpha)
-    violated = False
-    for j, (i, sol) in enumerate(zip(done, sols)):
-        inv = check_invariants(sol)
-        flags = [k for k, v in inv.items()
-                 if isinstance(v, bool) and not v and k != "complementarity_ok"]
-        violated = violated or bool(flags)
-        entry = {"path": i, "invariants": inv}
-        for comp in range(d):
-            entry[f"norms_x_{comp + 1}"] = reports[j * d + comp].to_dict()
+    reports = norm_reports((mc.grid, mc.x.reshape(len(mc.x), mc.n_ok * d, 1)), alpha)
+    for j, (i, inv) in enumerate(zip(mc.paths, _lane_invariants(mc.grid, mc.x, mc.y, mc.z))):
+        entry = {"path": i, "invariants": inv} | {
+            f"norms_x_{c + 1}": reports[j * d + c].to_dict() for c in range(d)}
         if cfg.solver.scheme == "picard":
-            entry["picard_iterations"] = sol.iterations_per_interval
-            entry["picard_residuals"] = sol.final_residuals
+            entry.update(picard_iterations=mc.iterations[j], picard_residuals=mc.residuals[j])
         manifest["runs"].append(entry)
-    if "csv" in cfg.formats and sols:
-        _solution_csvs([outdir / f"path_{i:04d}.csv" for i in done], sols)
+    violated = any(v is False for run in manifest["runs"]
+                   for k, v in run["invariants"].items() if k != "complementarity_ok")
+    if "csv" in cfg.formats and mc.paths:
+        _solution_csvs([outdir / f"path_{i:04d}.csv" for i in mc.paths], mc.grid.times, mc.x, mc.y, mc.z)
     if "json" in cfg.formats:
         _write_json(outdir / "manifest.json", manifest)
     if mc.failures:
@@ -517,7 +499,7 @@ def cmd_skorokhod(args) -> int:
     sol = reflect(z)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _solution_csvs([out], [sol])
+    _solution_csvs([out], z.times, *(a.values[:, None] for a in (sol.x, sol.y, sol.z)))
     print(f"wrote reflected path to {out}")
     return 0
 
@@ -560,7 +542,7 @@ def cmd_audit(args) -> int:
 def cmd_norms(args) -> int:
     f = _read_path_csv(Path(args.input))
     # the components share one grid: one search, a lane each
-    reports = norm_reports([f.component(i) for i in range(f.dim)], args.alpha,
+    reports = norm_reports((f.grid, f.values[:, :, None]), args.alpha,
                            lambda_weight=getattr(args, "lambda"))
     return _report({f"component_{i + 1}": r.to_dict() for i, r in enumerate(reports)}, args.out)
 

@@ -21,6 +21,7 @@ hypothesis_audit samples the constants of (H1)-(H3), each flagged against 1.
 from __future__ import annotations
 
 import ast
+import keyword
 import operator
 import re
 import weakref
@@ -106,8 +107,16 @@ def _as_python(m: re.Match) -> str:
     return " " * len(m[0]) if m["zeros"] else "**" if m["power"] else " " if m["space"] else m[0]
 
 
-def _tree(node, params: dict, variables: set[str], fail):
-    """The language's tree of a Python expression, by a whitelist; else fail(node, message)."""
+def _tree(node, params: dict, variables: set[str], fail, room: int = 200):
+    """The language's tree of a Python expression, by a whitelist; else fail(node, message).
+
+    A tree deeper than room levels fails, as Python's parser fails on more
+    than 200 nested parentheses: compiling, evaluating, comparing, printing
+    and pickling a tree recurse through it, up to three frames a level, and
+    must stay within Python's recursion limit (1000 frames by default)."""
+    if not room:
+        raise fail(node, "expression nested too deeply")
+    room -= 1
     match node:
         case ast.Constant(value=int() | float() as value) if not isinstance(value, bool):
             return Const(float(str(value)))  # a long integer is inf, as float("1e999")
@@ -116,16 +125,16 @@ def _tree(node, params: dict, variables: set[str], fail):
         case ast.Name(id=name):
             raise fail(node, f"unknown identifier {name!r}")
         case ast.UnaryOp(op=ast.USub(), operand=arg):
-            return Unary("neg", _tree(arg, params, variables, fail))
+            return Unary("neg", _tree(arg, params, variables, fail, room))
         case ast.UnaryOp(op=ast.UAdd(), operand=arg):
-            return _tree(arg, params, variables, fail)
+            return _tree(arg, params, variables, fail, room)
         case ast.BinOp(op=op, left=left, right=right) if type(op) in _BINARY:
-            return Binary(_BINARY[type(op)], _tree(left, params, variables, fail),
-                          _tree(right, params, variables, fail))
+            return Binary(_BINARY[type(op)], _tree(left, params, variables, fail, room),
+                          _tree(right, params, variables, fail, room))
         # a function's name stands right before its (: (sin)(x1) is no call
         case ast.Call(func=ast.Name(id=name, col_offset=at), args=[arg], keywords=[]) \
                 if name in UNARY_FUNCS and at == node.col_offset:
-            return Unary(name, _tree(arg, params, variables, fail))
+            return Unary(name, _tree(arg, params, variables, fail, room))
         case ast.Call(func=ast.Name(id=name)) if name not in UNARY_FUNCS:
             raise fail(node, f"unknown function {name!r}")
     raise fail(node, "not an arithmetic expression of the language")
@@ -151,8 +160,12 @@ def parse_expr(source: str, params: dict | None = None, d: int = 1,
 
     try:
         tree = ast.parse(body + "\n", mode="eval").body  # \n: an unfinished input fails at its end
+    except (RecursionError, MemoryError):  # a tree thousands of levels deep; MemoryError is the parser's stack
+        raise ExprSyntaxError("expression nested too deeply", 0) from None
     except SyntaxError as exc:
         at = exc.offset - 1 if exc.lineno == 1 and exc.offset else len(body)
+        if exc.msg == "too many nested parentheses":  # Python's own limit, at the 201st (
+            raise fail(at, "expression nested too deeply") from None
         # Python places a ( never closed at itself: its ) is missing at the end
         raise fail(len(body) if body[at : at + 1] == "(" else at) from None
     return _tree(tree, params or {}, variables if variables is not None else drift_variables(d),
@@ -233,13 +246,17 @@ def collect_vars(node) -> set[str]:
 
 def _param_dict(params, d: int) -> dict:
     """params, a mapping or (name, value) pairs, as a dict; a name given
-    twice, or a variable's, which the parser would read instead, is a ValueError."""
+    twice, a variable's, which the parser would read instead, or a Python
+    keyword, which no expression can read, is a ValueError."""
     pairs = list(params.items() if isinstance(params, dict) else params or ())
     names = [name for name, _ in pairs]
     for name in names:
-        if names.count(name) > 1 or name in drift_variables(d):
-            why = "given twice" if names.count(name) > 1 else "the name of a variable"
-            raise ValueError(f"parameter {name!r} is {why}")
+        if names.count(name) > 1:
+            raise ValueError(f"parameter {name!r} is given twice")
+        if name in drift_variables(d):
+            raise ValueError(f"parameter {name!r} is the name of a variable")
+        if keyword.iskeyword(name):
+            raise ValueError(f"parameter {name!r} is a Python keyword")
     return dict(pairs)
 
 

@@ -39,7 +39,7 @@ from itertools import accumulate, repeat
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grids import SamplePath
+from .grids import SamplePath, TimeGrid
 
 __all__ = [
     "AlphaParams",
@@ -572,26 +572,38 @@ def _endpoint_sups(values: np.ndarray, dt: float, alpha: float | None = None,
     return tuple(out)
 
 
-def _lane_sups(fs: list[SamplePath], alpha: float | None = None,
-               lambda_weight: float | None = None, lambda_exponent: float | None = None,
-               driver_alpha: float | None = None):
-    """The norms of every path of fs, which share one grid and one dimension, as
-    (rows, damped, holder, drive), each (P,) or None unless asked for: with alpha
-    the W^(alpha,infinity) norm, and with lambda_weight its exp(-lambda_weight
-    t)-weighted form; the lambda_exponent-Hoelder norm; the driver norm with
-    driver_alpha.  One _endpoint_sups per group of paths whose increments at one
-    lag and their weighted copy fit _BLOCK_ENTRIES a component."""
+def _lanes(fs) -> tuple[TimeGrid, np.ndarray]:
+    """fs, a list of SamplePaths of one grid and one dimension or a (grid,
+    values) pair, as (grid, values), values of shape (n + 1, P, d); no
+    paths have no grid."""
+    if len(fs) and isinstance(fs[0], TimeGrid):
+        return fs
+    if not fs:
+        return None, np.empty((0, 0, 0))
     grid = fs[0].grid
     if any(f.grid != grid or f.dim != fs[0].dim for f in fs):
         raise ValueError("norm_reports needs paths of one grid and one dimension")
+    return grid, np.stack([f.values for f in fs], axis=1)
+
+
+def _lane_sups(fs, alpha: float | None = None,
+               lambda_weight: float | None = None, lambda_exponent: float | None = None,
+               driver_alpha: float | None = None):
+    """The norms of every path of fs (as _lanes reads it) as (rows, damped,
+    holder, drive), each (P,) or None unless asked for: with alpha the
+    W^(alpha,infinity) norm, and with lambda_weight its exp(-lambda_weight
+    t)-weighted form; the lambda_exponent-Hoelder norm; the driver norm with
+    driver_alpha.  One _endpoint_sups per group of paths whose increments at one
+    lag and their weighted copy fit _BLOCK_ENTRIES a component."""
+    grid, lanes = _lanes(fs)
     with np.errstate(over="ignore"):  # an overflow is an error below
         damping = None if lambda_weight is None else np.exp(-lambda_weight * grid.times)[:, None]
     if damping is not None and np.isinf(damping[0, 0]):
         raise ValueError(f"exp(-lambda t) overflows at lambda = {lambda_weight}, t0 = {grid.t0}")
     group = max(1, _BLOCK_ENTRIES // (2 * (grid.n_steps + 1)))
     parts = []
-    for first in range(0, len(fs), group):
-        values = np.stack([f.values for f in fs[first : first + group]], axis=1)
+    for first in range(0, lanes.shape[1], group):
+        values = np.ascontiguousarray(lanes[:, first : first + group])
         rows, damped, quot, drive = _endpoint_sups(values, grid.dt, alpha, damping,
                                                    lambda_exponent, driver_alpha)
         holder = None if quot is None else _magnitudes(values).max(axis=0) + quot
@@ -711,29 +723,29 @@ class NormReport:
                 "approximate_pair_sup": self.approximate_pair_sup}
 
 
-def norm_reports(fs: list[SamplePath], alpha: float,
-                 lambda_weight: float = 0.0) -> list[NormReport]:
-    """norm_report of every path of fs, which share one grid and one
-    dimension, as lanes of one pass.
+def norm_reports(fs, alpha: float, lambda_weight: float = 0.0) -> list[NormReport]:
+    """norm_report of every path of fs as lanes of one pass.  fs is a list
+    of SamplePaths of one grid and one dimension, or a (grid, values) pair
+    that holds such paths as the lanes of values, shape (n + 1, P, d).
 
     One _lane_sups gives the W^(alpha,infinity) norm, plain and damped, the
     Hoelder norm and, on paths from t = 0, the driver norm of every path, and
     _holder_exponents its exponent estimate, each as the path alone gives it.
     """
-    if not fs:
+    grid, values = _lanes(fs)
+    if not values.shape[1]:
         return []
     AlphaParams(alpha=alpha, lambda_weight=lambda_weight)  # checks both
-    grid = fs[0].grid
     from_zero = bool(abs(grid.t0) < 1e-12)  # the driver norm is defined on [0, T]
-    w_alpha, weighted, holder, drive = _lane_sups(fs, alpha, lambda_weight, 1.0 - alpha,
+    w_alpha, weighted, holder, drive = _lane_sups((grid, values), alpha, lambda_weight, 1.0 - alpha,
                                                   alpha if from_zero else None)
-    exponents = _holder_exponents(np.stack([f.values for f in fs], axis=1), grid.dt)
+    exponents = _holder_exponents(values, grid.dt)
     return [NormReport(alpha, lambda_weight, (float(grid.t0), float(grid.t1)), grid.n_steps, {
         "w_alpha_inf": float(w_alpha[p]), "weighted_alpha": float(weighted[p]),
         "holder_1_minus_alpha": float(holder[p]),
         "lambda_alpha_bound": _lambda_bound(drive[p], alpha) if from_zero else None,
         "holder_exponent_estimate": exponents[p][0], "constant_path": exponents[p][1]})
-        for p in range(len(fs))]
+        for p in range(values.shape[1])]
 
 
 def norm_report(f: SamplePath, alpha: float, lambda_weight: float = 0.0) -> NormReport:

@@ -67,12 +67,16 @@ def complementarity_residual(sol: SkorokhodSolution) -> float:
     the left endpoint of a cell can still be positive just before the
     reflection event inside the cell.
     """
-    return _complementarity(sol.x.values, sol.y.values)
+    return float(_complementarity(sol.x.values, sol.y.values))
 
 
-def _complementarity(x: np.ndarray, y: np.ndarray) -> float:
-    """complementarity_residual on raw arrays x and y of shape (K, d)."""
-    return float(np.max((x[:-1] * np.diff(y, axis=0)).sum(axis=0), initial=0.0))
+def _complementarity(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """complementarity_residual on raw arrays x and y of shape (K, d), or
+    of shape (K, P, d) for one residual per lane.  Each lane's sum runs over
+    a contiguous copy of its own (K, d) terms, so numpy adds them in the
+    order it adds a lone path's."""
+    terms = np.moveaxis(x[:-1] * np.diff(y, axis=0), 0, -2)
+    return np.max(np.ascontiguousarray(terms).sum(axis=-2), axis=-1, initial=0.0)
 
 
 def lipschitz_witness(z1: SamplePath, z2: SamplePath) -> tuple[float, float]:

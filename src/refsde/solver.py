@@ -36,13 +36,15 @@ since on the interval each path depends only on its own driver.
 ``solve`` is the one-lane case and raises the lane's error;
 ``solve_euler`` and ``solve_picard`` are ``solve`` with the scheme forced.
 ``solve_stochastic`` samples one fBm driver per path and solves the paths
-as lanes, in chunks of about _LANE_BYTES of solver state.
+as lanes, in chunks of about _LANE_BYTES of solver state, and keeps them
+as lanes: a ``ReflectedSolution`` per path is built only when asked for.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -295,14 +297,16 @@ def _euler_interval(p: Problem, cfg: SolverConfig, times, dt: float, x, y, z, su
     _close_interval(x, y, z, sups, np.cumsum(terms, axis=0)[2::2], i0, i1)
 
 
-def _picard_interval(p: Problem, cfg: SolverConfig, times, dt: float, x, y, z, sups, sig_dg, i0: int, i1: int):
+def _picard_interval(p: Problem, cfg: SolverConfig, times, dt: float, x, y, z, sups, sig_dg, i0: int, i1: int,
+                     reads_sups: bool = True):
     """The fixed-point construction on [i0, i1]; returns each lane's
     iteration count and final residual.
 
     The map u -> z(i0) + drift integral + Young term + regulator is
     iterated to a sup-norm fixed point from the configured initial iterate,
     with one batched drift call per iteration over the lanes still
-    iterating.  A lane stops at the first iterate that is within
+    iterating; the running sups of |u| are taken only if the drift reads
+    them (reads_sups).  A lane stops at the first iterate that is within
     tolerance, non-finite, or the max_iter-th, and its x, y and z on the
     interval are that iterate's.
     """
@@ -323,10 +327,10 @@ def _picard_interval(p: Problem, cfg: SolverConfig, times, dt: float, x, y, z, s
     # the lanes still iterating, and their slices of the fixed data
     live = np.arange(u.shape[1])
     xd, s0, z0, y0 = x[i0 - n_r : i0 + 1], sups[i0 - 1], z[i0], y[i0]
+    drift_cum = np.zeros_like(u)  # its row 0 stays 0
     for n_iter in range(1, cfg.picard_max_iter + 1):
-        u_sups = np.maximum.accumulate(np.maximum(s0, np.abs(u)), axis=0)
+        u_sups = np.maximum.accumulate(np.maximum(s0, np.abs(u)), axis=0) if reads_sups else u
         b = eval_drift(p.coeffs, t_int, u, xd, u_sups)
-        drift_cum = np.zeros_like(u)
         np.cumsum(0.5 * dt * (b[:-1] + b[1:]), axis=0, out=drift_cum[1:])
         z_new = z0 + drift_cum + young
         u_new = z_new + regulator_values(z_new, y0)
@@ -342,26 +346,59 @@ def _picard_interval(p: Problem, cfg: SolverConfig, times, dt: float, x, y, z, s
             if not going.any():
                 break
             live = live[going]
-            u_new, xd, s0, z0, y0, young = (a[..., going, :] for a in (u_new, xd, s0, z0, y0, young))
+            u_new, xd, s0, z0, y0, young, drift_cum = (
+                a[..., going, :] for a in (u_new, xd, s0, z0, y0, young, drift_cum))
         u = u_new
     _close_interval(x, y, z, sups, z_int[1:], i0, i1)
     return iterations, residuals
 
 
-def _solve_lanes(p: Problem, gs: list[SamplePath], cfg: SolverConfig) -> tuple[list, dict]:
-    """Solve on every driver of gs at once, one lane per driver, one delay
-    interval at a time.
+@dataclass(eq=False)
+class MonteCarloResult:
+    """Solved paths as lanes, and each failed path's error.  Lane j of x, y
+    and z, of shape (N + 1, P, d) on grid, [-r, T], is path paths[j] (in
+    index order) on drivers[j], with its Picard iteration counts and final
+    residuals per delay interval (empty under Euler) iterations[j] and
+    residuals[j]."""
 
-    Returns the solutions in driver order and a dict of failures, which
-    only this function decides, after each interval (see the module
-    docstring); a failed lane's solutions[j] is None.
+    grid: TimeGrid
+    paths: list
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    drivers: list
+    iterations: list
+    residuals: list
+    failures: dict
+
+    @cached_property
+    def solutions(self) -> list:
+        """A ReflectedSolution per path, in index order; None for a failed path."""
+        solutions: list = [None] * (len(self.paths) + len(self.failures))
+        for j, i in enumerate(self.paths):
+            x, y, z = (SamplePath(self.grid, np.ascontiguousarray(a[:, j])) for a in (self.x, self.y, self.z))
+            solutions[i] = ReflectedSolution(x, y, z, self.drivers[j], self.iterations[j], self.residuals[j])
+        return solutions
+
+    @property
+    def n_ok(self) -> int:
+        return len(self.paths)
+
+
+def _solve_lanes(p: Problem, gs: list[SamplePath], cfg: SolverConfig) -> MonteCarloResult:
+    """Solve on every driver of gs at once, one lane per driver, one delay
+    interval at a time; path i of the result is the one on gs[i].
+
+    Failures are decided only here, after each interval (see the module
+    docstring); a failed lane is dropped from the arrays.
     """
     grid, x, y, z, sups, dg = _start(p, gs, cfg)
     n_r = cfg.steps_per_delay
     times = grid.times
+    drift_vars = set().union(*map(collect_vars, p.coeffs.drift))
     if cfg.scheme == "picard":
-        step = _picard_interval
-    elif set().union(*map(collect_vars, p.coeffs.drift)) <= diffusion_variables(p.d):  # t, xd1..xdd
+        step = partial(_picard_interval, reads_sups=any(v.startswith("s") for v in drift_vars))
+    elif drift_vars <= diffusion_variables(p.d):  # t, xd1..xdd
         step = _euler_interval
     else:
         step = _euler_steps
@@ -389,31 +426,19 @@ def _solve_lanes(p: Problem, gs: list[SamplePath], cfg: SolverConfig) -> tuple[l
                 keep[list(errors)] = False
                 lanes = lanes[keep]
                 x, y, z, sups, dg = (a[:, keep] for a in (x, y, z, sups, dg))
-    solutions: list = [None] * len(gs)
-    for j, lane in enumerate(lanes):
-        solutions[lane] = ReflectedSolution(
-            x=SamplePath(grid, np.ascontiguousarray(x[:, j])),
-            y=SamplePath(grid, np.ascontiguousarray(y[:, j])),
-            z=SamplePath(grid, np.ascontiguousarray(z[:, j])),
-            driver=gs[lane],
-            iterations_per_interval=[n_iter for n_iter, _ in picard[lane]],
-            final_residuals=[residual for _, residual in picard[lane]],
-        )
-    return solutions, failures
+    kept = [picard[lane] for lane in lanes]
+    return MonteCarloResult(grid, lanes.tolist(), x, y, z, [gs[lane] for lane in lanes],
+                            [[n for n, _ in s] for s in kept], [[r for _, r in s] for s in kept],
+                            dict(sorted(failures.items())))
 
 
 def solve(p: Problem, g: SamplePath, cfg: SolverConfig) -> ReflectedSolution:
     """Solve on the driver g one delay interval at a time: the one-lane
-    case of the lane-batched solver, raising the lane's failure.
-
-    On each interval the delayed state is already fixed, so the diffusion's
-    left-point Young increments are computed first in one batch; then the
-    interval stepper chosen once per solve advances x, y and z over it.
-    """
-    (sol,), failures = _solve_lanes(p, [g], cfg)
-    if failures:
-        raise failures[0]
-    return sol
+    case of the lane-batched solver, raising the lane's failure."""
+    mc = _solve_lanes(p, [g], cfg)
+    if mc.failures:
+        raise mc.failures[0]
+    return mc.solutions[0]
 
 
 def solve_euler(p: Problem, g: SamplePath, cfg: SolverConfig) -> ReflectedSolution:
@@ -424,18 +449,6 @@ def solve_euler(p: Problem, g: SamplePath, cfg: SolverConfig) -> ReflectedSoluti
 def solve_picard(p: Problem, g: SamplePath, cfg: SolverConfig) -> ReflectedSolution:
     """``solve`` with scheme = picard, whatever cfg says."""
     return solve(p, g, replace(cfg, scheme="picard"))
-
-
-@dataclass
-class MonteCarloResult:
-    """Per-path solutions (index order) and collected per-path failures."""
-
-    solutions: list
-    failures: dict
-
-    @property
-    def n_ok(self) -> int:
-        return sum(s is not None for s in self.solutions)
 
 
 def solve_stochastic(p: Problem, cfg: SolverConfig, n_paths: int) -> MonteCarloResult:
@@ -452,15 +465,17 @@ def solve_stochastic(p: Problem, cfg: SolverConfig, n_paths: int) -> MonteCarloR
     # x, y, z, sups and the driver increments of one lane on [-r, T]
     lane_bytes = 8 * (grid.n_steps + cfg.steps_per_delay + 1) * (4 * p.d + p.m)
     chunk = max(1, _LANE_BYTES // lane_bytes)
-    solutions: list = [None] * n_paths
-    failures: dict = {}
-    for first in range(0, n_paths, chunk):
-        paths = range(first, min(first + chunk, n_paths))
-        gs = [sample_circulant(grid, p.H, p.m, seed=(cfg.seed, i)) for i in paths]
-        sols, errors = _solve_lanes(p, gs, cfg)
-        solutions[first : first + len(sols)] = sols
-        failures.update({first + j: err for j, err in errors.items()})
-    return MonteCarloResult(solutions=solutions, failures=dict(sorted(failures.items())))
+    parts = [(first, _solve_lanes(p, [sample_circulant(grid, p.H, p.m, seed=(cfg.seed, i))
+                                      for i in range(first, min(first + chunk, n_paths))], cfg))
+             for first in range(0, n_paths, chunk)]
+    if len(parts) == 1:
+        return parts[0][1]
+    # the chunks' lanes side by side, their paths numbered from each chunk's first
+    return MonteCarloResult(
+        parts[0][1].grid, [first + i for first, mc in parts for i in mc.paths],
+        *(np.concatenate([getattr(mc, a) for _, mc in parts], axis=1) for a in "xyz"),
+        *([v for _, mc in parts for v in getattr(mc, a)] for a in ("drivers", "iterations", "residuals")),
+        {first + i: err for first, mc in parts for i, err in mc.failures.items()})
 
 
 @dataclass
@@ -523,25 +538,28 @@ def convergence_study(p: Problem, g_fine: SamplePath, levels: list[int],
     return ConvergenceTable(levels=list(levels[:-1]), errors=errors, empirical_order=order)
 
 
-def check_invariants(sol: ReflectedSolution) -> dict:
-    """Reflection invariants of a solution; used by tests and the CLI manifest."""
-    grid = sol.grid
+def _lane_invariants(grid: TimeGrid, x, y, z) -> list[dict]:
+    """check_invariants of every lane of x, y and z, arrays of shape
+    (N + 1, P, d) on grid, [-r, T]: one array formula per flag, each lane's
+    values bit-equal to its own check."""
     t0_idx = grid.index_of(0.0)
-    x = sol.x.values
-    y = sol.y.values
-    z = sol.z.values
-    dy = np.diff(y[t0_idx:], axis=0)
-    regul = regulator_values(z[t0_idx:])
-    residual = _complementarity(x[t0_idx:], y[t0_idx:])
-    total_increase = float(np.max(y[-1] - y[t0_idx]))
-    bound = 10.0 * grid.dt * float(np.abs(x).max()) * max(total_increase, grid.dt)
-    return {
-        "x_nonnegative": bool(x.min() >= -1e-12),
-        "y_starts_at_zero": bool(np.all(y[t0_idx] == 0.0)),
-        "y_nondecreasing": bool(np.all(dy >= 0.0)),
-        "x_equals_z_plus_y": bool(np.array_equal(x[t0_idx:], z[t0_idx:] + y[t0_idx:])),
-        "regulator_consistent": bool(np.array_equal(regul, y[t0_idx:])),
+    x0, y0, z0 = x[t0_idx:], y[t0_idx:], z[t0_idx:]
+    residual = _complementarity(x0, y0)
+    bound = 10.0 * grid.dt * np.abs(x).max(axis=(0, 2)) * np.maximum(np.max(y[-1] - y[t0_idx], axis=-1), grid.dt)
+    min_x = x.min(axis=(0, 2))
+    flags = {
+        "x_nonnegative": min_x >= -1e-12,
+        "y_starts_at_zero": (y0[0] == 0.0).all(axis=-1),
+        "y_nondecreasing": (np.diff(y0, axis=0) >= 0.0).all(axis=(0, 2)),
+        "x_equals_z_plus_y": (x0 == z0 + y0).all(axis=(0, 2)),
+        "regulator_consistent": (regulator_values(z0) == y0).all(axis=(0, 2)),
         "complementarity_residual": residual,
-        "complementarity_ok": bool(residual <= bound),
-        "min_x": float(x.min()),
+        "complementarity_ok": residual <= bound,
+        "min_x": min_x,
     }
+    return [dict(zip(flags, lane)) for lane in zip(*(v.tolist() for v in flags.values()))]
+
+
+def check_invariants(sol: ReflectedSolution) -> dict:
+    """Reflection invariants of a solution: the one-lane _lane_invariants."""
+    return _lane_invariants(sol.grid, *(a.values[:, None] for a in (sol.x, sol.y, sol.z)))[0]

@@ -9,9 +9,11 @@ import pytest
 import refsde
 from refsde import (
     CoefficientSet,
+    ExprSyntaxError,
     Problem,
     SolverConfig,
     eta_from_callable,
+    parse_expr,
 )
 from refsde.grids import SamplePath, TimeGrid
 
@@ -74,3 +76,16 @@ def resident_peak_rise(setup, measured):
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                          check=True)
     return int(run.stdout)
+
+
+def deepest_sum(source: str = "x1") -> int:
+    """The most terms of source + source + ... that parse_expr accepts."""
+    lo, hi = 1, 1200  # accepted, refused
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            parse_expr("+".join([source] * mid))
+            lo = mid
+        except ExprSyntaxError:
+            hi = mid
+    return lo

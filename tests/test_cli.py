@@ -24,6 +24,8 @@ from refsde.grids import SamplePath, TimeGrid
 from refsde.skorokhod import reflect
 from refsde.solver import BlowUpError, PicardConvergenceError, solve_stochastic
 
+from conftest import deepest_sum
+
 CONFIGS = resources.files("refsde") / "configs"
 
 
@@ -102,6 +104,7 @@ class TestLoadConfig:
     @pytest.mark.parametrize("params,name,why", [
         ("x1 = 5, t = 2", "x1", "the name of a variable"),  # the drift x1 would read the state
         ("a = 1, a = 2", "a", "given twice"),
+        ("lambda = 0.5", "lambda", "a Python keyword"),  # lambda * x1 would not parse
     ])
     def test_bad_params_exit_one(self, tmp_path, capsys, params, name, why):
         body = MINIMAL.format(out=tmp_path).replace("drift = xd1", f"drift = xd1\nparams = {params}")
@@ -111,6 +114,24 @@ class TestLoadConfig:
         assert str(exc.value).endswith(f"parameter {name!r} is {why}")
         assert main(["simulate", path]) == 1
         assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+    @pytest.mark.parametrize("terms", [1200, 5000])
+    def test_too_deep_drift_exit_one(self, tmp_path, capsys, terms):
+        drift = "+".join(["xd1"] * terms)
+        body = MINIMAL.format(out=tmp_path).replace("drift = xd1", f"drift = {drift}")
+        path = write_config(tmp_path, body)
+        assert main(["simulate", path]) == 1
+        assert capsys.readouterr().err == (f"error: bad value for problem.drift ({path}:8): "
+                                           "expression nested too deeply (offset 0)\n")
+
+    def test_deepest_drift_runs(self, tmp_path):
+        # the deepest sum parse_expr accepts is compiled, read and evaluated
+        # inside simulate, a few dozen frames below the test runner's
+        terms = deepest_sum("xd1")
+        body = MINIMAL.format(out=tmp_path).replace("drift = xd1", f"drift = {'+'.join(['xd1'] * terms)}")
+        assert main(["simulate", write_config(tmp_path, body), "--paths", "1"]) == 0
+        x = np.loadtxt(tmp_path / "path_0000.csv", delimiter=",", skiprows=1)[:, 1]
+        assert x[-1] == pytest.approx(1.0 + terms / 2, rel=0.05)  # 1 + terms * (integral of s on [0, 1])
 
     def test_hurst_half_names_the_open_interval(self, tmp_path, capsys):
         # a config's H must be above 1/2; only the fbm command can admit 1/2
@@ -236,8 +257,9 @@ class TestSimulate:
         assert manifest["config"]["mc"]["seed"] == "5"  # the echo is the file's
 
     def test_invariant_violation_exit_two(self, tmp_path, capsys, monkeypatch):
-        real = cli.check_invariants
-        monkeypatch.setattr(cli, "check_invariants", lambda sol: {**real(sol), "y_nondecreasing": False})
+        real = cli._lane_invariants
+        monkeypatch.setattr(cli, "_lane_invariants",
+                            lambda *lanes: [{**inv, "y_nondecreasing": False} for inv in real(*lanes)])
         assert main(["simulate", write_config(tmp_path, MINIMAL.format(out=tmp_path))]) == 2
         assert capsys.readouterr().err == "invariant violation; see manifest\n"
         runs = json.loads((tmp_path / "manifest.json").read_text())["runs"]
@@ -591,9 +613,14 @@ class TestCsvWriter:
         lanes = [rng.standard_normal((5, 3)) for _ in range(3)]
         paths = [tmp_path / f"p{j}.csv" for j in range(3)]
         header = ["t", "x_1", "y_1", "z_1"]
-        cli._write_csvs(paths, header, t, lanes)
+        cli._write_csvs(paths, header, t, [np.stack(lanes, axis=1)])
         for path, values in zip(paths, lanes):
             assert path.read_bytes() == self.savetxt_bytes(header, np.column_stack([t, values]))
+
+    @staticmethod
+    def lanes(sols):
+        """x, y and z of the solutions as lanes, each of shape (n + 1, P, d)."""
+        return [np.stack([getattr(sol, name).values for sol in sols], axis=1) for name in "xyz"]
 
     def assert_solution_bytes(self, paths, sols):
         d = sols[0].x.dim
@@ -617,7 +644,7 @@ class TestCsvWriter:
         assert len(np.unique(y)) >= 4 and (np.diff(y) == 0).sum() > 30  # several runs
         assert (sols[0].z.values != sols[0].x.values).sum() > 30  # z is not x after a reflection
         paths = [tmp_path / f"p{j}.csv" for j in range(len(sols))]
-        cli._solution_csvs(paths, sols)
+        cli._solution_csvs(paths, grid.times, *self.lanes(sols))
         self.assert_solution_bytes(paths, sols)
 
     @pytest.mark.parametrize("cells", [None, 1, 5])
@@ -632,7 +659,7 @@ class TestCsvWriter:
         later = np.where(first == 0.0, -first, first)  # -0.0 where the first lane has +0.0
         header = ["t", "x_1", "y_1", "z_1"]
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
-        cli._write_csvs(paths, header, t, [first, later])
+        cli._write_csvs(paths, header, t, [np.stack([first, later], axis=1)])
         for path, values in zip(paths, [first, later]):
             want = self.savetxt_bytes(header, np.column_stack([t, values]))
             assert b",-0," in want and b",0," in want
@@ -658,7 +685,8 @@ class TestCsvWriter:
     def test_formats_each_repeated_value_once(self, tmp_path, monkeypatch):
         cfg = load_config(write_config(tmp_path, MINIMAL.format(out=tmp_path)))
         n_paths = 3
-        sols = solve_stochastic(cfg.problem, cfg.solver, n_paths).solutions
+        mc = solve_stochastic(cfg.problem, cfg.solver, n_paths)
+        sols = mc.solutions
         assert not any(sol.y.values.any() for sol in sols)  # no path reflects
         n, n_r = len(sols[0].x.times) - 1, cfg.solver.steps_per_delay
         formatted = []
@@ -670,7 +698,7 @@ class TestCsvWriter:
 
         monkeypatch.setattr(cli, "_format_values", counted)
         paths = [tmp_path / f"p{j}.csv" for j in range(n_paths)]
-        cli._solution_csvs(paths, sols)
+        cli._solution_csvs(paths, mc.grid.times, mc.x, mc.y, mc.z)
         self.assert_solution_bytes(paths, sols)
         # t once, the first lane's x and one y, then each later lane's x
         # after the initial segment; every cell would be (n + 1)(3P + 1)
@@ -697,7 +725,7 @@ class TestCsvWriter:
         monkeypatch.setattr(cli, "_format_values", counted)
         header = ["t", "x_1", "y_1", "z_1"]
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
-        cli._write_csvs(paths, header, t, iter([first, later]))
+        cli._write_csvs(paths, header, t, [np.stack([first, later], axis=1)])
         for path, values in zip(paths, [first, later]):
             assert path.read_bytes() == self.savetxt_bytes(header, np.column_stack([t, values]))
         # t once; then each block's distinct bits, less the first file's same block's in a later file
@@ -708,6 +736,34 @@ class TestCsvWriter:
         assert sum(formatted) == len(t) + sum(map(len, blocks)) + sum(map(len, later_new))
         if not cells:  # one block: 7 distinct values in the first file, of 21 cells, 4 new in the later
             assert sum(formatted) == 7 + 7 + 4
+
+
+    def test_groups_of_whole_files(self, tmp_path, monkeypatch):
+        # 7 rows of 4 cells: a block of 60 cells holds two whole files, so
+        # five files go in three groups, each group's distinct values taken
+        # once, and the later groups format only what the first one lacks
+        monkeypatch.setattr(cli, "_CSV_CELLS", 60)
+        rng = np.random.default_rng(8)
+        t = np.linspace(-1.0, 1.0, 7)
+        lanes = np.repeat(rng.standard_normal((7, 1, 3)), 5, axis=1)  # rows every lane shares
+        lanes[3:, 1:] += rng.integers(0, 3, (4, 4, 3))  # and rows of their own, some alike
+        lanes[:, :, 1] = np.where(lanes[:, :, 1] > 0.0, 0.0, -0.0)
+        formatted = []
+        format_values = cli._format_values
+
+        def counted(values):
+            formatted.append(len(values))
+            return format_values(values)
+
+        monkeypatch.setattr(cli, "_format_values", counted)
+        header = ["t", "x_1", "y_1", "z_1"]
+        paths = [tmp_path / f"p{j}.csv" for j in range(5)]
+        cli._write_csvs(paths, header, t, [lanes[:, :, :1], lanes[:, :, 1:]])
+        for j, path in enumerate(paths):
+            assert path.read_bytes() == self.savetxt_bytes(header, np.column_stack([t, lanes[:, j]]))
+        groups = [{v.tobytes() for v in lanes[:, g : g + 2].ravel()} for g in range(0, 5, 2)]
+        assert len(formatted) == 4  # t and the first group's values, then one call a group
+        assert sum(formatted) == len(t) + len(groups[0]) + sum(len(g - groups[0]) for g in groups[1:])
 
 
 class TestCsvMemory:
@@ -738,7 +794,7 @@ class TestCsvMemory:
         t = np.linspace(0.0, 1.0, self.n + 1)
         x = np.random.default_rng(7).standard_normal((self.n + 1, 3))
         header = ["t", "x_1", "y_1", "z_1"]
-        peak = self.traced_peak(lambda: cli._write_csvs([tmp_path / "a.csv"], header, t, [x]))
+        peak = self.traced_peak(lambda: cli._write_csvs([tmp_path / "a.csv"], header, t, [x[:, None]]))
         assert peak <= 9 * (t.nbytes + x.nbytes)
 
 

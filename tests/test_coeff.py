@@ -31,7 +31,7 @@ from refsde.coeff import (
 )
 from refsde.cli import load_config
 
-from conftest import linear_coeffs, nonlinear_coeffs
+from conftest import deepest_sum, linear_coeffs, nonlinear_coeffs
 
 
 class TestParser:
@@ -86,6 +86,30 @@ class TestParser:
         assert eval_expr(parse_expr("abs(x1)"), env, {}) == 2.0
         assert eval_expr(parse_expr("exp(0)"), env, {}) == 1.0
         assert eval_expr(parse_expr("-x1"), env, {}) == 2.0
+
+    @pytest.mark.parametrize("source", [
+        "+".join(["x1"] * 1200),  # a RecursionError in the tree walk once
+        "+".join(["x1"] * 5000),  # ... and inside ast.parse
+        "^".join(["x1"] * 5000),  # a MemoryError of Python's parser stack
+        "-" * 5000 + "x1",
+        "(" * 201 + "x1" + ")" * 201,  # Python's own limit on nested parentheses
+        "sin(" * 300 + "x1" + ")" * 300,
+    ], ids=["sum_1200", "sum_5000", "power_5000", "neg_5000", "parens_201", "sin_300"])
+    def test_too_deep(self, source):
+        with pytest.raises(ExprSyntaxError, match=r"^expression nested too deeply \(offset \d+\)$"):
+            parse_expr(source)
+
+    def test_deepest_accepted_tree_round_trips(self):
+        terms = deepest_sum()
+        assert 100 <= terms < 1200
+        with pytest.raises(ExprSyntaxError, match="nested too deeply"):
+            parse_expr("+".join(["x1"] * (terms + 1)))
+        tree = parse_expr("+".join(["x1"] * terms))
+        # every walk of the tree stays within the recursion limit
+        assert pickle.loads(pickle.dumps(tree)) == tree
+        assert parse_expr(print_expr(tree)) == tree and repr(tree)
+        assert collect_vars(tree) == {"x1"}
+        assert eval_expr(tree, {"x1": np.arange(3.0)}, {}).tolist() == [0.0, terms, 2.0 * terms]
 
 
 def random_ast(rng, depth, d=2):
@@ -323,6 +347,7 @@ class TestParams:
         ({"x1": 5.0, "t": 2.0}, "parameter 'x1' is the name of a variable"),
         ({"s2": 1.0}, "parameter 's2' is the name of a variable"),
         ([("a", 1.0), ("a", 2.0)], "parameter 'a' is given twice"),
+        ({"lambda": 0.5}, "parameter 'lambda' is a Python keyword"),  # no expression can read it
     ])
     def test_rejected(self, params, message):
         # the parser reads a variable before a parameter: x1 = 5 would be ignored
